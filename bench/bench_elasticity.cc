@@ -33,7 +33,6 @@ bool g_json = false;
 
 LocalClusterOptions StreamingOpts() {
   LocalClusterOptions opts;
-  opts.streaming = true;
   opts.scheduler.sink_size = 50;
   return opts;
 }

@@ -66,7 +66,6 @@ struct RunRow {
 RunRow RunOnce(const Workload& w, TransportKind kind,
                std::size_t sink_size, bool obs) {
   LocalClusterOptions opts;
-  opts.streaming = true;
   opts.scheduler.sink_size = sink_size;
   opts.transport.kind = kind;
   // The perf configuration: no §5.4 logs (their growth is not what this

@@ -31,7 +31,6 @@ double Seconds(std::chrono::steady_clock::duration d) {
 
 LocalClusterOptions StreamingOpts() {
   LocalClusterOptions opts;
-  opts.streaming = true;
   opts.scheduler.sink_size = 50;
   return opts;
 }
@@ -69,8 +68,7 @@ void BenchDowntimeVsCrashEpoch(std::size_t machines, std::size_t txns) {
               "replayed", "resent_rounds", "downtime_us", "committed");
   for (const SinkEpoch epoch : {2, 4, 8, 16, 32}) {
     LocalClusterOptions opts = StreamingOpts();
-    opts.crash.machine = 1;
-    opts.crash.at_epoch = epoch;
+    opts.crash.events.push_back({1, epoch});
     opts.detector.enabled = true;
     LocalCluster cluster(&w, opts);
     const ClusterRunOutcome out = cluster.RunTPart();
@@ -118,8 +116,7 @@ void BenchRecoveryVsRunLength(std::size_t machines, std::size_t txns) {
         static_cast<SinkEpoch>(run_txns * 9 / (50 * 10));
     for (const SinkEpoch every : {SinkEpoch{0}, SinkEpoch{8}}) {
       LocalClusterOptions opts = StreamingOpts();
-      opts.crash.machine = 1;
-      opts.crash.at_epoch = crash_epoch;
+      opts.crash.events.push_back({1, crash_epoch});
       opts.detector.enabled = true;
       opts.checkpoint_every = every;
       LocalCluster cluster(&w, opts);

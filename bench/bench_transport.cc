@@ -25,12 +25,10 @@ struct Row {
   TransportStats stats;
 };
 
-Row RunOver(const Workload& w, std::size_t txns, TransportOptions transport,
-            bool streaming = false) {
+Row RunOver(const Workload& w, std::size_t txns, TransportOptions transport) {
   LocalClusterOptions opts;
   opts.scheduler.sink_size = 100;
   opts.transport = transport;
-  opts.streaming = streaming;
   LocalCluster cluster(&w, opts);
   const auto start = std::chrono::steady_clock::now();
   const ClusterRunOutcome outcome = cluster.RunTPart();
@@ -84,11 +82,8 @@ void BenchClusterTransports(std::size_t machines, std::size_t txns) {
   faulty.faults.delay_prob = 0.02;
   PrintRow("tcp+faults", RunOver(w, txns, faulty));
 
-  PrintRow("inproc+strm", RunOver(w, txns, inproc, /*streaming=*/true));
-
   std::printf("(expected: direct > serialized > tcp; faults cost retries, "
-              "not correctness; the streaming row overlaps scheduling with "
-              "execution and adds per-round plan dissemination traffic)\n");
+              "not correctness)\n");
 }
 
 void BenchRawWire() {

@@ -12,71 +12,61 @@
 //   --machines=N                    (default 4)
 //   --txns=N                        (default 5000)
 //   --sink=N                        sink size (default 100)
-//   --runtime                       threaded runtime instead of simulator
+//   --runtime                       threaded runtime instead of simulator;
+//                                   runtime T-Part always runs the streaming
+//                                   pipeline (admit -> schedule -> disseminate
+//                                   -> execute as concurrent bounded stages)
+//                                   and prints stage stats and p50/p99
+//                                   admission-to-commit latency
 //   --gstore                        G-Store emulation (sink 1, write-back)
 //   --transport=direct|inproc|tcp   runtime wire substrate (default direct)
 //   --drop=P --dup=P --delay=P      runtime fault injection probabilities
-//   --stream                        streaming pipeline (runtime T-Part):
-//                                   admit -> schedule -> disseminate ->
-//                                   execute as concurrent bounded stages;
-//                                   prints stage stats and p50/p99
-//                                   admission-to-commit latency
-//   --crash=M@E[,M@E|seq@E...]      (streaming only) comma list of
-//                                   crash-stops in firing order. M@E
-//                                   crash-stops worker machine M at sink
-//                                   epoch E, detects it via heartbeats,
-//                                   and recovers it in-run. seq@E
-//                                   crash-stops the coordinator (leader
-//                                   sequencer/scheduler) at epoch E and
-//                                   fails over to a standby — requires
-//                                   --standbys>=1. seq@E+revive@E' pauses
-//                                   the leader instead: at epoch E' the
-//                                   zombie wakes and replays its
-//                                   in-flight traffic, which the
-//                                   successor's term fence must drop.
-//                                   Worker and seq events compose freely;
-//                                   prints the recovery and failover
+//   --crash=M@E[,M@E|seq@E...]      comma list of crash-stops in firing order.
+//                                   M@E crash-stops worker machine M at sink
+//                                   epoch E, detects it via heartbeats, and
+//                                   recovers it in-run. seq@E crash-stops the
+//                                   coordinator (leader sequencer/scheduler)
+//                                   at epoch E and fails over to a standby —
+//                                   requires --standbys>=1. seq@E+revive@E'
+//                                   pauses the leader instead: at epoch E' the
+//                                   zombie wakes and replays its in-flight
+//                                   traffic, which the successor's term fence
+//                                   must drop. Worker and seq events compose
+//                                   freely; prints the recovery and failover
 //                                   statistics
-//   --partition=SPEC[;SPEC...]      (streaming only) seeded link
-//                                   partitions, ';'-separated (group
-//                                   lists use commas). "0,1|2@3..5"
-//                                   severs both directions between {0,1}
-//                                   and {2} for sink epochs 3..4;
-//                                   "0>1@3..5" severs only 0's packets
-//                                   to 1; "1|@3" isolates machine 1 from
-//                                   everyone until the final flush. The
-//                                   retry layer redelivers everything a
-//                                   window swallowed once it heals —
-//                                   results stay byte-identical
-//   --slow-link=SPEC[,SPEC...]      (streaming only) gray-failure slow
-//                                   links: "0->1@2..7:900" delays every
-//                                   packet 0 sends to 1 by a seeded
-//                                   amount up to 900us while epochs 2..6
-//                                   disseminate (delay defaults to
-//                                   1500us). The adaptive detector must
-//                                   not declare the slow destination
-//                                   dead
-//   --detector                      (streaming only) arm the phi-accrual
-//                                   failure detector even without --crash:
-//                                   stragglers and slow links are excused
-//                                   while true crash-stops are caught
-//   --no-recover                    with --crash: detect only, surface
-//                                   the failure as a fault status
-//                                   (worker events only)
-//   --standbys=N                    (streaming only) run the coordinator
-//                                   replicated: N standby replicas
-//                                   receive a quorum-committed request
-//                                   log and one takes over by election
+//   --partition=SPEC[;SPEC...]      seeded link partitions, ';'-separated
+//                                   (group lists use commas). "0,1|2@3..5"
+//                                   severs both directions between {0,1} and
+//                                   {2} for sink epochs 3..4; "0>1@3..5"
+//                                   severs only 0's packets to 1; "1|@3"
+//                                   isolates machine 1 from everyone until the
+//                                   final flush. The retry layer redelivers
+//                                   everything a window swallowed once it
+//                                   heals — results stay byte-identical
+//   --slow-link=SPEC[,SPEC...]      gray-failure slow links: "0->1@2..7:900"
+//                                   delays every packet 0 sends to 1 by a
+//                                   seeded amount up to 900us while epochs
+//                                   2..6 disseminate (delay defaults to
+//                                   1500us). The adaptive detector must not
+//                                   declare the slow destination dead
+//   --detector                      arm the phi-accrual failure detector even
+//                                   without --crash: stragglers and slow links
+//                                   are excused while true crash-stops are
+//                                   caught
+//   --no-recover                    with --crash: detect only, surface the
+//                                   failure as a fault status (worker events
+//                                   only)
+//   --standbys=N                    run the coordinator replicated: N standby
+//                                   replicas receive a quorum-committed
+//                                   request log and one takes over by election
 //                                   if the leader crash-stops
-//   --checkpoint-every=N            (streaming only) capture a per-machine
-//                                   incremental checkpoint every N sink
-//                                   epochs and truncate the recovery logs
-//                                   and resend window; prints the
-//                                   checkpoint statistics
-//   --resize=+K@E[,±K@E...]         (streaming only) grow (+K) or shrink
-//                                   (-K) the machine set by K machines at
-//                                   sink epoch E: quiesce at the epoch
-//                                   barrier, migrate the re-homed
+//   --checkpoint-every=N            capture a per-machine incremental
+//                                   checkpoint every N sink epochs and
+//                                   truncate the recovery logs and resend
+//                                   window; prints the checkpoint statistics
+//   --resize=+K@E[,±K@E...]         grow (+K) or shrink (-K) the machine set
+//                                   by K machines at sink epoch E: quiesce at
+//                                   the epoch barrier, migrate the re-homed
 //                                   partitions over the wire, and resume;
 //                                   results stay byte-identical to a
 //                                   fixed-membership run. Repeatable as a
@@ -86,10 +76,10 @@
 //                                   slice; hotkey additionally pins the
 //                                   hottest keys onto the new machines
 //                                   (default rehash)
-//   --chaos=SEED                    (streaming only) seeded chaos matrix:
-//                                   two sequential crashes of distinct
-//                                   machines, a repeat crash of the first
-//                                   victim, and a straggler — all
+//   --chaos=SEED                    seeded chaos matrix: two sequential
+//                                   crashes of distinct machines, a
+//                                   repeat crash of the first victim,
+//                                   and a straggler — all
 //                                   recovered in-run; with --standbys>=1
 //                                   it also schedules one coordinator
 //                                   leader crash (seq@E in the printed
@@ -225,7 +215,6 @@ int main(int argc, char** argv) {
   const auto txns = static_cast<std::size_t>(IntFlag(argc, argv, "txns", 5000));
   const auto sink = static_cast<std::size_t>(IntFlag(argc, argv, "sink", 100));
   const bool use_runtime = BoolFlag(argc, argv, "runtime");
-  const bool stream = BoolFlag(argc, argv, "stream");
   const bool gstore = BoolFlag(argc, argv, "gstore");
   const std::string transport_name =
       StrFlag(argc, argv, "transport", "direct");
@@ -389,22 +378,10 @@ int main(int argc, char** argv) {
     opts.transport.faults.drop_prob = drop;
     opts.transport.faults.duplicate_prob = dup;
     opts.transport.faults.delay_prob = delay;
-    opts.streaming = stream;
-    if (standbys > 0) {
-      if (!stream) {
-        std::fprintf(stderr, "--standbys requires --stream\n");
-        return 2;
-      }
-      opts.coordinator.standbys = standbys;
-    }
+    opts.coordinator.standbys = standbys;
     if (!crash.empty()) {
-      if (!stream) {
-        std::fprintf(stderr, "--crash requires --stream\n");
-        return 2;
-      }
       // Comma list of events in firing order: M@EPOCH crash-stops a
       // worker, seq@EPOCH crash-stops the coordinator leader.
-      bool have_worker = false;
       for (std::size_t pos = 0; pos < crash.size();) {
         std::size_t comma = crash.find(',', pos);
         if (comma == std::string::npos) comma = crash.size();
@@ -454,24 +431,14 @@ int main(int argc, char** argv) {
         }
         const auto machine =
             static_cast<MachineId>(std::atoll(item.substr(0, at).c_str()));
-        if (!have_worker) {
-          opts.crash.machine = machine;
-          opts.crash.at_epoch = epoch;
-          have_worker = true;
-        } else {
-          LocalClusterOptions::CrashEvent event;
-          event.machine = machine;
-          event.at_epoch = epoch;
-          opts.crash.more.push_back(event);
-        }
+        opts.crash.events.push_back({machine, epoch});
       }
       opts.crash.recover = !no_recover;
-      if (have_worker) opts.detector.enabled = true;
+      if (opts.crash.enabled()) opts.detector.enabled = true;
     }
     if (!chaos.empty()) {
-      if (!stream || !crash.empty()) {
-        std::fprintf(stderr,
-                     "--chaos requires --stream and excludes --crash\n");
+      if (!crash.empty()) {
+        std::fprintf(stderr, "--chaos excludes --crash\n");
         return 2;
       }
       // Spread the crashes over roughly the run's sinking rounds.
@@ -484,10 +451,6 @@ int main(int argc, char** argv) {
       chaos_schedule = schedule;
     }
     if (!partition_specs.empty()) {
-      if (!stream) {
-        std::fprintf(stderr, "--partition requires --stream\n");
-        return 2;
-      }
       // ';'-separated: partition group lists use commas internally.
       for (std::size_t pos = 0; pos < partition_specs.size();) {
         std::size_t semi = partition_specs.find(';', pos);
@@ -504,10 +467,6 @@ int main(int argc, char** argv) {
       }
     }
     if (!slow_link_specs.empty()) {
-      if (!stream) {
-        std::fprintf(stderr, "--slow-link requires --stream\n");
-        return 2;
-      }
       for (std::size_t pos = 0; pos < slow_link_specs.size();) {
         std::size_t comma = slow_link_specs.find(',', pos);
         if (comma == std::string::npos) comma = slow_link_specs.size();
@@ -525,13 +484,7 @@ int main(int argc, char** argv) {
     // --detector arms the phi-accrual watchdog even without --crash:
     // the gray-failure drill is "slow links and stragglers, detector
     // on, zero crashes injected".
-    if (force_detector) {
-      if (!stream) {
-        std::fprintf(stderr, "--detector requires --stream\n");
-        return 2;
-      }
-      opts.detector.enabled = true;
-    }
+    if (force_detector) opts.detector.enabled = true;
     // Post-mortem header (black-box analysis needs the run's identity):
     // build id, the derived chaos schedule, and the link-fault summary
     // land in the flight recorder's dump as "runContext".
@@ -546,10 +499,6 @@ int main(int argc, char** argv) {
       flight->SetRunContext(ctx.str());
     }
     if (!resize.empty()) {
-      if (!stream) {
-        std::fprintf(stderr, "--resize requires --stream\n");
-        return 2;
-      }
       // Comma list of signed deltas pinned to cut epochs: +1@40,-1@80.
       for (std::size_t pos = 0; pos < resize.size();) {
         std::size_t comma = resize.find(',', pos);
@@ -579,20 +528,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    if (checkpoint_every > 0) {
-      if (!stream) {
-        std::fprintf(stderr, "--checkpoint-every requires --stream\n");
-        return 2;
-      }
-      opts.checkpoint_every = checkpoint_every;
-    }
+    opts.checkpoint_every = checkpoint_every;
     if (sampler != nullptr) {
-      if (!stream) {
-        std::fprintf(stderr,
-                     "--metrics-stream / --serve-metrics on the runtime "
-                     "require --stream\n");
-        return 2;
-      }
       opts.live_sampler = sampler.get();
       opts.sample_every_us = std::max<std::uint64_t>(sample_every, 100);
     }
@@ -616,7 +553,7 @@ int main(int argc, char** argv) {
                           static_cast<double>(out.aborted),
                           "Transactions aborted");
       if (out.transport.messages_sent > 0) out.transport.PublishTo(registry);
-      if (stream) out.pipeline.PublishTo(registry);
+      out.pipeline.PublishTo(registry);
       if (out.recovery.crashes_injected > 0) {
         out.recovery.PublishTo(registry);
       }
@@ -630,24 +567,21 @@ int main(int argc, char** argv) {
           out.failover.coordinator_crashes > 0) {
         out.failover.PublishTo(registry);
       }
-      std::printf("tpart  (runtime%s): committed=%llu aborted=%llu\n",
-                  stream ? ", streaming" : "",
+      std::printf("tpart  (runtime): committed=%llu aborted=%llu\n",
                   static_cast<unsigned long long>(out.committed),
                   static_cast<unsigned long long>(out.aborted));
       if (out.transport.messages_sent > 0) {
         std::printf("  transport: %s\n", out.transport.Summary().c_str());
       }
-      if (stream) {
-        const PipelineStats& p = out.pipeline;
-        std::printf("  pipeline: %s\n", p.Summary().c_str());
-        std::printf("  admission->commit latency: p50=%llu us p99=%llu us "
-                    "(%zu samples)\n",
-                    static_cast<unsigned long long>(
-                        p.admit_to_commit_us.Quantile(0.5)),
-                    static_cast<unsigned long long>(
-                        p.admit_to_commit_us.Quantile(0.99)),
-                    p.admit_to_commit_us.count());
-      }
+      const PipelineStats& p = out.pipeline;
+      std::printf("  pipeline: %s\n", p.Summary().c_str());
+      std::printf("  admission->commit latency: p50=%llu us p99=%llu us "
+                  "(%zu samples)\n",
+                  static_cast<unsigned long long>(
+                      p.admit_to_commit_us.Quantile(0.5)),
+                  static_cast<unsigned long long>(
+                      p.admit_to_commit_us.Quantile(0.99)),
+                  p.admit_to_commit_us.count());
       if (!out.fault.ok()) {
         std::printf("  fault: %s\n", out.fault.ToString().c_str());
         return finish(1);

@@ -47,7 +47,6 @@ int main() {
 
   // ---- 1. Crash-free streaming run: the reference results and state.
   LocalClusterOptions base;
-  base.streaming = true;
   base.scheduler.sink_size = 50;
   ClusterRunOutcome clean;
   std::vector<std::vector<std::pair<ObjectKey, Record>>> clean_state;
@@ -63,8 +62,7 @@ int main() {
   // ---- 2. Same run with a crash injected: machine 1 dies at epoch 5,
   // the watchdog detects it and rebuilds it mid-run.
   LocalClusterOptions faulty = base;
-  faulty.crash.machine = 1;
-  faulty.crash.at_epoch = 5;
+  faulty.crash.events.push_back({1, 5});
   faulty.detector.enabled = true;
   LocalCluster cluster(&workload, faulty);
   const ClusterRunOutcome out = cluster.RunTPart();

@@ -62,9 +62,9 @@ struct TransportStats {
   void PublishTo(obs::MetricsRegistry& registry) const;
 };
 
-/// Counters for the streaming execution pipeline (admission → scheduler →
+/// Counters for the T-Part execution pipeline (admission → scheduler →
 /// dissemination → execution as concurrent bounded stages). Zero/absent
-/// for batch-mode and simulator runs.
+/// for Calvin and simulator runs.
 struct PipelineStats {
   /// Real client requests admitted (dummy padding counted separately).
   std::uint64_t admitted = 0;
@@ -319,7 +319,7 @@ struct RunStats {
   /// Wire transport counters (threaded runtime over a real transport).
   TransportStats transport;
 
-  /// Streaming pipeline counters (threaded runtime, streaming mode only).
+  /// Pipeline counters (threaded runtime, T-Part runs only).
   PipelineStats pipeline;
 
   /// Crash-fault-tolerance counters (crash-injection runs only).

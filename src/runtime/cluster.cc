@@ -111,7 +111,7 @@ void LocalCluster::Reset() {
         [this, m](MachineId to, Message msg) {
           transport_->Send(static_cast<MachineId>(m), to, std::move(msg));
         },
-        options_.sticky_ttl, options_.executor_workers));
+        options_.sticky_ttl));
     if (options_.transport.batch_fanout) {
       machines_.back()->set_send_batch(
           [this, m](std::vector<std::pair<MachineId, Message>>& msgs) {
@@ -198,81 +198,6 @@ void LocalCluster::StopAll() {
   }
 }
 
-ClusterRunOutcome LocalCluster::RunTPart() {
-  return options_.streaming ? RunTPartStreaming() : RunTPartBatch();
-}
-
-ClusterRunOutcome LocalCluster::RunTPartBatch() {
-  TPART_CHECK(!options_.crash.enabled())
-      << "crash injection requires streaming mode (batch pre-enqueues "
-         "every plan, so there is no dissemination stream to rejoin)";
-  TPART_CHECK(options_.checkpoint_every == 0)
-      << "periodic checkpointing requires streaming mode (batch has no "
-         "quiescent epoch boundaries while plans pre-enqueue)";
-  TPART_CHECK(!options_.resize.enabled())
-      << "elastic membership requires streaming mode (the migration "
-         "barrier quiesces the dissemination stream at each cut)";
-  TPART_CHECK(options_.crash.coordinator_at.empty())
-      << "coordinator crash injection requires streaming mode (batch has "
-         "no live coordinator to fail over)";
-  if (used_) Reset();
-  used_ = true;
-  NameTraceTracks(machines_.size());
-  TPART_TRACE(SetThreadInfo(0, "driver"));
-  // One scheduler suffices: every scheduler in a real deployment computes
-  // the identical plan stream (verified by the determinism tests).
-  TPartScheduler::Options sched_opts = options_.scheduler;
-  sched_opts.graph.num_machines = workload_->num_machines;
-  TPartScheduler scheduler(sched_opts, workload_->partition_map);
-
-  // Specs are owned here and handed to exactly one machine per
-  // transaction; plan items carry their spec by value so nothing in the
-  // pipeline ever points back into a caller-scoped container.
-  std::unordered_map<TxnId, TxnSpec> spec_of;
-  last_plans_.clear();
-  {
-    std::vector<TxnSpec> txns = workload_->SequencedRequests();
-    spec_of.reserve(txns.size());
-    for (TxnSpec& spec : txns) {
-      for (SinkPlan& plan : scheduler.OnTxn(spec)) {
-        last_plans_.push_back(std::move(plan));
-      }
-      const TxnId id = spec.id;
-      spec_of.emplace(id, std::move(spec));
-    }
-  }
-  for (SinkPlan& plan : scheduler.Drain()) {
-    last_plans_.push_back(std::move(plan));
-  }
-
-  // Distribute per-machine slices (every machine sees every epoch so its
-  // sticky/eviction clock advances).
-  for (const SinkPlan& plan : last_plans_) {
-    std::vector<std::vector<Machine::PlanItem>> slices(machines_.size());
-    for (const TxnPlan& p : plan.txns) {
-      auto node = spec_of.extract(p.txn);
-      TPART_CHECK(!node.empty()) << "no spec for planned T" << p.txn;
-      slices[p.machine].push_back(
-          Machine::PlanItem{p, std::move(node.mapped())});
-    }
-    for (std::size_t m = 0; m < machines_.size(); ++m) {
-      machines_[m]->EnqueueTPartEpoch(plan.epoch, std::move(slices[m]));
-    }
-  }
-
-  for (auto& m : machines_) m->StartTPart();
-  for (auto& m : machines_) m->FinishEnqueue();
-  for (auto& m : machines_) m->JoinExecutor();
-  // Executors fire-and-forget their final write-backs; wait until the
-  // transport has delivered (and, under faults, acked) every message
-  // before reading final store state.
-  transport_->Flush();
-  ClusterRunOutcome outcome = CollectResults(/*dedup_participants=*/false);
-  outcome.transport = transport_->stats();
-  StopAll();
-  return outcome;
-}
-
 namespace {
 
 /// One sunk round in flight between the scheduler and dissemination
@@ -286,7 +211,7 @@ struct PlanEnvelope {
 
 }  // namespace
 
-ClusterRunOutcome LocalCluster::RunTPartStreaming() {
+ClusterRunOutcome LocalCluster::RunTPart() {
   if (options_.resize.enabled()) {
     TPART_CHECK(options_.pipeline.epoch_queue_capacity > 0)
         << "elastic membership needs a bounded epoch queue: the migration "
@@ -295,21 +220,18 @@ ClusterRunOutcome LocalCluster::RunTPartStreaming() {
   }
   if (used_) Reset();
   used_ = true;
-  last_plans_.clear();  // streaming never materializes the plan list
   NameTraceTracks(machines_.size());
   TPART_TRACE(SetThreadInfo(0, "dissemination"));
 
   const std::chrono::microseconds stall_timeout(options_.stall_timeout_us);
   const LocalClusterOptions::CrashSchedule& crash = options_.crash;
-  const std::vector<LocalClusterOptions::CrashEvent> crash_events =
-      crash.Events();
   // Which machines carry at least one scheduled crash (the machines the
   // end-of-run quiesce loop must see recovered before teardown).
   std::vector<bool> crash_scheduled(machines_.size(), false);
   if (crash.enabled()) {
     TPART_CHECK(options_.record_recovery_logs)
         << "crash recovery replays the §5.4 logs; keep them recorded";
-    for (const LocalClusterOptions::CrashEvent& event : crash_events) {
+    for (const LocalClusterOptions::CrashEvent& event : crash.events) {
       TPART_CHECK(static_cast<std::size_t>(event.machine) < machines_.size())
           << "crash schedule names machine " << event.machine << " of "
           << machines_.size();
@@ -1599,14 +1521,9 @@ std::string ApplySeededChaos(std::uint64_t seed, std::size_t num_machines,
   const SinkEpoch e2 = e1 + 1 + static_cast<SinkEpoch>(rng.NextBelow(third));
   const SinkEpoch e3 = e2 + 1 + static_cast<SinkEpoch>(rng.NextBelow(third));
 
-  options.crash.machine = a;
-  options.crash.at_epoch = e1;
-  options.crash.after_txns = 0;
-  options.crash.at_start = false;
+  options.crash.events = {{a, e1, 0, false}, {b, e2, 0, false},
+                           {a, e3, 0, false}};
   options.crash.recover = true;
-  options.crash.more.clear();
-  options.crash.more.push_back({b, e2, 0, false});
-  options.crash.more.push_back({a, e3, 0, false});
   options.detector.enabled = true;
 
   std::ostringstream out;
@@ -1683,7 +1600,7 @@ std::string ApplySeededChaos(std::uint64_t seed, std::size_t num_machines,
 
 ClusterRunOutcome LocalCluster::RunCalvin() {
   TPART_CHECK(!options_.resize.enabled())
-      << "elastic membership is a T-Part streaming feature";
+      << "elastic membership is a T-Part feature";
   if (used_) Reset();
   used_ = true;
   NameTraceTracks(machines_.size());

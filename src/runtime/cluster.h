@@ -24,10 +24,10 @@ namespace obs {
 class LiveSampler;
 }  // namespace obs
 
-/// Stage bounds for the streaming pipeline (RunTPart with streaming=true):
-/// admission → scheduler → dissemination → execution run as concurrent
-/// stages connected by bounded queues, so a full stage backpressures its
-/// upstream instead of buffering without limit.
+/// Stage bounds for the RunTPart pipeline: admission → scheduler →
+/// dissemination → execution run as concurrent stages connected by
+/// bounded queues, so a full stage backpressures its upstream instead of
+/// buffering without limit.
 struct PipelineOptions {
   /// Admission-stage batching (batch size, dummy padding §3.3).
   Sequencer::Options sequencer;
@@ -45,24 +45,15 @@ struct PipelineOptions {
 struct LocalClusterOptions {
   TPartScheduler::Options scheduler;
   SinkEpoch sticky_ttl = 2;
-  /// Executor worker threads per machine in T-Part mode (the version CC
-  /// makes >1 safe; results are interleaving-independent).
-  int executor_workers = 1;
   /// Which wire substrate carries inter-machine messages: the direct
   /// in-memory path (default), serialized in-process queues, or loopback
   /// TCP — optionally with seeded fault injection (net/transport.h).
   /// Results must be identical over every transport; the transport tests
   /// assert exactly this.
   TransportOptions transport;
-  /// RunTPart engine selection. Batch mode (default, the seed behaviour)
-  /// materializes the workload, schedules it to completion, and
-  /// pre-enqueues every plan before starting executors. Streaming mode
-  /// runs the paper's §3.1 layering for real: requests are admitted
-  /// incrementally through a Sequencer, scheduled on a dedicated thread,
-  /// and each sunk plan ships to the machines as a wire message the
-  /// moment it exists — memory stays bounded by the `pipeline` caps.
-  /// Both modes produce identical results for the same workload.
-  bool streaming = false;
+  /// Ignored: RunTPart always streams. Kept only so existing callers that
+  /// assign it still compile; it will be removed.
+  bool streaming = true;
   PipelineOptions pipeline;
 
   /// One deterministic crash-stop: which machine dies and when. A
@@ -80,27 +71,24 @@ struct LocalClusterOptions {
     /// Third trigger: crash before the executor handles anything at all
     /// (the epoch-0 edge — no sinking round has drained yet).
     bool at_start = false;
+    bool operator==(const CrashEvent&) const = default;
   };
 
-  /// Deterministic crash injection (streaming runs only): each scheduled
-  /// machine crash-stops — no goodbyes, in-flight traffic dropped — at
-  /// its chosen point, and the run either recovers it in place (§5.4
-  /// local replay from checkpoint + request/network logs) or merely
-  /// detects the failure and reports it. Same seed + same schedule
-  /// reproduces the same crashes, replays, and final state.
+  /// Deterministic crash injection: each scheduled machine crash-stops —
+  /// no goodbyes, in-flight traffic dropped — at its chosen point, and
+  /// the run either recovers it in place (§5.4 local replay from
+  /// checkpoint + request/network logs) or merely detects the failure
+  /// and reports it. Same seed + same schedule reproduces the same
+  /// crashes, replays, and final state.
   struct CrashSchedule {
-    MachineId machine = kInvalidMachine;
-    SinkEpoch at_epoch = 0;
-    std::uint64_t after_txns = 0;
-    bool at_start = false;
-    /// Additional crashes after the first (in firing order). The same
-    /// machine may appear again — a repeat crash after its own recovery.
-    std::vector<CrashEvent> more;
+    /// Worker crashes in firing order. The same machine may appear again
+    /// — a repeat crash after its own recovery.
+    std::vector<CrashEvent> events;
     /// Coordinator (leader) crash-stops, one per entry, fired after the
     /// first shipped round with epoch >= the entry (in order). Requires
-    /// coordinator.standbys >= 1 and streaming mode; composes freely
-    /// with the worker events above. enabled() stays worker-only — a
-    /// coordinator-only schedule does not arm worker crash machinery.
+    /// coordinator.standbys >= 1; composes freely with the worker events
+    /// above. enabled() stays worker-only — a coordinator-only schedule
+    /// does not arm worker crash machinery.
     std::vector<SinkEpoch> coordinator_at;
     /// Zombie-leader revival, paired index-wise with coordinator_at:
     /// entry i > 0 means the leader crashed by coordinator_at[i] was
@@ -116,17 +104,7 @@ struct LocalClusterOptions {
     /// Recover in-run when true; detect-and-report only when false.
     /// Applies to every event in the schedule.
     bool recover = true;
-    bool enabled() const { return machine != kInvalidMachine; }
-    /// The full schedule in firing order (the legacy single-crash fields
-    /// are event zero).
-    std::vector<CrashEvent> Events() const {
-      std::vector<CrashEvent> events;
-      if (enabled()) {
-        events.push_back(CrashEvent{machine, at_epoch, after_txns, at_start});
-        events.insert(events.end(), more.begin(), more.end());
-      }
-      return events;
-    }
+    bool enabled() const { return !events.empty(); }
   };
   CrashSchedule crash;
 
@@ -142,11 +120,11 @@ struct LocalClusterOptions {
   };
   StragglerSchedule straggler;
 
-  /// Periodic incremental checkpointing (streaming runs only): every
-  /// machine captures a MachineCheckpoint at the first drained epoch
-  /// boundary at or past each multiple of this, then truncates its §5.4
-  /// logs; the cluster prunes the resend window up to the minimum
-  /// checkpointed epoch across machines. Recovery then replays only the
+  /// Periodic incremental checkpointing: every machine captures a
+  /// MachineCheckpoint at the first drained epoch boundary at or past
+  /// each multiple of this, then truncates its §5.4 logs; the cluster
+  /// prunes the resend window up to the minimum checkpointed epoch
+  /// across machines. Recovery then replays only the
   /// suffix since the victim's last checkpoint, and log memory plateaus
   /// instead of growing with run length. 0 = load-time checkpoint only
   /// (the seed behaviour).
@@ -161,12 +139,12 @@ struct LocalClusterOptions {
     int delta = 0;
   };
 
-  /// Elastic membership (streaming runs only): machine slots for the
-  /// maximum membership are allocated up front; each event only changes
-  /// where keys are homed and ships the moved partition state at a
-  /// quiesced sink-epoch barrier. Results stay byte-identical to a
-  /// fixed-membership run of the same workload. Requires a bounded epoch
-  /// queue (the barrier quiesces via epoch credits).
+  /// Elastic membership: machine slots for the maximum membership are
+  /// allocated up front; each event only changes where keys are homed
+  /// and ships the moved partition state at a quiesced sink-epoch
+  /// barrier. Results stay byte-identical to a fixed-membership run of
+  /// the same workload. Requires a bounded epoch queue (the barrier
+  /// quiesces via epoch credits).
   struct ResizeSchedule {
     /// Events in firing order; cut epochs strictly increasing, >= 1.
     std::vector<ResizeEvent> events;
@@ -205,15 +183,14 @@ struct LocalClusterOptions {
   FailureDetectorOptions detector;
 
   /// Coordinator replication (DESIGN §4i): with standbys >= 1 the
-  /// streaming coordinator runs as a leader replica whose sequenced
+  /// coordinator runs as a leader replica whose sequenced
   /// batches are quorum-committed to standby replicas before entering
   /// the pipeline, and a scheduled coordinator crash fails over to a
   /// standby that rebuilds all scheduler state by deterministic replay.
   CoordinatorOptions coordinator;
 
-  /// Record the §5.4 per-machine request/network logs during streaming
-  /// runs (required for crash recovery; disable to keep long runs'
-  /// memory strictly bounded).
+  /// Record the §5.4 per-machine request/network logs (required for
+  /// crash recovery; disable to keep long runs' memory strictly bounded).
   bool record_recovery_logs = true;
 
   /// Record the per-round dissemination timeline in the outcome (one
@@ -230,14 +207,14 @@ struct LocalClusterOptions {
   std::uint64_t stall_timeout_us = 120'000'000;
 
   /// Live observability plane (DESIGN §4f). When `live_sampler` is set,
-  /// the streaming run installs a source over the pipeline's hot-path
+  /// the run installs a source over the pipeline's hot-path
   /// counters — admitted/planned/committed, T-graph size, distributed-txn
   /// ratio, per-machine inbound and in-flight depths, the coordinator
   /// term, and the scheduler's hottest key — and drives the sampler every
   /// `sample_every_us` of wall time for the duration of the run. The
   /// caller owns the sampler and reads or streams its snapshots
   /// (obs/live_sampler.h); sampling reads relaxed counters only and never
-  /// blocks the pipeline. Ignored in batch mode.
+  /// blocks the pipeline.
   obs::LiveSampler* live_sampler = nullptr;
   std::uint64_t sample_every_us = 10'000;
 
@@ -263,7 +240,7 @@ struct ClusterRunOutcome {
   std::uint64_t committed = 0;
   std::uint64_t aborted = 0;
   TransportStats transport;
-  /// Streaming-mode stage counters (zero in batch mode).
+  /// Pipeline stage counters (zero for RunCalvin).
   PipelineStats pipeline;
   /// Non-OK when the failure detector declared a machine dead with no
   /// recovery configured, or a dissemination wait timed out; the run
@@ -326,6 +303,11 @@ class LocalCluster {
   /// Rebuilds stores (reloading initial data) and machines.
   void Reset();
 
+  /// Runs the paper's §3.1 layering as a stream: requests are admitted
+  /// incrementally through a Sequencer, scheduled on a dedicated thread,
+  /// and each sunk round ships to the machines as a kSinkPlan wire
+  /// message the moment it exists. Memory stays bounded by the
+  /// `pipeline` caps; each machine runs one executor thread.
   ClusterRunOutcome RunTPart();
   ClusterRunOutcome RunCalvin();
 
@@ -336,11 +318,6 @@ class LocalCluster {
   /// The epoch-versioned key -> machine map of a resize run, or nullptr
   /// when no resize schedule is armed. For tests inspecting placement.
   const ElasticPartitionMap* elastic_map() const { return elastic_.get(); }
-
-  /// Plans of the last batch-mode RunTPart (for inspection / recovery
-  /// tests). Streaming mode deliberately retains nothing here: plans are
-  /// shipped and dropped, keeping memory bounded by the stage caps.
-  const std::vector<SinkPlan>& last_plans() const { return last_plans_; }
 
   /// Machine m's checkpoint image (records + volatile state + logs
   /// truncation point), or nullptr when the run keeps none (no crash
@@ -353,8 +330,6 @@ class LocalCluster {
   }
 
  private:
-  ClusterRunOutcome RunTPartBatch();
-  ClusterRunOutcome RunTPartStreaming();
   /// Executes membership step `step_idx` at its cut: quiesces the stream
   /// (every in-flight round executed, every service FIFO drained),
   /// computes and ships the migration routes, waits for every image to
@@ -391,7 +366,6 @@ class LocalCluster {
   /// each machine folds its dirty keys and volatile state in at every
   /// cadence boundary. The recovery baseline for RestorePartition().
   std::vector<std::unique_ptr<MachineCheckpoint>> checkpoints_;
-  std::vector<SinkPlan> last_plans_;
 };
 
 }  // namespace tpart

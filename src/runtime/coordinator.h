@@ -47,10 +47,10 @@ struct CoordinatorOptions {
 ///    replicas park out-of-order entries until the gap fills);
 ///  * standbys detect leader death by heartbeat silence past the election
 ///    timeout, back off by rank + seeded jitter to avoid dueling claims,
-///    then broadcast kLeaderClaim (Zab election semantics mirrored from
-///    src/sequencer/zab.cc: longest committed history wins, ties go to
-///    the lower replica id — here the claim carries the log length and
-///    receivers ship any suffix the claimant is missing before acking);
+///    then broadcast kLeaderClaim (Zab election semantics, implemented in
+///    coordinator.cc: longest committed history wins, ties go to the
+///    lower replica id — the claim carries the log length and receivers
+///    ship any suffix the claimant is missing before acking);
 ///  * the new leader rebuilds all coordinator state by deterministic
 ///    replay of the committed log (done by cluster.cc, which also probes
 ///    per-machine dissemination watermarks through ProbeWatermarks()).

@@ -18,21 +18,17 @@ namespace tpart {
 
 Machine::Machine(MachineId id, std::size_t num_machines, KvStore* store,
                  const ProcedureRegistry* registry, SendFn send,
-                 SinkEpoch sticky_ttl, int executor_workers)
+                 SinkEpoch sticky_ttl)
     : id_(id),
       num_machines_(num_machines),
       store_(store),
       registry_(registry),
       send_(std::move(send)),
       sticky_ttl_(sticky_ttl),
-      storage_(store, sticky_ttl),
-      executor_workers_(std::max(executor_workers, 1)) {}
+      storage_(store, sticky_ttl) {}
 
 Machine::~Machine() {
   if (executor_.joinable()) executor_.join();
-  for (auto& t : worker_pool_) {
-    if (t.joinable()) t.join();
-  }
   if (recovery_executor_.joinable()) recovery_executor_.join();
   if (service_.joinable()) {
     Deliver(Message{});  // kShutdown default
@@ -84,10 +80,7 @@ void Machine::FinishEnqueue() {
 void Machine::StartTPart() {
   service_running_ = true;
   service_ = std::thread([this] { ServiceLoop(); });
-  executor_ = std::thread([this] { TPartWorkerLoop(/*initial=*/true); });
-  for (int wkr = 1; wkr < executor_workers_; ++wkr) {
-    worker_pool_.emplace_back([this] { TPartWorkerLoop(/*initial=*/false); });
-  }
+  executor_ = std::thread([this] { TPartExecutorLoop(/*initial=*/true); });
 }
 
 void Machine::StartCalvin() {
@@ -98,10 +91,6 @@ void Machine::StartCalvin() {
 
 void Machine::JoinExecutor() {
   if (executor_.joinable()) executor_.join();
-  for (auto& t : worker_pool_) {
-    if (t.joinable()) t.join();
-  }
-  worker_pool_.clear();
 }
 
 void Machine::JoinRecoveredExecutor() {
@@ -572,7 +561,7 @@ std::size_t Machine::epochs_in_flight() const {
 // T-Part executor
 // ---------------------------------------------------------------------
 
-void Machine::TPartWorkerLoop(bool initial) {
+void Machine::TPartExecutorLoop(bool initial) {
   TPART_TRACE(SetThreadInfo(static_cast<int>(1 + id_), "executor"));
   // The epoch-0 edge of the chaos matrix: the machine dies before any
   // plan runs. Only the StartTPart() executor honours it — a recovery
@@ -588,10 +577,9 @@ void Machine::TPartWorkerLoop(bool initial) {
       return;
     }
   }
-  // Workers pop plans in total order; the version-based CC makes the
-  // outcome independent of which worker runs which plan (a read blocks
-  // until its named version exists, produced by an earlier — hence
-  // already-popped — transaction or a remote machine).
+  // Plans pop in total order; a read blocks until its named version
+  // exists, produced by an earlier — hence already-popped — transaction
+  // or a remote machine.
   while (true) {
     WorkUnit unit;
     bool evict = false;
@@ -602,9 +590,8 @@ void Machine::TPartWorkerLoop(bool initial) {
                run_state_.load(std::memory_order_relaxed) ==
                    RunState::kDown;
       });
-      // Crash-stop: abandon queued work mid-stream. Only the crashing
-      // worker itself observes this (crash injection requires a single
-      // worker), re-evaluating the predicate right after its own
+      // Crash-stop: abandon queued work mid-stream. The executor
+      // observes this re-evaluating the predicate right after its own
       // CrashStop() call.
       if (run_state_.load(std::memory_order_relaxed) == RunState::kDown) {
         return;
@@ -632,8 +619,8 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
   TPART_CHECK(p.machine == id_);
   // Request log: "the transaction requests are logged only after they are
   // partitioned, and each machine logs only those requests that are
-  // assigned to itself" (§5.4). Entries may interleave across workers;
-  // replay re-sorts by txn id. Replayed plans are already in the log.
+  // assigned to itself" (§5.4). Entries land in execution order.
+  // Replayed plans are already in the log.
   if (log_recording_ && !replay_ && !is_replay) {
     std::lock_guard<std::mutex> lock(log_mu_);
     request_log_.push_back(RequestLogEntry{epoch, item});
@@ -665,10 +652,10 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
   // ---- Gather every planned read (the version-based deterministic CC:
   // each read waits for its exact version, §5.2).
   TPART_TRACE(Begin("gather", "exec", {{"reads", p.reads.size()}}));
-  // Per-worker scratch (DESIGN §4h): the gather map, pending-response
+  // Per-executor scratch (DESIGN §4h): the gather map, pending-response
   // list, and publish outbox keep their capacity across plans, so the
-  // steady-state executor loop stops allocating. A worker runs one plan
-  // at a time, and the scratch never escapes the call.
+  // steady-state executor loop stops allocating. An executor runs one
+  // plan at a time, and the scratch never escapes the call.
   struct PendingResp {
     ObjectKey key;
     std::uint64_t req_id;
@@ -684,8 +671,7 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
   auto& values = scratch.exec.values;
   auto& pending = scratch.pending;
   // Request ids are deterministic functions of (txn, read position) so a
-  // §5.4 replay pairs logged responses with re-issued requests no matter
-  // how worker threads interleave.
+  // §5.4 replay pairs logged responses with re-issued requests.
   TPART_CHECK(p.reads.size() < 1024) << "read set too wide for req ids";
   std::uint32_t read_idx = 0;
   for (const ReadStep& r : p.reads) {
@@ -900,9 +886,9 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
     const bool txn_hit =
         point.after_txns != 0 && executed == point.after_txns;
     if (epoch_hit || txn_hit) {
-      // Single-worker FIFO execution means rounds complete in order: if
-      // the current round drained, everything lost starts at the next
-      // round; otherwise this round itself is partially lost.
+      // FIFO execution means rounds complete in order: if the current
+      // round drained, everything lost starts at the next round;
+      // otherwise this round itself is partially lost.
       CrashStop(drained ? epoch + 1 : epoch);
     }
   }
@@ -936,9 +922,6 @@ Record Machine::AwaitResponse(std::uint64_t req_id) {
 
 void Machine::ArmCrash(CrashPoint point) {
   TPART_CHECK(point.armed()) << "empty crash point";
-  TPART_CHECK(executor_workers_ == 1)
-      << "crash injection needs a single FIFO worker: the crash point and "
-         "hence the replayed suffix must be deterministic";
   TPART_CHECK(log_recording_)
       << "crash recovery replays the §5.4 logs; enable log recording";
   std::lock_guard<std::mutex> lock(crash_mu_);
@@ -1142,7 +1125,7 @@ std::size_t Machine::Recover(const std::function<void()>& restore_partition) {
   //    join it before spawning its replacement.
   if (recovery_executor_.joinable()) recovery_executor_.join();
   recovery_executor_ =
-      std::thread([this] { TPartWorkerLoop(/*initial=*/false); });
+      std::thread([this] { TPartExecutorLoop(/*initial=*/false); });
   {
     std::unique_lock<std::mutex> lock(crash_mu_);
     crash_cv_.wait(lock, [&] {
@@ -1160,9 +1143,6 @@ std::size_t Machine::Recover(const std::function<void()>& restore_partition) {
 // ---------------------------------------------------------------------
 
 void Machine::ConfigureCheckpoint(MachineCheckpoint* image, SinkEpoch every) {
-  TPART_CHECK(every == 0 || executor_workers_ == 1)
-      << "periodic checkpointing needs a single FIFO worker: the barrier "
-         "fences one executor at a drained epoch boundary";
   TPART_CHECK(every == 0 || log_recording_)
       << "checkpoint truncation is pointless without the §5.4 logs";
   checkpoint_ = image;
@@ -1671,7 +1651,7 @@ void Machine::ExecuteCalvin(const TxnSpec& spec) {
   const KeySet all_keys = spec.rw.AllKeys();
   std::vector<MachineId> participants;
   std::vector<ObjectKey> remote_keys;
-  // Per-worker scratch, reused across transactions (DESIGN §4h).
+  // Per-executor scratch, reused across transactions (DESIGN §4h).
   thread_local ExecScratch exec_scratch;
   exec_scratch.Clear();
   auto& values = exec_scratch.values;

@@ -49,13 +49,9 @@ class Machine {
   using SendBatchFn =
       std::function<void(std::vector<std::pair<MachineId, Message>>&)>;
 
-  /// `executor_workers` > 1 enables concurrent plan execution in T-Part
-  /// mode: the version-based CC (reads wait for exact versions) makes the
-  /// result independent of the interleaving, so workers may run plans out
-  /// of order. Calvin mode always uses one executor thread.
   Machine(MachineId id, std::size_t num_machines, KvStore* store,
           const ProcedureRegistry* registry, SendFn send,
-          SinkEpoch sticky_ttl = 2, int executor_workers = 1);
+          SinkEpoch sticky_ttl = 2);
   ~Machine();
 
   Machine(const Machine&) = delete;
@@ -66,7 +62,8 @@ class Machine {
     TxnPlan plan;
     TxnSpec spec;
   };
-  /// T-Part mode: the machine's slice of sinking round `epoch`.
+  /// T-Part mode: the machine's slice of sinking round `epoch`, for
+  /// offline replay. Live runs receive rounds as kSinkPlan messages.
   void EnqueueTPartEpoch(SinkEpoch epoch, std::vector<PlanItem> items);
   /// Calvin mode: next relevant transaction in total order.
   void EnqueueCalvinTxn(TxnSpec spec);
@@ -129,7 +126,7 @@ class Machine {
   void set_replay(bool replay) { replay_ = replay; }
 
   /// Disables the §5.4 request/network logs (recovery becomes impossible
-  /// but long streaming runs keep memory bounded). Default on.
+  /// but long runs keep memory bounded). Default on.
   void set_log_recording(bool on) { log_recording_ = on; }
 
   /// Bounds every executor-side wait (response, credit, peer reads,
@@ -142,9 +139,8 @@ class Machine {
 
   // ---- Crash injection & in-run recovery (§5.4 made live) -------------
   /// Deterministic crash-stop trigger; at most one of the fields is
-  /// honoured per point. Requires a single executor worker (FIFO
-  /// execution makes the crash point, and hence the replay,
-  /// deterministic).
+  /// honoured per point. The executor runs plans in FIFO order, which
+  /// makes the crash point, and hence the replay, deterministic.
   struct CrashPoint {
     /// Crash once sinking round `at_epoch` has fully executed here.
     SinkEpoch at_epoch = 0;
@@ -270,9 +266,8 @@ class Machine {
   /// the barrier — at that point every earlier logged message is fully
   /// applied, so both §5.4 logs truncate to empty and subsequent traffic
   /// forms the replay suffix. `every` = 0 disables periodic captures
-  /// (the image still serves as the load-time checkpoint). Streaming
-  /// T-Part only; requires a single executor worker. Call before
-  /// StartTPart().
+  /// (the image still serves as the load-time checkpoint). T-Part only.
+  /// Call before StartTPart().
   void ConfigureCheckpoint(MachineCheckpoint* image, SinkEpoch every);
 
   /// Restores the volatile images (cache area, storage version
@@ -349,7 +344,7 @@ class Machine {
 
   /// `initial` is true only for the StartTPart() executor; an `at_start`
   /// crash point fires there, never in a recovery executor.
-  void TPartWorkerLoop(bool initial);
+  void TPartExecutorLoop(bool initial);
   void CalvinExecutorLoop();
   void ServiceLoop();
   void Dispatch(Message msg);
@@ -415,7 +410,7 @@ class Machine {
   RingChannel<Message> inbound_;
 
   // Executor work queue. T-Part work is flattened to per-plan units
-  // consumed in total order by the worker pool; `replay` marks §5.4
+  // consumed in total order by the executor; `replay` marks §5.4
   // recovery re-execution (outbound suppressed, not re-logged).
   struct WorkUnit {
     SinkEpoch epoch = 0;
@@ -428,14 +423,12 @@ class Machine {
   std::deque<TxnSpec> calvin_work_;
   bool finished_enqueue_ = false;
   SinkEpoch evicted_upto_ = 0;
-  int executor_workers_ = 1;
-  std::vector<std::thread> worker_pool_;
   mutable std::mutex log_mu_;
 
   // Streaming intake: reliable transports may deliver rounds out of
-  // order, but single-worker executors rely on FIFO epoch order (a popped
-  // plan may only await versions produced by already-popped or remote
-  // plans), so rounds are reordered and enqueued strictly from 1.
+  // order, but the executor relies on FIFO epoch order (a popped plan may
+  // only await versions produced by already-popped or remote plans), so
+  // rounds are reordered and enqueued strictly from 1.
   // Guarded by stream_mu_: written by the service thread, wiped and read
   // by the recovery path on the watchdog thread.
   mutable std::mutex stream_mu_;

@@ -1,31 +1,21 @@
 #include "runtime/recovery.h"
 
-#include <algorithm>
 #include <limits>
-#include <map>
 
 namespace tpart {
 
 namespace {
 
 /// Shared tail of both replay formulations: re-enqueue the logged plans
-/// grouped by sinking round in total order (a multi-worker live run may
-/// have logged them interleaved), run the executor to completion, and
-/// collect results.
+/// in log order (the machine's one executor logged them as it ran them,
+/// so the log is a valid execution order), run the executor to
+/// completion, and collect results.
 void RunReplay(Machine& machine,
                const std::vector<Machine::RequestLogEntry>& request_log,
                ReplayResult& out) {
-  std::map<SinkEpoch, std::vector<Machine::PlanItem>> rounds;
-  for (const auto& entry : request_log) {
-    rounds[entry.epoch].push_back(entry.item);
-  }
   machine.StartTPart();
-  for (auto& [epoch, items] : rounds) {
-    std::sort(items.begin(), items.end(),
-              [](const Machine::PlanItem& a, const Machine::PlanItem& b) {
-                return a.plan.txn < b.plan.txn;
-              });
-    machine.EnqueueTPartEpoch(epoch, std::move(items));
+  for (const auto& entry : request_log) {
+    machine.EnqueueTPartEpoch(entry.epoch, {entry.item});
   }
   machine.FinishEnqueue();
   machine.JoinExecutor();

@@ -27,7 +27,6 @@
 
 #include "sequencer/batch.h"      // IWYU pragma: export
 #include "sequencer/sequencer.h"  // IWYU pragma: export
-#include "sequencer/zab.h"        // IWYU pragma: export
 
 #include "tgraph/edge_weight.h"  // IWYU pragma: export
 #include "tgraph/tgraph.h"       // IWYU pragma: export
@@ -43,7 +42,6 @@
 #include "scheduler/tpart_scheduler.h"  // IWYU pragma: export
 
 #include "cache/cache_area.h"      // IWYU pragma: export
-#include "exec/lock_table.h"       // IWYU pragma: export
 #include "exec/serial_executor.h"  // IWYU pragma: export
 
 #include "runtime/cluster.h"   // IWYU pragma: export

@@ -37,7 +37,6 @@ LocalClusterOptions StreamingOpts(TransportKind kind) {
   LocalClusterOptions opts;
   opts.scheduler.sink_size = 20;
   opts.transport.kind = kind;
-  opts.streaming = true;
   return opts;
 }
 
@@ -198,7 +197,6 @@ TEST(CheckpointTest, LogFootprintPlateausWithCheckpointing) {
   auto peak_bytes = [](const Workload& w, SinkEpoch every) {
     LocalClusterOptions opts;
     opts.scheduler.sink_size = 20;
-    opts.streaming = true;
     opts.checkpoint_every = every;
     LocalCluster cluster(&w, opts);
     const ClusterRunOutcome out = cluster.RunTPart();
@@ -242,8 +240,8 @@ TEST(CheckpointTest, CrashWithCheckpointReplaysOnlySuffix) {
 
   auto crash_opts = [&](SinkEpoch every) {
     LocalClusterOptions opts = StreamingOpts(TransportKind::kDirect);
-    opts.crash.machine = 1;
-    opts.crash.at_epoch = 12;  // late crash: a long prefix to not replay
+    // Late crash: a long prefix to not replay.
+    opts.crash.events.push_back({1, 12});
     opts.detector.heartbeat_interval_us = test::ScaledUs(2000);
     opts.detector.deadline_us = test::ScaledUs(100000);
     opts.checkpoint_every = every;
@@ -268,8 +266,7 @@ TEST(CheckpointTest, CrashWithCheckpointReplaysOnlySuffix) {
 TEST(CheckpointTest, CheckpointedCrashRunIsDeterministic) {
   const Workload w = MakeMicroWorkload(SmallMicro());
   LocalClusterOptions opts = StreamingOpts(TransportKind::kInProcess);
-  opts.crash.machine = 2;
-  opts.crash.at_epoch = 9;
+  opts.crash.events.push_back({2, 9});
   opts.detector.heartbeat_interval_us = test::ScaledUs(2000);
   opts.detector.deadline_us = test::ScaledUs(100000);
   opts.checkpoint_every = 3;

@@ -40,15 +40,13 @@ LocalClusterOptions StreamingOpts(TransportKind kind) {
   LocalClusterOptions opts;
   opts.scheduler.sink_size = 20;
   opts.transport.kind = kind;
-  opts.streaming = true;
   return opts;
 }
 
 LocalClusterOptions CrashOpts(TransportKind kind, MachineId victim,
                               SinkEpoch at_epoch) {
   LocalClusterOptions opts = StreamingOpts(kind);
-  opts.crash.machine = victim;
-  opts.crash.at_epoch = at_epoch;
+  opts.crash.events.push_back({victim, at_epoch});
   opts.detector.heartbeat_interval_us = test::ScaledUs(2000);
   opts.detector.deadline_us = test::ScaledUs(100000);
   return opts;
@@ -153,7 +151,8 @@ TEST(CrashTest, MidRoundCrashReplaysPartialEpoch) {
   const RunSnapshot ref = RunOnce(w, StreamingOpts(TransportKind::kDirect));
 
   LocalClusterOptions opts = CrashOpts(TransportKind::kInProcess, 1, 0);
-  opts.crash.after_txns = 10;  // dies mid-round, not at a round boundary
+  // Dies mid-round, not at a round boundary.
+  opts.crash.events.front().after_txns = 10;
   const RunSnapshot got = RunOnce(w, opts);
   ExpectSameResults(ref.out.results, got.out.results);
   EXPECT_EQ(got.state, ref.state);
@@ -209,7 +208,8 @@ TEST(CrashTest, CrashAtStartBeforeAnySinkRoundRecovers) {
   const RunSnapshot ref = RunOnce(w, StreamingOpts(TransportKind::kDirect));
 
   LocalClusterOptions opts = CrashOpts(TransportKind::kDirect, 1, 0);
-  opts.crash.at_start = true;  // dies before executing anything at all
+  // Dies before executing anything at all.
+  opts.crash.events.front().at_start = true;
   const RunSnapshot got = RunOnce(w, opts);
   EXPECT_TRUE(got.out.fault.ok()) << got.out.fault.ToString();
   ExpectSameResults(ref.out.results, got.out.results);
@@ -300,19 +300,18 @@ TEST(CrashTest, SeededChaosIsDeterministicForAFixedSeed) {
   const std::string sa = ApplySeededChaos(42, 3, 20, a);
   const std::string sb = ApplySeededChaos(42, 3, 20, b);
   EXPECT_EQ(sa, sb);
-  EXPECT_EQ(a.crash.machine, b.crash.machine);
-  EXPECT_EQ(a.crash.at_epoch, b.crash.at_epoch);
-  ASSERT_EQ(a.crash.more.size(), 2u);
-  ASSERT_EQ(b.crash.more.size(), 2u);
-  EXPECT_EQ(a.crash.more[1].machine, a.crash.machine)
+  EXPECT_EQ(a.crash.events, b.crash.events);
+  const auto& ea = a.crash.events;
+  ASSERT_EQ(ea.size(), 3u);
+  EXPECT_EQ(ea[2].machine, ea[0].machine)
       << "third crash repeats the first victim";
-  EXPECT_NE(a.crash.more[0].machine, a.crash.machine)
+  EXPECT_NE(ea[1].machine, ea[0].machine)
       << "second crash hits a different machine";
-  EXPECT_LT(a.crash.at_epoch, a.crash.more[0].at_epoch);
-  EXPECT_LT(a.crash.more[0].at_epoch, a.crash.more[1].at_epoch);
+  EXPECT_LT(ea[0].at_epoch, ea[1].at_epoch);
+  EXPECT_LT(ea[1].at_epoch, ea[2].at_epoch);
   EXPECT_TRUE(a.straggler.enabled());
-  EXPECT_NE(a.straggler.machine, a.crash.machine);
-  EXPECT_NE(a.straggler.machine, a.crash.more[0].machine);
+  EXPECT_NE(a.straggler.machine, ea[0].machine);
+  EXPECT_NE(a.straggler.machine, ea[1].machine);
 }
 
 TEST(CrashTest, StragglerDelaysHeartbeatsWithoutFalseFailure) {

@@ -35,7 +35,6 @@ LocalClusterOptions StreamingOpts(TransportKind kind) {
   LocalClusterOptions opts;
   opts.scheduler.sink_size = 20;
   opts.transport.kind = kind;
-  opts.streaming = true;
   return opts;
 }
 
@@ -185,8 +184,7 @@ TEST(ElasticityTest, CrashDuringMigrationWindowOnSource) {
   // out detection + §5.4 recovery, then still move machine 1's keys.
   LocalClusterOptions opts =
       ResizeOpts(TransportKind::kInProcess, {{4, +1}});
-  opts.crash.machine = 1;
-  opts.crash.at_epoch = 4;
+  opts.crash.events.push_back({1, 4});
   opts.detector.heartbeat_interval_us = test::ScaledUs(2000);
   opts.detector.deadline_us = test::ScaledUs(100000);
   const RunSnapshot got = RunOnce(w, opts);
@@ -209,8 +207,7 @@ TEST(ElasticityTest, CrashOnGrownMachineAfterInstall) {
   // it, replay would rebuild an empty partition.
   LocalClusterOptions opts =
       ResizeOpts(TransportKind::kInProcess, {{4, +1}});
-  opts.crash.machine = 2;
-  opts.crash.at_epoch = 5;
+  opts.crash.events.push_back({2, 5});
   opts.detector.heartbeat_interval_us = test::ScaledUs(2000);
   opts.detector.deadline_us = test::ScaledUs(100000);
   const RunSnapshot got = RunOnce(w, opts);

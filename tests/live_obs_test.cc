@@ -501,7 +501,6 @@ TEST(LiveObsClusterTest, StreamingRunFeedsEpochSamplerWithValidNames) {
   LocalClusterOptions opts;
   opts.scheduler.sink_size = 20;
   opts.transport.kind = TransportKind::kDirect;
-  opts.streaming = true;
   opts.live_sampler = &sampler;
   LocalCluster cluster(&w, opts);
   const ClusterRunOutcome out = cluster.RunTPart();
@@ -542,7 +541,6 @@ TEST(LiveObsClusterTest, TxnSamplingStitchesTimelinesAcrossMachines) {
   LocalClusterOptions opts;
   opts.scheduler.sink_size = 20;
   opts.transport.kind = TransportKind::kDirect;
-  opts.streaming = true;
   opts.txn_sample = 8;  // every 8th txn gets a causal timeline
   LocalCluster cluster(&w, opts);
   const ClusterRunOutcome out = cluster.RunTPart();

@@ -1,9 +1,9 @@
-// Streaming-pipeline tests: RunTPart with streaming=true runs admission,
-// scheduling, dissemination, and execution as concurrent bounded stages,
-// with requests pulled incrementally and plans shipped as wire messages.
-// The stream must produce byte-identical results and final state to the
-// batch path and the serial reference — on every transport, under fault
-// injection, and with the stage queues squeezed to capacity 1.
+// Streaming-pipeline tests: RunTPart runs admission, scheduling,
+// dissemination, and execution as concurrent bounded stages, with
+// requests pulled incrementally and plans shipped as wire messages. The
+// stream must produce byte-identical results and final state to the
+// serial reference — on every transport, under fault injection, and with
+// the stage queues squeezed to capacity 1.
 
 #include <gtest/gtest.h>
 
@@ -57,38 +57,26 @@ LocalClusterOptions StreamingOpts(TransportKind kind) {
   LocalClusterOptions opts;
   opts.scheduler.sink_size = 20;
   opts.transport.kind = kind;
-  opts.streaming = true;
   return opts;
 }
 
-// Runs the workload in streaming mode and checks results and final state
-// against the batch path and the serial reference.
-ClusterRunOutcome CheckStreamingMatchesBatchAndSerial(
-    const Workload& w, LocalClusterOptions opts) {
+// Runs the workload through the stream and checks results and final
+// state against the serial reference.
+ClusterRunOutcome CheckStreamingMatchesSerial(const Workload& w,
+                                              LocalClusterOptions opts) {
   const auto [serial_results, serial_state] = SerialReference(w);
-
-  LocalClusterOptions batch_opts = opts;
-  batch_opts.streaming = false;
-  LocalCluster batch(&w, batch_opts);
-  const ClusterRunOutcome batch_out = batch.RunTPart();
-  const auto batch_state = batch.store().Snapshot();
-  ExpectSameResults(serial_results, batch_out.results);
-  EXPECT_EQ(batch_state, serial_state);
-
   LocalCluster stream(&w, opts);
   const ClusterRunOutcome stream_out = stream.RunTPart();
-  ExpectSameResults(batch_out.results, stream_out.results);
-  EXPECT_EQ(stream.store().Snapshot(), batch_state)
-      << "streaming final state diverged from batch";
-  EXPECT_EQ(stream_out.committed, batch_out.committed);
-  EXPECT_EQ(stream_out.aborted, batch_out.aborted);
+  ExpectSameResults(serial_results, stream_out.results);
+  EXPECT_EQ(stream.store().Snapshot(), serial_state)
+      << "streaming final state diverged from serial";
   return stream_out;
 }
 
-TEST(PipelineTest, StreamingMatchesBatchAndSerialMicro) {
+TEST(PipelineTest, StreamingMatchesSerialMicro) {
   const Workload w = MakeMicroWorkload(SmallMicro());
   const ClusterRunOutcome out =
-      CheckStreamingMatchesBatchAndSerial(w, StreamingOpts(TransportKind::kDirect));
+      CheckStreamingMatchesSerial(w, StreamingOpts(TransportKind::kDirect));
 
   const PipelineStats& p = out.pipeline;
   EXPECT_EQ(p.admitted, w.requests.size());
@@ -130,7 +118,7 @@ TEST(PipelineTest, StreamingTpccWithAbortsOverTcp) {
   o.num_items = 100;
   o.num_txns = 300;
   o.abort_prob = 0.05;
-  const ClusterRunOutcome out = CheckStreamingMatchesBatchAndSerial(
+  const ClusterRunOutcome out = CheckStreamingMatchesSerial(
       MakeTpccWorkload(o), StreamingOpts(TransportKind::kTcp));
   EXPECT_GT(out.aborted, 0u);  // aborts actually exercised the §5.3 path
 }
@@ -145,7 +133,7 @@ TEST(PipelineTest, StreamingSurvivesFaultyTransport) {
   opts.transport.faults.max_delay_us = 1500;
   opts.transport.retry_timeout_us = 1000;
 
-  const ClusterRunOutcome out = CheckStreamingMatchesBatchAndSerial(w, opts);
+  const ClusterRunOutcome out = CheckStreamingMatchesSerial(w, opts);
   // Faults really hit the plan stream too (delays can reorder rounds;
   // the machine-side reorder buffer restores epoch order).
   EXPECT_GT(out.transport.faults_dropped, 0u);
@@ -163,7 +151,7 @@ TEST(PipelineTest, TinyBoundsBackpressureAndStayBounded) {
   opts.pipeline.plan_queue_capacity = 1;
   opts.pipeline.epoch_queue_capacity = 1;
 
-  const ClusterRunOutcome out = CheckStreamingMatchesBatchAndSerial(w, opts);
+  const ClusterRunOutcome out = CheckStreamingMatchesSerial(w, opts);
   const PipelineStats& p = out.pipeline;
   EXPECT_GT(p.backpressure_waits, 0u);
   EXPECT_LE(p.batch_queue_high_water, 1u);
@@ -172,11 +160,14 @@ TEST(PipelineTest, TinyBoundsBackpressureAndStayBounded) {
   EXPECT_GE(p.epoch_queue_high_water, 1u);
 }
 
-TEST(PipelineTest, StreamingWithMultipleExecutorWorkers) {
+TEST(PipelineTest, DefaultOptionsRunTheStream) {
+  // RunTPart has one driver: untouched options still go through
+  // admission, the scheduler stage, and wire dissemination.
   const Workload w = MakeMicroWorkload(SmallMicro());
-  LocalClusterOptions opts = StreamingOpts(TransportKind::kInProcess);
-  opts.executor_workers = 2;
-  CheckStreamingMatchesBatchAndSerial(w, opts);
+  const ClusterRunOutcome out =
+      CheckStreamingMatchesSerial(w, LocalClusterOptions{});
+  EXPECT_GT(out.pipeline.plans, 0u);
+  EXPECT_EQ(out.pipeline.admit_to_commit_us.count(), out.results.size());
 }
 
 TEST(PipelineTest, StreamingIsDeterministicAcrossRuns) {

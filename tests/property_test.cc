@@ -193,7 +193,6 @@ TEST_P(CheckpointReplayProperty, SuffixReplayMatchesFullLogReplay) {
 
   LocalClusterOptions streaming;
   streaming.scheduler.sink_size = 20;
-  streaming.streaming = true;
 
   // Full-log run: nothing truncated, logs cover the whole stream.
   LocalCluster full(&w, streaming);
@@ -267,7 +266,6 @@ TEST_P(ChaosTransportReplayProperty, TcpChaosRunMatchesCleanDirectRun) {
   const Workload w = MakeMicroWorkload(o);
 
   LocalClusterOptions clean;
-  clean.streaming = true;
   clean.scheduler.sink_size = 20;
   LocalCluster baseline(&w, clean);
   const ClusterRunOutcome want = baseline.RunTPart();

@@ -158,46 +158,6 @@ TEST(RuntimeTest, RepeatedRunsAreDeterministic) {
   EXPECT_EQ(cluster.store().Snapshot(), state_a);
 }
 
-TEST(RuntimeTest, MultiWorkerExecutorsMatchSerial) {
-  // 4 workers per machine (the paper's per-node core count): the version
-  // CC must make results identical to the single-worker run and the
-  // serial reference regardless of worker interleavings.
-  MicroOptions o;
-  o.num_machines = 3;
-  o.records_per_machine = 300;
-  o.hot_set_size = 30;
-  o.num_txns = 800;
-  const Workload w = MakeMicroWorkload(o);
-  const auto [serial_results, serial_state] = SerialReference(w);
-  LocalClusterOptions opts = SmallClusterOpts();
-  opts.executor_workers = 4;
-  LocalCluster cluster(&w, opts);
-  for (int round = 0; round < 3; ++round) {
-    const ClusterRunOutcome outcome = cluster.RunTPart();
-    ExpectSameResults(serial_results, outcome.results);
-    ASSERT_EQ(cluster.store().Snapshot(), serial_state)
-        << "multi-worker run " << round << " diverged";
-  }
-}
-
-TEST(RuntimeTest, MultiWorkerTpccWithAborts) {
-  TpccOptions o;
-  o.num_machines = 2;
-  o.warehouses_per_machine = 1;
-  o.customers_per_district = 20;
-  o.num_items = 100;
-  o.num_txns = 400;
-  o.abort_prob = 0.05;
-  const Workload w = MakeTpccWorkload(o);
-  const auto [serial_results, serial_state] = SerialReference(w);
-  LocalClusterOptions opts = SmallClusterOpts();
-  opts.executor_workers = 3;
-  LocalCluster cluster(&w, opts);
-  const ClusterRunOutcome outcome = cluster.RunTPart();
-  ExpectSameResults(serial_results, outcome.results);
-  EXPECT_EQ(cluster.store().Snapshot(), serial_state);
-}
-
 TEST(RuntimeTest, CacheStaysBounded) {
   // §5.2: "the total size of the essential cache entries on each machine
   // is proportional to the working set" — after a run everything planned

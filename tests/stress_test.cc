@@ -130,7 +130,6 @@ TEST_P(StressSweep, RuntimeMatchesSerialUnderPathologicalShapes) {
 
   LocalClusterOptions opts;
   opts.scheduler.sink_size = 10;
-  opts.executor_workers = 2;
   LocalCluster cluster(&w, opts);
   const ClusterRunOutcome outcome = cluster.RunTPart();
   ASSERT_EQ(outcome.results.size(), serial->results.size());

@@ -653,7 +653,7 @@ TEST(WireSinkPlanTest, BadVersionRejected) {
 }
 
 TEST(WireSinkPlanTest, SingleByteCorruptionNeverRoundTrips) {
-  // Plans drive dissemination in streaming mode, so the decoder gets the
+  // Plans drive dissemination, so the decoder gets the
   // same treatment as Message: flip each byte in turn; decoding must fail
   // or produce a *different* plan — never silently accept the original.
   const SinkPlan plan = FullSinkPlan();
