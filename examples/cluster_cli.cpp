@@ -1,9 +1,10 @@
 // Command-line driver: run any bundled workload on any engine, on the
 // simulated cluster or the threaded runtime, and print the statistics.
 //
-//   ./build/examples/cluster_cli --workload=tpce --engine=both \
+// Two example command lines, each wrapped onto a second line here:
+//   ./build/examples/cluster_cli --workload=tpce --engine=both
 //       --machines=8 --txns=5000 --sink=100
-//   ./build/examples/cluster_cli --workload=tpcc --engine=tpart \
+//   ./build/examples/cluster_cli --workload=tpcc --engine=tpart
 //       --runtime --machines=4 --txns=2000
 //
 // Flags:

@@ -90,7 +90,7 @@ int main() {
   Machine& failed = cluster.machine(victim);
   const ReplayResult replay =
       ReplayMachine(workload, victim, failed.request_log(),
-                    failed.network_log(), faulty.sticky_ttl);
+                    failed.network_log());
   const bool replay_ok =
       Dump(replay.store->store(victim)) == Dump(cluster.store().store(victim));
   std::printf("offline replay of machine %u: %zu txns, partition %s\n",

@@ -119,10 +119,10 @@ struct RecoveryStats {
   /// Last sinking round the crashed machine fully executed before dying.
   SinkEpoch crash_epoch = 0;
   /// Crash-stop to watchdog declaring the machine failed (heartbeat
-  /// sequence stalled past the deadline, and — with the adaptive
-  /// detector — past the phi-accrual suspicion threshold too).
+  /// sequence stalled past the deadline floor and the phi-accrual
+  /// suspicion threshold).
   std::uint64_t detection_latency_us = 0;
-  /// Adaptive (phi-accrual) detector activity: deadline expiries the phi
+  /// Phi-accrual detector activity: deadline expiries the phi
   /// gate suppressed (gray failure / straggler, not a crash), and the
   /// highest suspicion level any machine that stayed live ever reached.
   /// A false-positive recovery requires peak healthy phi to cross the

@@ -49,13 +49,6 @@ struct TransportOptions {
   /// otherwise, and sporadic spurious retries are harmless: receivers
   /// dedupe).
   int retry_timeout_us = 2000;
-  /// Batched fan-out: executors hand their publish-phase messages to
-  /// Transport::SendBatch, and serialized transports coalesce each
-  /// destination's share into ONE wire frame with ONE link sequence
-  /// number (resend/dedupe unit = the batch). Off = every message is its
-  /// own packet, the pre-batching behaviour; outcomes are byte-identical
-  /// either way (the batched-framing property test enforces it).
-  bool batch_fanout = true;
 };
 
 /// Message conduit between the machines of a LocalCluster. Thread-safe:

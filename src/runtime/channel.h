@@ -91,7 +91,8 @@ struct Message {
     kLogAck,
     /// Leadership claim / watermark probe. Replica -> replica: `txn` is the
     /// claimant replica index, `req_id` its committed-log length, `epoch`
-    /// the new term (Zab election: longest log wins, ties -> lower id).
+    /// the new term. Never refused: each receiver ships the suffix the
+    /// claimant lacks and acks with its own log length.
     /// Leader -> machine (`reply_to` set): a watermark probe; the machine
     /// answers with a kLogAck(key=2) to `reply_to`.
     kLeaderClaim,
@@ -188,21 +189,15 @@ class BlockingQueue {
 
   /// Deadline-aware variant: waits at most `timeout` for a message and
   /// returns kUnavailable on expiry, so a dead producer surfaces as a
-  /// reported error instead of a hang. A timeout of zero waits forever
-  /// (identical to Receive()). The deadline is computed once up front and
-  /// every re-wait targets the *remaining* time — a stream of spurious
-  /// wakeups (or stolen wakeups under heavy fan-in) cannot stretch the
-  /// total wait past the requested timeout.
+  /// reported error instead of a hang. The deadline is computed once up
+  /// front and every re-wait targets the *remaining* time — a stream of
+  /// spurious wakeups (or stolen wakeups under heavy fan-in) cannot
+  /// stretch the total wait past the requested timeout.
   [[nodiscard]] Result<T> ReceiveFor(std::chrono::microseconds timeout) {
     std::unique_lock<std::mutex> lock(mu_);
-    const auto ready = [&] { return !queue_.empty(); };
-    if (timeout.count() <= 0) {
-      cv_.wait(lock, ready);
-    } else {
-      const auto deadline = std::chrono::steady_clock::now() + timeout;
-      if (!cv_.wait_until(lock, deadline, ready)) {
-        return Status::Unavailable("channel receive timed out");
-      }
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    if (!cv_.wait_until(lock, deadline, [&] { return !queue_.empty(); })) {
+      return Status::Unavailable("channel receive timed out");
     }
     T msg = std::move(queue_.front());
     queue_.pop_front();

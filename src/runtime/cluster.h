@@ -36,15 +36,14 @@ struct PipelineOptions {
   /// Sunk plans buffered between the scheduler and dissemination.
   std::size_t plan_queue_capacity = 4;
   /// Sinking rounds in flight per machine: disseminated but not fully
-  /// executed. Dissemination blocks past this, which is how slow
-  /// executors throttle the scheduler. 0 = unbounded.
+  /// executed; at least 1. Dissemination blocks past this, which is how
+  /// slow executors throttle the scheduler.
   std::size_t epoch_queue_capacity = 4;
 };
 
 /// Options for a threaded in-process cluster run.
 struct LocalClusterOptions {
   TPartScheduler::Options scheduler;
-  SinkEpoch sticky_ttl = 2;
   /// Which wire substrate carries inter-machine messages: the direct
   /// in-memory path (default), serialized in-process queues, or loopback
   /// TCP — optionally with seeded fault injection (net/transport.h).
@@ -142,9 +141,8 @@ struct LocalClusterOptions {
   /// Elastic membership: machine slots for the maximum membership are
   /// allocated up front; each event only changes where keys are homed
   /// and ships the moved partition state at a quiesced sink-epoch
-  /// barrier. Results stay byte-identical to a fixed-membership run of
-  /// the same workload. Requires a bounded epoch queue (the barrier
-  /// quiesces via epoch credits).
+  /// barrier (the barrier quiesces via epoch credits). Results stay
+  /// byte-identical to a fixed-membership run of the same workload.
   struct ResizeSchedule {
     /// Events in firing order; cut epochs strictly increasing, >= 1.
     std::vector<ResizeEvent> events;
@@ -164,21 +162,15 @@ struct LocalClusterOptions {
     /// Probe period; the watchdog stamps each kHeartbeat with a rising
     /// sequence number.
     std::uint64_t heartbeat_interval_us = 1000;
-    /// A machine whose recorded heartbeat sequence stalls longer than
-    /// this is declared failed. With `adaptive` on this is the floor, not
-    /// the verdict: the deadline must expire AND the phi-accrual
-    /// suspicion level must cross `phi_threshold`.
+    /// Deadline floor: a machine is declared failed once its recorded
+    /// heartbeat sequence stalls longer than this AND its phi-accrual
+    /// suspicion level crosses the threshold (DESIGN §4j;
+    /// PhiAccrualDetector's default options). Suspicion is learned from
+    /// each machine's observed heartbeat inter-arrivals, so stragglers
+    /// and gray-failure slow links — slow but alive — never trigger a
+    /// false-positive recovery, while a true crash-stop's unbounded
+    /// silence crosses any threshold.
     std::uint64_t deadline_us = 100000;
-    /// Phi-accrual adaptive gate (DESIGN §4j): suspicion is computed from
-    /// each machine's observed heartbeat inter-arrival history, so
-    /// stragglers and gray-failure slow links — slow but alive — never
-    /// trigger a false-positive recovery, while a true crash-stop's
-    /// unbounded silence still crosses any threshold. Off = the fixed
-    /// deadline alone decides (the pre-§4j behaviour).
-    bool adaptive = true;
-    double phi_threshold = 8.0;
-    /// Inter-arrival samples kept per machine.
-    std::size_t history = 64;
   };
   FailureDetectorOptions detector;
 
@@ -198,13 +190,6 @@ struct LocalClusterOptions {
   /// elasticity bench derives throughput-dip depth and reconvergence
   /// from the inter-round gaps).
   bool record_epoch_timeline = false;
-
-  /// Bounds every blocking wait in the run — executor response/credit/
-  /// storage waits and the dissemination stage's queue receives. A wait
-  /// that expires aborts the run with a stall diagnostic (executor
-  /// paths) or surfaces as ClusterRunOutcome::fault (dissemination).
-  /// 0 = wait forever (the seed behaviour).
-  std::uint64_t stall_timeout_us = 120'000'000;
 
   /// Live observability plane (DESIGN §4f). When `live_sampler` is set,
   /// the run installs a source over the pipeline's hot-path
@@ -243,8 +228,8 @@ struct ClusterRunOutcome {
   /// Pipeline stage counters (zero for RunCalvin).
   PipelineStats pipeline;
   /// Non-OK when the failure detector declared a machine dead with no
-  /// recovery configured, or a dissemination wait timed out; the run
-  /// still drains (results are then meaningless).
+  /// recovery configured, or a dissemination wait timed out after
+  /// kStallTimeout; the run still drains (results are then meaningless).
   Status fault;
   /// Crash-injection counters (crashes_injected stays 0 otherwise).
   /// With a multi-crash schedule the count fields accumulate across
@@ -330,24 +315,8 @@ class LocalCluster {
   }
 
  private:
-  /// Executes membership step `step_idx` at its cut: quiesces the stream
-  /// (every in-flight round executed, every service FIFO drained),
-  /// computes and ships the migration routes, waits for every image to
-  /// install, and forces a checkpoint on all machines at the cut epoch so
-  /// no later replay can resurrect moved keys. Called by the
-  /// dissemination stage before shipping the first round past the cut.
-  /// On a wait timeout the returned status carries a stall diagnostic and
-  /// the run is declared faulted.
-  Status RunMembershipStep(std::size_t step_idx, MigrationStats& stats,
-                           std::uint64_t term);
   void StopAll();
   ClusterRunOutcome CollectResults(bool dedup_participants);
-  /// Rebuilds exactly partition `m` from its Zig-Zag checkpoint (wipes
-  /// the partition's store, streams the checkpoint back in). Unlike
-  /// Reset(), no other partition is touched — recovery cost stays
-  /// proportional to the crashed machine's data. Returns the number of
-  /// records restored.
-  std::size_t RestorePartition(MachineId m);
 
   const Workload* workload_;
   LocalClusterOptions options_;
@@ -364,7 +333,8 @@ class LocalCluster {
   /// Per-machine checkpoints (crash and/or checkpoint_every runs only).
   /// Seeded with the loaded partition state; with checkpoint_every set,
   /// each machine folds its dirty keys and volatile state in at every
-  /// cadence boundary. The recovery baseline for RestorePartition().
+  /// cadence boundary. The recovery baseline a crashed partition is
+  /// rebuilt from (runtime/recovery.h).
   std::vector<std::unique_ptr<MachineCheckpoint>> checkpoints_;
 };
 

@@ -194,6 +194,8 @@ void CoordinatorReplicaSet::HandleAppend(std::size_t r, Message msg) {
       }
     }
   }
+  // The new leader may be adopting a suffix SyncNewLeader waits on.
+  if (!acks.empty()) sync_cv_.notify_all();
   for (const auto& [idx, ack_to] : acks) {
     Message ack;
     ack.type = Message::Type::kLogAck;
@@ -214,7 +216,9 @@ void CoordinatorReplicaSet::HandleAck(std::size_t r, Message msg) {
       break;
     }
     case 1: {  // claim ack: a live replica adopted the new leader
+      if (msg.term != term_) break;  // ack to a claim a later one overrode
       ++claim_acks_;
+      claim_ack_len_ = std::max<std::uint64_t>(claim_ack_len_, msg.req_id);
       sync_cv_.notify_all();
       break;
     }
@@ -235,7 +239,6 @@ void CoordinatorReplicaSet::HandleClaim(std::size_t r, Message msg) {
   const std::size_t claimant = static_cast<std::size_t>(msg.txn);
   const std::uint64_t claim_len = msg.req_id;
   std::size_t own_len;
-  bool yield = true;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Term fence: a claim from an older term is a zombie's — never
@@ -245,20 +248,16 @@ void CoordinatorReplicaSet::HandleClaim(std::size_t r, Message msg) {
       return;
     }
     own_len = replicas_[r]->log.size();
-    if (replicas_[r]->candidate) {
-      // Dueling claims: Zab tie-break — longer committed history wins,
-      // ties go to the lower replica id.
-      ++dueling_claims_;
-      const bool rival_wins =
-          claim_len > own_len || (claim_len == own_len && claimant < r);
-      if (!rival_wins) yield = false;
-      if (rival_wins) replicas_[r]->candidate = false;
-    }
-    if (yield) replicas_[r]->last_hb = Clock::now();
+    // A claim is never refused, not even by a candidate with a longer
+    // log: the claimant already leads, and its heartbeats would cancel
+    // our candidacy before we could ever claim ourselves.
+    if (replicas_[r]->candidate) ++dueling_claims_;
+    replicas_[r]->candidate = false;
+    replicas_[r]->last_hb = Clock::now();
   }
-  if (!yield) return;  // the rival will receive our claim and yield
-  // Adopt: ship any committed suffix the claimant is missing (longest
-  // history must win overall), then ack the claim.
+  // Ship any suffix the claimant is missing, then ack with our own log
+  // length: SyncNewLeader holds the new leader until its log reaches the
+  // longest acked length, so the longest history still wins.
   if (own_len > claim_len) {
     ShipLogRange(r, endpoint(claimant), claim_len, own_len);
   }
@@ -267,6 +266,7 @@ void CoordinatorReplicaSet::HandleClaim(std::size_t r, Message msg) {
   ack.key = 1;  // claim ack
   ack.req_id = own_len;
   ack.txn = static_cast<TxnId>(r);
+  ack.term = msg.term;
   send_(endpoint(r), endpoint(claimant), std::move(ack));
 }
 
@@ -314,6 +314,7 @@ void CoordinatorReplicaSet::MaybeElect(std::size_t r) {
     elected_ = true;
     elected_leader_ = r;
     claim_acks_ = 0;
+    claim_ack_len_ = 0;
     t_claimed_ = now;
     claim_now = true;
     claim_len = rep.log.size();
@@ -421,14 +422,22 @@ Result<std::size_t> CoordinatorReplicaSet::WaitElected(
   return elected_leader_;
 }
 
-void CoordinatorReplicaSet::SyncNewLeader() {
+Status CoordinatorReplicaSet::SyncNewLeader(
+    std::chrono::microseconds timeout) {
   std::unique_lock<std::mutex> lock(mu_);
   std::size_t live_peers = 0;
   for (std::size_t r = 0; r < replicas_.size(); ++r) {
     if (r != leader_ && !replicas_[r]->down) ++live_peers;
   }
-  sync_cv_.wait(lock,
-                [&] { return shutdown_ || claim_acks_ >= live_peers; });
+  const auto deadline = Clock::now() + timeout;
+  if (!sync_cv_.wait_until(lock, deadline, [&] {
+        return shutdown_ || (claim_acks_ >= live_peers &&
+                             replicas_[leader_]->log.size() >= claim_ack_len_);
+      })) {
+    return Status::Unavailable("new leader never synced with its peers");
+  }
+  if (shutdown_) return Status::Unavailable("coordinator shut down");
+  return Status::Ok();
 }
 
 void CoordinatorReplicaSet::RestartReplica(std::size_t r) {

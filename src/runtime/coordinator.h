@@ -47,10 +47,12 @@ struct CoordinatorOptions {
 ///    replicas park out-of-order entries until the gap fills);
 ///  * standbys detect leader death by heartbeat silence past the election
 ///    timeout, back off by rank + seeded jitter to avoid dueling claims,
-///    then broadcast kLeaderClaim (Zab election semantics, implemented in
-///    coordinator.cc: longest committed history wins, ties go to the
-///    lower replica id — the claim carries the log length and receivers
-///    ship any suffix the claimant is missing before acking);
+///    then broadcast kLeaderClaim carrying their log length. A claim is
+///    never refused: every receiver, even a candidate with a longer log,
+///    stands down, ships any suffix the claimant is missing and acks with
+///    its own log length, and SyncNewLeader() holds the new leader until
+///    it has adopted the longest acked log — so the longest committed
+///    history wins, as in Zab;
 ///  * the new leader rebuilds all coordinator state by deterministic
 ///    replay of the committed log (done by cluster.cc, which also probes
 ///    per-machine dissemination watermarks through ProbeWatermarks()).
@@ -100,9 +102,10 @@ class CoordinatorReplicaSet {
   [[nodiscard]] Result<std::size_t> WaitElected(
       std::chrono::microseconds timeout);
 
-  /// Waits until every live replica has acked the new leader's claim (so
-  /// later appends cannot race the adoption).
-  void SyncNewLeader();
+  /// Waits until every live replica has acked the new leader's claim and
+  /// the leader's log has grown to the longest acked length (so later
+  /// appends cannot race the adoption). kUnavailable on timeout.
+  [[nodiscard]] Status SyncNewLeader(std::chrono::microseconds timeout);
 
   /// Rejoins a crashed replica as a standby under the current leader:
   /// truncates any uncommitted divergent tail and ships the committed
@@ -187,6 +190,8 @@ class CoordinatorReplicaSet {
   std::size_t elected_leader_ = 0;
   std::condition_variable elected_cv_;
   std::size_t claim_acks_ = 0;
+  /// Longest log any claim ack reported; the new leader adopts up to it.
+  std::uint64_t claim_ack_len_ = 0;
   std::condition_variable sync_cv_;
 
   /// Watermark probe rendezvous.

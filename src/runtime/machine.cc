@@ -17,15 +17,13 @@
 namespace tpart {
 
 Machine::Machine(MachineId id, std::size_t num_machines, KvStore* store,
-                 const ProcedureRegistry* registry, SendFn send,
-                 SinkEpoch sticky_ttl)
+                 const ProcedureRegistry* registry, SendFn send)
     : id_(id),
       num_machines_(num_machines),
       store_(store),
       registry_(registry),
       send_(std::move(send)),
-      sticky_ttl_(sticky_ttl),
-      storage_(store, sticky_ttl) {}
+      storage_(store) {}
 
 Machine::~Machine() {
   if (executor_.joinable()) executor_.join();
@@ -43,11 +41,7 @@ void Machine::SendOut(MachineId to, Message msg) {
 
 void Machine::SendOutBatch(std::vector<std::pair<MachineId, Message>>& msgs) {
   if (replay_ || msgs.empty()) return;  // §5.4 replay is local
-  if (send_batch_) {
-    send_batch_(msgs);
-  } else {
-    for (auto& [to, msg] : msgs) send_(to, std::move(msg));
-  }
+  send_batch_(msgs);
 }
 
 void Machine::EnqueueTPartEpoch(SinkEpoch epoch,
@@ -508,14 +502,8 @@ bool Machine::MarkPlanItemDone(SinkEpoch epoch) {
   return false;
 }
 
-bool Machine::AcquireEpochCredit() {
-  return AcquireEpochCreditFor(std::chrono::microseconds{0}) ==
-         CreditGrant::kGrantedAfterWait;
-}
-
 Machine::CreditGrant Machine::AcquireEpochCreditFor(
     std::chrono::microseconds timeout) {
-  if (epoch_queue_capacity_ == 0) return CreditGrant::kGranted;  // unbounded
   std::unique_lock<std::mutex> lock(credit_mu_);
   bool waited = false;
   const auto open = [&] {
@@ -523,9 +511,7 @@ Machine::CreditGrant Machine::AcquireEpochCreditFor(
   };
   if (!open()) {
     waited = true;
-    if (timeout.count() <= 0) {
-      credit_cv_.wait(lock, open);
-    } else if (!credit_cv_.wait_for(lock, timeout, open)) {
+    if (!credit_cv_.wait_for(lock, timeout, open)) {
       return CreditGrant::kTimedOut;
     }
   }
@@ -537,13 +523,12 @@ Machine::CreditGrant Machine::AcquireEpochCreditFor(
 }
 
 void Machine::ReleaseEpochCredit() {
-  if (epoch_queue_capacity_ == 0) return;
   {
     std::lock_guard<std::mutex> lock(credit_mu_);
     if (epochs_in_flight_ > 0) --epochs_in_flight_;
   }
   // notify_all: a migration barrier's WaitStreamDrained may be waiting on
-  // the same cv as an AcquireEpochCredit caller.
+  // the same cv as an AcquireEpochCreditFor caller.
   credit_cv_.notify_all();
 }
 
@@ -606,7 +591,7 @@ void Machine::TPartExecutorLoop(bool initial) {
     }
     if (evict) {
       cache_.EvictExpiredSticky(
-          unit.epoch > sticky_ttl_ ? unit.epoch - sticky_ttl_ : 0);
+          unit.epoch > kStickyTtl ? unit.epoch - kStickyTtl : 0);
     }
     ExecutePlan(unit.epoch, unit.item, unit.replay);
   }
@@ -713,16 +698,12 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
       }
       case ReadSourceKind::kStorage: {
         if (r.src_machine == id_) {
-          if (stall_timeout_.count() > 0) {
-            Result<Record> v =
-                storage_.BlockingReadFor(r.key, r.src_txn, stall_timeout_);
-            TPART_CHECK(v.ok())
-                << "T" << p.txn << " stalled on local storage read of key "
-                << r.key << " v" << r.src_txn << ": " << StallDiagnostic();
-            values[r.key] = std::move(*v);
-          } else {
-            values[r.key] = storage_.BlockingRead(r.key, r.src_txn);
-          }
+          Result<Record> v =
+              storage_.BlockingReadFor(r.key, r.src_txn, kStallTimeout);
+          TPART_CHECK(v.ok())
+              << "T" << p.txn << " stalled on local storage read of key "
+              << r.key << " v" << r.src_txn << ": " << StallDiagnostic();
+          values[r.key] = std::move(*v);
         } else {
           Message req;
           req.type = Message::Type::kStorageReadReq;
@@ -900,15 +881,10 @@ Record Machine::AwaitResponse(std::uint64_t req_id) {
   const auto ready = [&] {
     return resp_shutdown_ || responses_.count(req_id) > 0;
   };
-  if (stall_timeout_.count() > 0) {
-    // StallDiagnostic never touches resp_mu_, so reporting under the
-    // lock is safe.
-    TPART_CHECK(resp_cv_.wait_for(lock, stall_timeout_, ready))
-        << "stalled awaiting response " << req_id << ": "
-        << StallDiagnostic();
-  } else {
-    resp_cv_.wait(lock, ready);
-  }
+  // StallDiagnostic never touches resp_mu_, so reporting under the lock
+  // is safe.
+  TPART_CHECK(resp_cv_.wait_for(lock, kStallTimeout, ready))
+      << "stalled awaiting response " << req_id << ": " << StallDiagnostic();
   auto it = responses_.find(req_id);
   if (it == responses_.end()) return Record::Absent();
   Record v = std::move(it->second);
@@ -1027,23 +1003,7 @@ std::size_t Machine::Recover(const std::function<void()>& restore_partition) {
       TPART_CHECK(cp_epoch < resume)
           << "machine " << id_ << " checkpoint at epoch " << cp_epoch
           << " does not precede resume epoch " << resume;
-      {
-        // The truncated prefix's results only exist in the capture.
-        std::lock_guard<std::mutex> results_lock(results_mu_);
-        results_ = checkpoint_->results;
-      }
-      cache_.Restore(checkpoint_->cache);
-      storage_.Restore(
-          checkpoint_->storage,
-          [this](const StorageService::RemoteReadTag& tag) {
-            return [this, tag](Record value) {
-              Message resp;
-              resp.type = Message::Type::kStorageReadResp;
-              resp.req_id = tag.req_id;
-              resp.value = std::move(value);
-              SendOut(tag.reply_to, std::move(resp));
-            };
-          });
+      RestoreImages(*checkpoint_);
     }
   }
 
@@ -1231,9 +1191,9 @@ void Machine::CaptureCheckpoint(SinkEpoch epoch) {
   ckpt_cv_.notify_all();
 }
 
-void Machine::InstallCheckpoint(MachineCheckpoint& cp) {
-  if (cp.epoch() == 0) return;
+void Machine::RestoreImages(const MachineCheckpoint& cp) {
   {
+    // The truncated prefix's results only exist in the capture.
     std::lock_guard<std::mutex> lock(results_mu_);
     results_ = cp.results;
   }
@@ -1248,6 +1208,11 @@ void Machine::InstallCheckpoint(MachineCheckpoint& cp) {
                        SendOut(tag.reply_to, std::move(resp));
                      };
                    });
+}
+
+void Machine::InstallCheckpoint(MachineCheckpoint& cp) {
+  if (cp.epoch() == 0) return;
+  RestoreImages(cp);
   for (Message m : cp.parked_pulls) {
     m.redelivery = true;
     inbound_.Send(std::move(m));
@@ -1288,17 +1253,10 @@ std::size_t Machine::network_log_bytes_peak() const {
 // ---------------------------------------------------------------------
 
 Status Machine::WaitStreamDrained(std::chrono::microseconds timeout) {
-  TPART_CHECK(epoch_queue_capacity_ > 0)
-      << "stream drain barrier needs a bounded epoch queue: at capacity 0 "
-         "credits are not tracked";
   std::unique_lock<std::mutex> lock(credit_mu_);
   const auto drained = [&] {
     return epochs_in_flight_ == 0 || credit_shutdown_;
   };
-  if (timeout.count() <= 0) {
-    credit_cv_.wait(lock, drained);
-    return Status::Ok();
-  }
   if (!credit_cv_.wait_for(lock, timeout, drained)) {
     lock.unlock();  // StallDiagnostic takes credit_mu_
     return Status::Unavailable("stream drain timed out: " +
@@ -1321,10 +1279,6 @@ Status Machine::FenceService(std::chrono::microseconds timeout) {
   inbound_.Send(std::move(fence));
   std::unique_lock<std::mutex> lock(fence_mu_);
   const auto done = [&] { return fence_seen_ >= seq; };
-  if (timeout.count() <= 0) {
-    fence_cv_.wait(lock, done);
-    return Status::Ok();
-  }
   if (!fence_cv_.wait_for(lock, timeout, done)) {
     lock.unlock();
     return Status::Unavailable("service fence timed out: " +
@@ -1692,14 +1646,10 @@ void Machine::ExecuteCalvin(const TxnSpec& spec) {
       }
       return true;
     };
-    if (stall_timeout_.count() > 0) {
-      // StallDiagnostic never touches peer_mu_.
-      TPART_CHECK(peer_cv_.wait_for(lock, stall_timeout_, ready))
-          << "stalled awaiting peer reads for T" << spec.id << ": "
-          << StallDiagnostic();
-    } else {
-      peer_cv_.wait(lock, ready);
-    }
+    // StallDiagnostic never touches peer_mu_.
+    TPART_CHECK(peer_cv_.wait_for(lock, kStallTimeout, ready))
+        << "stalled awaiting peer reads for T" << spec.id << ": "
+        << StallDiagnostic();
     auto it = peer_reads_.find(spec.id);
     if (it != peer_reads_.end()) {
       for (auto& [key, value] : it->second) {

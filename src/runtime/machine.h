@@ -28,6 +28,14 @@
 
 namespace tpart {
 
+/// Bound on every blocking wait of the threaded runtime: the executor's
+/// response, peer and storage waits, the dissemination stage's epoch
+/// credits and stage receives, and the control plane's barriers and
+/// elections. A wait that expires aborts the run with a stall diagnostic
+/// (executor paths) or surfaces as ClusterRunOutcome::fault
+/// (dissemination).
+inline constexpr std::chrono::microseconds kStallTimeout{120'000'000};
+
 /// One machine of the threaded runtime: an executor thread running the
 /// machine's slice of each sinking round (T-Part mode) or its relevant
 /// transactions in total order (Calvin mode), and a service thread
@@ -50,8 +58,7 @@ class Machine {
       std::function<void(std::vector<std::pair<MachineId, Message>>&)>;
 
   Machine(MachineId id, std::size_t num_machines, KvStore* store,
-          const ProcedureRegistry* registry, SendFn send,
-          SinkEpoch sticky_ttl = 2);
+          const ProcedureRegistry* registry, SendFn send);
   ~Machine();
 
   Machine(const Machine&) = delete;
@@ -72,18 +79,16 @@ class Machine {
 
   // ---- Streaming intake (kSinkPlan/kPlanStreamEnd over the transport) --
   /// Bounds the number of sinking rounds in flight at this machine
-  /// (disseminated but not fully executed). 0 = unbounded. Must be set
+  /// (disseminated but not fully executed); at least 1. Must be set
   /// before StartTPart().
   void set_epoch_queue_capacity(std::size_t capacity) {
     epoch_queue_capacity_ = capacity;
   }
   /// Called by the dissemination stage before shipping a round here;
   /// blocks while `capacity` rounds are in flight — this is how execution
-  /// backpressures the scheduler. Returns true when the call had to wait.
-  bool AcquireEpochCredit();
-  /// Deadline-aware variant: a credit that never frees (the machine died
-  /// and nobody recovers it) surfaces as kTimedOut instead of hanging
-  /// dissemination forever. Zero timeout waits forever.
+  /// backpressures the scheduler. A credit that never frees (the machine
+  /// died and nobody recovers it) surfaces as kTimedOut after `timeout`
+  /// instead of hanging dissemination forever.
   enum class CreditGrant { kGranted, kGrantedAfterWait, kTimedOut };
   CreditGrant AcquireEpochCreditFor(std::chrono::microseconds timeout);
   /// Deepest the in-flight-round window ever got.
@@ -128,14 +133,6 @@ class Machine {
   /// Disables the §5.4 request/network logs (recovery becomes impossible
   /// but long runs keep memory bounded). Default on.
   void set_log_recording(bool on) { log_recording_ = on; }
-
-  /// Bounds every executor-side wait (response, credit, peer reads,
-  /// local storage read). On expiry the machine aborts with a stall
-  /// diagnostic instead of hanging. Zero waits forever. Must be set
-  /// before Start*().
-  void set_stall_timeout(std::chrono::microseconds timeout) {
-    stall_timeout_ = timeout;
-  }
 
   // ---- Crash injection & in-run recovery (§5.4 made live) -------------
   /// Deterministic crash-stop trigger; at most one of the fields is
@@ -231,12 +228,11 @@ class Machine {
     locate_ = std::move(locate);
   }
 
-  /// Arms batched publish-phase fan-out: each executed plan's outbound
-  /// pushes and remote write-backs are handed over in ONE call instead of
-  /// per-message sends. Unset = per-message (the pre-batching wire
-  /// traffic). Read requests always flush immediately — the executor
-  /// blocks on their responses, so holding them in a batch would
-  /// deadlock. Set before Start*().
+  /// Publish-phase fan-out: each executed plan's outbound pushes and
+  /// remote write-backs are handed over in ONE call. Read requests always
+  /// go out one by one through SendFn — the executor blocks on their
+  /// responses, so holding them in a batch would deadlock. Required
+  /// before Start*() on any machine whose plans push or write back.
   void set_send_batch(SendBatchFn send_batch) {
     send_batch_ = std::move(send_batch);
   }
@@ -300,16 +296,13 @@ class Machine {
   /// Migration-barrier quiesce: blocks until every disseminated round has
   /// fully executed here (all epoch credits released — this also rides
   /// out a crash + recovery + re-ship cycle, whose re-executed rounds
-  /// release the stuck credits). Requires a bounded epoch queue
-  /// (set_epoch_queue_capacity > 0): at capacity 0 credits are not
-  /// tracked and a drain barrier is meaningless. kUnavailable on timeout
-  /// (0 = wait forever).
+  /// release the stuck credits). kUnavailable on timeout.
   [[nodiscard]] Status WaitStreamDrained(std::chrono::microseconds timeout);
 
   /// Posts a local kServiceFence through the inbound queue (never via the
   /// transport — it is not a wire message) and blocks until the service
   /// thread dispatches it; every message delivered before the call has
-  /// then been fully applied. kUnavailable on timeout (0 = forever).
+  /// then been fully applied. kUnavailable on timeout.
   [[nodiscard]] Status FenceService(std::chrono::microseconds timeout);
 
   /// Control-plane checkpoint at the migration cut: captures the attached
@@ -351,8 +344,7 @@ class Machine {
   void ExecutePlan(SinkEpoch epoch, const PlanItem& item, bool is_replay);
   void ExecuteCalvin(const TxnSpec& spec);
   void SendOut(MachineId to, Message msg);
-  /// Flushes one publish phase's staged messages: through send_batch_
-  /// when armed (batched wire framing), else message-by-message.
+  /// Flushes one publish phase's staged messages through send_batch_.
   void SendOutBatch(std::vector<std::pair<MachineId, Message>>& msgs);
   void CrashStop(SinkEpoch resume);
 
@@ -361,6 +353,9 @@ class Machine {
   // (CaptureCheckpoint, on dispatching the barrier message).
   void RunCheckpointBarrier(SinkEpoch epoch);
   void CaptureCheckpoint(SinkEpoch epoch);
+  /// Restores the results, cache and storage images of `cp` (shared by
+  /// Recover() and InstallCheckpoint()).
+  void RestoreImages(const MachineCheckpoint& cp);
 
   /// Appends one inbound message to the §5.4 network log (byte-counted).
   void LogNetworkMessage(const Message& msg);
@@ -397,7 +392,6 @@ class Machine {
   const ProcedureRegistry* registry_;
   SendFn send_;
   SendBatchFn send_batch_;
-  SinkEpoch sticky_ttl_;
   bool replay_ = false;
   std::function<MachineId(ObjectKey)> locate_;
 
@@ -568,7 +562,6 @@ class Machine {
   std::function<std::string()> diagnostic_context_;
   /// Timeline sampling stride (set_txn_sample); read on the execute path.
   std::uint64_t txn_sample_ = 0;
-  std::chrono::microseconds stall_timeout_{0};
   /// Set by AbortPendingWaits(): the run was declared failed. Executors
   /// drain their queues without running procedures (gathered values are
   /// shutdown placeholders, not real records).

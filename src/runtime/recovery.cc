@@ -28,7 +28,7 @@ void RunReplay(Machine& machine,
 ReplayResult ReplayMachine(
     const Workload& workload, MachineId id,
     const std::vector<Machine::RequestLogEntry>& request_log,
-    const std::vector<Message>& network_log, SinkEpoch sticky_ttl) {
+    const std::vector<Message>& network_log) {
   ReplayResult out;
   // Checkpoint: reload the initial database (a real deployment would read
   // the latest checkpoint / fetch a replica snapshot; the log replay on
@@ -40,8 +40,7 @@ ReplayResult ReplayMachine(
 
   Machine machine(id, workload.num_machines, &out.store->store(id),
                   workload.procedures.get(),
-                  [](MachineId, Message) { /* outbound suppressed */ },
-                  sticky_ttl);
+                  [](MachineId, Message) { /* outbound suppressed */ });
   machine.set_replay(true);
 
   // Pre-deliver the logged inbound traffic; parking in the cache and the
@@ -56,7 +55,7 @@ ReplayResult ReplayMachine(
 ReplayResult ReplayMachine(
     const Workload& workload, MachineId id, MachineCheckpoint& checkpoint,
     const std::vector<Machine::RequestLogEntry>& request_log_suffix,
-    const std::vector<Message>& network_log_suffix, SinkEpoch sticky_ttl) {
+    const std::vector<Message>& network_log_suffix) {
   ReplayResult out;
   out.store = std::make_unique<PartitionedStore>(
       workload.num_machines, workload.partition_map,
@@ -67,20 +66,11 @@ ReplayResult ReplayMachine(
   // write-back up to the capture epoch is already folded in, so the log
   // suffix is all that remains to replay.
   KvStore& store = out.store->store(id);
-  std::vector<ObjectKey> keys;
-  keys.reserve(store.size());
-  store.Scan(0, std::numeric_limits<ObjectKey>::max(),
-             [&](ObjectKey key, const Record&) { keys.push_back(key); });
-  for (const ObjectKey key : keys) {
-    (void)store.Delete(key);
-  }
-  checkpoint.records.Checkpoint(
-      [&](ObjectKey key, const Record& value) { store.Upsert(key, value); });
+  RestorePartition(checkpoint, store);
 
   Machine machine(id, workload.num_machines, &store,
                   workload.procedures.get(),
-                  [](MachineId, Message) { /* outbound suppressed */ },
-                  sticky_ttl);
+                  [](MachineId, Message) { /* outbound suppressed */ });
   machine.set_replay(true);
   // Volatile state as of the capture: cache entries, storage-service
   // parking, and in-flight pulls re-enter through the normal paths.
@@ -91,6 +81,19 @@ ReplayResult ReplayMachine(
   }
   RunReplay(machine, request_log_suffix, out);
   return out;
+}
+
+std::size_t RestorePartition(MachineCheckpoint& checkpoint, KvStore& store) {
+  std::vector<ObjectKey> keys;
+  keys.reserve(store.size());
+  store.Scan(0, std::numeric_limits<ObjectKey>::max(),
+             [&](ObjectKey key, const Record&) { keys.push_back(key); });
+  for (const ObjectKey key : keys) {
+    // Cannot miss: every key came from the Scan() one loop up.
+    (void)store.Delete(key);
+  }
+  return checkpoint.records.Checkpoint(
+      [&](ObjectKey key, const Record& value) { store.Upsert(key, value); });
 }
 
 }  // namespace tpart

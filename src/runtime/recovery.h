@@ -39,7 +39,7 @@ struct ReplayResult {
 ReplayResult ReplayMachine(
     const Workload& workload, MachineId id,
     const std::vector<Machine::RequestLogEntry>& request_log,
-    const std::vector<Message>& network_log, SinkEpoch sticky_ttl = 2);
+    const std::vector<Message>& network_log);
 
 /// Checkpoint-accelerated offline replay: reconstructs machine `id` from
 /// a mid-run MachineCheckpoint (partition records + volatile cache /
@@ -53,7 +53,13 @@ ReplayResult ReplayMachine(
 ReplayResult ReplayMachine(
     const Workload& workload, MachineId id, MachineCheckpoint& checkpoint,
     const std::vector<Machine::RequestLogEntry>& request_log_suffix,
-    const std::vector<Message>& network_log_suffix, SinkEpoch sticky_ttl = 2);
+    const std::vector<Message>& network_log_suffix);
+
+/// Rebuilds one partition from its checkpoint: wipes `store` and streams
+/// `checkpoint.records` back in. Recovery cost stays proportional to the
+/// crashed machine's data — no other partition is touched. Returns the
+/// number of records restored.
+std::size_t RestorePartition(MachineCheckpoint& checkpoint, KvStore& store);
 
 }  // namespace tpart
 

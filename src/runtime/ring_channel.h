@@ -214,21 +214,17 @@ class RingChannel {
   }
 
   /// Deadline-aware variant mirroring BlockingQueue::ReceiveFor: waits at
-  /// most `timeout` (zero = forever) against an absolute deadline, so
-  /// spurious wakeups cannot stretch the total wait.
+  /// most `timeout` against an absolute deadline, so spurious wakeups
+  /// cannot stretch the total wait.
   [[nodiscard]] Result<T> ReceiveFor(std::chrono::microseconds timeout) {
     T out;
     if (TryPopFast(out)) return out;
     std::unique_lock<std::mutex> lock(mu_);
     MarkSleeping();
-    if (timeout.count() <= 0) {
-      cv_.wait(lock, [&] { return PopLocked(out); });
-    } else {
-      const auto deadline = std::chrono::steady_clock::now() + timeout;
-      if (!cv_.wait_until(lock, deadline, [&] { return PopLocked(out); })) {
-        sleeping_.store(false, std::memory_order_relaxed);
-        return Status::Unavailable("channel receive timed out");
-      }
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    if (!cv_.wait_until(lock, deadline, [&] { return PopLocked(out); })) {
+      sleeping_.store(false, std::memory_order_relaxed);
+      return Status::Unavailable("channel receive timed out");
     }
     sleeping_.store(false, std::memory_order_relaxed);
     return out;

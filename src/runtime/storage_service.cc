@@ -90,7 +90,7 @@ void StorageService::DrainKeyLocked(
         st.current = wb.version;
         st.reads_served_since_wb = 0;
         st.has_sticky = wb.sticky;
-        st.sticky_expire = wb.epoch + sticky_ttl_;
+        st.sticky_expire = wb.epoch + kStickyTtl;
         st.parked_wbs.erase(it);
         progressed = true;
       }
@@ -174,12 +174,6 @@ void ReleaseReadWait(ReadWaitState* st) {
 
 }  // namespace
 
-Record StorageService::BlockingRead(ObjectKey key, TxnId expected_version) {
-  Result<Record> r =
-      BlockingReadFor(key, expected_version, std::chrono::microseconds(0));
-  return r.ok() ? std::move(r).value() : Record::Absent();
-}
-
 Result<Record> StorageService::BlockingReadFor(
     ObjectKey key, TxnId expected_version, std::chrono::microseconds timeout) {
   ReadWaitState* st = AcquireReadWait();
@@ -204,10 +198,7 @@ Result<Record> StorageService::BlockingReadFor(
     tag.st->cv.notify_one();
   });
   std::unique_lock<std::mutex> lock(st->m);
-  const bool ok =
-      timeout.count() <= 0
-          ? (st->cv.wait(lock, [&] { return st->done; }), true)
-          : st->cv.wait_for(lock, timeout, [&] { return st->done; });
+  const bool ok = st->cv.wait_for(lock, timeout, [&] { return st->done; });
   ++st->gen;  // invalidate any still-parked callback before recycling
   Record out = ok ? std::move(st->out) : Record();
   st->out = Record();

@@ -17,6 +17,11 @@
 
 namespace tpart {
 
+/// Sink epochs a sticky copy (§5.2) stays readable after the write-back
+/// that made it: storage keeps it this long, and each machine's cache
+/// evicts sticky entries older than this.
+inline constexpr SinkEpoch kStickyTtl = 2;
+
 /// Home-machine storage front-end implementing T-Part's storage-side
 /// version discipline:
 ///  * every record carries the tag of the transaction whose write-back
@@ -31,8 +36,7 @@ namespace tpart {
 /// applied values also feed the sticky cache (§5.2).
 class StorageService {
  public:
-  StorageService(KvStore* store, SinkEpoch sticky_ttl = 2)
-      : store_(store), sticky_ttl_(sticky_ttl) {}
+  explicit StorageService(KvStore* store) : store_(store) {}
 
   using ReadDone = std::function<void(Record)>;
 
@@ -52,14 +56,10 @@ class StorageService {
   void AsyncRead(ObjectKey key, TxnId expected_version, ReadDone done,
                  std::optional<RemoteReadTag> remote = std::nullopt);
 
-  /// Blocking wrapper for the local executor.
-  Record BlockingRead(ObjectKey key, TxnId expected_version);
-
-  /// Deadline-aware blocking read: kUnavailable when `expected_version`
-  /// does not materialise within `timeout` (e.g. the producing machine
-  /// crashed), instead of hanging forever. A timeout of zero waits
-  /// forever. The parked read may still be served later; its value is
-  /// discarded.
+  /// Blocking read for the local executor: kUnavailable when
+  /// `expected_version` does not materialise within `timeout` (e.g. the
+  /// producing machine crashed), instead of hanging forever. The parked
+  /// read may still be served later; its value is discarded.
   [[nodiscard]] Result<Record> BlockingReadFor(
       ObjectKey key, TxnId expected_version,
       std::chrono::microseconds timeout);
@@ -197,7 +197,6 @@ class StorageService {
   mutable std::mutex mu_;
   bool shutdown_ = false;
   KvStore* store_;
-  SinkEpoch sticky_ttl_;
   FlatMap<ObjectKey, KeyState> keys_;
   // Keys written back since the last TakeDirtyKeys() (write-backs are the
   // only storage writes, so this is the full dirty set). FlatMap-as-set:

@@ -500,16 +500,18 @@ std::vector<std::uint64_t> TagRange(std::uint64_t first, std::uint64_t last) {
 
 // A replica ensemble whose replica-to-replica traffic is wired straight
 // back through Deliver(); traffic addressed to worker machines is dropped,
-// and so are log appends while `drop_appends` is set.
+// and so are log appends while `drop_appends` is set, or appends to
+// replica `drop_appends_to` alone.
 struct LoopbackEnsemble {
   static constexpr std::size_t kMachines = 2;
+  static constexpr std::size_t kNoReplica = ~std::size_t{0};
 
   static CoordinatorOptions Options(std::size_t standbys) {
     CoordinatorOptions o;
     o.standbys = standbys;
     o.election_timeout_us = test::ScaledUs(20000);
     // Rank gaps far above scheduling jitter: the lowest-ranked standby
-    // always claims first, so with equal logs no claim is ever refused.
+    // always claims first.
     o.backoff_base_us = test::ScaledUs(10000);
     return o;
   }
@@ -518,8 +520,12 @@ struct LoopbackEnsemble {
       : set(Options(standbys), kMachines,
             [this](MachineId, MachineId to, Message m) {
               if (to < kMachines) return;
-              if (drop_appends && m.type == Message::Type::kLogAppend) return;
-              set.Deliver(to - kMachines, std::move(m));
+              const std::size_t r = to - kMachines;
+              if (m.type == Message::Type::kLogAppend &&
+                  (drop_appends || r == drop_appends_to)) {
+                return;
+              }
+              set.Deliver(r, std::move(m));
             }) {
     set.Start();
   }
@@ -537,12 +543,13 @@ struct LoopbackEnsemble {
     const std::size_t crashed = set.leader();
     set.CrashLeader();
     ASSERT_TRUE(set.WaitElected(std::chrono::seconds(30)).ok());
-    set.SyncNewLeader();
+    ASSERT_TRUE(set.SyncNewLeader(std::chrono::seconds(30)).ok());
     EXPECT_NE(set.leader(), crashed);
     set.RestartReplica(crashed);
   }
 
   std::atomic<bool> drop_appends{false};
+  std::atomic<std::size_t> drop_appends_to{kNoReplica};
   CoordinatorReplicaSet set;
 };
 
@@ -554,6 +561,21 @@ TEST(FailoverTest, ReplicaSetCommittedPrefixSurvivesLeaderCrash) {
   EXPECT_GE(ens.set.term(), 2u);
   // The new leader's log is the committed prefix, in order.
   EXPECT_EQ(Tags(ens.set.CommittedLog()), TagRange(1, 4));
+}
+
+TEST(FailoverTest, ReplicaSetShortLogClaimantAdoptsCommittedSuffix) {
+  // Replica 1 misses every append while batches 1-3 commit through
+  // replica 2. On failover the lowest-ranked standby, replica 1, claims
+  // with an empty log while replica 2 is already a candidate with the
+  // full one. Replica 2 must stand down and ship its suffix, and the new
+  // leader must adopt it before the failover completes.
+  LoopbackEnsemble ens(/*standbys=*/2);
+  ens.drop_appends_to = 1;
+  ens.Append(1, 3);
+  ens.drop_appends_to = LoopbackEnsemble::kNoReplica;
+  ens.FailOver();
+  EXPECT_EQ(ens.set.leader(), 1u);
+  EXPECT_EQ(Tags(ens.set.CommittedLog()), TagRange(1, 3));
 }
 
 TEST(FailoverTest, ReplicaSetNewLeaderKeepsAccepting) {

@@ -26,8 +26,7 @@ void CheckReplayRebuildsPartition(const Workload& w,
   for (MachineId m = 0; m < w.num_machines; ++m) {
     Machine& failed = cluster.machine(m);
     const ReplayResult replayed =
-        ReplayMachine(w, m, failed.request_log(), failed.network_log(),
-                      opts.sticky_ttl);
+        ReplayMachine(w, m, failed.request_log(), failed.network_log());
 
     // The replayed partition matches the pre-crash partition.
     auto live_snapshot = [&] {

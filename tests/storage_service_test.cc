@@ -8,18 +8,27 @@
 namespace tpart {
 namespace {
 
+// Reads through the executor's blocking path. A read still parked after
+// the test timeout fails the test instead of hanging it.
+Record Read(StorageService& svc, ObjectKey key, TxnId version) {
+  Result<Record> r =
+      svc.BlockingReadFor(key, version, std::chrono::seconds(10));
+  EXPECT_TRUE(r.ok()) << r.status().message();
+  return r.ok() ? std::move(r).value() : Record::Absent();
+}
+
 TEST(StorageServiceTest, ReadsInitialVersionImmediately) {
   KvStore store;
   store.Upsert(1, Record{10});
   StorageService svc(&store);
-  EXPECT_EQ(svc.BlockingRead(1, kInvalidTxnId).field(0), 10);
+  EXPECT_EQ(Read(svc, 1, kInvalidTxnId).field(0), 10);
   EXPECT_EQ(svc.reads_served(), 1u);
 }
 
 TEST(StorageServiceTest, MissingKeyReadsAbsent) {
   KvStore store;
   StorageService svc(&store);
-  EXPECT_TRUE(svc.BlockingRead(99, kInvalidTxnId).is_absent());
+  EXPECT_TRUE(Read(svc, 99, kInvalidTxnId).is_absent());
 }
 
 TEST(StorageServiceTest, ReadParksUntilExpectedVersionApplied) {
@@ -29,7 +38,7 @@ TEST(StorageServiceTest, ReadParksUntilExpectedVersionApplied) {
   std::atomic<bool> served{false};
   Record got;
   std::thread reader([&] {
-    got = svc.BlockingRead(1, /*expected=*/7);
+    got = Read(svc, 1, /*expected=*/7);
     served = true;
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -50,9 +59,9 @@ TEST(StorageServiceTest, WriteBackAwaitsOldReaders) {
   svc.ApplyWriteBack(1, 7, kInvalidTxnId, Record{70}, /*awaits=*/2,
                      false, 1);
   EXPECT_EQ(store.Read(1)->field(0), 10);  // parked
-  EXPECT_EQ(svc.BlockingRead(1, kInvalidTxnId).field(0), 10);
+  EXPECT_EQ(Read(svc, 1, kInvalidTxnId).field(0), 10);
   EXPECT_EQ(store.Read(1)->field(0), 10);  // still one reader owed
-  EXPECT_EQ(svc.BlockingRead(1, kInvalidTxnId).field(0), 10);
+  EXPECT_EQ(Read(svc, 1, kInvalidTxnId).field(0), 10);
   EXPECT_EQ(store.Read(1)->field(0), 70);  // applied after second read
   EXPECT_EQ(svc.write_backs_applied(), 1u);
 }
@@ -67,7 +76,7 @@ TEST(StorageServiceTest, WriteBacksApplyInVersionOrder) {
   svc.ApplyWriteBack(1, 7, /*replaces=*/kInvalidTxnId, Record{70},
                      /*awaits=*/0, false, 1);
   EXPECT_EQ(store.Read(1)->field(0), 70);
-  EXPECT_EQ(svc.BlockingRead(1, 7).field(0), 70);
+  EXPECT_EQ(Read(svc, 1, 7).field(0), 70);
   EXPECT_EQ(store.Read(1)->field(0), 90);
 }
 
@@ -77,7 +86,7 @@ TEST(StorageServiceTest, AbsentWriteBackDeletes) {
   StorageService svc(&store);
   svc.ApplyWriteBack(1, 3, kInvalidTxnId, Record::Absent(), 0, false, 1);
   EXPECT_FALSE(store.Contains(1));
-  EXPECT_TRUE(svc.BlockingRead(1, 3).is_absent());
+  EXPECT_TRUE(Read(svc, 1, 3).is_absent());
 }
 
 TEST(StorageServiceTest, UndoLogCoversWriteBacks) {
@@ -94,7 +103,7 @@ TEST(StorageServiceTest, StickyHitCounting) {
   store.Upsert(1, Record{10});
   StorageService svc(&store);
   svc.ApplyWriteBack(1, 3, kInvalidTxnId, Record{30}, 0, /*sticky=*/true, 1);
-  EXPECT_EQ(svc.BlockingRead(1, 3).field(0), 30);
+  EXPECT_EQ(Read(svc, 1, 3).field(0), 30);
   EXPECT_EQ(svc.sticky_hits(), 1u);
 }
 
@@ -102,7 +111,7 @@ TEST(StorageServiceTest, ShutdownReleasesParkedReaders) {
   KvStore store;
   StorageService svc(&store);
   std::optional<Record> got;
-  std::thread reader([&] { got = svc.BlockingRead(1, /*expected=*/5); });
+  std::thread reader([&] { got = Read(svc, 1, /*expected=*/5); });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   svc.Shutdown();
   reader.join();
