@@ -12,6 +12,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/flat_map.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "elastic/migration.h"
@@ -271,7 +272,7 @@ struct RunContext {
   // pair and erases it, so the map holds only in-flight transactions.
   struct {
     std::mutex mu;
-    std::unordered_map<TxnId, Clock::time_point> admitted;
+    FlatMap<TxnId, Clock::time_point> admitted;
     Histogram us;
   } latency;
 

@@ -16,6 +16,18 @@
 
 namespace tpart {
 
+namespace {
+
+// Request ids are deterministic functions of (txn, read position), so the
+// response a round's intake requested pairs with the plan awaiting it,
+// and a §5.4 replay pairs logged responses with replayed plans.
+std::uint64_t ReadRequestId(TxnId txn, std::size_t read_idx) {
+  TPART_CHECK(read_idx < 1024) << "read set too wide for req ids";
+  return (static_cast<std::uint64_t>(txn) << 10) | read_idx;
+}
+
+}  // namespace
+
 Machine::Machine(MachineId id, std::size_t num_machines, KvStore* store,
                  const ProcedureRegistry* registry, SendFn send)
     : id_(id),
@@ -144,9 +156,12 @@ void Machine::ServiceLoop() {
       // stashed — the reliability layer already acked it on delivery into
       // our inbound queue, so dropping it would lose it forever.
       // Re-injecting the stash at recovery models the peers' transport
-      // retransmitting to the rebuilt machine.
+      // retransmitting to the rebuilt machine. A local service fence is
+      // still served: Recover() uses one to wait out a dispatch that
+      // began before the crash-stop.
       if (msg.type != Message::Type::kHeartbeat &&
-          msg.type != Message::Type::kCheckpointBarrier) {
+          msg.type != Message::Type::kCheckpointBarrier &&
+          msg.type != Message::Type::kServiceFence) {
         std::lock_guard<std::mutex> lock(crash_mu_);
         if (run_state_.load(std::memory_order_relaxed) == RunState::kDown) {
           down_stash_.push_back(std::move(msg));
@@ -154,7 +169,7 @@ void Machine::ServiceLoop() {
         }
         // Recovery flipped the state (under crash_mu_) since the fast
         // check; fall through and process normally.
-      } else {
+      } else if (msg.type != Message::Type::kServiceFence) {
         continue;
       }
     }
@@ -203,10 +218,11 @@ void Machine::Dispatch(Message msg) {
   // machine actually processes, except re-deliveries of already-logged
   // traffic (offline replay, and recovery's redelivery-marked
   // re-injections). Genuinely new traffic arriving while kRecovering IS
-  // logged — a later crash must be able to replay it too.
-  const bool log = log_recording_ && !replay_ && !msg.redelivery &&
-                   run_state_.load(std::memory_order_relaxed) !=
-                       RunState::kDown;
+  // logged — a later crash must be able to replay it too. So is a message
+  // whose dispatch races the executor's crash-stop: ServiceLoop saw the
+  // machine live, so it is applied here, and Recover() wipes what it
+  // applied; only the log brings it back.
+  const bool log = log_recording_ && !replay_ && !msg.redelivery;
   switch (msg.type) {
     case Message::Type::kShutdown:
       return;  // handled by ServiceLoop; unreachable here
@@ -473,6 +489,18 @@ void Machine::HandleSinkPlan(Message msg) {
 
 void Machine::EnqueueStreamEpoch(SinkEpoch epoch,
                                  std::vector<PlanItem> items) {
+  // Request the round's remote reads before its plans reach the executor,
+  // so their round trips overlap earlier plans. A round re-shipped after
+  // Recover() at or below the watermark already has its requests out.
+  bool request = false;
+  {
+    std::lock_guard<std::mutex> lock(stream_mu_);
+    if (epoch > reads_issued_through_) {
+      reads_issued_through_ = epoch;
+      request = true;
+    }
+  }
+  if (request) RequestRemoteReads(items);
   const bool empty = items.empty();
   {
     std::lock_guard<std::mutex> lock(work_mu_);
@@ -484,6 +512,36 @@ void Machine::EnqueueStreamEpoch(SinkEpoch epoch,
   work_cv_.notify_all();
   // A round with no local slice holds its credit for no reason.
   if (empty) ReleaseEpochCredit();
+}
+
+void Machine::RequestRemoteReads(const std::vector<PlanItem>& items) {
+  // Per-service-thread scratch (DESIGN §4h), like the executor's outbox.
+  thread_local std::vector<std::pair<MachineId, Message>> requests;
+  requests.clear();
+  for (const PlanItem& item : items) {
+    const TxnPlan& p = item.plan;
+    for (std::size_t i = 0; i < p.reads.size(); ++i) {
+      const ReadStep& r = p.reads[i];
+      const bool pull = r.kind == ReadSourceKind::kCacheRemote;
+      if (!pull &&
+          (r.kind != ReadSourceKind::kStorage || r.src_machine == id_)) {
+        continue;  // served locally by the executor's gather
+      }
+      Message req;
+      req.type = pull ? Message::Type::kCacheReadReq
+                      : Message::Type::kStorageReadReq;
+      req.key = r.key;
+      req.version = r.src_txn;
+      if (pull) {
+        req.invalidate = r.invalidate_entry;
+        req.total_reads = r.entry_total_reads;
+      }
+      req.reply_to = id_;
+      req.req_id = ReadRequestId(p.txn, i);
+      requests.emplace_back(r.src_machine, std::move(req));
+    }
+  }
+  SendOutBatch(requests);
 }
 
 bool Machine::OnPlanItemDone(SinkEpoch epoch) {
@@ -617,15 +675,6 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
     }
   }
 
-  // In-run recovery re-executes logged plans with outbound traffic
-  // suppressed, exactly like offline replay (§5.4): peers already
-  // received these pushes/requests/write-backs before the crash, and
-  // version/epoch entries are consume-once, so re-sending would corrupt
-  // their refcounts.
-  const auto send_out = [&](MachineId to, Message m) {
-    if (!is_replay) SendOut(to, std::move(m));
-  };
-
   TPART_TRACE_SPAN("txn", is_replay ? "replay" : "exec",
                    {{"txn", p.txn}, {"epoch", epoch}});
   TPART_FLIGHT(obs::FlightEvent::kExecute, 1 + id_, p.txn, epoch);
@@ -635,7 +684,9 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
   }
 
   // ---- Gather every planned read (the version-based deterministic CC:
-  // each read waits for its exact version, §5.2).
+  // each read waits for its exact version, §5.2). Remote reads were
+  // requested when the round arrived (RequestRemoteReads); the gather
+  // only awaits their responses.
   TPART_TRACE(Begin("gather", "exec", {{"reads", p.reads.size()}}));
   // Per-executor scratch (DESIGN §4h): the gather map, pending-response
   // list, and publish outbox keep their capacity across plans, so the
@@ -655,12 +706,9 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
   scratch.pending.clear();
   auto& values = scratch.exec.values;
   auto& pending = scratch.pending;
-  // Request ids are deterministic functions of (txn, read position) so a
-  // §5.4 replay pairs logged responses with re-issued requests.
-  TPART_CHECK(p.reads.size() < 1024) << "read set too wide for req ids";
-  std::uint32_t read_idx = 0;
+  std::size_t read_idx = 0;
   for (const ReadStep& r : p.reads) {
-    const std::uint64_t req_id = (p.txn << 10) | read_idx++;
+    const std::uint64_t req_id = ReadRequestId(p.txn, read_idx++);
     switch (r.kind) {
       case ReadSourceKind::kLocalVersion:
       case ReadSourceKind::kPush: {
@@ -683,19 +731,9 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
                             {{"key", r.key}, {"txn", p.txn}}));
         break;
       }
-      case ReadSourceKind::kCacheRemote: {
-        Message req;
-        req.type = Message::Type::kCacheReadReq;
-        req.key = r.key;
-        req.version = r.src_txn;
-        req.invalidate = r.invalidate_entry;
-        req.total_reads = r.entry_total_reads;
-        req.reply_to = id_;
-        req.req_id = req_id;
-        send_out(r.src_machine, std::move(req));
+      case ReadSourceKind::kCacheRemote:
         pending.push_back(PendingResp{r.key, req_id});
         break;
-      }
       case ReadSourceKind::kStorage: {
         if (r.src_machine == id_) {
           Result<Record> v =
@@ -705,13 +743,6 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
               << r.key << " v" << r.src_txn << ": " << StallDiagnostic();
           values[r.key] = std::move(*v);
         } else {
-          Message req;
-          req.type = Message::Type::kStorageReadReq;
-          req.key = r.key;
-          req.version = r.src_txn;
-          req.reply_to = id_;
-          req.req_id = req_id;
-          send_out(r.src_machine, std::move(req));
           pending.push_back(PendingResp{r.key, req_id});
         }
         break;
@@ -757,11 +788,16 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
   // it read (§5.3), which OutgoingValue() encapsulates. Pushes and remote
   // write-backs are staged in an outbox and flushed as ONE batch at the
   // end of the phase (nothing here awaits a reply, so deferring them is
-  // safe — unlike the gather phase's read requests).
+  // safe).
   TPART_TRACE(Begin("publish", "exec", {{"pushes", p.pushes.size()}}));
   auto& outbox = scratch.outbox;
   outbox.clear();
   outbox.reserve(p.pushes.size() + p.write_backs.size());
+  // In-run recovery re-executes logged plans with outbound traffic
+  // suppressed, exactly like offline replay (§5.4): peers already
+  // received these pushes and write-backs before the crash, and
+  // version/epoch entries are consume-once, so re-sending would corrupt
+  // their refcounts.
   const auto stage_out = [&](MachineId to, Message m) {
     if (!is_replay) outbox.emplace_back(to, std::move(m));
   };
@@ -879,12 +915,12 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
 Record Machine::AwaitResponse(std::uint64_t req_id) {
   std::unique_lock<std::mutex> lock(resp_mu_);
   const auto ready = [&] {
-    return resp_shutdown_ || responses_.count(req_id) > 0;
+    return resp_shutdown_ || responses_.contains(req_id);
   };
-  // StallDiagnostic never touches resp_mu_, so reporting under the lock
-  // is safe.
-  TPART_CHECK(resp_cv_.wait_for(lock, kStallTimeout, ready))
-      << "stalled awaiting response " << req_id << ": " << StallDiagnostic();
+  const bool arrived = resp_cv_.wait_for(lock, kStallTimeout, ready);
+  if (!arrived) lock.unlock();  // StallDiagnostic takes resp_mu_
+  TPART_CHECK(arrived) << "stalled awaiting response " << req_id << ": "
+                       << StallDiagnostic();
   auto it = responses_.find(req_id);
   if (it == responses_.end()) return Record::Absent();
   Record v = std::move(it->second);
@@ -954,7 +990,14 @@ std::size_t Machine::Recover(const std::function<void()>& restore_partition) {
 
   // 1. The crash lost all volatile state. The dead executor has exited
   //    its loop (it observes kDown under work_mu_) and the service thread
-  //    only stashes while kDown, so every structure below is quiescent.
+  //    only stashes while kDown — once the fence below has passed, so a
+  //    message it was already dispatching at the crash-stop (applied and
+  //    logged, see Dispatch) is fully applied before the wipe, and the
+  //    log replays it exactly once. Every structure below is quiescent.
+  {
+    Status fenced = FenceService(kStallTimeout);
+    TPART_CHECK(fenced.ok()) << fenced.ToString();
+  }
   {
     std::lock_guard<std::mutex> lock(work_mu_);
     tpart_work_.clear();
@@ -990,8 +1033,8 @@ std::size_t Machine::Recover(const std::function<void()>& restore_partition) {
   // 2. Restore the partition from its checkpoint (cost proportional to
   //    this partition only), then — when a periodic capture has run —
   //    the volatile images it saved: the truncated request log is only
-  //    replayable on top of the cache entries and storage version gates
-  //    that existed at the capture boundary.
+  //    replayable on top of the cache entries, storage version gates and
+  //    read responses that existed at the capture boundary.
   restore_partition();
   SinkEpoch cp_epoch = 0;
   if (checkpoint_ != nullptr) {
@@ -1166,6 +1209,16 @@ void Machine::CaptureCheckpoint(SinkEpoch epoch) {
     }
   }
   {
+    // Responses to requests of rounds past the capture: the network log
+    // that delivered them truncates below, and the watermark keeps them
+    // from being requested again.
+    std::lock_guard<std::mutex> lock(resp_mu_);
+    cp.responses.clear();
+    for (const auto& entry : responses_) cp.responses.push_back(entry);
+  }
+  std::sort(cp.responses.begin(), cp.responses.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  {
     std::lock_guard<std::mutex> lock(log_mu_);
     cp.truncated_request_entries += request_log_.size();
     cp.truncated_network_messages += network_log_.size();
@@ -1196,6 +1249,12 @@ void Machine::RestoreImages(const MachineCheckpoint& cp) {
     // The truncated prefix's results only exist in the capture.
     std::lock_guard<std::mutex> lock(results_mu_);
     results_ = cp.results;
+  }
+  {
+    std::lock_guard<std::mutex> lock(resp_mu_);
+    for (const auto& [req_id, value] : cp.responses) {
+      responses_[req_id] = value;
+    }
   }
   cache_.Restore(cp.cache);
   storage_.Restore(cp.storage,
@@ -1528,7 +1587,12 @@ std::string Machine::StallDiagnostic() const {
     std::lock_guard<std::mutex> lock(stream_mu_);
     out << " pending_rounds=" << pending_stream_plans_.size()
         << " next_epoch=" << next_stream_epoch_
+        << " reads_issued_through=" << reads_issued_through_
         << " dup_rounds_dropped=" << duplicate_rounds_dropped_;
+  }
+  {
+    std::lock_guard<std::mutex> lock(resp_mu_);
+    out << " responses_pending=" << responses_.size();
   }
   {
     std::lock_guard<std::mutex> lock(credit_mu_);

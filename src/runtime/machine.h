@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cache/cache_area.h"
+#include "common/flat_map.h"
 #include "runtime/channel.h"
 #include "runtime/machine_checkpoint.h"
 #include "runtime/ring_channel.h"
@@ -40,7 +41,10 @@ inline constexpr std::chrono::microseconds kStallTimeout{120'000'000};
 /// machine's slice of each sinking round (T-Part mode) or its relevant
 /// transactions in total order (Calvin mode), and a service thread
 /// handling inbound messages (pushes, pulls, storage requests,
-/// write-backs, peer reads).
+/// write-backs, peer reads). In T-Part mode the service thread also
+/// requests each round's remote reads (kCacheRemote pulls and remote
+/// kStorage reads) as the round arrives, so their round trips overlap
+/// earlier plans; the executor's gather only awaits the responses.
 ///
 /// Recovery support (§5.4): the machine logs the requests assigned to it
 /// (after partitioning) and every inbound value-bearing message
@@ -49,10 +53,10 @@ class Machine {
  public:
   using SendFn = std::function<void(MachineId, Message)>;
   /// Batched fan-out: one call carries every (destination, message) pair
-  /// of an executor's publish phase; the cluster routes it to
-  /// Transport::SendBatch so serialized transports coalesce each
-  /// destination's share into one wire frame.
-  /// The vector is borrowed executor scratch: implementations move the
+  /// of an executor's publish phase, or of a round's read requests; the
+  /// cluster routes it to Transport::SendBatch so serialized transports
+  /// coalesce each destination's share into one wire frame.
+  /// The vector is borrowed per-thread scratch: implementations move the
   /// messages out but must leave the vector (and its capacity) behind.
   using SendBatchFn =
       std::function<void(std::vector<std::pair<MachineId, Message>>&)>;
@@ -228,11 +232,10 @@ class Machine {
     locate_ = std::move(locate);
   }
 
-  /// Publish-phase fan-out: each executed plan's outbound pushes and
-  /// remote write-backs are handed over in ONE call. Read requests always
-  /// go out one by one through SendFn — the executor blocks on their
-  /// responses, so holding them in a batch would deadlock. Required
-  /// before Start*() on any machine whose plans push or write back.
+  /// Batched fan-out: each executed plan's outbound pushes and remote
+  /// write-backs, and each arriving round's read requests, are handed
+  /// over in ONE call. Required before Start*() on any machine whose
+  /// plans push, write back or read remotely.
   void set_send_batch(SendBatchFn send_batch) {
     send_batch_ = std::move(send_batch);
   }
@@ -267,9 +270,10 @@ class Machine {
   void ConfigureCheckpoint(MachineCheckpoint* image, SinkEpoch every);
 
   /// Restores the volatile images (cache area, storage version
-  /// discipline, parked pulls) from `cp` into a fresh machine — the
-  /// offline ReplayMachine() counterpart of the in-run restore inside
-  /// Recover(). The partition data (cp.records) is the caller's job.
+  /// discipline, parked pulls, unconsumed read responses) from `cp` into
+  /// a fresh machine — the offline ReplayMachine() counterpart of the
+  /// in-run restore inside Recover(). The partition data (cp.records) is
+  /// the caller's job.
   void InstallCheckpoint(MachineCheckpoint& cp);
 
   /// Byte sizes of the §5.4 logs (current and high-water) — the
@@ -353,8 +357,8 @@ class Machine {
   // (CaptureCheckpoint, on dispatching the barrier message).
   void RunCheckpointBarrier(SinkEpoch epoch);
   void CaptureCheckpoint(SinkEpoch epoch);
-  /// Restores the results, cache and storage images of `cp` (shared by
-  /// Recover() and InstallCheckpoint()).
+  /// Restores the results, unconsumed read responses, cache and storage
+  /// images of `cp` (shared by Recover() and InstallCheckpoint()).
   void RestoreImages(const MachineCheckpoint& cp);
 
   /// Appends one inbound message to the §5.4 network log (byte-counted).
@@ -372,6 +376,9 @@ class Machine {
   // release which executors trigger).
   void HandleSinkPlan(Message msg);
   void EnqueueStreamEpoch(SinkEpoch epoch, std::vector<PlanItem> items);
+  /// Sends every kCacheReadReq and remote kStorageReadReq of `items` in
+  /// one batch; the executor's gather awaits the responses.
+  void RequestRemoteReads(const std::vector<PlanItem>& items);
   /// Returns true when the round fully drained (its credit was released).
   bool OnPlanItemDone(SinkEpoch epoch);
   /// Marks one plan item of `epoch` done and returns true when the round
@@ -428,6 +435,13 @@ class Machine {
   mutable std::mutex stream_mu_;
   std::map<SinkEpoch, std::vector<PlanItem>> pending_stream_plans_;
   SinkEpoch next_stream_epoch_ = 1;
+  /// Highest round whose remote read requests went out. Like the §5.4
+  /// logs it survives crash-stop: a round re-shipped after Recover() at
+  /// or below it is not requested again (its responses arrive through
+  /// the network log, the stash, the checkpoint or the wire). A second
+  /// request would be served twice, and the extra read would free a cache
+  /// entry or open a write-back's `awaits` gate early.
+  SinkEpoch reads_issued_through_ = 0;
   SinkEpoch stream_final_epoch_ = 0;
   bool stream_end_seen_ = false;
   /// Rounds dropped as duplicates (re-shipments the machine had already
@@ -452,10 +466,12 @@ class Machine {
 
   std::function<void(TxnId)> commit_hook_;
 
-  // Request/response plumbing for remote pulls & storage reads.
-  std::mutex resp_mu_;
+  // Request/response plumbing for remote pulls & storage reads. Holds
+  // the responses received but not yet consumed — with intake-time
+  // requests, up to a few rounds' worth; a checkpoint captures them.
+  mutable std::mutex resp_mu_;
   std::condition_variable resp_cv_;
-  std::unordered_map<std::uint64_t, Record> responses_;
+  FlatMap<std::uint64_t, Record> responses_;
   bool resp_shutdown_ = false;
 
   // Calvin peer-read buffer: values received per transaction.

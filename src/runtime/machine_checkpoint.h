@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "cache/cache_area.h"
@@ -26,6 +27,10 @@ namespace tpart {
 ///    discipline (current tags, parked write-backs, parked remote reads).
 ///  * `parked_pulls` — remote cache pulls the machine had parked waiting
 ///    for a local publish; re-injected (marked `redelivery`) at restore.
+///  * `responses` — read responses received but not yet consumed, sorted
+///    by request id. A round's reads are requested when it arrives, so
+///    responses for rounds past the capture may already be here, and the
+///    capture truncates the network log that delivered them.
 ///  * `results` — the transaction results accumulated up to the capture.
 ///    Replaying only the suffix cannot regenerate the truncated prefix's
 ///    results, so the capture carries them.
@@ -40,6 +45,7 @@ struct MachineCheckpoint {
   CacheArea::Image cache;
   StorageService::Image storage;
   std::vector<Message> parked_pulls;
+  std::vector<std::pair<std::uint64_t, Record>> responses;
   std::vector<TxnResult> results;
 
   // --- capture statistics (read after the run joins) -------------------

@@ -23,7 +23,8 @@ enum class ReadSourceKind {
   /// From a cache entry <key, sink#=cache_epoch> on this machine.
   kCacheLocal,
   /// From a cache entry <key, sink#=cache_epoch> on a *remote* machine:
-  /// a synchronous pull (this is the case T-graph partitioning tries to
+  /// a pull the reader's machine requests when the round arrives and its
+  /// executor awaits (this is the case T-graph partitioning tries to
   /// minimise by co-locating readers with the cache).
   kCacheRemote,
 };

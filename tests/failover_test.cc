@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/wire.h"
 #include "obs/flight_recorder.h"
 #include "runtime/channel.h"
 #include "runtime/cluster.h"
@@ -303,15 +304,18 @@ TEST(FailoverTest, StallDiagnosticReportsLiveExecutorState) {
   KvStore store;
   store.Upsert(5, Record{50});
   ProcedureRegistry registry;
-  registry.Register(200, "read_one", [](TxnContext& ctx) {
+  registry.Register(200, "read_two", [](TxnContext& ctx) {
     (void)ctx.Get(5);
+    (void)ctx.Get(6);
     return Status::Ok();
   });
   Machine m(0, 2, &store, &registry, [](MachineId, Message) {});
+  m.set_send_batch([](std::vector<std::pair<MachineId, Message>>&) {});
   m.StartTPart();
 
-  // One plan whose only read awaits forward-push <5, v7> from machine 1 —
-  // a push nobody has sent: the executor blocks inside the gather phase.
+  // One round whose plan awaits forward-push <5, v7> from machine 1 — a
+  // push nobody has sent: the executor blocks inside the gather phase —
+  // and reads key 6 from machine 1's storage, requested on arrival.
   TxnPlan plan;
   plan.txn = 1;
   plan.machine = 0;
@@ -322,13 +326,24 @@ TEST(FailoverTest, StallDiagnosticReportsLiveExecutorState) {
   r.src_machine = 1;
   r.provider_txn = 7;
   plan.reads.push_back(r);
+  r.key = 6;
+  r.kind = ReadSourceKind::kStorage;
+  r.src_txn = 0;
+  r.provider_txn = 0;
+  plan.reads.push_back(r);
   TxnSpec spec;
   spec.id = 1;
   spec.proc = 200;
-  spec.rw.reads = {5};
-  std::vector<Machine::PlanItem> items;
-  items.push_back(Machine::PlanItem{plan, spec});
-  m.EnqueueTPartEpoch(1, std::move(items));
+  spec.rw.reads = {5, 6};
+  SinkPlan sink;
+  sink.epoch = 1;
+  sink.txns.push_back(plan);
+  Message round;
+  round.type = Message::Type::kSinkPlan;
+  round.epoch = 1;
+  round.plan_bytes = EncodeSinkPlan(sink);
+  round.specs.push_back(spec);
+  m.Deliver(std::move(round));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
 
   // The work queue is drained (the executor holds the item) but nothing
@@ -339,6 +354,10 @@ TEST(FailoverTest, StallDiagnosticReportsLiveExecutorState) {
   EXPECT_NE(diag.find("state=live"), std::string::npos) << diag;
   EXPECT_NE(diag.find("work=0"), std::string::npos) << diag;
   EXPECT_NE(diag.find("executed=0"), std::string::npos) << diag;
+  // The round's read request went out, and no reply is waiting: a
+  // request that never left reads reads_issued_through=0 instead.
+  EXPECT_NE(diag.find("reads_issued_through=1"), std::string::npos) << diag;
+  EXPECT_NE(diag.find("responses_pending=0"), std::string::npos) << diag;
   // Fence state rides along (no term witnessed, nothing dropped) ...
   EXPECT_NE(diag.find("fence_term=0"), std::string::npos) << diag;
   EXPECT_NE(diag.find("fenced=0"), std::string::npos) << diag;
@@ -347,6 +366,24 @@ TEST(FailoverTest, StallDiagnosticReportsLiveExecutorState) {
   m.set_diagnostic_context([] { return std::string(" fd{m1 phi=0.1}"); });
   EXPECT_NE(m.StallDiagnostic().find("fd{m1 phi=0.1}"), std::string::npos);
   m.set_diagnostic_context(nullptr);
+
+  // The storage reply arrives and waits for the plan, which still blocks
+  // on the push: the reply came, so the wedge is elsewhere.
+  Message resp;
+  resp.type = Message::Type::kStorageReadResp;
+  resp.req_id = (std::uint64_t{1} << 10) | 1;
+  resp.value = Record{60};
+  m.Deliver(std::move(resp));
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::microseconds(test::ScaledUs(2'000'000));
+  std::string after = m.StallDiagnostic();
+  while (after.find("responses_pending=1") == std::string::npos &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    after = m.StallDiagnostic();
+  }
+  EXPECT_NE(after.find("responses_pending=1"), std::string::npos) << after;
+  EXPECT_NE(after.find("executed=0"), std::string::npos) << after;
 
   // Deliver the push; the executor unblocks and the round drains.
   Message push;

@@ -5,9 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <mutex>
+#include <thread>
+#include <utility>
+#include <vector>
+
 #include "exec/serial_executor.h"
+#include "net/wire.h"
+#include "runtime/channel.h"
 #include "runtime/cluster.h"
+#include "runtime/machine.h"
+#include "scheduler/push_plan.h"
 #include "storage/kv_store.h"
+#include "test_time.h"
+#include "txn/procedure.h"
 #include "workload/micro.h"
 #include "workload/tpcc.h"
 #include "workload/tpce.h"
@@ -173,6 +185,153 @@ TEST(RuntimeTest, CacheStaysBounded) {
   for (MachineId m = 0; m < 2; ++m) {
     EXPECT_EQ(cluster.machine(m).cache().num_version_entries(), 0u)
         << "machine " << m << " leaked version entries";
+  }
+}
+
+// ---------------------------------------------------------------------
+// Intake-time read requests: a machine requests a round's remote reads
+// when the round arrives, so a plan blocked on a push does not hold back
+// the requests of the plans queued behind it.
+// ---------------------------------------------------------------------
+
+ReadStep MakeRead(ObjectKey key, ReadSourceKind kind, TxnId src_txn,
+                  MachineId src_machine) {
+  ReadStep r;
+  r.key = key;
+  r.kind = kind;
+  r.src_txn = src_txn;
+  r.src_machine = src_machine;
+  r.provider_txn = src_txn;
+  return r;
+}
+
+TEST(RuntimeTest, RoundRemoteReadsGoOutBeforeEarlierPlansFinish) {
+  KvStore store;
+  ProcedureRegistry registry;
+  // Emits field 0 of every key named in the parameters, in order.
+  registry.Register(200, "emit_reads", [](TxnContext& ctx) {
+    for (const std::int64_t key : ctx.params()) {
+      Result<Record> r = ctx.Get(static_cast<ObjectKey>(key));
+      if (!r.ok()) return r.status();
+      ctx.EmitOutput(r->field(0));
+    }
+    return Status::Ok();
+  });
+
+  std::mutex sent_mu;
+  std::vector<std::pair<MachineId, Message>> sent;
+  Machine m(0, 3, &store, &registry, [&](MachineId to, Message msg) {
+    std::lock_guard<std::mutex> lock(sent_mu);
+    sent.emplace_back(to, std::move(msg));
+  });
+  m.set_send_batch([&](std::vector<std::pair<MachineId, Message>>& msgs) {
+    std::lock_guard<std::mutex> lock(sent_mu);
+    for (auto& [to, msg] : msgs) sent.emplace_back(to, std::move(msg));
+  });
+  m.StartTPart();
+
+  // Round 1: T11 awaits forward-push <10, v9> from machine 1, which
+  // nobody sends yet, so the executor blocks on it. T12, behind it, reads
+  // key 20 from machine 1's storage and key 30 from machine 2's cache.
+  TxnPlan t11;
+  t11.txn = 11;
+  t11.machine = 0;
+  t11.reads.push_back(MakeRead(10, ReadSourceKind::kPush, 9, 1));
+  TxnPlan t12;
+  t12.txn = 12;
+  t12.machine = 0;
+  t12.reads.push_back(MakeRead(20, ReadSourceKind::kStorage, 0, 1));
+  ReadStep pull = MakeRead(30, ReadSourceKind::kCacheRemote, 5, 2);
+  pull.cache_epoch = 1;
+  pull.invalidate_entry = true;
+  pull.entry_total_reads = 1;
+  t12.reads.push_back(pull);
+  SinkPlan plan;
+  plan.epoch = 1;
+  plan.txns = {t11, t12};
+  TxnSpec s11;
+  s11.id = 11;
+  s11.proc = 200;
+  s11.params = {10};
+  s11.rw.reads = {10};
+  TxnSpec s12;
+  s12.id = 12;
+  s12.proc = 200;
+  s12.params = {20, 30};
+  s12.rw.reads = {20, 30};
+  Message round;
+  round.type = Message::Type::kSinkPlan;
+  round.epoch = 1;
+  round.plan_bytes = EncodeSinkPlan(plan);
+  round.specs = {s11, s12};
+  m.Deliver(std::move(round));
+
+  // Both of T12's requests leave with the round, while T11 still holds
+  // the executor.
+  const std::uint64_t storage_req = (std::uint64_t{12} << 10) | 0;
+  const std::uint64_t pull_req = (std::uint64_t{12} << 10) | 1;
+  const auto requests_out = [&] {
+    std::lock_guard<std::mutex> lock(sent_mu);
+    return sent.size() >= 2;
+  };
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::microseconds(test::ScaledUs(2'000'000));
+  while (!requests_out() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(requests_out()) << m.StallDiagnostic();
+  EXPECT_EQ(m.executed_plans(), 0u);
+
+  // Release T11 and answer T12; both plans run.
+  Message push;
+  push.type = Message::Type::kPushVersion;
+  push.key = 10;
+  push.version = 9;
+  push.dst_txn = 11;
+  push.value = Record{100};
+  m.Deliver(std::move(push));
+  Message storage_resp;
+  storage_resp.type = Message::Type::kStorageReadResp;
+  storage_resp.req_id = storage_req;
+  storage_resp.value = Record{200};
+  m.Deliver(std::move(storage_resp));
+  Message pull_resp;
+  pull_resp.type = Message::Type::kCacheReadResp;
+  pull_resp.req_id = pull_req;
+  pull_resp.value = Record{300};
+  m.Deliver(std::move(pull_resp));
+  Message end;
+  end.type = Message::Type::kPlanStreamEnd;
+  end.epoch = 1;
+  m.Deliver(std::move(end));
+  m.JoinExecutor();
+  m.Stop();
+
+  EXPECT_EQ(m.executed_plans(), 2u);
+  const std::vector<TxnResult> results = m.TakeResults();
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].id, 11u);
+  EXPECT_EQ(results[0].output, (std::vector<std::int64_t>{100}));
+  EXPECT_EQ(results[1].id, 12u);
+  EXPECT_EQ(results[1].output, (std::vector<std::int64_t>{200, 300}));
+  // The requests name the read's source, version and reply slot.
+  ASSERT_EQ(sent.size(), 2u);
+  for (const auto& [to, req] : sent) {
+    EXPECT_EQ(req.reply_to, 0u);
+    if (req.type == Message::Type::kStorageReadReq) {
+      EXPECT_EQ(to, 1u);
+      EXPECT_EQ(req.key, 20u);
+      EXPECT_EQ(req.version, 0u);
+      EXPECT_EQ(req.req_id, storage_req);
+    } else {
+      EXPECT_EQ(req.type, Message::Type::kCacheReadReq);
+      EXPECT_EQ(to, 2u);
+      EXPECT_EQ(req.key, 30u);
+      EXPECT_EQ(req.version, 5u);
+      EXPECT_EQ(req.req_id, pull_req);
+      EXPECT_TRUE(req.invalidate);
+      EXPECT_EQ(req.total_reads, 1u);
+    }
   }
 }
 
