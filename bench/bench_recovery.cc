@@ -14,8 +14,11 @@
 // 2x and 4x long, with and without periodic checkpointing. Without it,
 // replay work tracks the whole run; with --checkpoint-every, recovery
 // replays only the suffix since the last capture, so replayed counts
-// and the log byte peaks stay flat as the run grows.
+// and the log byte peaks stay flat as the run grows. So does the cost of
+// one capture (capture_us, state_keys per capture): it folds only what
+// changed since the previous capture.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 
@@ -105,8 +108,9 @@ void BenchDowntimeVsCrashEpoch(std::size_t machines, std::size_t txns) {
 void BenchRecoveryVsRunLength(std::size_t machines, std::size_t txns) {
   Header("Recovery vs run length: crash near the end, checkpointing "
          "off/on");
-  std::printf("%8s %12s %10s %12s %12s %14s\n", "factor", "ckpt_every",
-              "replayed", "downtime_us", "captures", "log_peak_bytes");
+  std::printf("%8s %12s %10s %12s %12s %14s %12s %12s\n", "factor",
+              "ckpt_every", "replayed", "downtime_us", "captures",
+              "log_peak_bytes", "capture_us", "state_keys");
   for (const std::size_t factor : {1u, 2u, 4u}) {
     const std::size_t run_txns = txns * factor;
     const Workload w = MakeMicroWorkload(DefaultMicro(machines, run_txns));
@@ -129,13 +133,21 @@ void BenchRecoveryVsRunLength(std::size_t machines, std::size_t txns) {
       const std::uint64_t log_peak =
           out.checkpoint.request_log_bytes_peak +
           out.checkpoint.network_log_bytes_peak;
-      std::printf("%8zu %12llu %10llu %12llu %12llu %14llu\n", factor,
-                  static_cast<unsigned long long>(every),
+      // Per-capture cost; 0 when the run took no capture.
+      const double captures = static_cast<double>(
+          std::max<std::uint64_t>(1, out.checkpoint.checkpoints_taken));
+      const double capture_us =
+          static_cast<double>(out.checkpoint.capture_us) / captures;
+      const double state_keys =
+          static_cast<double>(out.checkpoint.state_keys_captured) / captures;
+      std::printf("%8zu %12llu %10llu %12llu %12llu %14llu %12.0f %12.0f\n",
+                  factor, static_cast<unsigned long long>(every),
                   static_cast<unsigned long long>(out.recovery.replayed_txns),
                   static_cast<unsigned long long>(out.recovery.downtime_us),
                   static_cast<unsigned long long>(
                       out.checkpoint.checkpoints_taken),
-                  static_cast<unsigned long long>(log_peak));
+                  static_cast<unsigned long long>(log_peak), capture_us,
+                  state_keys);
       if (g_json) {
         JsonRow("recovery_vs_run_length")
             .Add("factor", factor)
@@ -145,14 +157,17 @@ void BenchRecoveryVsRunLength(std::size_t machines, std::size_t txns) {
             .Add("downtime_us", out.recovery.downtime_us)
             .Add("checkpoints_taken", out.checkpoint.checkpoints_taken)
             .Add("log_peak_bytes", log_peak)
+            .Add("capture_us", capture_us)
+            .Add("state_keys_captured", state_keys)
             .Add("committed", out.committed)
             .Print();
       }
     }
   }
-  std::printf("(with checkpoint_every set, replayed txns and the log byte "
-              "peak stay flat as the run grows 4x: recovery is O(epochs "
-              "since the last capture), not O(run length))\n");
+  std::printf("(with checkpoint_every set, replayed txns, the log byte "
+              "peak and the per-capture cost stay flat as the run grows "
+              "4x: recovery is O(epochs since the last capture), not "
+              "O(run length))\n");
 }
 
 void BenchCoordinatorFailover(std::size_t machines, std::size_t txns) {

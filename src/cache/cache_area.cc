@@ -14,14 +14,15 @@ void CacheArea::PutVersion(ObjectKey key, TxnId version, TxnId dst,
   cv_.notify_all();
 }
 
-std::optional<Record> CacheArea::AwaitVersion(ObjectKey key, TxnId version,
-                                              TxnId dst) {
+std::optional<Record> CacheArea::AwaitVersion(
+    ObjectKey key, TxnId version, TxnId dst,
+    std::chrono::microseconds timeout) {
   std::unique_lock<std::mutex> lock(mu_);
   const std::tuple<ObjectKey, TxnId, TxnId> k{key, version, dst};
-  cv_.wait(lock,
-           [&] { return shutdown_ || versions_.count(k) > 0; });
-  if (shutdown_ && versions_.count(k) == 0) return std::nullopt;
+  cv_.wait_for(lock, timeout,
+               [&] { return shutdown_ || versions_.count(k) > 0; });
   auto it = versions_.find(k);
+  if (it == versions_.end()) return std::nullopt;  // shutdown or timeout
   Record out = std::move(it->second);
   // "After reading an object from the cache area, the destination
   // transaction can invalidate the enclosing entry immediately" (§5.2).
@@ -46,14 +47,15 @@ void CacheArea::PublishEpochEntry(ObjectKey key, TxnId version,
   cv_.notify_all();
 }
 
-std::optional<Record> CacheArea::AwaitEpochEntry(ObjectKey key, TxnId version,
-                                                 bool invalidate,
-                                                 std::uint32_t total_reads) {
+std::optional<Record> CacheArea::AwaitEpochEntry(
+    ObjectKey key, TxnId version, bool invalidate, std::uint32_t total_reads,
+    std::chrono::microseconds timeout) {
   std::unique_lock<std::mutex> lock(mu_);
   const std::pair<ObjectKey, TxnId> k{key, version};
-  cv_.wait(lock, [&] { return shutdown_ || epochs_.count(k) > 0; });
+  cv_.wait_for(lock, timeout,
+               [&] { return shutdown_ || epochs_.count(k) > 0; });
   auto it = epochs_.find(k);
-  if (it == epochs_.end()) return std::nullopt;  // shutdown
+  if (it == epochs_.end()) return std::nullopt;  // shutdown or timeout
   EpochEntry& e = it->second;
   Record out = e.value;
   ++e.reads_served;

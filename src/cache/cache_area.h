@@ -1,6 +1,7 @@
 #ifndef TPART_CACHE_CACHE_AREA_H_
 #define TPART_CACHE_CACHE_AREA_H_
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/flat_map.h"
+#include "common/stall_timeout.h"
 #include "common/types.h"
 #include "storage/record.h"
 
@@ -40,8 +42,11 @@ class CacheArea {
   void PutVersion(ObjectKey key, TxnId version, TxnId dst, Record value);
 
   /// Blocks until entry <key, version, dst> exists, then consumes it.
-  /// Returns nullopt only after Shutdown().
-  std::optional<Record> AwaitVersion(ObjectKey key, TxnId version, TxnId dst);
+  /// Returns nullopt after Shutdown(), or when `timeout` passes first: a
+  /// lost push fails its run instead of hanging it.
+  std::optional<Record> AwaitVersion(
+      ObjectKey key, TxnId version, TxnId dst,
+      std::chrono::microseconds timeout = kStallTimeout);
 
   /// Non-blocking probe of a version entry (does not consume).
   bool HasVersion(ObjectKey key, TxnId version, TxnId dst) const;
@@ -54,10 +59,11 @@ class CacheArea {
   /// When `invalidate` is set, this read also announces the entry's final
   /// read count `total_reads`; the entry is freed once that many reads
   /// (including earlier and still-outstanding ones) have been served.
-  /// Returns nullopt only after Shutdown().
-  std::optional<Record> AwaitEpochEntry(ObjectKey key, TxnId version,
-                                        bool invalidate,
-                                        std::uint32_t total_reads);
+  /// Returns nullopt after Shutdown(), or when `timeout` passes first.
+  std::optional<Record> AwaitEpochEntry(
+      ObjectKey key, TxnId version, bool invalidate,
+      std::uint32_t total_reads,
+      std::chrono::microseconds timeout = kStallTimeout);
 
   /// Non-blocking variant for service threads (remote pulls are parked by
   /// the machine until the entry appears). Serves one read when present.

@@ -89,6 +89,7 @@ std::string CheckpointStats::Summary() const {
   std::ostringstream out;
   out << "checkpoints=" << checkpoints_taken << " last_epoch=" << last_epoch
       << " records=" << records_captured
+      << " state_keys=" << state_keys_captured
       << " truncated(req/net)=" << truncated_request_entries << "/"
       << truncated_network_messages
       << " pruned_rounds=" << pruned_resend_rounds
@@ -108,6 +109,10 @@ void CheckpointStats::PublishTo(obs::MetricsRegistry& registry) const {
   registry.SetCounter("tpart_checkpoint_records_captured_total",
                       static_cast<double>(records_captured),
                       "Records folded into checkpoint images");
+  registry.SetCounter("tpart_checkpoint_state_keys_captured_total",
+                      static_cast<double>(state_keys_captured),
+                      "Storage version-state entries folded into checkpoint "
+                      "images");
   registry.SetCounter("tpart_checkpoint_truncated_request_entries_total",
                       static_cast<double>(truncated_request_entries),
                       "Request-log entries freed by truncation");

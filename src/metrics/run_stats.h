@@ -217,6 +217,9 @@ struct CheckpointStats {
   SinkEpoch last_epoch = 0;
   /// Records folded into checkpoint images (incremental dirty passes).
   std::uint64_t records_captured = 0;
+  /// Storage version-discipline entries folded into checkpoint images:
+  /// only keys whose state changed since the previous capture.
+  std::uint64_t state_keys_captured = 0;
   /// Log entries freed by truncation.
   std::uint64_t truncated_request_entries = 0;
   std::uint64_t truncated_network_messages = 0;

@@ -1540,6 +1540,7 @@ ClusterRunOutcome LocalCluster::RunTPart() {
     outcome.checkpoint.last_epoch =
         std::max(outcome.checkpoint.last_epoch, cp.epoch());
     outcome.checkpoint.records_captured += cp.records_captured;
+    outcome.checkpoint.state_keys_captured += cp.state_keys_captured;
     outcome.checkpoint.truncated_request_entries +=
         cp.truncated_request_entries;
     outcome.checkpoint.truncated_network_messages +=

@@ -712,7 +712,15 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
     switch (r.kind) {
       case ReadSourceKind::kLocalVersion:
       case ReadSourceKind::kPush: {
-        auto v = cache_.AwaitVersion(r.key, r.src_txn, p.txn);
+        auto v = cache_.AwaitVersion(r.key, r.src_txn, p.txn, kStallTimeout);
+        // nullopt is a shutdown (a draining run reads it as absent) or an
+        // expired wait (a lost push or hand-off: fail the run).
+        TPART_CHECK(v.has_value() ||
+                    draining_.load(std::memory_order_acquire))
+            << "T" << p.txn << " stalled on "
+            << (r.kind == ReadSourceKind::kPush ? "push" : "local version")
+            << " of key " << r.key << " v" << r.src_txn << ": "
+            << StallDiagnostic();
         values[r.key] = v.has_value() ? std::move(*v) : Record::Absent();
         // The consumer end of the forward-push arrow: the producing
         // transaction's span holds the matching FlowStart.
@@ -725,7 +733,11 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
       case ReadSourceKind::kCacheLocal: {
         auto v = cache_.AwaitEpochEntry(r.key, r.src_txn,
                                         r.invalidate_entry,
-                                        r.entry_total_reads);
+                                        r.entry_total_reads, kStallTimeout);
+        TPART_CHECK(v.has_value() ||
+                    draining_.load(std::memory_order_acquire))
+            << "T" << p.txn << " stalled on cache entry of key " << r.key
+            << " v" << r.src_txn << ": " << StallDiagnostic();
         values[r.key] = v.has_value() ? std::move(*v) : Record::Absent();
         TPART_TRACE(Instant("cache_hit", "cache",
                             {{"key", r.key}, {"txn", p.txn}}));
@@ -1166,9 +1178,10 @@ void Machine::RunCheckpointBarrier(SinkEpoch epoch) {
   barrier.type = Message::Type::kCheckpointBarrier;
   barrier.epoch = epoch;
   inbound_.Send(std::move(barrier));
-  // Wait for the service thread to capture. This pause is local: other
-  // machines keep executing; only this machine's epoch pipeline stalls
-  // for the (incremental, O(dirty)) capture.
+  // Wait for the service thread to capture, which costs O(keys changed
+  // and results added since the previous capture). Other machines keep
+  // executing, but this service thread serves none of their reads until
+  // the capture is done.
   std::unique_lock<std::mutex> lock(ckpt_mu_);
   ckpt_cv_.wait(lock, [&] { return ckpt_done_; });
 }
@@ -1189,16 +1202,26 @@ void Machine::CaptureCheckpoint(SinkEpoch epoch) {
   // fully applied, and the executor (blocked in RunCheckpointBarrier)
   // has executed every request-log entry — so the images below cover
   // exactly the effects of rounds <= epoch, and both §5.4 logs truncate
-  // to empty: later traffic forms the replay suffix.
-  cp.records_captured +=
-      cp.records.ApplyDirty(*store_, storage_.TakeDirtyKeys());
+  // to empty: later traffic forms the replay suffix. The storage and
+  // record images fold only the keys changed since the previous capture.
+  std::vector<ObjectKey> written;
+  cp.state_keys_captured += storage_.FoldChanges(cp.storage, written);
+  cp.records_captured += cp.records.ApplyDirty(*store_, written);
   cp.cache = cache_.Capture();
-  cp.storage = storage_.Capture();
   {
     // Suffix replay cannot regenerate the truncated prefix's results, so
     // the capture carries everything accumulated up to the boundary.
+    // Results only grow, and a restore resets them to the capture's, so
+    // the capture already holds a prefix: append the rest.
     std::lock_guard<std::mutex> lock(results_mu_);
-    cp.results = results_;
+    const std::size_t held = cp.results.size();
+    TPART_CHECK(held <= results_.size() &&
+                (held == 0 || results_[held - 1].id == cp.results.back().id))
+        << "machine " << id_ << " checkpoint results (" << held
+        << ") are not a prefix of its " << results_.size() << " results";
+    cp.results.insert(cp.results.end(),
+                      results_.begin() + static_cast<std::ptrdiff_t>(held),
+                      results_.end());
   }
   {
     std::lock_guard<std::mutex> lock(stream_mu_);
@@ -1375,7 +1398,7 @@ void Machine::HandleMigrateBegin(Message msg) {
   // Capture the partition image: record, version-discipline state, and
   // sticky cache entry per key — then drop everything locally. ExtractKeys
   // CHECKs that no parked storage work exists (the barrier quiesced the
-  // stream), and marks the keys dirty so the forced capture folds the
+  // stream), and marks every key changed so the forced capture folds the
   // deletions into this machine's checkpoint.
   std::unordered_map<ObjectKey, StorageService::MigratedKeyState> state_of;
   for (auto& st : storage_.ExtractKeys(*keys)) {
@@ -1412,7 +1435,6 @@ void Machine::HandleMigrateBegin(Message msg) {
     }
     image.entries.push_back(std::move(e));
   }
-  storage_.MarkDirty(*keys);
 
   const std::string encoded = EncodePartitionImage(image);
   const std::vector<std::string> chunks = ChunkImage(encoded);

@@ -18,6 +18,7 @@
 
 #include "cache/cache_area.h"
 #include "common/flat_map.h"
+#include "common/stall_timeout.h"
 #include "runtime/channel.h"
 #include "runtime/machine_checkpoint.h"
 #include "runtime/ring_channel.h"
@@ -28,14 +29,6 @@
 #include "txn/txn.h"
 
 namespace tpart {
-
-/// Bound on every blocking wait of the threaded runtime: the executor's
-/// response, peer and storage waits, the dissemination stage's epoch
-/// credits and stage receives, and the control plane's barriers and
-/// elections. A wait that expires aborts the run with a stall diagnostic
-/// (executor paths) or surfaces as ClusterRunOutcome::fault
-/// (dissemination).
-inline constexpr std::chrono::microseconds kStallTimeout{120'000'000};
 
 /// One machine of the threaded runtime: an executor thread running the
 /// machine's slice of each sinking round (T-Part mode) or its relevant

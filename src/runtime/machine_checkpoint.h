@@ -22,9 +22,13 @@ namespace tpart {
 ///    capture folds only the keys written back since the previous capture
 ///    into the zig-zag image (ZigZagCheckpointStore::ApplyDirty), so a
 ///    capture costs O(dirty), not O(partition).
-///  * `cache` / `storage` — the volatile execution state the truncated
-///    log suffix depends on: live cache entries and the storage version
-///    discipline (current tags, parked write-backs, parked remote reads).
+///  * `storage` — the storage version discipline (current tags, parked
+///    write-backs, parked remote reads), keyed by object and maintained
+///    the same way: each capture overwrites the entries of the keys whose
+///    state changed since the previous capture and erases the entries of
+///    keys that lost their state (StorageService::FoldChanges).
+///  * `cache` — the live cache entries, copied whole at each capture
+///    (bounded by the in-flight working set, not by the run).
 ///  * `parked_pulls` — remote cache pulls the machine had parked waiting
 ///    for a local publish; re-injected (marked `redelivery`) at restore.
 ///  * `responses` — read responses received but not yet consumed, sorted
@@ -33,7 +37,8 @@ namespace tpart {
 ///    capture truncates the network log that delivered them.
 ///  * `results` — the transaction results accumulated up to the capture.
 ///    Replaying only the suffix cannot regenerate the truncated prefix's
-///    results, so the capture carries them.
+///    results, so the capture carries them; each capture appends only the
+///    results added since the previous one.
 ///
 /// Thread-safety: capture runs on the victim's service thread; restore
 /// runs on the watchdog thread strictly after the victim crashed (its
@@ -51,6 +56,7 @@ struct MachineCheckpoint {
   // --- capture statistics (read after the run joins) -------------------
   std::uint64_t captures_taken = 0;
   std::uint64_t records_captured = 0;
+  std::uint64_t state_keys_captured = 0;
   std::uint64_t capture_us = 0;
   std::uint64_t truncated_request_entries = 0;
   std::uint64_t truncated_network_messages = 0;

@@ -86,7 +86,7 @@ void StorageService::DrainKeyLocked(
         }
         wb_log_.CommitBatch();
         ++write_backs_applied_;
-        dirty_keys_.emplace(key, 0);
+        MarkLocked(key, st, kRecordWritten);
         st.current = wb.version;
         st.reads_served_since_wb = 0;
         st.has_sticky = wb.sticky;
@@ -108,6 +108,7 @@ void StorageService::AsyncRead(ObjectKey key, TxnId expected_version,
       ready.emplace_back(std::move(done), Record::Absent());
     } else {
       KeyState& st = keys_[key];
+      MarkLocked(key, st, kStateChanged);
       if (st.current == expected_version) {
         if (st.has_sticky) ++sticky_hits_;
         ready.emplace_back(std::move(done), CurrentValueLocked(key, st));
@@ -219,6 +220,7 @@ void StorageService::ApplyWriteBack(ObjectKey key, TxnId version,
     std::lock_guard<std::mutex> lock(mu_);
     if (shutdown_) return;
     KeyState& st = keys_[key];
+    MarkLocked(key, st, kStateChanged);
     // Mirror std::map::emplace semantics: a duplicate (same replaced
     // version) is dropped, not double-applied.
     const bool dup = std::any_of(
@@ -257,61 +259,73 @@ void StorageService::Reset() {
   // log replay re-issues them. ReadDone callbacks still parked here only
   // capture shared or machine-owned state, so dropping them is safe.
   keys_.clear();
+  changed_keys_.clear();
   shutdown_ = false;
 }
 
-StorageService::Image StorageService::Capture() const {
+std::size_t StorageService::FoldChanges(Image& image,
+                                        std::vector<ObjectKey>& written) {
   std::lock_guard<std::mutex> lock(mu_);
-  Image image;
-  // Deterministic key order so same-seed captures are byte-identical.
-  std::vector<ObjectKey> order;
-  order.reserve(keys_.size());
-  for (const auto& [key, st] : keys_) {
-    (void)st;
-    order.push_back(key);
-  }
-  std::sort(order.begin(), order.end());
-  image.keys.reserve(order.size());
-  for (const ObjectKey key : order) {
-    const KeyState& st = keys_.at(key);
-    Image::KeyImage ki;
-    ki.key = key;
-    ki.current = st.current;
-    ki.reads_served_since_wb = st.reads_served_since_wb;
-    ki.has_sticky = st.has_sticky;
-    ki.sticky_expire = st.sticky_expire;
-    std::vector<const ParkedWb*> wbs;
-    wbs.reserve(st.parked_wbs.size());
-    for (const ParkedWb& wb : st.parked_wbs) wbs.push_back(&wb);
-    std::sort(wbs.begin(), wbs.end(), [](const ParkedWb* a, const ParkedWb* b) {
-      return a->replaces < b->replaces;
-    });
-    for (const ParkedWb* wb : wbs) {
-      ki.parked_wbs.push_back(Image::ParkedWbImage{
-          wb->version, wb->replaces, wb->value, wb->awaits, wb->sticky,
-          wb->epoch});
+  std::size_t folded = 0;
+  for (const ObjectKey key : changed_keys_) {
+    auto it = keys_.find(key);
+    if (it == keys_.end()) {
+      // Extracted, or a record migration moved while the key had no state.
+      folded += image.keys.erase(key);
+      written.push_back(key);
+      continue;
     }
-    for (const ParkedRead& pr : st.parked_reads) {
-      // The executor is quiescent at capture, so every parked read must be
-      // a remote pull; a local wait here would be lost by the checkpoint.
-      TPART_CHECK(pr.remote.has_value())
-          << "untagged parked storage read at checkpoint capture (key="
-          << key << ")";
-      ki.parked_remote_reads.push_back(
-          Image::ParkedRemoteRead{pr.expected, *pr.remote});
+    KeyState& st = it->second;
+    if (st.changed == 0) {
+      // A repeat entry: the key lost its state (or had none) earlier in
+      // this interval and was re-created, so its record may have moved.
+      written.push_back(key);
+      continue;
     }
-    image.keys.push_back(std::move(ki));
+    if ((st.changed & kStateChanged) != 0) {
+      Image::KeyImage& ki = image.keys[key];
+      ki.current = st.current;
+      ki.reads_served_since_wb = st.reads_served_since_wb;
+      ki.has_sticky = st.has_sticky;
+      ki.sticky_expire = st.sticky_expire;
+      ki.parked_wbs.clear();
+      for (const ParkedWb& wb : st.parked_wbs) {
+        ki.parked_wbs.push_back(Image::ParkedWbImage{
+            wb.version, wb.replaces, wb.value, wb.awaits, wb.sticky,
+            wb.epoch});
+      }
+      std::sort(ki.parked_wbs.begin(), ki.parked_wbs.end(),
+                [](const Image::ParkedWbImage& a,
+                   const Image::ParkedWbImage& b) {
+                  return a.replaces < b.replaces;
+                });
+      ki.parked_remote_reads.clear();
+      for (const ParkedRead& pr : st.parked_reads) {
+        // The executor is quiescent at capture, so every parked read must
+        // be a remote pull; a local wait here would be lost by the image.
+        // A local read parks only through AsyncRead, which marks its key.
+        TPART_CHECK(pr.remote.has_value())
+            << "untagged parked storage read at checkpoint capture (key="
+            << key << ")";
+        ki.parked_remote_reads.push_back(
+            Image::ParkedRemoteRead{pr.expected, *pr.remote});
+      }
+      ++folded;
+    }
+    if ((st.changed & kRecordWritten) != 0) written.push_back(key);
+    st.changed = 0;
   }
-  return image;
+  changed_keys_.clear();
+  return folded;
 }
 
 void StorageService::Restore(const Image& image,
                              const MakeRemoteDone& make_done) {
   std::lock_guard<std::mutex> lock(mu_);
   keys_.clear();
-  dirty_keys_.clear();
-  for (const auto& ki : image.keys) {
-    KeyState& st = keys_[ki.key];
+  changed_keys_.clear();
+  for (const auto& [key, ki] : image.keys) {
+    KeyState& st = keys_[key];
     st.current = ki.current;
     st.reads_served_since_wb = ki.reads_served_since_wb;
     st.has_sticky = ki.has_sticky;
@@ -347,15 +361,18 @@ std::vector<StorageService::MigratedKeyState> StorageService::ExtractKeys(
   out.reserve(keys.size());
   for (const ObjectKey key : keys) {
     auto it = keys_.find(key);
-    if (it == keys_.end()) continue;
-    const KeyState& st = it->second;
+    if (it == keys_.end()) {
+      changed_keys_.push_back(key);  // its record moves all the same
+      continue;
+    }
+    KeyState& st = it->second;
     TPART_CHECK(st.parked_reads.empty() && st.parked_wbs.empty())
         << "migrating key " << key << " with parked storage work — the "
         << "barrier did not quiesce the stream";
     out.push_back(MigratedKeyState{key, st.current, st.reads_served_since_wb,
                                    st.has_sticky, st.sticky_expire});
+    MarkLocked(key, st, kStateChanged);  // the fold drops it from the image
     keys_.erase(it);
-    dirty_keys_.emplace(key, 0);  // forced capture must fold the deletion
   }
   return out;
 }
@@ -368,26 +385,20 @@ void StorageService::InstallKeys(const std::vector<MigratedKeyState>& keys) {
     st.reads_served_since_wb = mk.reads_served_since_wb;
     st.has_sticky = mk.has_sticky;
     st.sticky_expire = mk.sticky_expire;
-    dirty_keys_.emplace(mk.key, 0);
+    MarkLocked(mk.key, st, kStateChanged);
   }
 }
 
 void StorageService::MarkDirty(const std::vector<ObjectKey>& keys) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const ObjectKey key : keys) dirty_keys_.emplace(key, 0);
-}
-
-std::vector<ObjectKey> StorageService::TakeDirtyKeys() {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<ObjectKey> out;
-  out.reserve(dirty_keys_.size());
-  for (const auto& [key, unused] : dirty_keys_) {
-    (void)unused;
-    out.push_back(key);
+  for (const ObjectKey key : keys) {
+    auto it = keys_.find(key);
+    if (it == keys_.end()) {
+      changed_keys_.push_back(key);
+    } else {
+      MarkLocked(key, it->second, kRecordWritten);
+    }
   }
-  dirty_keys_.clear();
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 std::uint64_t StorageService::sticky_hits() const {

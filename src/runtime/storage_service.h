@@ -47,6 +47,7 @@ class StorageService {
   struct RemoteReadTag {
     MachineId reply_to = kInvalidMachine;
     std::uint64_t req_id = 0;
+    bool operator==(const RemoteReadTag&) const = default;
   };
 
   /// Serves (possibly later) the version of `key` tagged
@@ -82,11 +83,14 @@ class StorageService {
   /// (reads served, write-backs applied) are deliberately kept.
   void Reset();
 
-  /// Checkpoint image of the version discipline: per-key current tag,
-  /// read counts, sticky state, parked write-backs (as plain data), and
-  /// parked *remote* reads (as reconstruction tags). Captured at a
-  /// quiescent epoch boundary; any untagged (local-executor) parked read
-  /// at capture time is a bug and CHECK-fails.
+  /// Checkpoint image of the version discipline, keyed by object: per-key
+  /// current tag, read counts, sticky state, parked write-backs (as plain
+  /// data, sorted by `replaces`), and parked *remote* reads (as
+  /// reconstruction tags). Built up incrementally by FoldChanges() at
+  /// quiescent epoch boundaries; any untagged (local-executor) parked read
+  /// on a folded key is a bug and CHECK-fails. A hash map, so a fold costs
+  /// a probe per changed key however many keys the image holds; its
+  /// iteration order is unspecified (Restore() does not depend on it).
   struct Image {
     struct ParkedWbImage {
       TxnId version;
@@ -95,36 +99,41 @@ class StorageService {
       std::uint32_t awaits;
       bool sticky;
       SinkEpoch epoch;
+      bool operator==(const ParkedWbImage&) const = default;
     };
     struct ParkedRemoteRead {
       TxnId expected;
       RemoteReadTag tag;
+      bool operator==(const ParkedRemoteRead&) const = default;
     };
     struct KeyImage {
-      ObjectKey key;
       TxnId current;
       std::uint32_t reads_served_since_wb;
       bool has_sticky;
       SinkEpoch sticky_expire;
       std::vector<ParkedWbImage> parked_wbs;
       std::vector<ParkedRemoteRead> parked_remote_reads;
+      bool operator==(const KeyImage&) const = default;
     };
-    std::vector<KeyImage> keys;
+    FlatMap<ObjectKey, KeyImage> keys;
   };
 
-  Image Capture() const;
+  /// Incremental capture: folds every key whose state changed since the
+  /// previous fold (or Reset()/Restore()) into `image` — overwriting its
+  /// entry, or erasing it when the key no longer has state — and appends
+  /// to `written` the keys whose store record may have changed (the input
+  /// of ZigZagCheckpointStore::ApplyDirty). Costs O(keys changed), not
+  /// O(keys). Returns the number of image entries written or erased.
+  std::size_t FoldChanges(Image& image, std::vector<ObjectKey>& written);
 
   /// Rebuilds a ReadDone reply callback from a RemoteReadTag at restore.
   using MakeRemoteDone = std::function<ReadDone(const RemoteReadTag&)>;
 
   /// Replaces the version-discipline state with `image` and re-opens the
   /// service; parked remote reads get fresh callbacks via `make_done`.
-  /// Cumulative counters are kept, mirroring Reset().
+  /// The next FoldChanges() starts from `image`. Cumulative counters are
+  /// kept, mirroring Reset().
   void Restore(const Image& image, const MakeRemoteDone& make_done);
-
-  /// Drains the set of keys written back since the last call (the dirty
-  /// set for an incremental checkpoint pass).
-  std::vector<ObjectKey> TakeDirtyKeys();
 
   /// Per-key migration state, extracted from a quiesced source machine.
   struct MigratedKeyState {
@@ -144,16 +153,19 @@ class StorageService {
   /// migration source side, at a quiesced barrier: parked reads and
   /// parked write-backs for moved keys must be empty — CHECK). Keys with
   /// no state entry are skipped; they carry default state on both sides.
+  /// Every key in `keys` is marked changed — the caller moves their
+  /// records away — so the next fold drops them from the image and
+  /// refreshes their records.
   std::vector<MigratedKeyState> ExtractKeys(const std::vector<ObjectKey>& keys);
 
   /// Installs migrated key state (elastic migration target side) and
-  /// marks each key dirty so the next checkpoint pass folds it in.
+  /// marks each key changed so the next fold adds it to the image.
   void InstallKeys(const std::vector<MigratedKeyState>& keys);
 
-  /// Marks keys dirty without touching their state: migration mutates
-  /// store records directly (deletes at the source, upserts at the
-  /// target), and the post-migration forced checkpoint must fold those
-  /// mutations even for keys that never had version-discipline state.
+  /// Marks the records of `keys` written without touching their state:
+  /// migration upserts store records directly at the target, and the
+  /// post-migration forced checkpoint must fold them even for keys that
+  /// have no version-discipline state.
   void MarkDirty(const std::vector<ObjectKey>& keys);
 
   const WriteBackLog& write_back_log() const { return wb_log_; }
@@ -181,13 +193,25 @@ class StorageService {
     std::vector<ParkedRead> parked_reads;
     // A write-back applies only when the version it replaces is current.
     // At most a handful park per key, so a flat vector (linear search on
-    // `replaces`) beats a node-based map; Capture() sorts by `replaces`
-    // to keep checkpoint images byte-identical to the old map order.
+    // `replaces`) beats a node-based map; FoldChanges() sorts the image
+    // copy by `replaces` so an image does not depend on arrival order.
     std::vector<ParkedWb> parked_wbs;
     // Sticky copy of the current version (§5.2).
     bool has_sticky = false;
+    // kStateChanged | kRecordWritten bits set since the key was last
+    // folded; sits in has_sticky's padding, keeping the struct 80 bytes.
+    std::uint8_t changed = 0;
     SinkEpoch sticky_expire = 0;
   };
+  static constexpr std::uint8_t kStateChanged = 1;
+  static constexpr std::uint8_t kRecordWritten = 2;
+
+  // mu_ held: flags `key` for the next FoldChanges(), listing it the
+  // first time since its last fold.
+  void MarkLocked(ObjectKey key, KeyState& st, std::uint8_t bits) {
+    if (st.changed == 0) changed_keys_.push_back(key);
+    st.changed |= bits;
+  }
 
   // mu_ held; returns callbacks to run after unlock.
   void DrainKeyLocked(ObjectKey key, KeyState& st,
@@ -198,10 +222,10 @@ class StorageService {
   bool shutdown_ = false;
   KvStore* store_;
   FlatMap<ObjectKey, KeyState> keys_;
-  // Keys written back since the last TakeDirtyKeys() (write-backs are the
-  // only storage writes, so this is the full dirty set). FlatMap-as-set:
-  // the value byte is unused.
-  FlatMap<ObjectKey, char> dirty_keys_;
+  // Keys to visit at the next FoldChanges(): each key whose `changed`
+  // bits went non-zero, plus each key whose state was extracted or whose
+  // record migration moved while it had no state (those may repeat).
+  std::vector<ObjectKey> changed_keys_;
   WriteBackLog wb_log_;
   SinkEpoch next_log_batch_ = 0;
   std::uint64_t sticky_hits_ = 0;

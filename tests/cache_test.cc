@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 
 #include "cache/cache_area.h"
@@ -101,6 +102,35 @@ TEST(CacheAreaTest, PeakEntriesTracksHighWaterMark) {
   cache.AwaitVersion(2, 1, 2);
   cache.PutVersion(3, 1, 2, Record{});
   EXPECT_EQ(cache.peak_entries(), 2u);
+}
+
+
+TEST(CacheAreaTest, MissingEntriesTimeOutInsteadOfHanging) {
+  // A lost push or epoch entry must fail its run after the deadline, not
+  // hang the executor: both waits return nullopt without a Shutdown().
+  CacheArea cache;
+  const auto deadline = std::chrono::milliseconds(20);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(cache.AwaitVersion(1, 2, 3, deadline).has_value());
+  EXPECT_FALSE(cache.AwaitEpochEntry(1, 2, false, 0, deadline).has_value());
+  EXPECT_GE(std::chrono::steady_clock::now() - start, 2 * deadline);
+}
+
+TEST(CacheAreaTest, PresentEntriesAreConsumedUnderADeadline) {
+  CacheArea cache;
+  const auto deadline = std::chrono::milliseconds(20);
+  cache.PutVersion(1, 10, 20, Record{42});
+  auto v = cache.AwaitVersion(1, 10, 20, deadline);
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(v->field(0), 42);
+  // Consumed by that read: a second wait finds nothing.
+  EXPECT_FALSE(cache.AwaitVersion(1, 10, 20, deadline).has_value());
+
+  cache.PublishEpochEntry(1, 10, 3, Record{7});
+  auto e = cache.AwaitEpochEntry(1, 10, /*invalidate=*/true, 1, deadline);
+  ASSERT_TRUE(e.has_value());
+  EXPECT_EQ(e->field(0), 7);
+  EXPECT_EQ(cache.num_epoch_entries(), 0u);  // its only read, then freed
 }
 
 }  // namespace

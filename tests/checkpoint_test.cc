@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -219,6 +220,41 @@ TEST(CheckpointTest, LogFootprintPlateausWithCheckpointing) {
   EXPECT_LT(ck_4x, plain_4x);
 }
 
+TEST(CheckpointTest, CaptureWorkPlateausWithRunLength) {
+  // Same workload at 1x and 4x the run length, on a key space so large
+  // that most keys are touched once: the set of keys with storage state
+  // grows with the run. A capture folds only the keys changed since the
+  // previous one, so the state entries folded per capture stay flat
+  // instead of tracking every key the run has touched.
+  auto micro = [](std::uint64_t num_txns) {
+    MicroOptions o = SmallMicro(num_txns);
+    o.records_per_machine = 20'000;
+    return MakeMicroWorkload(o);
+  };
+  const Workload w1 = micro(405);
+  const Workload w4 = micro(1620);
+
+  auto keys_per_capture = [](const Workload& w) {
+    LocalClusterOptions opts;
+    opts.scheduler.sink_size = 20;
+    opts.checkpoint_every = 4;
+    LocalCluster cluster(&w, opts);
+    const ClusterRunOutcome out = cluster.RunTPart();
+    EXPECT_TRUE(out.fault.ok()) << out.fault.ToString();
+    EXPECT_GT(out.checkpoint.checkpoints_taken, 0u);
+    EXPECT_GT(out.checkpoint.state_keys_captured, 0u);
+    return static_cast<double>(out.checkpoint.state_keys_captured) /
+           static_cast<double>(
+               std::max<std::uint64_t>(1, out.checkpoint.checkpoints_taken));
+  };
+
+  const double per_capture_1x = keys_per_capture(w1);
+  const double per_capture_4x = keys_per_capture(w4);
+  ASSERT_GT(per_capture_1x, 0.0);
+  EXPECT_LT(per_capture_4x, 2 * per_capture_1x)
+      << "1x: " << per_capture_1x << " keys/capture, 4x: " << per_capture_4x;
+}
+
 TEST(CheckpointTest, ResendWindowPrunedDuringCheckpointedRun) {
   const Workload w = MakeMicroWorkload(SmallMicro());
   LocalClusterOptions opts = StreamingOpts(TransportKind::kDirect);
@@ -283,6 +319,7 @@ TEST(CheckpointTest, CheckpointStatsSummaryNamesTheCounters) {
   stats.checkpoints_taken = 6;
   stats.last_epoch = 20;
   stats.records_captured = 123;
+  stats.state_keys_captured = 77;
   stats.truncated_request_entries = 300;
   stats.truncated_network_messages = 450;
   stats.pruned_resend_rounds = 15;
@@ -290,6 +327,7 @@ TEST(CheckpointTest, CheckpointStatsSummaryNamesTheCounters) {
   const std::string s = stats.Summary();
   EXPECT_NE(s.find("checkpoints=6"), std::string::npos) << s;
   EXPECT_NE(s.find("last_epoch=20"), std::string::npos) << s;
+  EXPECT_NE(s.find("state_keys=77"), std::string::npos) << s;
   EXPECT_NE(s.find("truncated(req/net)=300/450"), std::string::npos) << s;
   EXPECT_NE(s.find("pruned_rounds=15"), std::string::npos) << s;
 }

@@ -165,6 +165,7 @@ TEST(MetricNameTest, EveryPublishedMetricNameConforms) {
   c.checkpoints_taken = 3;
   c.last_epoch = 9;
   c.records_captured = 600;
+  c.state_keys_captured = 450;
   c.truncated_request_entries = 100;
   c.truncated_network_messages = 50;
   c.pruned_resend_rounds = 6;
