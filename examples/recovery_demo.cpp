@@ -3,7 +3,7 @@
 // 1. In-run recovery: stream a workload with a seeded crash schedule —
 //    one machine crash-stops at a chosen sink epoch, the heartbeat
 //    watchdog detects the stall, and the machine is rebuilt in place
-//    from its zig-zag checkpoint plus its own request and network logs
+//    from its checkpoint image plus its own request and network logs
 //    while the run completes. The result must be byte-identical to a
 //    crash-free run.
 //

@@ -229,7 +229,7 @@ void RecoveryStats::PublishTo(obs::MetricsRegistry& registry) const {
                       "Sinking rounds re-shipped after recovery");
   registry.SetCounter("tpart_recovery_checkpoint_records_total",
                       static_cast<double>(checkpoint_records),
-                      "Records restored from the Zig-Zag checkpoint");
+                      "Records restored from the checkpoint image");
   registry.SetGauge("tpart_recovery_downtime_us",
                     static_cast<double>(downtime_us),
                     "Crash-stop until the machine rejoined the stream");

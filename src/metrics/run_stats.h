@@ -134,7 +134,7 @@ struct RecoveryStats {
   /// Sinking rounds the dissemination stage re-shipped after recovery
   /// (lost in flight or queued-but-unexecuted at the crash).
   std::uint64_t resent_rounds = 0;
-  /// Records restored from the Zig-Zag checkpoint of the crashed
+  /// Records restored from the checkpoint image of the crashed
   /// partition.
   std::uint64_t checkpoint_records = 0;
   /// Crash-stop until the rebuilt machine finished re-executing its

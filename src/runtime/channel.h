@@ -32,7 +32,8 @@ struct Message {
     /// Remote storage read of the version tagged `version`.
     kStorageReadReq,
     kStorageReadResp,
-    /// Apply a write-back at the record's home (§5.4: UNDO-logged there).
+    /// Apply a write-back at the record's home (§5.4: the home network-
+    /// logs it, so a recovery replays it on top of the checkpoint).
     kWriteBackApply,
     /// Calvin peer-push of local read results for one transaction (§2.1).
     kPeerReads,
@@ -53,12 +54,6 @@ struct Message {
     /// drops probes, so its recorded sequence stalls — that stall, held
     /// past the deadline, is the failure signal.
     kHeartbeat,
-    /// Internal checkpoint fence: the executor posts it through its own
-    /// inbound queue at a quiescent epoch boundary; when the service
-    /// thread dispatches it, every earlier logged message has been fully
-    /// applied, so the machine captures its checkpoint there. Never
-    /// crosses the wire.
-    kCheckpointBarrier,
     /// Elastic membership (src/elastic): control plane -> source machine,
     /// at a quiesced sink-epoch barrier. `plan_bytes` lists the moved
     /// keys, `dst_txn` the target machine, `req_id` the migration stream
@@ -74,9 +69,12 @@ struct Message {
     /// whole encoded image, `txn` the chunk count, `version` the number of
     /// key entries. The target verifies and installs atomically.
     kMigrateCommit,
-    /// Local-only service fence: posted directly into a machine's inbound
-    /// queue by the migration barrier; when dispatched, every message
-    /// delivered before it has been applied. Never crosses the wire.
+    /// Local-only service fence (Machine::FenceService): posted directly
+    /// into a machine's inbound queue; when dispatched, every message
+    /// delivered before it has been applied. A non-zero `epoch` is a
+    /// capture epoch: posted at a quiescent epoch boundary (the executor's
+    /// checkpoint cadence, the migration cut), the service thread captures
+    /// the machine's checkpoint on dispatch. Never crosses the wire.
     kServiceFence,
     /// Coordinator replication (§2.1 Zab, DESIGN §4i): leader -> standby
     /// replication of one sequenced batch. `req_id` is the log index,

@@ -133,11 +133,12 @@ void LocalCluster::Reset() {
       options_.resize.enabled()) {
     for (std::size_t m = 0; m < machines_.size(); ++m) {
       auto cp = std::make_unique<MachineCheckpoint>();
-      store_->store(static_cast<MachineId>(m))
-          .Scan(0, std::numeric_limits<ObjectKey>::max(),
-                [&](ObjectKey key, const Record& value) {
-                  cp->records.Put(key, value);
-                });
+      const KvStore& loaded = store_->store(static_cast<MachineId>(m));
+      cp->records.reserve(loaded.size());
+      loaded.Scan(0, std::numeric_limits<ObjectKey>::max(),
+                  [&](ObjectKey key, const Record& value) {
+                    cp->records.emplace(key, value);
+                  });
       machines_[m]->ConfigureCheckpoint(cp.get(), options_.checkpoint_every);
       checkpoints_.push_back(std::move(cp));
     }
@@ -432,15 +433,22 @@ class Admission {
   // Returns false once the leader crash-stops mid-append: that batch
   // never committed, so the next term re-pulls it from the source (an
   // append that did reach a standby commits through the new leader's log
-  // instead, and the term's skip count absorbs it).
+  // instead, and the term's skip count absorbs it). Also false when the
+  // append's quorum never forms: that is the run's fault.
   bool Emit(LeaderTerm& term, TxnBatch batch) {
     TPART_TRACE_SPAN("admit_batch", "pipeline",
                      {{"txns", batch.txns.size()}});
     TPART_FLIGHT(obs::FlightEvent::kAdmitBatch, 0, batch.batch_id,
                  batch.txns.size());
-    if (ctx_.coordinator != nullptr &&
-        !ctx_.coordinator->LeaderAppend(batch)) {
-      return false;
+    if (ctx_.coordinator != nullptr) {
+      Result<bool> appended = ctx_.coordinator->LeaderAppend(batch);
+      if (!appended.ok()) {
+        ctx_.DeclareFault("admission stalled appending batch " +
+                          std::to_string(batch.batch_id) + ": " +
+                          appended.status().message());
+        return false;
+      }
+      if (!*appended) return false;
     }
     const auto now = Clock::now();
     {
@@ -1192,11 +1200,15 @@ class Disseminator {
         std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
     }
-    // 5. Force a checkpoint on every machine at the cut. The capture folds
-    //    the migration's record deletions/insertions (marked dirty by the
-    //    handlers) and truncates the §5.4 logs — a later crash replay can
-    //    then never resurrect a moved key on its old home.
-    for (auto& m : ctx_.machines) m->ForceCheckpoint(step.cut_epoch);
+    // 5. Force a checkpoint on every machine at the cut: a capturing
+    //    service fence. The capture folds the migration's record
+    //    deletions/insertions (marked dirty by the handlers) and truncates
+    //    the §5.4 logs — a later crash replay can then never resurrect a
+    //    moved key on its old home.
+    for (auto& m : ctx_.machines) {
+      Status s = m->FenceService(kStallTimeout, step.cut_epoch);
+      if (!s.ok()) return s;
+    }
     migration.forced_checkpoints += ctx_.machines.size();
     ++migration.membership_steps;
     migration.last_cut_epoch = step.cut_epoch;

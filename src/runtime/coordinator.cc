@@ -1,6 +1,8 @@
 #include "runtime/coordinator.h"
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 
 #include "common/logging.h"
 #include "common/random.h"
@@ -358,7 +360,8 @@ void CoordinatorReplicaSet::ShipLogRange(std::size_t src, MachineId dst_ep,
   for (Message& m : out) send_(endpoint(src), dst_ep, std::move(m));
 }
 
-bool CoordinatorReplicaSet::LeaderAppend(const TxnBatch& batch) {
+Result<bool> CoordinatorReplicaSet::LeaderAppend(
+    const TxnBatch& batch, std::chrono::microseconds timeout) {
   std::size_t leader;
   std::uint64_t index;
   std::uint64_t term;
@@ -389,10 +392,25 @@ bool CoordinatorReplicaSet::LeaderAppend(const TxnBatch& batch) {
   const std::size_t quorum = replicas_.size() / 2 + 1;
   const std::size_t acks_needed = quorum - 1;
   std::unique_lock<std::mutex> lock(mu_);
-  commit_cv_.wait(lock, [&] {
+  const bool settled = commit_cv_.wait_for(lock, timeout, [&] {
     return shutdown_ || replicas_[leader]->down ||
            append_acks_[index] >= acks_needed;
   });
+  if (!settled) {
+    std::ostringstream out;
+    out << "log append " << index << " (term " << term << ") has "
+        << append_acks_[index] << " of " << acks_needed
+        << " standby acks after " << timeout.count() << "us; down replicas:";
+    bool any_down = false;
+    for (std::size_t r = 0; r < replicas_.size(); ++r) {
+      if (!replicas_[r]->down) continue;
+      out << ' ' << r;
+      any_down = true;
+    }
+    if (!any_down) out << " none";
+    append_acks_.erase(index);
+    return Status::Unavailable(out.str());
+  }
   if (shutdown_ || replicas_[leader]->down) return false;
   append_acks_.erase(index);
   ++committed_batches_;

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/stall_timeout.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "runtime/channel.h"
@@ -91,8 +92,12 @@ class CoordinatorReplicaSet {
   /// of the ensemble (leader included) holds the entry. Returns false if
   /// the leader crash-stopped before the quorum formed — the caller must
   /// treat the batch as never admitted (the next term's replay decides
-  /// its fate from the surviving logs).
-  [[nodiscard]] bool LeaderAppend(const TxnBatch& batch);
+  /// its fate from the surviving logs). kUnavailable when no quorum forms
+  /// within `timeout`; the message names the log index, the term, the
+  /// acks received and needed, and the replicas that are down.
+  [[nodiscard]] Result<bool> LeaderAppend(
+      const TxnBatch& batch,
+      std::chrono::microseconds timeout = kStallTimeout);
 
   /// Crash-stops the current leader: it stops heartbeating, acking, and
   /// pumping. Standbys will detect and elect.

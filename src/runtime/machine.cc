@@ -151,16 +151,15 @@ void Machine::ServiceLoop() {
     if (msg.type == Message::Type::kShutdown) return;
     if (run_state_.load(std::memory_order_acquire) == RunState::kDown) {
       // Crash-stop: the machine is gone. Heartbeats are dropped so the
-      // failure detector sees the stall (and a stale checkpoint barrier
-      // died with the executor that posted it); everything else is
-      // stashed — the reliability layer already acked it on delivery into
-      // our inbound queue, so dropping it would lose it forever.
-      // Re-injecting the stash at recovery models the peers' transport
-      // retransmitting to the rebuilt machine. A local service fence is
-      // still served: Recover() uses one to wait out a dispatch that
-      // began before the crash-stop.
+      // failure detector sees the stall; everything else is stashed — the
+      // reliability layer already acked it on delivery into our inbound
+      // queue, so dropping it would lose it forever. Re-injecting the
+      // stash at recovery models the peers' transport retransmitting to
+      // the rebuilt machine. A local service fence is still served:
+      // Recover() uses one to wait out a dispatch that began before the
+      // crash-stop. (A capturing fence is never pending here: its poster
+      // waits for it, and only the executor crash-stops, after its wait.)
       if (msg.type != Message::Type::kHeartbeat &&
-          msg.type != Message::Type::kCheckpointBarrier &&
           msg.type != Message::Type::kServiceFence) {
         std::lock_guard<std::mutex> lock(crash_mu_);
         if (run_state_.load(std::memory_order_relaxed) == RunState::kDown) {
@@ -241,12 +240,6 @@ void Machine::Dispatch(Message msg) {
       }
       // Never logged: replaying stale probes would confuse a detector.
       heartbeat_seen_.store(msg.req_id, std::memory_order_release);
-      break;
-    case Message::Type::kCheckpointBarrier:
-      // The executor fenced at a drained epoch boundary: every earlier
-      // message in this FIFO queue has been fully applied, so capture
-      // here and truncate the logs.
-      CaptureCheckpoint(msg.epoch);
       break;
     case Message::Type::kPushVersion:
       // The PUSH-log (§5.4): remember pushed values for local replay.
@@ -359,6 +352,11 @@ void Machine::Dispatch(Message msg) {
       HandleMigrateCommit(std::move(msg));
       break;
     case Message::Type::kServiceFence:
+      // Every message ahead of the fence in this FIFO queue is fully
+      // applied. A capturing fence is posted at a quiescent epoch
+      // boundary, so capture here and truncate the logs before releasing
+      // the poster.
+      if (msg.epoch != 0) CaptureCheckpoint(msg.epoch);
       {
         std::lock_guard<std::mutex> lock(fence_mu_);
         if (msg.req_id > fence_seen_) fence_seen_ = msg.req_id;
@@ -891,13 +889,19 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
   // Periodic checkpoint: the executor fences at the first drained epoch
   // boundary at or past the cadence point, before any crash trigger at
   // the same boundary — a crash at epoch E then recovers from the fresh
-  // checkpoint at E with an empty replay suffix.
+  // checkpoint at E with an empty replay suffix. The capture costs
+  // O(keys changed and results added since the previous one); other
+  // machines keep executing, but this service thread serves none of
+  // their reads until it is done.
   if (!is_replay && drained && checkpoint_ != nullptr &&
       checkpoint_every_ > 0 &&
       !draining_.load(std::memory_order_acquire) &&
       run_state_.load(std::memory_order_relaxed) == RunState::kLive &&
       epoch >= next_checkpoint_epoch_) {
-    RunCheckpointBarrier(epoch);
+    const Status captured = FenceService(kStallTimeout, epoch);
+    TPART_CHECK(captured.ok()) << "machine " << id_
+                               << " checkpoint capture at epoch " << epoch
+                               << ": " << captured.ToString();
     next_checkpoint_epoch_ = epoch + checkpoint_every_;
   }
 
@@ -1062,39 +1066,31 @@ std::size_t Machine::Recover(const std::function<void()>& restore_partition) {
     }
   }
 
-  // 3. §5.4 local replay: re-enqueue the request log grouped by sinking
-  //    round in txn order, tagged as replay (outbound suppressed, not
-  //    re-logged). Plans logged for the resume round itself are the
-  //    partially-executed prefix of a mid-round crash; the re-shipped
-  //    round skips them (recovered_partial_txns_).
-  std::map<SinkEpoch, std::vector<PlanItem>> rounds;
-  std::size_t replayed = 0;
+  // 3. §5.4 local replay: re-enqueue the request log in log order,
+  //    tagged as replay (outbound suppressed, not re-logged). The one
+  //    executor logged plans as it ran them: round by round, and within a
+  //    round in txn-id order (TGraph::Sink emits a round's slots by id).
+  //    Plans logged for the resume round itself are the partially-executed
+  //    prefix of a mid-round crash; the re-shipped round skips them
+  //    (recovered_partial_txns_).
+  std::vector<RequestLogEntry> entries;
   {
     std::lock_guard<std::mutex> lock(log_mu_);
-    replayed = request_log_.size();
-    for (const auto& entry : request_log_) {
-      rounds[entry.epoch].push_back(entry.item);
-    }
+    entries = request_log_;
   }
+  const std::size_t replayed = entries.size();
   {
     std::lock_guard<std::mutex> lock(stream_mu_);
-    auto it = rounds.find(resume);
-    if (it != rounds.end()) {
-      for (const auto& item : it->second) {
-        recovered_partial_txns_.insert(item.plan.txn);
+    for (const RequestLogEntry& entry : entries) {
+      if (entry.epoch == resume) {
+        recovered_partial_txns_.insert(entry.item.plan.txn);
       }
     }
   }
   {
     std::lock_guard<std::mutex> lock(work_mu_);
-    for (auto& [epoch, items] : rounds) {
-      std::sort(items.begin(), items.end(),
-                [](const PlanItem& a, const PlanItem& b) {
-                  return a.plan.txn < b.plan.txn;
-                });
-      for (auto& item : items) {
-        tpart_work_.push_back(WorkUnit{epoch, std::move(item), true});
-      }
+    for (RequestLogEntry& entry : entries) {
+      tpart_work_.push_back(WorkUnit{entry.epoch, std::move(entry.item), true});
     }
   }
   replay_remaining_.store(replayed, std::memory_order_release);
@@ -1165,48 +1161,22 @@ void Machine::ConfigureCheckpoint(MachineCheckpoint* image, SinkEpoch every) {
   next_checkpoint_epoch_ = every;
 }
 
-void Machine::RunCheckpointBarrier(SinkEpoch epoch) {
-  TPART_TRACE_SPAN("checkpoint_barrier", "checkpoint",
-                   {{"machine", id_}, {"epoch", epoch}});
-  {
-    std::lock_guard<std::mutex> lock(ckpt_mu_);
-    ckpt_waiting_ = true;
-    ckpt_done_ = false;
-    ckpt_epoch_ = epoch;
-  }
-  Message barrier;
-  barrier.type = Message::Type::kCheckpointBarrier;
-  barrier.epoch = epoch;
-  inbound_.Send(std::move(barrier));
-  // Wait for the service thread to capture, which costs O(keys changed
-  // and results added since the previous capture). Other machines keep
-  // executing, but this service thread serves none of their reads until
-  // the capture is done.
-  std::unique_lock<std::mutex> lock(ckpt_mu_);
-  ckpt_cv_.wait(lock, [&] { return ckpt_done_; });
-}
-
 void Machine::CaptureCheckpoint(SinkEpoch epoch) {
-  {
-    std::lock_guard<std::mutex> lock(ckpt_mu_);
-    if (!ckpt_waiting_ || ckpt_epoch_ != epoch) return;  // stale barrier
-    ckpt_waiting_ = false;
-  }
-  if (checkpoint_ == nullptr) return;
   TPART_TRACE_SPAN("checkpoint_capture", "checkpoint",
                    {{"machine", id_}, {"epoch", epoch}});
   const auto start = std::chrono::steady_clock::now();
   MachineCheckpoint& cp = *checkpoint_;
 
-  // Every message that preceded the barrier in the inbound FIFO has been
-  // fully applied, and the executor (blocked in RunCheckpointBarrier)
-  // has executed every request-log entry — so the images below cover
-  // exactly the effects of rounds <= epoch, and both §5.4 logs truncate
-  // to empty: later traffic forms the replay suffix. The storage and
-  // record images fold only the keys changed since the previous capture.
+  // Every message that preceded the fence in the inbound FIFO has been
+  // fully applied, and the fence's poster (the executor at a drained
+  // boundary, or the membership barrier on a quiesced stream) has
+  // executed every request-log entry — so the images below cover exactly
+  // the effects of rounds <= epoch, and both §5.4 logs truncate to
+  // empty: later traffic forms the replay suffix. The storage and record
+  // images fold only the keys changed since the previous capture.
   std::vector<ObjectKey> written;
   cp.state_keys_captured += storage_.FoldChanges(cp.storage, written);
-  cp.records_captured += cp.records.ApplyDirty(*store_, written);
+  cp.records_captured += cp.FoldRecords(*store_, written);
   cp.cache = cache_.Capture();
   {
     // Suffix replay cannot regenerate the truncated prefix's results, so
@@ -1259,12 +1229,6 @@ void Machine::CaptureCheckpoint(SinkEpoch epoch) {
   // rounds <= epoch, which is only safe after the images are complete.
   cp.set_epoch(epoch);
   TPART_FLIGHT(obs::FlightEvent::kCheckpoint, 1 + id_, id_, epoch);
-
-  {
-    std::lock_guard<std::mutex> lock(ckpt_mu_);
-    ckpt_done_ = true;
-  }
-  ckpt_cv_.notify_all();
 }
 
 void Machine::RestoreImages(const MachineCheckpoint& cp) {
@@ -1292,7 +1256,7 @@ void Machine::RestoreImages(const MachineCheckpoint& cp) {
                    });
 }
 
-void Machine::InstallCheckpoint(MachineCheckpoint& cp) {
+void Machine::InstallCheckpoint(const MachineCheckpoint& cp) {
   if (cp.epoch() == 0) return;
   RestoreImages(cp);
   for (Message m : cp.parked_pulls) {
@@ -1347,34 +1311,32 @@ Status Machine::WaitStreamDrained(std::chrono::microseconds timeout) {
   return Status::Ok();
 }
 
-Status Machine::FenceService(std::chrono::microseconds timeout) {
-  std::uint64_t seq = 0;
-  {
-    std::lock_guard<std::mutex> lock(fence_mu_);
-    seq = ++fence_posted_;
-  }
+Status Machine::FenceService(std::chrono::microseconds timeout,
+                             SinkEpoch capture_at) {
+  TPART_CHECK(capture_at == 0 || checkpoint_ != nullptr)
+      << "machine " << id_ << ": a capturing fence needs a checkpoint image";
+  TPART_CHECK(capture_at == 0 ||
+              run_state_.load(std::memory_order_acquire) == RunState::kLive)
+      << "machine " << id_ << ": checkpoint capture on a non-live machine";
+  std::unique_lock<std::mutex> lock(fence_mu_);
+  const std::uint64_t seq = ++fence_posted_;
   Message fence;
   fence.type = Message::Type::kServiceFence;
   fence.req_id = seq;
+  fence.epoch = capture_at;
   // Direct into the inbound queue, never through the transport: the fence
-  // is a local ordering marker, not a wire message.
+  // is a local ordering marker, not a wire message. Sent under fence_mu_
+  // (Send never blocks), so fences enter the FIFO in sequence order and
+  // fence_seen_ >= seq means this fence, and its capture, was dispatched.
   inbound_.Send(std::move(fence));
-  std::unique_lock<std::mutex> lock(fence_mu_);
   const auto done = [&] { return fence_seen_ >= seq; };
   if (!fence_cv_.wait_for(lock, timeout, done)) {
     lock.unlock();
-    return Status::Unavailable("service fence timed out: " +
-                               StallDiagnostic());
+    return Status::Unavailable("service fence (capture epoch " +
+                               std::to_string(capture_at) +
+                               ") timed out: " + StallDiagnostic());
   }
   return Status::Ok();
-}
-
-void Machine::ForceCheckpoint(SinkEpoch epoch) {
-  TPART_CHECK(checkpoint_ != nullptr)
-      << "migration barrier needs an attached checkpoint image";
-  TPART_CHECK(run_state_.load(std::memory_order_acquire) == RunState::kLive)
-      << "forced checkpoint on a non-live machine";
-  RunCheckpointBarrier(epoch);
 }
 
 void Machine::HandleMigrateBegin(Message msg) {

@@ -253,13 +253,13 @@ class Machine {
   // ---- Periodic checkpointing & log truncation ------------------------
   /// Attaches the machine's durable checkpoint image and the capture
   /// cadence: every `every` sink epochs the executor pauses at a drained
-  /// epoch boundary, posts a kCheckpointBarrier through its own inbound
-  /// queue, and the service thread captures `image` when it dispatches
-  /// the barrier — at that point every earlier logged message is fully
-  /// applied, so both §5.4 logs truncate to empty and subsequent traffic
-  /// forms the replay suffix. `every` = 0 disables periodic captures
-  /// (the image still serves as the load-time checkpoint). T-Part only.
-  /// Call before StartTPart().
+  /// epoch boundary and calls FenceService() with that epoch as its
+  /// capture epoch; the service thread captures `image` when it
+  /// dispatches the fence — at that point every earlier logged message is
+  /// fully applied, so both §5.4 logs truncate to empty and subsequent
+  /// traffic forms the replay suffix. `every` = 0 disables periodic
+  /// captures (the image still serves as the load-time checkpoint).
+  /// T-Part only. Call before StartTPart().
   void ConfigureCheckpoint(MachineCheckpoint* image, SinkEpoch every);
 
   /// Restores the volatile images (cache area, storage version
@@ -267,7 +267,7 @@ class Machine {
   /// a fresh machine — the offline ReplayMachine() counterpart of the
   /// in-run restore inside Recover(). The partition data (cp.records) is
   /// the caller's job.
-  void InstallCheckpoint(MachineCheckpoint& cp);
+  void InstallCheckpoint(const MachineCheckpoint& cp);
 
   /// Byte sizes of the §5.4 logs (current and high-water) — the
   /// log-growth signal checkpoint truncation exists to bound.
@@ -299,16 +299,15 @@ class Machine {
   /// Posts a local kServiceFence through the inbound queue (never via the
   /// transport — it is not a wire message) and blocks until the service
   /// thread dispatches it; every message delivered before the call has
-  /// then been fully applied. kUnavailable on timeout.
-  [[nodiscard]] Status FenceService(std::chrono::microseconds timeout);
-
-  /// Control-plane checkpoint at the migration cut: captures the attached
-  /// checkpoint image at `epoch` exactly like a cadence capture,
-  /// truncating both §5.4 logs — so a later crash can never replay
-  /// pre-cut traffic that resurrects moved-away keys. Call only while the
-  /// machine is quiescent (stream drained + service fenced) and live;
-  /// requires ConfigureCheckpoint.
-  void ForceCheckpoint(SinkEpoch epoch);
+  /// then been fully applied. A non-zero `capture_at` makes the fence
+  /// capture the attached checkpoint image at that epoch on dispatch,
+  /// truncating both §5.4 logs: the executor's cadence captures and the
+  /// migration cut's forced capture (which keeps a later crash from
+  /// replaying pre-cut traffic that resurrects moved-away keys). Capture
+  /// only on a live machine whose stream is quiescent at `capture_at`;
+  /// requires ConfigureCheckpoint. kUnavailable on timeout.
+  [[nodiscard]] Status FenceService(std::chrono::microseconds timeout,
+                                    SinkEpoch capture_at = 0);
 
   /// True once this machine, as migration source for `stream`, captured
   /// and shipped its partition image and dropped the moved keys.
@@ -345,10 +344,7 @@ class Machine {
   void SendOutBatch(std::vector<std::pair<MachineId, Message>>& msgs);
   void CrashStop(SinkEpoch resume);
 
-  // Checkpoint internals: the executor fences (RunCheckpointBarrier,
-  // blocking until the capture finished), the service thread captures
-  // (CaptureCheckpoint, on dispatching the barrier message).
-  void RunCheckpointBarrier(SinkEpoch epoch);
+  // Service thread, on dispatching a capturing fence (FenceService).
   void CaptureCheckpoint(SinkEpoch epoch);
   /// Restores the results, unconsumed read responses, cache and storage
   /// images of `cp` (shared by Recover() and InstallCheckpoint()).
@@ -496,13 +492,6 @@ class Machine {
   MachineCheckpoint* checkpoint_ = nullptr;
   SinkEpoch checkpoint_every_ = 0;
   SinkEpoch next_checkpoint_epoch_ = 0;
-  // Barrier handshake between the executor (waits) and the service
-  // thread (captures, then signals).
-  std::mutex ckpt_mu_;
-  std::condition_variable ckpt_cv_;
-  bool ckpt_waiting_ = false;
-  bool ckpt_done_ = false;
-  SinkEpoch ckpt_epoch_ = 0;
 
   // ---- Crash / recovery state -----------------------------------------
   // run_state_ is an atomic for lock-free reads on hot paths but is only
@@ -546,7 +535,8 @@ class Machine {
   std::unordered_set<std::uint64_t> migration_installed_;
   MigrationCounters migration_counters_;
 
-  // Service-fence handshake (FenceService <-> service thread).
+  // Service-fence handshake (FenceService <-> service thread), also the
+  // checkpoint capture's.
   mutable std::mutex fence_mu_;
   std::condition_variable fence_cv_;
   std::uint64_t fence_posted_ = 0;

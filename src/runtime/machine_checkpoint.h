@@ -7,10 +7,12 @@
 #include <vector>
 
 #include "cache/cache_area.h"
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "runtime/channel.h"
 #include "runtime/storage_service.h"
-#include "storage/zigzag_checkpoint.h"
+#include "storage/kv_store.h"
+#include "storage/record.h"
 
 namespace tpart {
 
@@ -18,10 +20,12 @@ namespace tpart {
 /// offline ReplayMachine()) needs to resume from epoch E instead of from
 /// the initial load.
 ///
-///  * `records` — the partition's data, maintained incrementally: each
-///    capture folds only the keys written back since the previous capture
-///    into the zig-zag image (ZigZagCheckpointStore::ApplyDirty), so a
-///    capture costs O(dirty), not O(partition).
+///  * `records` — one copy of the partition's data, maintained
+///    incrementally: each capture folds only the keys written back since
+///    the previous capture (FoldRecords), so a capture costs O(dirty),
+///    not O(partition). Capture runs at a drained epoch boundary, so no
+///    write races it and no second copy is needed to snapshot under
+///    concurrent writes.
 ///  * `storage` — the storage version discipline (current tags, parked
 ///    write-backs, parked remote reads), keyed by object and maintained
 ///    the same way: each capture overwrites the entries of the keys whose
@@ -40,13 +44,15 @@ namespace tpart {
 ///    results, so the capture carries them; each capture appends only the
 ///    results added since the previous one.
 ///
-/// Thread-safety: capture runs on the victim's service thread; restore
-/// runs on the watchdog thread strictly after the victim crashed (its
-/// threads quiesced), so the two never overlap. The only field read
+/// Thread-safety: capture runs on the machine's service thread when it
+/// dispatches a capturing service fence; restore runs on the watchdog
+/// thread after the machine crashed, and only once Recover()'s own
+/// service fence passed — that fence orders every earlier capture before
+/// the restore, so the images need no lock. The only field read
 /// concurrently is `epoch_` (the dissemination stage reads it to compute
 /// the resend-window prune bound), hence the atomic.
 struct MachineCheckpoint {
-  ZigZagCheckpointStore records;
+  FlatMap<ObjectKey, Record> records;
   CacheArea::Image cache;
   StorageService::Image storage;
   std::vector<Message> parked_pulls;
@@ -60,6 +66,22 @@ struct MachineCheckpoint {
   std::uint64_t capture_us = 0;
   std::uint64_t truncated_request_entries = 0;
   std::uint64_t truncated_network_messages = 0;
+
+  /// Refreshes `records` for the `written` keys from `store`: a key the
+  /// store holds is upserted, a key it lacks is erased. Returns the
+  /// number of keys folded.
+  std::size_t FoldRecords(const KvStore& store,
+                          const std::vector<ObjectKey>& written) {
+    for (const ObjectKey key : written) {
+      Result<Record> value = store.Read(key);
+      if (value.ok()) {
+        records[key] = std::move(value).value();
+      } else {
+        records.erase(key);
+      }
+    }
+    return written.size();
+  }
 
   /// Epoch this checkpoint covers: every effect of sink rounds <= epoch()
   /// is inside the images; replay needs only the log suffix past it.

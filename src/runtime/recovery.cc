@@ -53,7 +53,8 @@ ReplayResult ReplayMachine(
 }
 
 ReplayResult ReplayMachine(
-    const Workload& workload, MachineId id, MachineCheckpoint& checkpoint,
+    const Workload& workload, MachineId id,
+    const MachineCheckpoint& checkpoint,
     const std::vector<Machine::RequestLogEntry>& request_log_suffix,
     const std::vector<Message>& network_log_suffix) {
   ReplayResult out;
@@ -83,7 +84,8 @@ ReplayResult ReplayMachine(
   return out;
 }
 
-std::size_t RestorePartition(MachineCheckpoint& checkpoint, KvStore& store) {
+std::size_t RestorePartition(const MachineCheckpoint& checkpoint,
+                             KvStore& store) {
   std::vector<ObjectKey> keys;
   keys.reserve(store.size());
   store.Scan(0, std::numeric_limits<ObjectKey>::max(),
@@ -92,8 +94,8 @@ std::size_t RestorePartition(MachineCheckpoint& checkpoint, KvStore& store) {
     // Cannot miss: every key came from the Scan() one loop up.
     (void)store.Delete(key);
   }
-  return checkpoint.records.Checkpoint(
-      [&](ObjectKey key, const Record& value) { store.Upsert(key, value); });
+  for (const auto& [key, value] : checkpoint.records) store.Upsert(key, value);
+  return checkpoint.records.size();
 }
 
 }  // namespace tpart

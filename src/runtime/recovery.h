@@ -34,8 +34,8 @@ struct ReplayResult {
 /// detect it via heartbeats, rebuild it in place and let the run
 /// complete — is Machine::Recover() driven by LocalCluster's watchdog
 /// (LocalClusterOptions::crash / ::detector). Both replay the same two
-/// logs; Recover() additionally restores the partition from the
-/// load-time zig-zag checkpoint and rejoins the live epoch stream.
+/// logs; Recover() additionally restores the partition from its
+/// checkpoint image and rejoins the live epoch stream.
 ReplayResult ReplayMachine(
     const Workload& workload, MachineId id,
     const std::vector<Machine::RequestLogEntry>& request_log,
@@ -51,7 +51,8 @@ ReplayResult ReplayMachine(
 /// degrades to the full-log formulation: the seeded records are the
 /// loaded database and the suffix is the whole log.
 ReplayResult ReplayMachine(
-    const Workload& workload, MachineId id, MachineCheckpoint& checkpoint,
+    const Workload& workload, MachineId id,
+    const MachineCheckpoint& checkpoint,
     const std::vector<Machine::RequestLogEntry>& request_log_suffix,
     const std::vector<Message>& network_log_suffix);
 
@@ -59,7 +60,8 @@ ReplayResult ReplayMachine(
 /// `checkpoint.records` back in. Recovery cost stays proportional to the
 /// crashed machine's data — no other partition is touched. Returns the
 /// number of records restored.
-std::size_t RestorePartition(MachineCheckpoint& checkpoint, KvStore& store);
+std::size_t RestorePartition(const MachineCheckpoint& checkpoint,
+                             KvStore& store);
 
 }  // namespace tpart
 

@@ -72,11 +72,6 @@ void StorageService::DrainKeyLocked(
     if (it != st.parked_wbs.end()) {
       ParkedWb& wb = *it;
       if (st.reads_served_since_wb >= wb.awaits) {
-        wb_log_.BeginBatch(++next_log_batch_);
-        Result<Record> old = store_->Read(key);
-        wb_log_.LogWrite(key, old.ok()
-                                  ? std::optional<Record>(std::move(*old))
-                                  : std::nullopt);
         if (wb.value.is_absent()) {
           // Blind delete: an absent write-back may target a key already
           // gone; kNotFound is the expected no-op, not an error.
@@ -84,7 +79,6 @@ void StorageService::DrainKeyLocked(
         } else {
           store_->Upsert(key, wb.value);
         }
-        wb_log_.CommitBatch();
         ++write_backs_applied_;
         MarkLocked(key, st, kRecordWritten);
         st.current = wb.version;
@@ -105,7 +99,10 @@ void StorageService::AsyncRead(ObjectKey key, TxnId expected_version,
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (shutdown_) {
-      ready.emplace_back(std::move(done), Record::Absent());
+      // See Shutdown(): only a local reader gets the absent placeholder.
+      if (!remote.has_value()) {
+        ready.emplace_back(std::move(done), Record::Absent());
+      }
     } else {
       KeyState& st = keys_[key];
       MarkLocked(key, st, kStateChanged);
@@ -245,7 +242,13 @@ void StorageService::Shutdown() {
     for (auto& [key, st] : keys_) {
       (void)key;
       for (auto& pr : st.parked_reads) {
-        ready.emplace_back(std::move(pr.done), Record::Absent());
+        // A remote requester may not be draining yet (a failed run aborts
+        // machines one at a time): an absent reply would run a procedure
+        // on a placeholder there. Drop it; the requester's own
+        // AbortPendingWaits releases its wait.
+        if (!pr.remote.has_value()) {
+          ready.emplace_back(std::move(pr.done), Record::Absent());
+        }
       }
       st.parked_reads.clear();
     }

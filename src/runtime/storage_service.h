@@ -13,7 +13,6 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "storage/kv_store.h"
-#include "storage/write_back_log.h"
 
 namespace tpart {
 
@@ -32,8 +31,9 @@ inline constexpr SinkEpoch kStickyTtl = 2;
 ///    applied, and (b) its `awaits` count of reads of the previous version
 ///    have been served — so concurrent sinking rounds on different
 ///    machines can never overtake each other on storage.
-/// Write-backs are the only storage writes and are UNDO-logged (§5.4);
-/// applied values also feed the sticky cache (§5.2).
+/// Write-backs are the only storage writes; applied values also feed the
+/// sticky cache (§5.2). No UNDO log is kept: a crashed partition is
+/// restored wholesale from its checkpoint before the logs replay (§5.4).
 class StorageService {
  public:
   explicit StorageService(KvStore* store) : store_(store) {}
@@ -71,8 +71,11 @@ class StorageService {
                       Record value, std::uint32_t awaits, bool sticky,
                       SinkEpoch epoch);
 
-  /// Releases blocked readers (machine shutdown); they observe
-  /// Record::Absent().
+  /// Closes the service (machine shutdown or a failed run). Local
+  /// (untagged) readers, parked or arriving later, observe
+  /// Record::Absent(); remote-tagged reads are dropped unanswered, so an
+  /// absent placeholder never reaches a peer that is still executing —
+  /// the requester releases its own wait when it drains.
   void Shutdown();
 
   /// Crash-recovery wipe: forgets every version gate, parked read and
@@ -122,7 +125,7 @@ class StorageService {
   /// previous fold (or Reset()/Restore()) into `image` — overwriting its
   /// entry, or erasing it when the key no longer has state — and appends
   /// to `written` the keys whose store record may have changed (the input
-  /// of ZigZagCheckpointStore::ApplyDirty). Costs O(keys changed), not
+  /// of MachineCheckpoint::FoldRecords). Costs O(keys changed), not
   /// O(keys). Returns the number of image entries written or erased.
   std::size_t FoldChanges(Image& image, std::vector<ObjectKey>& written);
 
@@ -168,7 +171,6 @@ class StorageService {
   /// have no version-discipline state.
   void MarkDirty(const std::vector<ObjectKey>& keys);
 
-  const WriteBackLog& write_back_log() const { return wb_log_; }
   std::uint64_t sticky_hits() const;
   std::uint64_t reads_served() const;
   std::uint64_t write_backs_applied() const;
@@ -226,8 +228,6 @@ class StorageService {
   // bits went non-zero, plus each key whose state was extracted or whose
   // record migration moved while it had no state (those may repeat).
   std::vector<ObjectKey> changed_keys_;
-  WriteBackLog wb_log_;
-  SinkEpoch next_log_batch_ = 0;
   std::uint64_t sticky_hits_ = 0;
   std::uint64_t reads_served_total_ = 0;
   std::uint64_t write_backs_applied_ = 0;

@@ -90,9 +90,10 @@ struct CachePublishStep {
 };
 
 /// Write the version back to the storage holding `key` (possibly remote).
-/// Write-backs are the only storage writes in T-Part and are UNDO-logged
-/// (§5.4). When `make_sticky`, the home machine also retains the value in
-/// its sticky cache (§5.2).
+/// Write-backs are the only storage writes in T-Part; §5.4 replay
+/// re-applies them on top of the checkpoint (a remote one from the home's
+/// network log, a local one by re-running its plan). When `make_sticky`,
+/// the home machine also retains the value in its sticky cache (§5.2).
 struct WriteBackStep {
   ObjectKey key = 0;
   MachineId home = kInvalidMachine;

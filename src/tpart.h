@@ -18,8 +18,6 @@
 #include "storage/partitioned_store.h"   // IWYU pragma: export
 #include "storage/record.h"              // IWYU pragma: export
 #include "storage/table.h"               // IWYU pragma: export
-#include "storage/write_back_log.h"      // IWYU pragma: export
-#include "storage/zigzag_checkpoint.h"   // IWYU pragma: export
 
 #include "txn/procedure.h"  // IWYU pragma: export
 #include "txn/rw_set.h"     // IWYU pragma: export

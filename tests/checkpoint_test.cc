@@ -17,8 +17,8 @@
 #include "net/resend_window.h"
 #include "runtime/channel.h"
 #include "runtime/cluster.h"
+#include "runtime/machine_checkpoint.h"
 #include "storage/kv_store.h"
-#include "storage/zigzag_checkpoint.h"
 #include "test_time.h"
 #include "workload/micro.h"
 
@@ -105,18 +105,19 @@ TEST(CheckpointTest, ResendWindowPrunesAndReplaysInOrder) {
 }
 
 // ---------------------------------------------------------------------
-// Unit: incremental refresh of a Zig-Zag checkpoint image.
+// Unit: incremental refresh of a checkpoint's record image.
 // ---------------------------------------------------------------------
 
-TEST(CheckpointTest, ApplyDirtyFoldsUpsertsAndDeletes) {
+TEST(CheckpointTest, FoldRecordsFoldsUpsertsAndDeletes) {
   KvStore source;
   source.Upsert(1, Record{10});
   source.Upsert(2, Record{20});
   source.Upsert(3, Record{30});
 
-  ZigZagCheckpointStore image;
-  source.Scan(0, 100,
-              [&](ObjectKey k, const Record& v) { image.Put(k, v); });
+  MachineCheckpoint image;
+  source.Scan(0, 100, [&](ObjectKey k, const Record& v) {
+    image.records.emplace(k, v);
+  });
 
   // Mutate the source: overwrite, insert, delete.
   source.Upsert(2, Record{21});
@@ -124,11 +125,9 @@ TEST(CheckpointTest, ApplyDirtyFoldsUpsertsAndDeletes) {
   (void)source.Delete(3);
 
   // Refreshing only the dirty keys makes the image equal the source.
-  EXPECT_EQ(image.ApplyDirty(source, {2, 3, 4}), 3u);
+  EXPECT_EQ(image.FoldRecords(source, {2, 3, 4}), 3u);
   std::vector<std::pair<ObjectKey, Record>> from_image;
-  image.Checkpoint([&](ObjectKey k, const Record& v) {
-    from_image.emplace_back(k, v);
-  });
+  for (const auto& entry : image.records) from_image.push_back(entry);
   std::vector<std::pair<ObjectKey, Record>> from_source;
   source.Scan(0, 100, [&](ObjectKey k, const Record& v) {
     from_source.emplace_back(k, v);

@@ -1,7 +1,7 @@
 // Crash-fault-tolerance tests: deterministic crash injection, heartbeat
 // failure detection, and in-run recovery (§5.4 made live). A streaming
 // run with a machine crash-stopped mid-stream must detect the failure,
-// rebuild the machine from its Zig-Zag checkpoint plus the request and
+// rebuild the machine from its checkpoint image plus the request and
 // network logs, re-ship the lost rounds, and finish with byte-identical
 // results and final store state to the crash-free run — on every
 // transport, including under seeded network faults. Without recovery,

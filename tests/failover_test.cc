@@ -569,7 +569,10 @@ struct LoopbackEnsemble {
 
   void Append(std::uint64_t first, std::uint64_t last) {
     for (std::uint64_t t = first; t <= last; ++t) {
-      ASSERT_TRUE(set.LeaderAppend(TaggedBatch(t))) << "batch " << t;
+      const Result<bool> appended = set.LeaderAppend(TaggedBatch(t));
+      ASSERT_TRUE(appended.ok())
+          << "batch " << t << ": " << appended.status().ToString();
+      ASSERT_TRUE(*appended) << "batch " << t;
     }
   }
 
@@ -632,8 +635,11 @@ TEST(FailoverTest, ReplicaSetRestartedReplicaCatchesUp) {
   LoopbackEnsemble ens(/*standbys=*/1);
   ens.Append(1, 2);
   ens.drop_appends = true;
-  std::thread stuck(
-      [&] { EXPECT_FALSE(ens.set.LeaderAppend(TaggedBatch(99))); });
+  std::thread stuck([&] {
+    const Result<bool> appended = ens.set.LeaderAppend(TaggedBatch(99));
+    ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+    EXPECT_FALSE(*appended);
+  });
   while (ens.set.CommittedLog().size() < 3) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
@@ -645,6 +651,24 @@ TEST(FailoverTest, ReplicaSetRestartedReplicaCatchesUp) {
   ens.FailOver();
   EXPECT_EQ(ens.set.leader(), 0u);
   EXPECT_EQ(Tags(ens.set.CommittedLog()), TagRange(1, 4));
+}
+
+TEST(FailoverTest, ReplicaSetAppendWithoutQuorumTimesOut) {
+  // The standby never receives the append, so its quorum cannot form: a
+  // bounded append reports that, naming what it waited for, instead of
+  // blocking admission forever.
+  LoopbackEnsemble ens(/*standbys=*/1);
+  ens.Append(1, 1);
+  ens.drop_appends = true;
+  const Result<bool> appended = ens.set.LeaderAppend(
+      TaggedBatch(2), std::chrono::microseconds(test::ScaledUs(50000)));
+  ASSERT_FALSE(appended.ok());
+  EXPECT_EQ(appended.status().code(), StatusCode::kUnavailable);
+  const std::string& msg = appended.status().message();
+  EXPECT_NE(msg.find("log append 1 (term 1) has 0 of 1 standby acks"),
+            std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("down replicas: none"), std::string::npos) << msg;
 }
 
 TEST(FailoverTest, ReplicaSetReplicasAgreeAfterRepeatedFailovers) {

@@ -95,15 +95,6 @@ TEST(StorageServiceTest, AbsentWriteBackDeletes) {
   EXPECT_TRUE(Read(svc, 1, 3).is_absent());
 }
 
-TEST(StorageServiceTest, UndoLogCoversWriteBacks) {
-  KvStore store;
-  store.Upsert(1, Record{10});
-  StorageService svc(&store);
-  svc.ApplyWriteBack(1, 3, kInvalidTxnId, Record{30}, 0, false, 1);
-  EXPECT_GE(svc.write_back_log().num_entries(), 1u);
-  EXPECT_GE(svc.write_back_log().num_committed_batches(), 1u);
-}
-
 TEST(StorageServiceTest, StickyHitCounting) {
   KvStore store;
   store.Upsert(1, Record{10});
@@ -123,6 +114,35 @@ TEST(StorageServiceTest, ShutdownReleasesParkedReaders) {
   reader.join();
   ASSERT_TRUE(got.has_value());
   EXPECT_TRUE(got->is_absent());
+}
+
+TEST(StorageServiceTest, ShutdownNeverAnswersARemoteRead) {
+  // A failed run shuts machines down one at a time, so a remote requester
+  // may still be executing: an absent placeholder sent to it would run a
+  // procedure on a record that does not exist. Only local readers, parked
+  // or arriving after shutdown, get the placeholder.
+  KvStore store;
+  store.Upsert(1, Record{10});
+  StorageService svc(&store);
+  std::vector<Record> local;
+  std::vector<Record> remote;
+  const auto local_done = [&](Record v) { local.push_back(std::move(v)); };
+  const auto remote_done = [&](Record v) { remote.push_back(std::move(v)); };
+  // Parked: version 5 of key 1 never arrives.
+  svc.AsyncRead(1, /*expected=*/5, local_done);
+  svc.AsyncRead(1, /*expected=*/5, remote_done,
+                StorageService::RemoteReadTag{/*reply_to=*/2, /*req_id=*/7});
+  svc.Shutdown();
+  ASSERT_EQ(local.size(), 1u);
+  EXPECT_TRUE(local[0].is_absent());
+  EXPECT_TRUE(remote.empty());
+  // Arriving after shutdown, for the version that is current.
+  svc.AsyncRead(1, kInvalidTxnId, local_done);
+  svc.AsyncRead(1, kInvalidTxnId, remote_done,
+                StorageService::RemoteReadTag{/*reply_to=*/2, /*req_id=*/8});
+  ASSERT_EQ(local.size(), 2u);
+  EXPECT_TRUE(local[1].is_absent());
+  EXPECT_TRUE(remote.empty());
 }
 
 
