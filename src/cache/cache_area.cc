@@ -14,6 +14,23 @@ void CacheArea::PutVersion(ObjectKey key, TxnId version, TxnId dst,
   cv_.notify_all();
 }
 
+std::optional<Record> CacheArea::TakeVersionLocked(
+    const std::tuple<ObjectKey, TxnId, TxnId>& k) {
+  auto it = versions_.find(k);
+  if (it == versions_.end()) return std::nullopt;
+  Record out = std::move(it->second);
+  // "After reading an object from the cache area, the destination
+  // transaction can invalidate the enclosing entry immediately" (§5.2).
+  versions_.erase(it);
+  return out;
+}
+
+std::optional<Record> CacheArea::TakeVersion(ObjectKey key, TxnId version,
+                                             TxnId dst) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return TakeVersionLocked({key, version, dst});
+}
+
 std::optional<Record> CacheArea::AwaitVersion(
     ObjectKey key, TxnId version, TxnId dst,
     std::chrono::microseconds timeout) {
@@ -21,13 +38,7 @@ std::optional<Record> CacheArea::AwaitVersion(
   const std::tuple<ObjectKey, TxnId, TxnId> k{key, version, dst};
   cv_.wait_for(lock, timeout,
                [&] { return shutdown_ || versions_.count(k) > 0; });
-  auto it = versions_.find(k);
-  if (it == versions_.end()) return std::nullopt;  // shutdown or timeout
-  Record out = std::move(it->second);
-  // "After reading an object from the cache area, the destination
-  // transaction can invalidate the enclosing entry immediately" (§5.2).
-  versions_.erase(it);
-  return out;
+  return TakeVersionLocked(k);  // nullopt: shutdown or timeout
 }
 
 bool CacheArea::HasVersion(ObjectKey key, TxnId version, TxnId dst) const {
@@ -37,33 +48,11 @@ bool CacheArea::HasVersion(ObjectKey key, TxnId version, TxnId dst) const {
 
 void CacheArea::PublishEpochEntry(ObjectKey key, TxnId version,
                                   SinkEpoch epoch, Record value) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    EpochEntry& e = epochs_[{key, version}];
-    e.value = std::move(value);
-    e.epoch = epoch;
-    NotePeakLocked();
-  }
-  cv_.notify_all();
-}
-
-std::optional<Record> CacheArea::AwaitEpochEntry(
-    ObjectKey key, TxnId version, bool invalidate, std::uint32_t total_reads,
-    std::chrono::microseconds timeout) {
-  std::unique_lock<std::mutex> lock(mu_);
-  const std::pair<ObjectKey, TxnId> k{key, version};
-  cv_.wait_for(lock, timeout,
-               [&] { return shutdown_ || epochs_.count(k) > 0; });
-  auto it = epochs_.find(k);
-  if (it == epochs_.end()) return std::nullopt;  // shutdown or timeout
-  EpochEntry& e = it->second;
-  Record out = e.value;
-  ++e.reads_served;
-  if (invalidate) e.total_reads = total_reads;
-  if (e.total_reads != 0 && e.reads_served >= e.total_reads) {
-    epochs_.erase(it);
-  }
-  return out;
+  std::lock_guard<std::mutex> lock(mu_);
+  EpochEntry& e = epochs_[{key, version}];
+  e.value = std::move(value);
+  e.epoch = epoch;
+  NotePeakLocked();
 }
 
 std::optional<Record> CacheArea::TryEpochEntry(ObjectKey key, TxnId version,

@@ -16,7 +16,7 @@
 
 namespace tpart {
 
-/// The executor's key-value cache area (§3.4, §5.2), "implemented above
+/// A machine's key-value cache area (§3.4, §5.2), "implemented above
 /// the buffer manager of the storage engine" to hold objects written by
 /// earlier local transactions or pushed from remote machines.
 ///
@@ -31,19 +31,22 @@ namespace tpart {
 ///    a bounded number of sinking rounds, serving "immediate storage reads
 ///    after write" cheaply.
 ///
-/// Internally synchronized: local executor threads and the network
-/// receiver both touch it, and readers block until the wanted version
-/// materialises — this *is* the version-based deterministic concurrency
-/// control ("the transaction stalls if the object is not available in
-/// memory yet", §3.4).
+/// Internally synchronized. Readers probe without blocking: a machine's
+/// loop parks the plan whose version is not here yet and resumes it when
+/// a later dispatch supplies the version — this *is* the version-based
+/// deterministic concurrency control ("the transaction stalls if the
+/// object is not available in memory yet", §3.4). AwaitVersion() is the
+/// blocking form for single-purpose callers (benchmarks, tests).
 class CacheArea {
  public:
   /// Stores a version entry <key, version, dst> and wakes waiters.
   void PutVersion(ObjectKey key, TxnId version, TxnId dst, Record value);
 
+  /// Consumes entry <key, version, dst> when present; nullopt otherwise.
+  std::optional<Record> TakeVersion(ObjectKey key, TxnId version, TxnId dst);
+
   /// Blocks until entry <key, version, dst> exists, then consumes it.
-  /// Returns nullopt after Shutdown(), or when `timeout` passes first: a
-  /// lost push fails its run instead of hanging it.
+  /// Returns nullopt after Shutdown(), or when `timeout` passes first.
   std::optional<Record> AwaitVersion(
       ObjectKey key, TxnId version, TxnId dst,
       std::chrono::microseconds timeout = kStallTimeout);
@@ -55,18 +58,12 @@ class CacheArea {
   void PublishEpochEntry(ObjectKey key, TxnId version, SinkEpoch epoch,
                          Record value);
 
-  /// Blocks until epoch entry <key, version> exists and serves one read.
-  /// When `invalidate` is set, this read also announces the entry's final
-  /// read count `total_reads`; the entry is freed once that many reads
-  /// (including earlier and still-outstanding ones) have been served.
-  /// Returns nullopt after Shutdown(), or when `timeout` passes first.
-  std::optional<Record> AwaitEpochEntry(
-      ObjectKey key, TxnId version, bool invalidate,
-      std::uint32_t total_reads,
-      std::chrono::microseconds timeout = kStallTimeout);
-
-  /// Non-blocking variant for service threads (remote pulls are parked by
-  /// the machine until the entry appears). Serves one read when present.
+  /// Serves one read of epoch entry <key, version> when present; nullopt
+  /// otherwise (the machine parks the plan or remote pull until the entry
+  /// is published). When `invalidate` is set, this read also announces
+  /// the entry's final read count `total_reads`; the entry is freed once
+  /// that many reads (including earlier and still-outstanding ones) have
+  /// been served.
   std::optional<Record> TryEpochEntry(ObjectKey key, TxnId version,
                                       bool invalidate,
                                       std::uint32_t total_reads);
@@ -163,6 +160,9 @@ class CacheArea {
     SinkEpoch expire_epoch = 0;
   };
 
+  std::optional<Record> TakeVersionLocked(
+      const std::tuple<ObjectKey, TxnId, TxnId>& k);
+
   void NotePeakLocked() {
     const std::size_t live = versions_.size() + epochs_.size();
     if (live > peak_entries_) peak_entries_ = live;
@@ -173,7 +173,7 @@ class CacheArea {
   bool shutdown_ = false;
 
   // Open-addressing tables (common/flat_map.h): entry churn on the
-  // executor hot path stops allocating a tree node per entry. Capture()
+  // execution hot path stops allocating a tree node per entry. Capture()
   // sorts its output, preserving the deterministic checkpoint image the
   // ordered maps used to provide.
   FlatMap<std::tuple<ObjectKey, TxnId, TxnId>, Record> versions_;

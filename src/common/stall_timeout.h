@@ -5,12 +5,12 @@
 
 namespace tpart {
 
-/// Bound on every blocking wait of the threaded runtime: the executor's
-/// cache, response, peer and storage waits, the dissemination stage's
-/// epoch credits and stage receives, and the control plane's barriers and
-/// elections. A wait that expires aborts the run with a stall diagnostic
-/// (executor paths) or surfaces as ClusterRunOutcome::fault
-/// (dissemination).
+/// Bound on every blocking wait of the threaded runtime: a plan parked on
+/// a read (or Calvin's peer reads), the dissemination stage's epoch
+/// credits and stage receives, recovery's replay, the transports' flush,
+/// and the control plane's barriers and elections. A wait that expires
+/// aborts the run with a stall diagnostic (a parked plan) or surfaces as
+/// ClusterRunOutcome::fault (the rest).
 inline constexpr std::chrono::microseconds kStallTimeout{120'000'000};
 
 }  // namespace tpart

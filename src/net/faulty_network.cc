@@ -122,13 +122,17 @@ void FaultyPacketNetwork::TimerLoop() {
   }
 }
 
-void FaultyPacketNetwork::Drain() {
+bool FaultyPacketNetwork::Drain(
+    std::chrono::steady_clock::time_point deadline) {
   {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock,
-             [&] { return (delayed_.empty() && !releasing_) || timer_stop_; });
+    if (!cv_.wait_until(lock, deadline, [&] {
+          return (delayed_.empty() && !releasing_) || timer_stop_;
+        })) {
+      return false;
+    }
   }
-  inner_->Drain();
+  return inner_->Drain(deadline);
 }
 
 void FaultyPacketNetwork::Stop() {

@@ -50,7 +50,8 @@ class FaultyPacketNetwork : public PacketNetwork {
 
   void Start(std::size_t num_machines, HandlerFn handler) override;
   void Send(MachineId from, MachineId to, std::string packet) override;
-  void Drain() override;
+  [[nodiscard]] bool Drain(
+      std::chrono::steady_clock::time_point deadline) override;
   void Stop() override;
   TransportStats stats() const override;
 

@@ -53,9 +53,11 @@ void InProcessPacketNetwork::Send(MachineId from, MachineId to,
   if (waited) ++stats_.backpressure_waits;
 }
 
-void InProcessPacketNetwork::Drain() {
+bool InProcessPacketNetwork::Drain(
+    std::chrono::steady_clock::time_point deadline) {
   std::unique_lock<std::mutex> lock(drain_mu_);
-  drain_cv_.wait(lock, [&] { return handled_ == accepted_; });
+  return drain_cv_.wait_until(lock, deadline,
+                              [&] { return handled_ == accepted_; });
 }
 
 void InProcessPacketNetwork::Stop() {

@@ -2,6 +2,7 @@
 #define TPART_NET_PACKET_NETWORK_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <memory>
@@ -37,10 +38,11 @@ class PacketNetwork {
   virtual void Send(MachineId from, MachineId to, std::string packet) = 0;
 
   /// Best-effort quiesce: blocks until every packet this network decided
-  /// to deliver has been handed to the handler. Does NOT guarantee
-  /// end-to-end delivery under faults — that is the reliability layer's
-  /// job (Transport::Flush).
-  virtual void Drain() = 0;
+  /// to deliver has been handed to the handler, or `deadline` passes
+  /// (false). Does NOT guarantee end-to-end delivery under faults — that
+  /// is the reliability layer's job (Transport::Flush).
+  [[nodiscard]] virtual bool Drain(
+      std::chrono::steady_clock::time_point deadline) = 0;
 
   /// Stops all network threads; idempotent. Undelivered packets are
   /// discarded.
@@ -65,7 +67,8 @@ class InProcessPacketNetwork : public PacketNetwork {
 
   void Start(std::size_t num_machines, HandlerFn handler) override;
   void Send(MachineId from, MachineId to, std::string packet) override;
-  void Drain() override;
+  [[nodiscard]] bool Drain(
+      std::chrono::steady_clock::time_point deadline) override;
   void Stop() override;
   TransportStats stats() const override;
 

@@ -224,9 +224,10 @@ void TcpPacketNetwork::ReaderLoop(MachineId dst, int fd) {
   }
 }
 
-void TcpPacketNetwork::Drain() {
+bool TcpPacketNetwork::Drain(std::chrono::steady_clock::time_point deadline) {
   std::unique_lock<std::mutex> lock(drain_mu_);
-  drain_cv_.wait(lock, [&] { return handled_ == accepted_; });
+  return drain_cv_.wait_until(lock, deadline,
+                              [&] { return handled_ == accepted_; });
 }
 
 void TcpPacketNetwork::Stop() {

@@ -296,13 +296,18 @@ void SerializedTransport::RetryLoop() {
   }
 }
 
-void SerializedTransport::Flush() {
-  if (!started_) return;
+Status SerializedTransport::Flush(std::chrono::microseconds timeout) {
+  if (!started_) return Status::Ok();
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  bool acked = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    flush_cv_.wait(lock, [&] { return unacked_total_ == 0; });
+    acked = flush_cv_.wait_until(lock, deadline,
+                                 [&] { return unacked_total_ == 0; });
   }
-  network_->Drain();
+  if (acked && network_->Drain(deadline)) return Status::Ok();
+  return Status::Unavailable("transport flush timed out: " +
+                             LinkDiagnostic());
 }
 
 void SerializedTransport::Stop() {

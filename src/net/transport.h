@@ -15,6 +15,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/stall_timeout.h"
+#include "common/status.h"
 #include "metrics/run_stats.h"
 #include "net/faulty_network.h"
 #include "net/packet_network.h"
@@ -52,7 +54,7 @@ struct TransportOptions {
 };
 
 /// Message conduit between the machines of a LocalCluster. Thread-safe:
-/// every machine's executor/service threads send concurrently.
+/// every machine's loop thread and the control plane send concurrently.
 class Transport {
  public:
   using DeliverFn = std::function<void(Message)>;
@@ -79,9 +81,11 @@ class Transport {
 
   /// Blocks until every message accepted so far has been delivered to
   /// its destination — under fault injection, until every data packet
-  /// has been acknowledged. Call after executors drain, before reading
-  /// final store state.
-  virtual void Flush() = 0;
+  /// has been acknowledged. Call after the machines drain, before reading
+  /// final store state. kUnavailable, carrying LinkDiagnostic(), when
+  /// that has not happened within `timeout` (a link that never heals).
+  [[nodiscard]] virtual Status Flush(
+      std::chrono::microseconds timeout = kStallTimeout) = 0;
 
   /// Stops transport threads; idempotent.
   virtual void Stop() = 0;
@@ -106,7 +110,7 @@ class DirectTransport : public Transport {
  public:
   void Start(std::vector<DeliverFn> deliver) override;
   void Send(MachineId from, MachineId to, Message msg) override;
-  void Flush() override {}
+  Status Flush(std::chrono::microseconds) override { return Status::Ok(); }
   void Stop() override {}
   TransportStats stats() const override;
 
@@ -132,7 +136,8 @@ class SerializedTransport : public Transport {
   void Send(MachineId from, MachineId to, Message msg) override;
   void SendBatch(MachineId from,
                  std::vector<std::pair<MachineId, Message>>& msgs) override;
-  void Flush() override;
+  Status Flush(
+      std::chrono::microseconds timeout = kStallTimeout) override;
   void Stop() override;
   TransportStats stats() const override;
   void AdvanceFaultEpoch(std::uint64_t epoch) override;

@@ -37,9 +37,6 @@ struct Message {
     kWriteBackApply,
     /// Calvin peer-push of local read results for one transaction (§2.1).
     kPeerReads,
-    /// Self-notification: the local executor published an epoch entry;
-    /// parked remote pulls may now be served.
-    kLocalPublish,
     /// Streaming dissemination (§3.3/§5.2): one sinking round's full push
     /// plan (`plan_bytes` = EncodeSinkPlan output) plus the specs of its
     /// transactions; every machine receives every round and executes only
@@ -72,9 +69,10 @@ struct Message {
     /// Local-only service fence (Machine::FenceService): posted directly
     /// into a machine's inbound queue; when dispatched, every message
     /// delivered before it has been applied. A non-zero `epoch` is a
-    /// capture epoch: posted at a quiescent epoch boundary (the executor's
-    /// checkpoint cadence, the migration cut), the service thread captures
-    /// the machine's checkpoint on dispatch. Never crosses the wire.
+    /// capture epoch: posted at the migration cut's quiescent epoch
+    /// boundary, the machine's loop captures its checkpoint on dispatch.
+    /// `req_id` 0 fences nobody: it only wakes the loop (a failed run's
+    /// drain, a Recover() request). Never crosses the wire.
     kServiceFence,
     /// Coordinator replication (§2.1 Zab, DESIGN §4i): leader -> standby
     /// replication of one sequenced batch. `req_id` is the log index,

@@ -269,7 +269,7 @@ struct RunContext {
   SinkEpoch end_epoch = 0;
 
   // Admission-to-result latency: the admission stage stamps each real
-  // transaction at batch formation; the executor's commit hook closes the
+  // transaction at batch formation; the machine's commit hook closes the
   // pair and erases it, so the map holds only in-flight transactions.
   struct {
     std::mutex mu;
@@ -459,7 +459,7 @@ class Admission {
         // latency spans the failover — the honest number.
         ctx_.latency.admitted.emplace(spec.id, now);
         // Opens the per-transaction admit->commit lifecycle span, closed
-        // by the executor's commit hook.
+        // by the machine's commit hook.
         TPART_TRACE(AsyncBegin("txn", "lifecycle", spec.id));
         if (obs::SampledTxn(spec.id, ctx_.options.txn_sample)) {
           TPART_TRACE(AsyncInstant("admitted", "timeline", spec.id,
@@ -616,12 +616,11 @@ class Watchdog {
     }
   }
 
-  /// The run's JoinExecutor() round covers only the original executors.
   /// Quiesce the crash schedule before the stream is torn down: wait for
-  /// the watchdog to recover any machine that is still down, join the
-  /// recovered executors (a later scheduled crash can fire on one of
-  /// those), and repeat until every scheduled machine ends up alive — or
-  /// the watchdog declared an unrecoverable fault. Then stop the thread.
+  /// the watchdog to recover every scheduled victim that is still down
+  /// (a failed run's JoinExecutor() returns on a machine that is down) —
+  /// or to declare an unrecoverable fault. A victim still down after
+  /// kStallTimeout faults the run. Then stop the thread.
   void QuiesceAndStop() {
     if (!thread_.joinable()) return;
     const auto any_down = [&] {
@@ -630,18 +629,24 @@ class Watchdog {
       }
       return false;
     };
-    for (;;) {
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] { return fatal_ || !any_down(); });
-        if (fatal_) break;
+    bool recovered = false;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      recovered = cv_.wait_for(lock, kStallTimeout,
+                               [&] { return fatal_ || !any_down(); });
+    }
+    if (!recovered) {
+      std::ostringstream out;
+      out << "crashed machines not recovered at the end of the run:";
+      for (std::size_t m = 0; m < ctx_.machines.size(); ++m) {
+        if (crash_scheduled_[m] && ctx_.machines[m]->crashed()) {
+          out << " " << ctx_.machines[m]->StallDiagnostic() << ";";
+        }
       }
-      for (auto& m : ctx_.machines) m->JoinRecoveredExecutor();
-      if (!any_down()) break;
+      ctx_.DeclareFault(out.str());
     }
     stop_.store(true, std::memory_order_release);
     thread_.join();
-    for (auto& m : ctx_.machines) m->JoinRecoveredExecutor();
   }
 
   /// The latest suspicion snapshot, for stall diagnostics.
@@ -738,27 +743,30 @@ class Watchdog {
     TPART_FLIGHT(obs::FlightEvent::kFailureDeclared, 0, m, last_seen_[m]);
     // Also dumps the flight recorder's post-mortem, recoverable or not.
     const std::string diag = machine.StallDiagnostic();
+    Status failure = Status::Ok();
     if (!crash_scheduled_[m] || !ctx_.options.crash.recover ||
         !machine.crashed()) {
       std::ostringstream out;
       out << "machine " << m << " failed: no heartbeat progress for "
           << ctx_.options.detector.deadline_us << "us (phi=" << phi
           << "); " << diag;
-      ctx_.DeclareFault(out.str());
-      std::lock_guard<std::mutex> lock(mu_);
-      fatal_ = true;
-      cv_.notify_all();
-      return false;
+      failure = Status::Unavailable(out.str());
+    } else {
+      failure = RecoverInPlace(m, now);
     }
-    RecoverInPlace(m, now);
-    return true;
+    if (failure.ok()) return true;
+    ctx_.DeclareFault(failure.message());
+    std::lock_guard<std::mutex> lock(mu_);
+    fatal_ = true;
+    cv_.notify_all();
+    return false;
   }
 
   // In-run recovery: checkpoint restore + §5.4 local replay, then re-ship
   // the rounds the crash lost. Count fields accumulate across a
   // multi-crash schedule; machine / epoch / detection reflect this (the
-  // most recent) crash.
-  void RecoverInPlace(std::size_t m, Clock::time_point now) {
+  // most recent) crash. A replay that does not drain is the run's fault.
+  Status RecoverInPlace(std::size_t m, Clock::time_point now) {
     Machine& machine = *ctx_.machines[m];
     const auto id = static_cast<MachineId>(m);
     ++stats_.crashes_injected;
@@ -766,10 +774,14 @@ class Watchdog {
     const SinkEpoch resume = machine.resume_epoch();
     stats_.crash_epoch = resume > 0 ? resume - 1 : 0;
     stats_.detection_latency_us = UsSince(machine.crash_time(), now);
-    stats_.replayed_txns += machine.Recover([&] {
+    // The restore runs on the machine's loop while this thread waits in
+    // Recover(), which never returns while it runs.
+    Result<std::size_t> replayed = machine.Recover([&] {
       stats_.checkpoint_records +=
           RestorePartition(*ctx_.checkpoints.at(m), ctx_.store.store(id));
     });
+    if (!replayed.ok()) return replayed.status();
+    stats_.replayed_txns += *replayed;
     // Intake is idempotent, so over-shipping is harmless; the
     // front-of-window check guarantees we never under-ship (pruning stops
     // strictly below every machine's resume round).
@@ -816,6 +828,7 @@ class Watchdog {
     last_seen_[m] = machine.heartbeat_seen();
     std::lock_guard<std::mutex> lock(mu_);
     cv_.notify_all();
+    return Status::Ok();
   }
 
   RunContext& ctx_;
@@ -850,7 +863,7 @@ class Watchdog {
 /// serialized once and shipped to every machine as a kSinkPlan wire
 /// message; epoch credits bound how far dissemination may run ahead of
 /// execution. Round r reaches every machine before r+1 reaches any, which
-/// the FIFO executors rely on. Being the only shipper, this stage also
+/// the FIFO machine loops rely on. Being the only shipper, this stage also
 /// owns the fault clock, the membership steps, catch-up re-ships after a
 /// failover, zombie-leader revival, the coordinator-crash trigger and the
 /// failover itself (DESIGN §4i/§4j).
@@ -1070,7 +1083,12 @@ class Disseminator {
           break;
         }
       }
-      ctx_.transport.Flush();
+      Status flushed = ctx_.transport.Flush();
+      if (!flushed.ok()) {
+        ctx_.DeclareFault("quiesce before sever window at epoch " +
+                          std::to_string(epoch) +
+                          " stalled: " + flushed.message());
+      }
     }
     SetFaultEpoch(epoch);
   }
@@ -1122,7 +1140,7 @@ class Disseminator {
     //    The scheduler may already have sunk rounds past the cut, but this
     //    thread is the only shipper, so nothing past the cut is in flight.
     //    A crash armed at the cut epoch flips its machine down BEFORE the
-    //    round's credit is released (the executor defers the release past
+    //    round's credit is released (the loop defers the release past
     //    CrashStop), so a post-drain crashed() probe reliably sees it; the
     //    probe also covers the replay phase of an earlier crash, since the
     //    machine stays kRecovering until the replayed suffix finishes.
@@ -1146,7 +1164,7 @@ class Disseminator {
     // 2. Push every in-flight write-back and forward-push to its
     //    destination queue, then fence each service FIFO so everything
     //    delivered is also applied before state is scanned.
-    ctx_.transport.Flush();
+    if (Status s = ctx_.transport.Flush(); !s.ok()) return s;
     for (auto& m : ctx_.machines) {
       Status s = m->FenceService(kStallTimeout);
       if (!s.ok()) return s;
@@ -1196,7 +1214,7 @@ class Disseminator {
               << " keys) timed out";
           return Status::Unavailable(out.str());
         }
-        ctx_.transport.Flush();
+        if (Status s = ctx_.transport.Flush(); !s.ok()) return s;
         std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
     }
@@ -1447,7 +1465,7 @@ ClusterRunOutcome LocalCluster::RunTPart() {
   RunContext ctx(options_, *workload_, *store_, *transport_, machines_,
                  coordinator_.get(), elastic_, checkpoints_);
   Watchdog watchdog(ctx, std::move(crash_scheduled));
-  // Every hook is in place before any executor starts. Stall diagnostics
+  // Every hook is in place before any machine starts. Stall diagnostics
   // (DESIGN §4j) append the transport's per-link retry backlog, the
   // resend window depth, and the watchdog's latest suspicion snapshot.
   for (auto& m : machines_) {
@@ -1498,17 +1516,20 @@ ClusterRunOutcome LocalCluster::RunTPart() {
   }
   disseminator.EndStream();
 
-  // Executors exit once the stream end reaches them (via the transport's
-  // reliable delivery) and their queues drain.
+  // Machines go idle once the stream end reaches them (via the
+  // transport's reliable delivery) and their queues drain; a crashed one
+  // is waited for through its recovery.
   for (auto& m : machines_) m->JoinExecutor();
   watchdog.QuiesceAndStop();
-  // The hooks capture this frame's run context and watchdog; no executor
-  // can call them now, and the machines outlive this frame.
+  // The hooks capture this frame's run context and watchdog; no plan can
+  // call them now, and the machines outlive this frame.
   for (auto& m : machines_) {
     m->set_commit_hook(nullptr);
     m->set_diagnostic_context(nullptr);
   }
-  transport_->Flush();
+  if (Status flushed = transport_->Flush(); !flushed.ok()) {
+    ctx.DeclareFault("final flush: " + flushed.message());
+  }
   if (ctx.sampler != nullptr) {
     // The source captures this frame's counters by reference: stop the
     // sampling thread and detach the source before they go out of scope.
@@ -1726,8 +1747,9 @@ ClusterRunOutcome LocalCluster::RunCalvin() {
   for (auto& m : machines_) m->StartCalvin();
   for (auto& m : machines_) m->FinishEnqueue();
   for (auto& m : machines_) m->JoinExecutor();
-  transport_->Flush();
+  const Status flushed = transport_->Flush();
   ClusterRunOutcome outcome = CollectResults(/*dedup_participants=*/true);
+  outcome.fault = flushed;
   outcome.transport = transport_->stats();
   StopAll();
   return outcome;

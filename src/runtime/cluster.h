@@ -37,7 +37,7 @@ struct PipelineOptions {
   std::size_t plan_queue_capacity = 4;
   /// Sinking rounds in flight per machine: disseminated but not fully
   /// executed; at least 1. Dissemination blocks past this, which is how
-  /// slow executors throttle the scheduler.
+  /// slow machines throttle the scheduler.
   std::size_t epoch_queue_capacity = 4;
 };
 
@@ -67,7 +67,7 @@ struct LocalClusterOptions {
     /// Alternative trigger: crash after this many executed plans,
     /// possibly mid-round. At most one trigger per event.
     std::uint64_t after_txns = 0;
-    /// Third trigger: crash before the executor handles anything at all
+    /// Third trigger: crash before the machine runs anything at all
     /// (the epoch-0 edge — no sinking round has drained yet).
     bool at_start = false;
     bool operator==(const CrashEvent&) const = default;
@@ -272,7 +272,7 @@ std::string ApplySeededChaos(std::uint64_t seed, std::size_t num_machines,
                              bool extended = false);
 
 /// A multi-machine deterministic database in one process: N Machines
-/// (each a partition-owning executor + service thread) wired by in-memory
+/// (each one partition-owning loop thread) wired by in-memory
 /// channels. Supports both execution engines over the same workload:
 ///  * RunCalvin() — the §2.1 baseline (peer-pushing, every participant
 ///    executes);
@@ -292,7 +292,7 @@ class LocalCluster {
   /// incrementally through a Sequencer, scheduled on a dedicated thread,
   /// and each sunk round ships to the machines as a kSinkPlan wire
   /// message the moment it exists. Memory stays bounded by the
-  /// `pipeline` caps; each machine runs one executor thread.
+  /// `pipeline` caps; each machine runs one loop thread.
   ClusterRunOutcome RunTPart();
   ClusterRunOutcome RunCalvin();
 

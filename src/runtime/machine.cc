@@ -1,9 +1,10 @@
 #include "runtime/machine.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <sstream>
-
 #include <unordered_map>
+#include <utility>
 
 #include "common/logging.h"
 #include "elastic/migration.h"
@@ -37,14 +38,7 @@ Machine::Machine(MachineId id, std::size_t num_machines, KvStore* store,
       send_(std::move(send)),
       storage_(store) {}
 
-Machine::~Machine() {
-  if (executor_.joinable()) executor_.join();
-  if (recovery_executor_.joinable()) recovery_executor_.join();
-  if (service_.joinable()) {
-    Deliver(Message{});  // kShutdown default
-    service_.join();
-  }
-}
+Machine::~Machine() { Stop(); }
 
 void Machine::SendOut(MachineId to, Message msg) {
   if (replay_) return;  // §5.4 replay is local
@@ -58,121 +52,148 @@ void Machine::SendOutBatch(std::vector<std::pair<MachineId, Message>>& msgs) {
 
 void Machine::EnqueueTPartEpoch(SinkEpoch epoch,
                                 std::vector<PlanItem> items) {
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    for (auto& item : items) {
-      tpart_work_.push_back(WorkUnit{epoch, std::move(item), false});
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto& item : items) {
+    tpart_work_.push_back(WorkUnit{epoch, std::move(item), false});
   }
-  work_cv_.notify_all();
 }
 
 void Machine::EnqueueCalvinTxn(TxnSpec spec) {
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    calvin_work_.push_back(std::move(spec));
-  }
-  work_cv_.notify_one();
+  std::lock_guard<std::mutex> lock(mu_);
+  calvin_work_.push_back(std::move(spec));
 }
 
 void Machine::FinishEnqueue() {
   {
-    std::lock_guard<std::mutex> lock(work_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     finished_enqueue_ = true;
   }
-  work_cv_.notify_all();
+  cv_.notify_all();
 }
 
 void Machine::StartTPart() {
-  service_running_ = true;
   service_ = std::thread([this] { ServiceLoop(); });
-  executor_ = std::thread([this] { TPartExecutorLoop(/*initial=*/true); });
 }
 
 void Machine::StartCalvin() {
-  service_running_ = true;
+  calvin_ = true;
   service_ = std::thread([this] { ServiceLoop(); });
-  executor_ = std::thread([this] { CalvinExecutorLoop(); });
+}
+
+bool Machine::IdleLocked() const {
+  const bool draining = draining_.load(std::memory_order_relaxed);
+  // A crashed machine is waited for through its recovery, unless the run
+  // failed and nobody will recover it.
+  if (run_state_.load(std::memory_order_relaxed) == RunState::kDown) {
+    return draining;
+  }
+  return !head_active_ && tpart_work_.empty() && calvin_work_.empty() &&
+         (finished_enqueue_ || draining);
 }
 
 void Machine::JoinExecutor() {
-  if (executor_.joinable()) executor_.join();
-}
-
-void Machine::JoinRecoveredExecutor() {
-  if (recovery_executor_.joinable()) recovery_executor_.join();
+  std::unique_lock<std::mutex> lock(mu_);
+  cv_.wait(lock, [&] { return IdleLocked(); });
 }
 
 void Machine::Stop() {
-  // Drain first: by the time a machine is stopped, every peer executor
-  // has joined and the cluster has Flush()ed the transport, so all
-  // in-flight messages already sit in the inbound queue; processing up
-  // to the shutdown sentinel applies any remaining write-backs before
-  // the storage front-end closes.
+  // By the time a machine is stopped every machine has gone idle and the
+  // cluster has Flush()ed the transport, so all in-flight messages
+  // already sit in the inbound queue; the loop dispatches up to the
+  // shutdown sentinel, applying any remaining write-backs before the
+  // storage front-end closes.
   if (service_.joinable()) {
     Message stop;
     stop.type = Message::Type::kShutdown;
     inbound_.Send(std::move(stop));
     service_.join();
   }
-  cache_.Shutdown();
   storage_.Shutdown();
-  {
-    std::lock_guard<std::mutex> lock(resp_mu_);
-    resp_shutdown_ = true;
-  }
-  resp_cv_.notify_all();
-  {
-    std::lock_guard<std::mutex> lock(peer_mu_);
-    peer_shutdown_ = true;
-  }
-  peer_cv_.notify_all();
   {
     std::lock_guard<std::mutex> lock(credit_mu_);
     credit_shutdown_ = true;
   }
   credit_cv_.notify_all();
-  service_running_ = false;
 }
 
 std::vector<TxnResult> Machine::TakeResults() {
-  std::lock_guard<std::mutex> lock(results_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return std::move(results_);
 }
 
+void Machine::Wake() {
+  Message wake;
+  wake.type = Message::Type::kServiceFence;  // sequence 0 fences nobody
+  inbound_.Send(std::move(wake));
+}
+
 // ---------------------------------------------------------------------
-// Service thread
+// The loop
 // ---------------------------------------------------------------------
 
 void Machine::ServiceLoop() {
-  TPART_TRACE(SetThreadInfo(static_cast<int>(1 + id_), "service"));
-  while (true) {
-    Message msg = inbound_.Receive();
-    if (msg.type == Message::Type::kShutdown) return;
-    if (run_state_.load(std::memory_order_acquire) == RunState::kDown) {
-      // Crash-stop: the machine is gone. Heartbeats are dropped so the
-      // failure detector sees the stall; everything else is stashed — the
-      // reliability layer already acked it on delivery into our inbound
-      // queue, so dropping it would lose it forever. Re-injecting the
-      // stash at recovery models the peers' transport retransmitting to
-      // the rebuilt machine. A local service fence is still served:
-      // Recover() uses one to wait out a dispatch that began before the
-      // crash-stop. (A capturing fence is never pending here: its poster
-      // waits for it, and only the executor crash-stops, after its wait.)
-      if (msg.type != Message::Type::kHeartbeat &&
-          msg.type != Message::Type::kServiceFence) {
-        std::lock_guard<std::mutex> lock(crash_mu_);
-        if (run_state_.load(std::memory_order_relaxed) == RunState::kDown) {
-          down_stash_.push_back(std::move(msg));
-          continue;
-        }
-        // Recovery flipped the state (under crash_mu_) since the fast
-        // check; fall through and process normally.
-      } else if (msg.type != Message::Type::kServiceFence) {
-        continue;
-      }
+  TPART_TRACE(SetThreadInfo(static_cast<int>(1 + id_), "loop"));
+  // The epoch-0 edge of the chaos matrix: the machine dies before any
+  // plan runs.
+  if (!calvin_ && crash_armed_.load(std::memory_order_acquire)) {
+    bool fire = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      fire = !crash_points_.empty() && crash_points_.front().at_start;
     }
-    Dispatch(std::move(msg));
+    if (fire) CrashStop(/*resume=*/1);
+  }
+  while (true) {
+    // Pending messages go first, so a run of ready plans (a recovery
+    // replay, say) never holds heartbeats, fences or peers' reads behind
+    // more than one plan.
+    std::optional<Message> msg = inbound_.TryReceive();
+    if (!msg.has_value()) {
+      if (calvin_ ? AdvanceCalvin() : AdvanceTPart()) continue;
+      msg = AwaitMessage();
+    }
+    if (msg->type == Message::Type::kShutdown) return;
+    if (run_state_.load(std::memory_order_relaxed) == RunState::kDown) {
+      DispatchWhileDown(std::move(*msg));
+    } else {
+      Dispatch(std::move(*msg));
+    }
+  }
+}
+
+Message Machine::AwaitMessage() {
+  if (!head_.parked) return inbound_.Receive();
+  const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+      head_.parked_since + kStallTimeout - std::chrono::steady_clock::now());
+  Result<Message> msg =
+      inbound_.ReceiveFor(std::max(left, std::chrono::microseconds(0)));
+  if (!msg.ok()) FailStall();
+  return std::move(msg).value();
+}
+
+void Machine::DispatchWhileDown(Message msg) {
+  // Crash-stop: the machine is gone. Heartbeats are dropped so the
+  // failure detector sees the stall; everything else is stashed — the
+  // reliability layer already acked it on delivery into our inbound
+  // queue, so dropping it would lose it forever. Re-injecting the stash
+  // at recovery models the peers' transport retransmitting to the rebuilt
+  // machine. Fences are still served; Recover() wakes the loop with one.
+  switch (msg.type) {
+    case Message::Type::kHeartbeat:
+      return;
+    case Message::Type::kServiceFence:
+      Dispatch(std::move(msg));
+      break;
+    default: {
+      std::lock_guard<std::mutex> lock(mu_);
+      down_stash_.push_back(std::move(msg));
+      return;
+    }
+  }
+  std::lock_guard<std::mutex> lock(recover_mu_);
+  if (restore_ != nullptr) {
+    RestoreAndReplay(*restore_);
+    restore_ = nullptr;
   }
 }
 
@@ -217,10 +238,7 @@ void Machine::Dispatch(Message msg) {
   // machine actually processes, except re-deliveries of already-logged
   // traffic (offline replay, and recovery's redelivery-marked
   // re-injections). Genuinely new traffic arriving while kRecovering IS
-  // logged — a later crash must be able to replay it too. So is a message
-  // whose dispatch races the executor's crash-stop: ServiceLoop saw the
-  // machine live, so it is applied here, and Recover() wipes what it
-  // applied; only the log brings it back.
+  // logged — a later crash must be able to replay it too.
   const bool log = log_recording_ && !replay_ && !msg.redelivery;
   switch (msg.type) {
     case Message::Type::kShutdown:
@@ -247,61 +265,17 @@ void Machine::Dispatch(Message msg) {
       cache_.PutVersion(msg.key, msg.version, msg.dst_txn,
                         std::move(msg.value));
       break;
-    case Message::Type::kCacheReadReq: {
+    case Message::Type::kCacheReadReq:
       // Logged so replay re-serves the same reads and entry/version
       // refcounts line up (§5.4 local replay).
       if (log) LogNetworkMessage(msg);
-      auto v = cache_.TryEpochEntry(msg.key, msg.version, msg.invalidate,
-                                    msg.total_reads);
-      if (v.has_value()) {
-        Message resp;
-        resp.type = Message::Type::kCacheReadResp;
-        resp.req_id = msg.req_id;
-        resp.value = std::move(*v);
-        SendOut(msg.reply_to, std::move(resp));
-      } else {
-        std::lock_guard<std::mutex> lock(stream_mu_);
-        parked_pulls_[{msg.key, msg.version}].push_back(std::move(msg));
-      }
+      ServePull(std::move(msg));
       break;
-    }
-    case Message::Type::kLocalPublish: {
-      std::vector<Message> reqs;
-      {
-        std::lock_guard<std::mutex> lock(stream_mu_);
-        auto it = parked_pulls_.find({msg.key, msg.version});
-        if (it != parked_pulls_.end()) {
-          reqs = std::move(it->second);
-          parked_pulls_.erase(it);
-        }
-      }
-      for (Message& req : reqs) {
-        auto v = cache_.TryEpochEntry(req.key, req.version, req.invalidate,
-                                      req.total_reads);
-        if (!v.has_value()) {
-          // A stale publish note re-injected from the crash stash can
-          // precede the replay's re-publication of the entry; re-park
-          // and let the genuine note serve it.
-          std::lock_guard<std::mutex> lock(stream_mu_);
-          parked_pulls_[{req.key, req.version}].push_back(std::move(req));
-          continue;
-        }
-        Message resp;
-        resp.type = Message::Type::kCacheReadResp;
-        resp.req_id = req.req_id;
-        resp.value = std::move(*v);
-        SendOut(req.reply_to, std::move(resp));
-      }
-      break;
-    }
     case Message::Type::kCacheReadResp:
     case Message::Type::kStorageReadResp: {
       if (log) LogNetworkMessage(msg);
-      {
-        std::lock_guard<std::mutex> lock(resp_mu_);
-        responses_[msg.req_id] = std::move(msg.value);
-      }
-      resp_cv_.notify_all();
+      std::lock_guard<std::mutex> lock(mu_);
+      responses_[msg.req_id] = std::move(msg.value);
       break;
     }
     case Message::Type::kStorageReadReq: {
@@ -329,14 +303,8 @@ void Machine::Dispatch(Message msg) {
       break;
     case Message::Type::kPeerReads: {
       if (log) LogNetworkMessage(msg);
-      {
-        std::lock_guard<std::mutex> lock(peer_mu_);
-        auto& bucket = peer_reads_[msg.txn];
-        for (auto& [key, value] : msg.kvs) {
-          bucket[key] = std::move(value);
-        }
-      }
-      peer_cv_.notify_all();
+      auto& bucket = peer_reads_[msg.txn];
+      for (auto& [key, value] : msg.kvs) bucket[key] = std::move(value);
       break;
     }
     // Elastic migration. Never network-logged: a replay re-shipping a
@@ -353,10 +321,11 @@ void Machine::Dispatch(Message msg) {
       break;
     case Message::Type::kServiceFence:
       // Every message ahead of the fence in this FIFO queue is fully
-      // applied. A capturing fence is posted at a quiescent epoch
-      // boundary, so capture here and truncate the logs before releasing
-      // the poster.
+      // applied. A capturing fence (the migration cut) is posted at a
+      // quiescent epoch boundary, so capture here and truncate the logs
+      // before releasing the poster.
       if (msg.epoch != 0) CaptureCheckpoint(msg.epoch);
+      if (msg.req_id == 0) break;  // a bare wake-up (Wake)
       {
         std::lock_guard<std::mutex> lock(fence_mu_);
         if (msg.req_id > fence_seen_) fence_seen_ = msg.req_id;
@@ -364,14 +333,14 @@ void Machine::Dispatch(Message msg) {
       fence_cv_.notify_all();
       break;
     // Streaming dissemination. Not network-logged: §5.4 replay re-runs
-    // from the request log, which ExecutePlan populates either way.
+    // from the request log, which the plan's start populates either way.
     case Message::Type::kSinkPlan:
       HandleSinkPlan(std::move(msg));
       break;
     case Message::Type::kPlanStreamEnd: {
       bool finish = false;
       {
-        std::lock_guard<std::mutex> lock(stream_mu_);
+        std::lock_guard<std::mutex> lock(mu_);
         stream_end_seen_ = true;
         stream_final_epoch_ = msg.epoch;
         // The end marker can overtake delayed rounds on an unordered
@@ -398,14 +367,34 @@ void Machine::Dispatch(Message msg) {
         ack.key = 2;  // watermark kind (see channel.h)
         ack.req_id = msg.req_id;
         ack.txn = static_cast<TxnId>(id_);
-        {
-          std::lock_guard<std::mutex> lock(stream_mu_);
-          ack.epoch = next_stream_epoch_ - 1;
-        }
+        ack.epoch = next_stream_epoch_ - 1;
         SendOut(msg.reply_to, std::move(ack));
       }
       break;
   }
+}
+
+void Machine::ServePull(Message req) {
+  auto v = cache_.TryEpochEntry(req.key, req.version, req.invalidate,
+                                req.total_reads);
+  if (!v.has_value()) {
+    // Served when the local plan producing the entry publishes it.
+    parked_pulls_[{req.key, req.version}].push_back(std::move(req));
+    return;
+  }
+  Message resp;
+  resp.type = Message::Type::kCacheReadResp;
+  resp.req_id = req.req_id;
+  resp.value = std::move(*v);
+  SendOut(req.reply_to, std::move(resp));
+}
+
+void Machine::ServeParkedPulls(ObjectKey key, TxnId version) {
+  auto it = parked_pulls_.find({key, version});
+  if (it == parked_pulls_.end()) return;
+  std::vector<Message> reqs = std::move(it->second);
+  parked_pulls_.erase(it);
+  for (Message& req : reqs) ServePull(std::move(req));
 }
 
 // ---------------------------------------------------------------------
@@ -447,7 +436,7 @@ void Machine::HandleSinkPlan(Message msg) {
   std::vector<std::pair<SinkEpoch, std::vector<PlanItem>>> ready;
   bool finish = false;
   {
-    std::lock_guard<std::mutex> lock(stream_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     if (plan->epoch < next_stream_epoch_ ||
         pending_stream_plans_.count(plan->epoch) != 0) {
       // Duplicate round: recovery re-ships a window of recent rounds and
@@ -487,34 +476,30 @@ void Machine::HandleSinkPlan(Message msg) {
 
 void Machine::EnqueueStreamEpoch(SinkEpoch epoch,
                                  std::vector<PlanItem> items) {
-  // Request the round's remote reads before its plans reach the executor,
+  // Request the round's remote reads before its plans can reach the head,
   // so their round trips overlap earlier plans. A round re-shipped after
   // Recover() at or below the watermark already has its requests out.
-  bool request = false;
-  {
-    std::lock_guard<std::mutex> lock(stream_mu_);
-    if (epoch > reads_issued_through_) {
+  if (epoch > reads_issued_through_) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
       reads_issued_through_ = epoch;
-      request = true;
     }
+    RequestRemoteReads(items);
   }
-  if (request) RequestRemoteReads(items);
   const bool empty = items.empty();
   {
-    std::lock_guard<std::mutex> lock(work_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     if (!empty) epoch_outstanding_[epoch] = items.size();
     for (auto& item : items) {
       tpart_work_.push_back(WorkUnit{epoch, std::move(item), false});
     }
   }
-  work_cv_.notify_all();
   // A round with no local slice holds its credit for no reason.
   if (empty) ReleaseEpochCredit();
 }
 
 void Machine::RequestRemoteReads(const std::vector<PlanItem>& items) {
-  // Per-service-thread scratch (DESIGN §4h), like the executor's outbox.
-  thread_local std::vector<std::pair<MachineId, Message>> requests;
+  auto& requests = scratch_.requests;
   requests.clear();
   for (const PlanItem& item : items) {
     const TxnPlan& p = item.plan;
@@ -523,7 +508,7 @@ void Machine::RequestRemoteReads(const std::vector<PlanItem>& items) {
       const bool pull = r.kind == ReadSourceKind::kCacheRemote;
       if (!pull &&
           (r.kind != ReadSourceKind::kStorage || r.src_machine == id_)) {
-        continue;  // served locally by the executor's gather
+        continue;  // served locally when the plan reaches the head
       }
       Message req;
       req.type = pull ? Message::Type::kCacheReadReq
@@ -540,22 +525,6 @@ void Machine::RequestRemoteReads(const std::vector<PlanItem>& items) {
     }
   }
   SendOutBatch(requests);
-}
-
-bool Machine::OnPlanItemDone(SinkEpoch epoch) {
-  const bool release = MarkPlanItemDone(epoch);
-  if (release) ReleaseEpochCredit();
-  return release;
-}
-
-bool Machine::MarkPlanItemDone(SinkEpoch epoch) {
-  std::lock_guard<std::mutex> lock(work_mu_);
-  auto it = epoch_outstanding_.find(epoch);
-  if (it != epoch_outstanding_.end() && --it->second == 0) {
-    epoch_outstanding_.erase(it);
-    return true;
-  }
-  return false;
 }
 
 Machine::CreditGrant Machine::AcquireEpochCreditFor(
@@ -599,195 +568,232 @@ std::size_t Machine::epochs_in_flight() const {
 }
 
 // ---------------------------------------------------------------------
-// T-Part executor
+// T-Part plans
 // ---------------------------------------------------------------------
 
-void Machine::TPartExecutorLoop(bool initial) {
-  TPART_TRACE(SetThreadInfo(static_cast<int>(1 + id_), "executor"));
-  // The epoch-0 edge of the chaos matrix: the machine dies before any
-  // plan runs. Only the StartTPart() executor honours it — a recovery
-  // executor must not re-fire the same point.
-  if (initial && crash_armed_.load(std::memory_order_acquire)) {
-    bool fire = false;
-    {
-      std::lock_guard<std::mutex> lock(crash_mu_);
-      fire = !crash_points_.empty() && crash_points_.front().at_start;
+bool Machine::AdvanceTPart() {
+  if (!head_active_) {
+    if (run_state_.load(std::memory_order_relaxed) == RunState::kDown) {
+      return false;
     }
-    if (fire) {
-      CrashStop(/*resume=*/1);
-      return;
-    }
-  }
-  // Plans pop in total order; a read blocks until its named version
-  // exists, produced by an earlier — hence already-popped — transaction
-  // or a remote machine.
-  while (true) {
-    WorkUnit unit;
-    bool evict = false;
     {
-      std::unique_lock<std::mutex> lock(work_mu_);
-      work_cv_.wait(lock, [&] {
-        return !tpart_work_.empty() || finished_enqueue_ ||
-               run_state_.load(std::memory_order_relaxed) ==
-                   RunState::kDown;
-      });
-      // Crash-stop: abandon queued work mid-stream. The executor
-      // observes this re-evaluating the predicate right after its own
-      // CrashStop() call.
-      if (run_state_.load(std::memory_order_relaxed) == RunState::kDown) {
-        return;
-      }
-      if (tpart_work_.empty()) return;
-      unit = std::move(tpart_work_.front());
+      std::lock_guard<std::mutex> lock(mu_);
+      if (tpart_work_.empty()) return false;
+      head_.unit = std::move(tpart_work_.front());
       tpart_work_.pop_front();
-      if (unit.epoch > evicted_upto_) {
-        evicted_upto_ = unit.epoch;
-        evict = true;
-      }
+      head_active_ = true;
     }
-    if (evict) {
+    const WorkUnit& unit = head_.unit;
+    TPART_CHECK(unit.item.plan.machine == id_);
+    head_.next_read = 0;
+    ++head_.gen;
+    head_.storage_issued = false;
+    head_.storage_value.reset();
+    scratch_.exec.Clear();
+    if (unit.epoch > evicted_upto_) {
+      evicted_upto_ = unit.epoch;
       cache_.EvictExpiredSticky(
           unit.epoch > kStickyTtl ? unit.epoch - kStickyTtl : 0);
     }
-    ExecutePlan(unit.epoch, unit.item, unit.replay);
-  }
-}
-
-void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
-                          bool is_replay) {
-  const TxnPlan& p = item.plan;
-  const TxnSpec& spec = item.spec;
-  TPART_CHECK(p.machine == id_);
-  // Request log: "the transaction requests are logged only after they are
-  // partitioned, and each machine logs only those requests that are
-  // assigned to itself" (§5.4). Entries land in execution order.
-  // Replayed plans are already in the log.
-  if (log_recording_ && !replay_ && !is_replay) {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    request_log_.push_back(RequestLogEntry{epoch, item});
-    request_log_bytes_ +=
-        sizeof(RequestLogEntry) +
-        item.spec.params.size() * sizeof(item.spec.params[0]);
-    if (request_log_bytes_ > request_log_bytes_peak_) {
-      request_log_bytes_peak_ = request_log_bytes_;
+    // Request log: "the transaction requests are logged only after they
+    // are partitioned, and each machine logs only those requests that are
+    // assigned to itself" (§5.4). Entries land in execution order.
+    // Replayed plans are already in the log.
+    if (log_recording_ && !replay_ && !unit.replay) {
+      std::lock_guard<std::mutex> lock(log_mu_);
+      request_log_.push_back(RequestLogEntry{unit.epoch, unit.item});
+      request_log_bytes_ +=
+          sizeof(RequestLogEntry) +
+          unit.item.spec.params.size() * sizeof(unit.item.spec.params[0]);
+      if (request_log_bytes_ > request_log_bytes_peak_) {
+        request_log_bytes_peak_ = request_log_bytes_;
+      }
+    }
+    TPART_FLIGHT(obs::FlightEvent::kExecute, 1 + id_, unit.item.plan.txn,
+                 unit.epoch);
+    if (obs::SampledTxn(unit.item.plan.txn, txn_sample_)) {
+      TPART_TRACE(AsyncInstant(unit.replay ? "replayed" : "executed",
+                               "timeline", unit.item.plan.txn,
+                               {{"machine", id_}, {"epoch", unit.epoch}}));
     }
   }
-
-  TPART_TRACE_SPAN("txn", is_replay ? "replay" : "exec",
-                   {{"txn", p.txn}, {"epoch", epoch}});
-  TPART_FLIGHT(obs::FlightEvent::kExecute, 1 + id_, p.txn, epoch);
-  if (obs::SampledTxn(p.txn, txn_sample_)) {
-    TPART_TRACE(AsyncInstant(is_replay ? "replayed" : "executed", "timeline",
-                             p.txn, {{"machine", id_}, {"epoch", epoch}}));
+  // A failed run (AbortPendingWaits) drains without gathering.
+  if (!draining_.load(std::memory_order_acquire)) {
+    TPART_TRACE(Begin("gather", "exec", {{"txn", head_.unit.item.plan.txn}}));
+    const bool gathered = GatherHead();
+    TPART_TRACE(End());  // gather
+    if (!gathered) return false;
   }
+  FinishTPartPlan();
+  return true;
+}
 
-  // ---- Gather every planned read (the version-based deterministic CC:
-  // each read waits for its exact version, §5.2). Remote reads were
-  // requested when the round arrived (RequestRemoteReads); the gather
-  // only awaits their responses.
-  TPART_TRACE(Begin("gather", "exec", {{"reads", p.reads.size()}}));
-  // Per-executor scratch (DESIGN §4h): the gather map, pending-response
-  // list, and publish outbox keep their capacity across plans, so the
-  // steady-state executor loop stops allocating. An executor runs one
-  // plan at a time, and the scratch never escapes the call.
-  struct PendingResp {
-    ObjectKey key;
-    std::uint64_t req_id;
-  };
-  struct PlanScratch {
-    ExecScratch exec;
-    std::vector<PendingResp> pending;
-    std::vector<std::pair<MachineId, Message>> outbox;
-  };
-  thread_local PlanScratch scratch;
-  scratch.exec.Clear();
-  scratch.pending.clear();
-  auto& values = scratch.exec.values;
-  auto& pending = scratch.pending;
-  std::size_t read_idx = 0;
-  for (const ReadStep& r : p.reads) {
-    const std::uint64_t req_id = ReadRequestId(p.txn, read_idx++);
+bool Machine::GatherHead() {
+  // The version-based deterministic CC: each read names its exact version
+  // (§5.2), and the plan parks at the first one not yet here. Remote
+  // reads were requested when the round arrived (RequestRemoteReads).
+  const TxnPlan& p = head_.unit.item.plan;
+  auto& values = scratch_.exec.values;
+  for (; head_.next_read < p.reads.size(); ++head_.next_read) {
+    const std::size_t i = head_.next_read;
+    const ReadStep& r = p.reads[i];
+    std::optional<Record> v;
     switch (r.kind) {
       case ReadSourceKind::kLocalVersion:
-      case ReadSourceKind::kPush: {
-        auto v = cache_.AwaitVersion(r.key, r.src_txn, p.txn, kStallTimeout);
-        // nullopt is a shutdown (a draining run reads it as absent) or an
-        // expired wait (a lost push or hand-off: fail the run).
-        TPART_CHECK(v.has_value() ||
-                    draining_.load(std::memory_order_acquire))
-            << "T" << p.txn << " stalled on "
-            << (r.kind == ReadSourceKind::kPush ? "push" : "local version")
-            << " of key " << r.key << " v" << r.src_txn << ": "
-            << StallDiagnostic();
-        values[r.key] = v.has_value() ? std::move(*v) : Record::Absent();
+      case ReadSourceKind::kPush:
+        v = cache_.TakeVersion(r.key, r.src_txn, p.txn);
         // The consumer end of the forward-push arrow: the producing
         // transaction's span holds the matching FlowStart.
-        if (r.kind == ReadSourceKind::kPush && !is_replay) {
+        if (v.has_value() && r.kind == ReadSourceKind::kPush &&
+            !head_.unit.replay) {
           TPART_TRACE(FlowEnd("push", obs::PushFlowId(r.key, r.src_txn,
                                                       p.txn)));
         }
         break;
-      }
-      case ReadSourceKind::kCacheLocal: {
-        auto v = cache_.AwaitEpochEntry(r.key, r.src_txn,
-                                        r.invalidate_entry,
-                                        r.entry_total_reads, kStallTimeout);
-        TPART_CHECK(v.has_value() ||
-                    draining_.load(std::memory_order_acquire))
-            << "T" << p.txn << " stalled on cache entry of key " << r.key
-            << " v" << r.src_txn << ": " << StallDiagnostic();
-        values[r.key] = v.has_value() ? std::move(*v) : Record::Absent();
-        TPART_TRACE(Instant("cache_hit", "cache",
-                            {{"key", r.key}, {"txn", p.txn}}));
-        break;
-      }
-      case ReadSourceKind::kCacheRemote:
-        pending.push_back(PendingResp{r.key, req_id});
-        break;
-      case ReadSourceKind::kStorage: {
-        if (r.src_machine == id_) {
-          Result<Record> v =
-              storage_.BlockingReadFor(r.key, r.src_txn, kStallTimeout);
-          TPART_CHECK(v.ok())
-              << "T" << p.txn << " stalled on local storage read of key "
-              << r.key << " v" << r.src_txn << ": " << StallDiagnostic();
-          values[r.key] = std::move(*v);
-        } else {
-          pending.push_back(PendingResp{r.key, req_id});
+      case ReadSourceKind::kCacheLocal:
+        v = cache_.TryEpochEntry(r.key, r.src_txn, r.invalidate_entry,
+                                 r.entry_total_reads);
+        if (v.has_value()) {
+          TPART_TRACE(Instant("cache_hit", "cache",
+                              {{"key", r.key}, {"txn", p.txn}}));
         }
         break;
-      }
+      case ReadSourceKind::kCacheRemote:
+        v = TakeResponse(ReadRequestId(p.txn, i));
+        break;
+      case ReadSourceKind::kStorage:
+        v = r.src_machine == id_ ? LocalStorageRead(r)
+                                 : TakeResponse(ReadRequestId(p.txn, i));
+        break;
     }
+    if (!v.has_value()) {
+      NoteParked(i);
+      return false;
+    }
+    values[r.key] = std::move(*v);
   }
-  for (auto& pr : pending) {
-    values[pr.key] = AwaitResponse(pr.req_id);
-  }
-  TPART_TRACE(End());  // gather
+  return true;
+}
 
-  // A failed run (AbortPendingWaits) drains without executing: the
-  // gathered values are shutdown placeholders, and procedures are
-  // entitled to assume real records.
+std::optional<Record> Machine::LocalStorageRead(const ReadStep& r) {
+  if (!head_.storage_issued) {
+    head_.storage_issued = true;
+    // The callback runs on this loop: inline, or from the ApplyWriteBack
+    // that makes the version current. Its 16-byte capture stays in
+    // std::function's inline buffer, so a read allocates nothing.
+    const std::uint64_t gen = head_.gen;
+    storage_.AsyncRead(r.key, r.src_txn, [this, gen](Record value) {
+      if (gen != head_.gen) return;  // an abandoned plan's read
+      head_.storage_value = std::move(value);
+    });
+  }
+  if (!head_.storage_value.has_value()) return std::nullopt;
+  head_.storage_issued = false;
+  return std::exchange(head_.storage_value, std::nullopt);
+}
+
+std::optional<Record> Machine::TakeResponse(std::uint64_t req_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = responses_.find(req_id);
+  if (it == responses_.end()) return std::nullopt;
+  Record v = std::move(it->second);
+  responses_.erase(it);
+  return v;
+}
+
+void Machine::NoteParked(std::size_t read_idx) {
+  const auto now = std::chrono::steady_clock::now();
+  if (!head_.parked || head_.parked_read != read_idx) {
+    head_.parked = true;
+    head_.parked_read = read_idx;
+    head_.parked_since = now;
+  } else if (now - head_.parked_since >= kStallTimeout) {
+    FailStall();  // a lost push, entry or reply fails the run
+  }
+}
+
+void Machine::FailStall() {
+  if (calvin_) {
+    TPART_CHECK(false) << "stalled awaiting peer reads for T"
+                       << head_.unit.item.spec.id << ": "
+                       << StallDiagnostic();
+  }
+  const TxnPlan& p = head_.unit.item.plan;
+  const ReadStep& r = p.reads[head_.parked_read];
+  const char* what = "response";
+  if (r.kind == ReadSourceKind::kPush) {
+    what = "push";
+  } else if (r.kind == ReadSourceKind::kLocalVersion) {
+    what = "local version";
+  } else if (r.kind == ReadSourceKind::kCacheLocal) {
+    what = "cache entry";
+  } else if (r.kind == ReadSourceKind::kStorage && r.src_machine == id_) {
+    what = "local storage read";
+  }
+  TPART_CHECK(false) << "T" << p.txn << " stalled on " << what << " of key "
+                     << r.key << " v" << r.src_txn << ": "
+                     << StallDiagnostic();
+  std::abort();  // unreachable: a failed check aborts
+}
+
+bool Machine::CompletePlan(TxnResult result, SinkEpoch epoch) {
+  std::lock_guard<std::mutex> lock(mu_);
+  results_.push_back(std::move(result));
+  auto it = epoch_outstanding_.find(epoch);
+  if (it != epoch_outstanding_.end() && --it->second == 0) {
+    epoch_outstanding_.erase(it);
+    return true;
+  }
+  return false;
+}
+
+void Machine::ReleaseHead() {
+  bool idle = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    head_active_ = false;
+    idle = IdleLocked();
+  }
+  head_.parked = false;
+  if (idle) cv_.notify_all();
+}
+
+void Machine::ReplayedOne() {
+  if (--replay_remaining_ != 0) return;
+  // Replay complete: the machine rejoins the stream. Recover() is blocked
+  // on this flip; the cluster re-ships lost rounds only after it returns,
+  // so live rounds never race the replay.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    run_state_.store(RunState::kLive, std::memory_order_release);
+  }
+  cv_.notify_all();
+}
+
+void Machine::FinishTPartPlan() {
+  const SinkEpoch epoch = head_.unit.epoch;
+  const bool is_replay = head_.unit.replay;
+  const TxnPlan& p = head_.unit.item.plan;
+  const TxnSpec& spec = head_.unit.item.spec;
+
+  // A failed run drains without executing: procedures are entitled to
+  // assume real records.
   if (draining_.load(std::memory_order_acquire)) {
     TxnResult res;
     res.id = p.txn;
-    {
-      std::lock_guard<std::mutex> lock(results_mu_);
-      results_.push_back(std::move(res));
-    }
-    OnPlanItemDone(epoch);
+    const bool drained = CompletePlan(std::move(res), epoch);
     executed_plans_.fetch_add(1, std::memory_order_relaxed);
-    if (is_replay &&
-        replay_remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(crash_mu_);
-      run_state_.store(RunState::kLive, std::memory_order_release);
-      crash_cv_.notify_all();
-    }
+    if (is_replay) ReplayedOne();
+    ReleaseHead();
+    if (drained) ReleaseEpochCredit();
     return;
   }
 
+  TPART_TRACE_SPAN("txn", is_replay ? "replay" : "exec",
+                   {{"txn", p.txn}, {"epoch", epoch}});
   // ---- Execute the stored procedure.
   TPART_TRACE(Begin("procedure", "exec"));
-  GatheredTxnContext ctx(&spec, &scratch.exec);
+  GatheredTxnContext ctx(&spec, &scratch_.exec);
   Result<TxnResult> result = RunProcedure(*registry_, spec, ctx);
   TPART_CHECK(result.ok()) << "engine failure executing T" << p.txn << ": "
                            << result.status().ToString();
@@ -800,7 +806,7 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
   // end of the phase (nothing here awaits a reply, so deferring them is
   // safe).
   TPART_TRACE(Begin("publish", "exec", {{"pushes", p.pushes.size()}}));
-  auto& outbox = scratch.outbox;
+  auto& outbox = scratch_.outbox;
   outbox.clear();
   outbox.reserve(p.pushes.size() + p.write_backs.size());
   // In-run recovery re-executes logged plans with outbound traffic
@@ -833,11 +839,7 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
   for (const CachePublishStep& s : p.cache_publishes) {
     cache_.PublishEpochEntry(s.key, p.txn, s.epoch,
                              ctx.OutgoingValue(s.key, committed));
-    Message note;
-    note.type = Message::Type::kLocalPublish;
-    note.key = s.key;
-    note.version = p.txn;
-    inbound_.Send(std::move(note));  // wake parked remote pulls
+    ServeParkedPulls(s.key, p.txn);
   }
   for (const WriteBackStep& s : p.write_backs) {
     Record value = ctx.OutgoingValue(s.key, committed);
@@ -861,54 +863,37 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
   SendOutBatch(outbox);
   TPART_TRACE(End());  // publish
 
-  {
-    std::lock_guard<std::mutex> lock(results_mu_);
-    results_.push_back(std::move(*result));
-  }
   // Replayed plans already fired their commit hook pre-crash; firing
   // again would double-count latency samples.
   if (commit_hook_ && !is_replay) commit_hook_(p.txn);
   // The credit release for a drained round is deferred past the crash
-  // trigger below (see MarkPlanItemDone): anyone woken by the release —
-  // in particular a membership barrier's WaitStreamDrained — must already
-  // observe CrashStop's state flip.
-  const bool drained = MarkPlanItemDone(epoch);
+  // trigger below: anyone woken by the release — in particular a
+  // membership barrier's WaitStreamDrained — must already observe
+  // CrashStop's state flip.
+  const bool drained = CompletePlan(std::move(*result), epoch);
   const std::uint64_t executed =
       executed_plans_.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (is_replay) ReplayedOne();
 
-  if (is_replay &&
-      replay_remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Replay complete: the machine rejoins the stream. Recover() is
-    // blocked on this flip; the cluster re-ships lost rounds only after
-    // it returns, so live rounds never race the replay.
-    std::lock_guard<std::mutex> lock(crash_mu_);
-    run_state_.store(RunState::kLive, std::memory_order_release);
-    crash_cv_.notify_all();
-  }
-
-  // Periodic checkpoint: the executor fences at the first drained epoch
-  // boundary at or past the cadence point, before any crash trigger at
-  // the same boundary — a crash at epoch E then recovers from the fresh
-  // checkpoint at E with an empty replay suffix. The capture costs
-  // O(keys changed and results added since the previous one); other
-  // machines keep executing, but this service thread serves none of
-  // their reads until it is done.
+  // Periodic checkpoint, at the first drained epoch boundary at or past
+  // the cadence point and before any crash trigger at the same boundary —
+  // a crash at epoch E then recovers from the fresh checkpoint at E with
+  // an empty replay suffix. The loop is between dispatches and no later
+  // plan has started, so the images cover exactly rounds <= epoch. The
+  // capture costs O(keys changed and results added since the previous
+  // one); this machine serves no peer's read until it is done.
   if (!is_replay && drained && checkpoint_ != nullptr &&
-      checkpoint_every_ > 0 &&
-      !draining_.load(std::memory_order_acquire) &&
+      checkpoint_every_ > 0 && !draining_.load(std::memory_order_acquire) &&
       run_state_.load(std::memory_order_relaxed) == RunState::kLive &&
       epoch >= next_checkpoint_epoch_) {
-    const Status captured = FenceService(kStallTimeout, epoch);
-    TPART_CHECK(captured.ok()) << "machine " << id_
-                               << " checkpoint capture at epoch " << epoch
-                               << ": " << captured.ToString();
+    CaptureCheckpoint(epoch);
     next_checkpoint_epoch_ = epoch + checkpoint_every_;
   }
 
   if (!is_replay && crash_armed_.load(std::memory_order_relaxed)) {
     CrashPoint point;
     {
-      std::lock_guard<std::mutex> lock(crash_mu_);
+      std::lock_guard<std::mutex> lock(mu_);
       if (!crash_points_.empty()) point = crash_points_.front();
     }
     // >= so a round with no local slice (which never drains here) cannot
@@ -925,23 +910,10 @@ void Machine::ExecutePlan(SinkEpoch epoch, const PlanItem& item,
       CrashStop(drained ? epoch + 1 : epoch);
     }
   }
+  // Only now may JoinExecutor() see the machine idle: a crash at the last
+  // round must be waited for through its recovery.
+  ReleaseHead();
   if (drained) ReleaseEpochCredit();
-}
-
-Record Machine::AwaitResponse(std::uint64_t req_id) {
-  std::unique_lock<std::mutex> lock(resp_mu_);
-  const auto ready = [&] {
-    return resp_shutdown_ || responses_.contains(req_id);
-  };
-  const bool arrived = resp_cv_.wait_for(lock, kStallTimeout, ready);
-  if (!arrived) lock.unlock();  // StallDiagnostic takes resp_mu_
-  TPART_CHECK(arrived) << "stalled awaiting response " << req_id << ": "
-                       << StallDiagnostic();
-  auto it = responses_.find(req_id);
-  if (it == responses_.end()) return Record::Absent();
-  Record v = std::move(it->second);
-  responses_.erase(it);
-  return v;
 }
 
 // ---------------------------------------------------------------------
@@ -952,7 +924,7 @@ void Machine::ArmCrash(CrashPoint point) {
   TPART_CHECK(point.armed()) << "empty crash point";
   TPART_CHECK(log_recording_)
       << "crash recovery replays the §5.4 logs; enable log recording";
-  std::lock_guard<std::mutex> lock(crash_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   TPART_CHECK(!point.at_start || crash_points_.empty())
       << "an at_start crash point must be the first queued";
   crash_points_.push_back(point);
@@ -966,15 +938,18 @@ void Machine::ArmStraggler(std::uint64_t delay_us, std::uint64_t period_us) {
 }
 
 void Machine::CrashStop(SinkEpoch resume) {
-  std::lock_guard<std::mutex> lock(crash_mu_);
-  if (run_state_.load(std::memory_order_relaxed) != RunState::kLive) return;
-  // Pop the fired point; more queued points (the chaos matrix's repeat
-  // crashes) keep the trigger armed for the recovered machine.
-  if (!crash_points_.empty()) crash_points_.pop_front();
-  crash_armed_.store(!crash_points_.empty(), std::memory_order_relaxed);
-  crash_time_ = std::chrono::steady_clock::now();
-  resume_epoch_ = resume;
-  run_state_.store(RunState::kDown, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (run_state_.load(std::memory_order_relaxed) != RunState::kLive) return;
+    // Pop the fired point; more queued points (the chaos matrix's repeat
+    // crashes) keep the trigger armed for the recovered machine.
+    if (!crash_points_.empty()) crash_points_.pop_front();
+    crash_armed_.store(!crash_points_.empty(), std::memory_order_relaxed);
+    crash_time_ = std::chrono::steady_clock::now();
+    resume_epoch_ = resume;
+    run_state_.store(RunState::kDown, std::memory_order_release);
+  }
+  cv_.notify_all();
   TPART_TRACE(Instant("crash_stop", "fault",
                       {{"machine", id_}, {"resume_epoch", resume}}));
   TPART_FLIGHT(obs::FlightEvent::kCrashStop, 1 + id_, id_, resume);
@@ -985,64 +960,76 @@ bool Machine::crashed() const {
 }
 
 std::chrono::steady_clock::time_point Machine::crash_time() const {
-  std::lock_guard<std::mutex> lock(crash_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return crash_time_;
 }
 
 SinkEpoch Machine::resume_epoch() const {
-  std::lock_guard<std::mutex> lock(crash_mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return resume_epoch_;
 }
 
-std::size_t Machine::Recover(const std::function<void()>& restore_partition) {
+Result<std::size_t> Machine::Recover(
+    const std::function<void()>& restore_partition) {
   TPART_CHECK(run_state_.load(std::memory_order_acquire) == RunState::kDown)
       << "Recover() on a machine that did not crash";
-  TPART_TRACE_SPAN("recover", "fault", {{"machine", id_}});
-  SinkEpoch resume;
   {
-    std::lock_guard<std::mutex> lock(crash_mu_);
-    resume = resume_epoch_;
+    std::lock_guard<std::mutex> lock(recover_mu_);
+    restore_ = &restore_partition;
   }
+  Wake();
+  // The loop wipes, restores and re-runs the replayed suffix; the state
+  // turns live once the suffix drained.
+  bool live = false;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    live = cv_.wait_for(lock, kStallTimeout, [&] {
+      return run_state_.load(std::memory_order_relaxed) == RunState::kLive;
+    });
+  }
+  std::size_t replayed = 0;
+  {
+    // Taken only between restores: past this point the loop never calls
+    // `restore_partition` again.
+    std::lock_guard<std::mutex> lock(recover_mu_);
+    restore_ = nullptr;  // withdraws a request the loop never took
+    replayed = recovery_replayed_;
+  }
+  if (!live) {
+    return Status::Unavailable("machine " + std::to_string(id_) +
+                               " recovery did not finish its replay: " +
+                               StallDiagnostic());
+  }
+  TPART_TRACE(Instant("replay_done", "fault",
+                      {{"machine", id_}, {"replayed", replayed}}));
+  TPART_FLIGHT(obs::FlightEvent::kRecover, 1 + id_, id_, replayed);
+  return replayed;
+}
 
-  // 1. The crash lost all volatile state. The dead executor has exited
-  //    its loop (it observes kDown under work_mu_) and the service thread
-  //    only stashes while kDown — once the fence below has passed, so a
-  //    message it was already dispatching at the crash-stop (applied and
-  //    logged, see Dispatch) is fully applied before the wipe, and the
-  //    log replays it exactly once. Every structure below is quiescent.
+void Machine::RestoreAndReplay(
+    const std::function<void()>& restore_partition) {
+  TPART_TRACE_SPAN("recover", "fault", {{"machine", id_}});
+  const SinkEpoch resume = resume_epoch_;
+
+  // 1. The crash lost all volatile state. The loop crash-stopped between
+  //    plans and has only stashed since, so nothing is half-applied.
   {
-    Status fenced = FenceService(kStallTimeout);
-    TPART_CHECK(fenced.ok()) << fenced.ToString();
-  }
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     tpart_work_.clear();
     epoch_outstanding_.clear();
     finished_enqueue_ = false;
-    evicted_upto_ = 0;
-  }
-  {
-    std::lock_guard<std::mutex> lock(stream_mu_);
     pending_stream_plans_.clear();
-    parked_pulls_.clear();
     stream_end_seen_ = false;
     stream_final_epoch_ = 0;
     next_stream_epoch_ = resume;
-    recovered_partial_epoch_ = resume;
-    recovered_partial_txns_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(resp_mu_);
     responses_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(peer_mu_);
-    peer_reads_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(results_mu_);
     results_.clear();
   }
+  evicted_upto_ = 0;
+  parked_pulls_.clear();
+  peer_reads_.clear();
+  recovered_partial_epoch_ = resume;
+  recovered_partial_txns_.clear();
   cache_.Reset();
   storage_.Reset();
 
@@ -1067,10 +1054,10 @@ std::size_t Machine::Recover(const std::function<void()>& restore_partition) {
   }
 
   // 3. §5.4 local replay: re-enqueue the request log in log order,
-  //    tagged as replay (outbound suppressed, not re-logged). The one
-  //    executor logged plans as it ran them: round by round, and within a
-  //    round in txn-id order (TGraph::Sink emits a round's slots by id).
-  //    Plans logged for the resume round itself are the partially-executed
+  //    tagged as replay (outbound suppressed, not re-logged). The loop
+  //    logged plans as it ran them: round by round, and within a round in
+  //    txn-id order (TGraph::Sink emits a round's slots by id). Plans
+  //    logged for the resume round itself are the partially-executed
   //    prefix of a mid-round crash; the re-shipped round skips them
   //    (recovered_partial_txns_).
   std::vector<RequestLogEntry> entries;
@@ -1079,39 +1066,34 @@ std::size_t Machine::Recover(const std::function<void()>& restore_partition) {
     entries = request_log_;
   }
   const std::size_t replayed = entries.size();
-  {
-    std::lock_guard<std::mutex> lock(stream_mu_);
-    for (const RequestLogEntry& entry : entries) {
-      if (entry.epoch == resume) {
-        recovered_partial_txns_.insert(entry.item.plan.txn);
-      }
+  for (const RequestLogEntry& entry : entries) {
+    if (entry.epoch == resume) {
+      recovered_partial_txns_.insert(entry.item.plan.txn);
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    for (RequestLogEntry& entry : entries) {
-      tpart_work_.push_back(WorkUnit{entry.epoch, std::move(entry.item), true});
-    }
-  }
-  replay_remaining_.store(replayed, std::memory_order_release);
+  replay_remaining_ = replayed;
+  recovery_replayed_ = replayed;
 
-  // 4. Reopen the service and re-deliver the inbound past: the parked
-  //    remote pulls the checkpoint saved, then the network log (the §5.4
-  //    PUSH-log generalised, now just the post-checkpoint suffix), then
-  //    the traffic that arrived while down. Parking in the cache and the
-  //    storage service makes processing order irrelevant. The state flip
-  //    happens under crash_mu_, so no concurrent message can be stranded
-  //    in the stash afterwards. Log/checkpoint re-injections carry the
-  //    redelivery mark (already logged once); the stash does not — those
-  //    messages were never processed, and a second crash must be able to
-  //    replay them.
+  // 4. Reopen and re-deliver the inbound past: the parked remote pulls
+  //    the checkpoint saved, then the network log (the §5.4 PUSH-log
+  //    generalised, now just the post-checkpoint suffix), then the
+  //    traffic that arrived while down. Parking in the cache and the
+  //    storage service makes processing order irrelevant. Log/checkpoint
+  //    re-injections carry the redelivery mark (already logged once); the
+  //    stash does not — those messages were never processed, and a second
+  //    crash must be able to replay them.
   std::vector<Message> stash;
   {
-    std::lock_guard<std::mutex> lock(crash_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
+    for (RequestLogEntry& entry : entries) {
+      tpart_work_.push_back(
+          WorkUnit{entry.epoch, std::move(entry.item), true});
+    }
     run_state_.store(replayed == 0 ? RunState::kLive : RunState::kRecovering,
                      std::memory_order_release);
     stash.swap(down_stash_);
   }
+  cv_.notify_all();
   if (cp_epoch > 0) {
     for (Message m : checkpoint_->parked_pulls) {
       m.redelivery = true;
@@ -1127,26 +1109,6 @@ std::size_t Machine::Recover(const std::function<void()>& restore_partition) {
     }
   }
   for (Message& m : stash) inbound_.Send(std::move(m));
-
-  // 5. A fresh executor re-runs the replay, then keeps serving live
-  //    rounds until the (re-shipped) stream end. Block until the replay
-  //    drains: the caller re-ships lost rounds only after that, so live
-  //    work never interleaves with the replayed suffix. A repeat crash
-  //    fires on the previous recovery executor itself, which then exits —
-  //    join it before spawning its replacement.
-  if (recovery_executor_.joinable()) recovery_executor_.join();
-  recovery_executor_ =
-      std::thread([this] { TPartExecutorLoop(/*initial=*/false); });
-  {
-    std::unique_lock<std::mutex> lock(crash_mu_);
-    crash_cv_.wait(lock, [&] {
-      return run_state_.load(std::memory_order_relaxed) == RunState::kLive;
-    });
-  }
-  TPART_TRACE(Instant("replay_done", "fault",
-                      {{"machine", id_}, {"replayed", replayed}}));
-  TPART_FLIGHT(obs::FlightEvent::kRecover, 1 + id_, id_, replayed);
-  return replayed;
 }
 
 // ---------------------------------------------------------------------
@@ -1167,23 +1129,28 @@ void Machine::CaptureCheckpoint(SinkEpoch epoch) {
   const auto start = std::chrono::steady_clock::now();
   MachineCheckpoint& cp = *checkpoint_;
 
-  // Every message that preceded the fence in the inbound FIFO has been
-  // fully applied, and the fence's poster (the executor at a drained
-  // boundary, or the membership barrier on a quiesced stream) has
-  // executed every request-log entry — so the images below cover exactly
-  // the effects of rounds <= epoch, and both §5.4 logs truncate to
-  // empty: later traffic forms the replay suffix. The storage and record
-  // images fold only the keys changed since the previous capture.
+  // The loop is between dispatches, so every logged message is fully
+  // applied, and every request-log entry has run (the capture comes at a
+  // drained boundary, or at the membership barrier's fence on a quiesced
+  // stream) — so the images below cover exactly the effects of rounds
+  // <= epoch, and both §5.4 logs truncate to empty: later traffic forms
+  // the replay suffix. The storage and record images fold only the keys
+  // changed since the previous capture.
   std::vector<ObjectKey> written;
   cp.state_keys_captured += storage_.FoldChanges(cp.storage, written);
   cp.records_captured += cp.FoldRecords(*store_, written);
   cp.cache = cache_.Capture();
+  cp.parked_pulls.clear();
+  for (const auto& [key_version, reqs] : parked_pulls_) {
+    (void)key_version;
+    cp.parked_pulls.insert(cp.parked_pulls.end(), reqs.begin(), reqs.end());
+  }
   {
     // Suffix replay cannot regenerate the truncated prefix's results, so
     // the capture carries everything accumulated up to the boundary.
     // Results only grow, and a restore resets them to the capture's, so
     // the capture already holds a prefix: append the rest.
-    std::lock_guard<std::mutex> lock(results_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     const std::size_t held = cp.results.size();
     TPART_CHECK(held <= results_.size() &&
                 (held == 0 || results_[held - 1].id == cp.results.back().id))
@@ -1192,20 +1159,9 @@ void Machine::CaptureCheckpoint(SinkEpoch epoch) {
     cp.results.insert(cp.results.end(),
                       results_.begin() + static_cast<std::ptrdiff_t>(held),
                       results_.end());
-  }
-  {
-    std::lock_guard<std::mutex> lock(stream_mu_);
-    cp.parked_pulls.clear();
-    for (const auto& [key_version, reqs] : parked_pulls_) {
-      (void)key_version;
-      cp.parked_pulls.insert(cp.parked_pulls.end(), reqs.begin(), reqs.end());
-    }
-  }
-  {
     // Responses to requests of rounds past the capture: the network log
     // that delivered them truncates below, and the watermark keeps them
     // from being requested again.
-    std::lock_guard<std::mutex> lock(resp_mu_);
     cp.responses.clear();
     for (const auto& entry : responses_) cp.responses.push_back(entry);
   }
@@ -1234,11 +1190,8 @@ void Machine::CaptureCheckpoint(SinkEpoch epoch) {
 void Machine::RestoreImages(const MachineCheckpoint& cp) {
   {
     // The truncated prefix's results only exist in the capture.
-    std::lock_guard<std::mutex> lock(results_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     results_ = cp.results;
-  }
-  {
-    std::lock_guard<std::mutex> lock(resp_mu_);
     for (const auto& [req_id, value] : cp.responses) {
       responses_[req_id] = value;
     }
@@ -1561,31 +1514,24 @@ std::string Machine::StallDiagnostic() const {
       break;
   }
   out << " inbound=" << inbound_.size();
+  std::size_t stashed = 0;
   {
-    std::lock_guard<std::mutex> lock(work_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     out << " work=" << tpart_work_.size()
         << " rounds_in_progress=" << epoch_outstanding_.size()
-        << " finished_enqueue=" << (finished_enqueue_ ? 1 : 0);
-  }
-  {
-    std::lock_guard<std::mutex> lock(stream_mu_);
-    out << " pending_rounds=" << pending_stream_plans_.size()
+        << " finished_enqueue=" << (finished_enqueue_ ? 1 : 0)
+        << " pending_rounds=" << pending_stream_plans_.size()
         << " next_epoch=" << next_stream_epoch_
         << " reads_issued_through=" << reads_issued_through_
-        << " dup_rounds_dropped=" << duplicate_rounds_dropped_;
-  }
-  {
-    std::lock_guard<std::mutex> lock(resp_mu_);
-    out << " responses_pending=" << responses_.size();
+        << " dup_rounds_dropped=" << duplicate_rounds_dropped_
+        << " responses_pending=" << responses_.size();
+    stashed = down_stash_.size();
   }
   {
     std::lock_guard<std::mutex> lock(credit_mu_);
     out << " credits_in_flight=" << epochs_in_flight_;
   }
-  {
-    std::lock_guard<std::mutex> lock(crash_mu_);
-    out << " stashed=" << down_stash_.size();
-  }
+  out << " stashed=" << stashed;
   out << " executed=" << executed_plans_.load(std::memory_order_relaxed)
       << " heartbeat_seen=" << heartbeat_seen()
       << " fence_term=" << fence_term()
@@ -1594,10 +1540,10 @@ std::string Machine::StallDiagnostic() const {
   std::string text = out.str();
   TPART_TRACE(Instant("stall_diagnostic", "fault", {{"machine", id_}},
                       text));
-  // A stall diagnostic only fires on fault paths (expired executor waits,
-  // drain/fence timeouts, failure declarations), so it doubles as the
-  // flight recorder's auto-dump trigger: the post-mortem tail carries
-  // this marker plus whatever led up to it.
+  // A stall diagnostic only fires on fault paths (a head plan parked past
+  // its deadline, drain/fence timeouts, failure declarations), so it
+  // doubles as the flight recorder's auto-dump trigger: the post-mortem
+  // tail carries this marker plus whatever led up to it.
   TPART_FLIGHT(obs::FlightEvent::kStall, 1 + id_, id_,
                executed_plans_.load(std::memory_order_relaxed));
   TPART_FLIGHT_DUMP("stall");
@@ -1605,109 +1551,84 @@ std::string Machine::StallDiagnostic() const {
 }
 
 void Machine::AbortPendingWaits() {
-  draining_.store(true, std::memory_order_release);
-  cache_.Shutdown();
-  storage_.Shutdown();
   {
-    std::lock_guard<std::mutex> lock(resp_mu_);
-    resp_shutdown_ = true;
+    std::lock_guard<std::mutex> lock(mu_);
+    draining_.store(true, std::memory_order_release);
   }
-  resp_cv_.notify_all();
-  {
-    std::lock_guard<std::mutex> lock(peer_mu_);
-    peer_shutdown_ = true;
-  }
-  peer_cv_.notify_all();
+  cv_.notify_all();
   {
     std::lock_guard<std::mutex> lock(credit_mu_);
     credit_shutdown_ = true;
   }
   credit_cv_.notify_all();
+  Wake();  // a parked head plan drains
 }
 
 // ---------------------------------------------------------------------
-// Calvin executor
+// Calvin transactions
 // ---------------------------------------------------------------------
 
-void Machine::CalvinExecutorLoop() {
-  TPART_TRACE(SetThreadInfo(static_cast<int>(1 + id_), "executor"));
-  while (true) {
-    TxnSpec spec;
+bool Machine::AdvanceCalvin() {
+  TxnSpec& spec = head_.unit.item.spec;
+  auto& values = scratch_.exec.values;
+  auto& remote_keys = scratch_.remote_keys;
+  if (!head_active_) {
     {
-      std::unique_lock<std::mutex> lock(work_mu_);
-      work_cv_.wait(lock, [&] {
-        return !calvin_work_.empty() || finished_enqueue_;
-      });
-      if (calvin_work_.empty()) return;
+      std::lock_guard<std::mutex> lock(mu_);
+      if (calvin_work_.empty()) return false;
       spec = std::move(calvin_work_.front());
       calvin_work_.pop_front();
+      head_active_ = true;
     }
-    ExecuteCalvin(spec);
-  }
-}
-
-void Machine::ExecuteCalvin(const TxnSpec& spec) {
-  TPART_TRACE_SPAN("txn", "exec", {{"txn", spec.id}});
-  // Calvin (§2.1): read local footprint, push to peers, wait for peers'
-  // reads, execute the full procedure, write local keys.
-  const KeySet all_keys = spec.rw.AllKeys();
-  std::vector<MachineId> participants;
-  std::vector<ObjectKey> remote_keys;
-  // Per-executor scratch, reused across transactions (DESIGN §4h).
-  thread_local ExecScratch exec_scratch;
-  exec_scratch.Clear();
-  auto& values = exec_scratch.values;
-  std::vector<std::pair<ObjectKey, Record>> local_kvs;
-  for (const ObjectKey k : all_keys) {
-    const MachineId home = locate_(k);
-    if (std::find(participants.begin(), participants.end(), home) ==
-        participants.end()) {
-      participants.push_back(home);
+    // Calvin (§2.1): read local footprint, push to peers, wait for peers'
+    // reads, execute the full procedure, write local keys.
+    scratch_.exec.Clear();
+    remote_keys.clear();
+    std::vector<MachineId> participants;
+    std::vector<std::pair<ObjectKey, Record>> local_kvs;
+    for (const ObjectKey k : spec.rw.AllKeys()) {
+      const MachineId home = locate_(k);
+      if (std::find(participants.begin(), participants.end(), home) ==
+          participants.end()) {
+        participants.push_back(home);
+      }
+      if (home == id_) {
+        Result<Record> r = store_->Read(k);
+        Record value = r.ok() ? std::move(*r) : Record::Absent();
+        local_kvs.emplace_back(k, value);
+        values.emplace(k, std::move(value));
+      } else {
+        remote_keys.push_back(k);
+      }
     }
-    if (home == id_) {
-      Result<Record> r = store_->Read(k);
-      Record value = r.ok() ? std::move(*r) : Record::Absent();
-      local_kvs.emplace_back(k, value);
-      values.emplace(k, std::move(value));
-    } else {
-      remote_keys.push_back(k);
+    for (const MachineId peer : participants) {
+      if (peer == id_) continue;
+      Message m;
+      m.type = Message::Type::kPeerReads;
+      m.txn = spec.id;
+      m.kvs = local_kvs;
+      SendOut(peer, std::move(m));
     }
   }
-
-  for (const MachineId peer : participants) {
-    if (peer == id_) continue;
-    Message m;
-    m.type = Message::Type::kPeerReads;
-    m.txn = spec.id;
-    m.kvs = local_kvs;
-    SendOut(peer, std::move(m));
-  }
-
   if (!remote_keys.empty()) {
-    std::unique_lock<std::mutex> lock(peer_mu_);
-    const auto ready = [&] {
-      if (peer_shutdown_) return true;
-      auto it = peer_reads_.find(spec.id);
-      if (it == peer_reads_.end()) return false;
-      for (const ObjectKey k : remote_keys) {
-        if (it->second.count(k) == 0) return false;
-      }
-      return true;
-    };
-    // StallDiagnostic never touches peer_mu_.
-    TPART_CHECK(peer_cv_.wait_for(lock, kStallTimeout, ready))
-        << "stalled awaiting peer reads for T" << spec.id << ": "
-        << StallDiagnostic();
     auto it = peer_reads_.find(spec.id);
+    const bool ready =
+        it != peer_reads_.end() &&
+        std::all_of(remote_keys.begin(), remote_keys.end(),
+                    [&](ObjectKey k) { return it->second.count(k) != 0; });
+    // A failed run takes what arrived instead of waiting for the rest.
+    if (!ready && !draining_.load(std::memory_order_acquire)) {
+      NoteParked(0);
+      return false;
+    }
     if (it != peer_reads_.end()) {
-      for (auto& [key, value] : it->second) {
-        values[key] = std::move(value);
-      }
+      for (auto& [key, value] : it->second) values[key] = std::move(value);
       peer_reads_.erase(it);
     }
   }
 
-  GatheredTxnContext ctx(&spec, &exec_scratch);
+  TPART_TRACE_SPAN("txn", "exec", {{"txn", spec.id}});
+  GatheredTxnContext ctx(&spec, &scratch_.exec);
   Result<TxnResult> result = RunProcedure(*registry_, spec, ctx);
   TPART_CHECK(result.ok()) << "engine failure executing T" << spec.id
                            << ": " << result.status().ToString();
@@ -1723,10 +1644,9 @@ void Machine::ExecuteCalvin(const TxnSpec& spec) {
       }
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(results_mu_);
-    results_.push_back(std::move(*result));
-  }
+  CompletePlan(std::move(*result), /*epoch=*/0);
+  ReleaseHead();
+  return true;
 }
 
 }  // namespace tpart

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -18,7 +19,9 @@
 
 #include "cache/cache_area.h"
 #include "common/flat_map.h"
+#include "common/status.h"
 #include "common/stall_timeout.h"
+#include "exec/serial_executor.h"
 #include "runtime/channel.h"
 #include "runtime/machine_checkpoint.h"
 #include "runtime/ring_channel.h"
@@ -30,14 +33,18 @@
 
 namespace tpart {
 
-/// One machine of the threaded runtime: an executor thread running the
-/// machine's slice of each sinking round (T-Part mode) or its relevant
-/// transactions in total order (Calvin mode), and a service thread
-/// handling inbound messages (pushes, pulls, storage requests,
-/// write-backs, peer reads). In T-Part mode the service thread also
-/// requests each round's remote reads (kCacheRemote pulls and remote
-/// kStorage reads) as the round arrives, so their round trips overlap
-/// earlier plans; the executor's gather only awaits the responses.
+/// One machine of the threaded runtime, run by ONE loop thread. The loop
+/// dispatches inbound messages (pushes, pulls, storage requests,
+/// write-backs, peer reads) and, between dispatches, advances the head of
+/// the machine's FIFO plan queue: its slice of each sinking round (T-Part
+/// mode) or its relevant transactions in total order (Calvin mode). The
+/// head plan gathers its reads through non-blocking probes and parks at
+/// its first missing read; the dispatch that supplies the read resumes it
+/// (the version-based CC, §3.4/§5.2: a transaction stalls until the
+/// version it names is in memory). In T-Part mode the loop also requests
+/// each round's remote reads (kCacheRemote pulls and remote kStorage
+/// reads) as the round arrives, so their round trips overlap earlier
+/// plans; local storage reads are issued when a plan reaches the head.
 ///
 /// Recovery support (§5.4): the machine logs the requests assigned to it
 /// (after partitioning) and every inbound value-bearing message
@@ -46,10 +53,10 @@ class Machine {
  public:
   using SendFn = std::function<void(MachineId, Message)>;
   /// Batched fan-out: one call carries every (destination, message) pair
-  /// of an executor's publish phase, or of a round's read requests; the
+  /// of a plan's publish phase, or of a round's read requests; the
   /// cluster routes it to Transport::SendBatch so serialized transports
   /// coalesce each destination's share into one wire frame.
-  /// The vector is borrowed per-thread scratch: implementations move the
+  /// The vector is borrowed loop scratch: implementations move the
   /// messages out but must leave the vector (and its capacity) behind.
   using SendBatchFn =
       std::function<void(std::vector<std::pair<MachineId, Message>>&)>;
@@ -68,10 +75,13 @@ class Machine {
   };
   /// T-Part mode: the machine's slice of sinking round `epoch`, for
   /// offline replay. Live runs receive rounds as kSinkPlan messages.
+  /// Call before StartTPart().
   void EnqueueTPartEpoch(SinkEpoch epoch, std::vector<PlanItem> items);
-  /// Calvin mode: next relevant transaction in total order.
+  /// Calvin mode: next relevant transaction in total order. Call before
+  /// StartCalvin().
   void EnqueueCalvinTxn(TxnSpec spec);
-  /// No more work will arrive; the executor drains and exits.
+  /// No more work will arrive; JoinExecutor() returns once the queue
+  /// drains. Any thread.
   void FinishEnqueue();
 
   // ---- Streaming intake (kSinkPlan/kPlanStreamEnd over the transport) --
@@ -100,9 +110,9 @@ class Machine {
     return inbound_.overflow_spills();
   }
 
-  /// Invoked (from an executor thread) with each transaction's id as its
-  /// result is recorded — admission-to-commit latency tracking. Set before
-  /// StartTPart(); clear (nullptr) after JoinExecutor().
+  /// Invoked (from the machine's loop thread) with each transaction's id
+  /// as its result is recorded — admission-to-commit latency tracking.
+  /// Set before StartTPart(); clear (nullptr) after JoinExecutor().
   void set_commit_hook(std::function<void(TxnId)> hook) {
     commit_hook_ = std::move(hook);
   }
@@ -113,11 +123,17 @@ class Machine {
   /// 0 disables. Set before Start*().
   void set_txn_sample(std::uint64_t every) { txn_sample_ = every; }
 
+  /// Start the machine's one loop thread.
   void StartTPart();
   void StartCalvin();
-  /// Joins the executor thread (service keeps running until Stop()).
+  /// Blocks until every plan has run and no more will arrive (the stream
+  /// end, or FinishEnqueue(), was seen), or until a failed run
+  /// (AbortPendingWaits) left the machine idle or down. A crashed machine
+  /// is waited for through its recovery. The loop keeps serving messages
+  /// until Stop().
   void JoinExecutor();
-  /// Stops the service thread and releases all waiters.
+  /// Stops the loop thread (after it dispatched everything delivered
+  /// before the call) and releases all waiters.
   void Stop();
 
   /// Network intake (called by the cluster router).
@@ -133,15 +149,15 @@ class Machine {
 
   // ---- Crash injection & in-run recovery (§5.4 made live) -------------
   /// Deterministic crash-stop trigger; at most one of the fields is
-  /// honoured per point. The executor runs plans in FIFO order, which
-  /// makes the crash point, and hence the replay, deterministic.
+  /// honoured per point. The loop runs plans in FIFO order, which makes
+  /// the crash point, and hence the replay, deterministic.
   struct CrashPoint {
     /// Crash once sinking round `at_epoch` has fully executed here.
     SinkEpoch at_epoch = 0;
     /// Crash once this many plans have executed (may be mid-round).
     std::uint64_t after_txns = 0;
-    /// Crash the executor at startup, before any plan runs (the epoch-0
-    /// edge: the machine dies before the first sink round ships).
+    /// Crash at startup, before any plan runs (the epoch-0 edge: the
+    /// machine dies before the first sink round ships).
     bool at_start = false;
     bool armed() const {
       return at_epoch != 0 || after_txns != 0 || at_start;
@@ -153,7 +169,7 @@ class Machine {
   /// point must be the first queued.
   void ArmCrash(CrashPoint point);
 
-  /// Arms straggler mode: the service thread sleeps `delay_us` before
+  /// Arms straggler mode: the loop thread sleeps `delay_us` before
   /// processing a heartbeat, at most once per `period_us` — responses
   /// arrive near the detector deadline without ever fully stalling, so a
   /// correct detector must NOT declare this machine failed. Call before
@@ -166,20 +182,19 @@ class Machine {
   /// rounds from here after Recover().
   SinkEpoch resume_epoch() const;
 
-  /// Rebuilds this machine in-run after a crash-stop: wipes all volatile
-  /// state, restores the partition via `restore_partition` (checkpoint),
-  /// re-enqueues the request log, re-delivers the network log plus any
-  /// traffic that arrived while down, and re-executes on a fresh executor
-  /// thread with outbound traffic suppressed for replayed plans. Blocks
-  /// until the replayed suffix has re-executed (the caller then re-ships
-  /// lost rounds — never before, or live rounds would race the replay's
-  /// credit accounting). Returns the number of replayed plans. Watchdog
-  /// thread only.
-  [[nodiscard]] std::size_t Recover(
+  /// Rebuilds this machine in-run after a crash-stop. Hands the work to
+  /// the machine's loop, which wipes all volatile state, restores the
+  /// partition via `restore_partition` (checkpoint), re-enqueues the
+  /// request log, re-delivers the network log plus any traffic that
+  /// arrived while down, and re-executes the replayed plans with outbound
+  /// traffic suppressed. Blocks until the replayed suffix has re-executed
+  /// (the caller then re-ships lost rounds — never before, or live rounds
+  /// would race the replay's credit accounting). Returns the number of
+  /// replayed plans, or kUnavailable with a stall diagnostic when the
+  /// replay has not drained within kStallTimeout; `restore_partition` is
+  /// never called after Recover() returns. Watchdog thread only.
+  [[nodiscard]] Result<std::size_t> Recover(
       const std::function<void()>& restore_partition);
-  /// Joins the executor spawned by Recover() (no-op if none). Call after
-  /// the run's normal JoinExecutor() round.
-  void JoinRecoveredExecutor();
 
   /// Sequence number of the latest kHeartbeat processed (0 before any);
   /// stalls while the machine is down — the failure detector's signal.
@@ -213,10 +228,11 @@ class Machine {
   std::uint64_t fenced_messages() const {
     return fenced_messages_.load(std::memory_order_relaxed);
   }
-  /// Releases every blocked wait with its shutdown value so a doomed run
-  /// (detected failure, no recovery) drains instead of hanging. The
-  /// machine keeps running; results are garbage and the caller reports
-  /// the failure Status.
+  /// Marks the run failed so a doomed run (detected failure, no
+  /// recovery) drains instead of hanging: the loop finishes every queued
+  /// plan without gathering or running it, and credit and JoinExecutor()
+  /// waiters are released. The machine keeps running; results are
+  /// garbage and the caller reports the failure Status.
   void AbortPendingWaits();
 
   /// Key -> home machine, required by Calvin mode (peer sets and local
@@ -252,14 +268,13 @@ class Machine {
 
   // ---- Periodic checkpointing & log truncation ------------------------
   /// Attaches the machine's durable checkpoint image and the capture
-  /// cadence: every `every` sink epochs the executor pauses at a drained
-  /// epoch boundary and calls FenceService() with that epoch as its
-  /// capture epoch; the service thread captures `image` when it
-  /// dispatches the fence — at that point every earlier logged message is
-  /// fully applied, so both §5.4 logs truncate to empty and subsequent
-  /// traffic forms the replay suffix. `every` = 0 disables periodic
-  /// captures (the image still serves as the load-time checkpoint).
-  /// T-Part only. Call before StartTPart().
+  /// cadence: every `every` sink epochs the loop captures `image` at the
+  /// first drained epoch boundary — between dispatches, so every logged
+  /// message is fully applied and every logged plan has run; both §5.4
+  /// logs truncate to empty and subsequent traffic forms the replay
+  /// suffix. `every` = 0 disables periodic captures (the image still
+  /// serves as the load-time checkpoint). T-Part only. Call before
+  /// StartTPart().
   void ConfigureCheckpoint(MachineCheckpoint* image, SinkEpoch every);
 
   /// Restores the volatile images (cache area, storage version
@@ -297,15 +312,14 @@ class Machine {
   [[nodiscard]] Status WaitStreamDrained(std::chrono::microseconds timeout);
 
   /// Posts a local kServiceFence through the inbound queue (never via the
-  /// transport — it is not a wire message) and blocks until the service
-  /// thread dispatches it; every message delivered before the call has
-  /// then been fully applied. A non-zero `capture_at` makes the fence
-  /// capture the attached checkpoint image at that epoch on dispatch,
-  /// truncating both §5.4 logs: the executor's cadence captures and the
-  /// migration cut's forced capture (which keeps a later crash from
-  /// replaying pre-cut traffic that resurrects moved-away keys). Capture
-  /// only on a live machine whose stream is quiescent at `capture_at`;
-  /// requires ConfigureCheckpoint. kUnavailable on timeout.
+  /// transport — it is not a wire message) and blocks until the loop
+  /// dispatches it; every message delivered before the call has then been
+  /// fully applied. A non-zero `capture_at` makes the fence capture the
+  /// attached checkpoint image at that epoch on dispatch, truncating both
+  /// §5.4 logs: the migration cut's forced capture (which keeps a later
+  /// crash from replaying pre-cut traffic that resurrects moved-away
+  /// keys). Capture only on a live machine whose stream is quiescent at
+  /// `capture_at`; requires ConfigureCheckpoint. kUnavailable on timeout.
   [[nodiscard]] Status FenceService(std::chrono::microseconds timeout,
                                     SinkEpoch capture_at = 0);
 
@@ -318,69 +332,118 @@ class Machine {
   MigrationCounters migration_counters() const;
 
  private:
-  struct EpochWork {
-    SinkEpoch epoch = 0;
-    std::vector<PlanItem> items;
-  };
-
-  /// Machine lifecycle for crash injection. kDown: the service thread
-  /// stashes (does not process) inbound traffic and the executor has
-  /// exited. kRecovering: processing resumed; genuinely new traffic is
-  /// logged again (a later crash must be able to replay it), while
-  /// messages re-injected from the logs carry Message::redelivery and
-  /// are not logged twice.
+  /// Machine lifecycle for crash injection. kDown: the loop stashes (does
+  /// not process) inbound traffic and runs no plan. kRecovering: the
+  /// replay runs; genuinely new traffic is logged again (a later crash
+  /// must be able to replay it), while messages re-injected from the logs
+  /// carry Message::redelivery and are not logged twice. Written only by
+  /// the loop, under mu_.
   enum class RunState { kLive, kDown, kRecovering };
 
-  /// `initial` is true only for the StartTPart() executor; an `at_start`
-  /// crash point fires there, never in a recovery executor.
-  void TPartExecutorLoop(bool initial);
-  void CalvinExecutorLoop();
+  // T-Part work is flattened to per-plan units run in total order;
+  // `replay` marks §5.4 recovery re-execution (outbound suppressed, not
+  // re-logged).
+  struct WorkUnit {
+    SinkEpoch epoch = 0;
+    PlanItem item;
+    bool replay = false;
+  };
+
+  /// The plan at the head of the queue, popped and mid-gather (loop only).
+  /// Calvin mode uses `unit.item.spec`.
+  struct Head {
+    WorkUnit unit;
+    /// Reads gathered so far (T-Part), in plan order.
+    std::size_t next_read = 0;
+    /// Bumped per plan: a local storage read's callback from an earlier
+    /// plan finds a stale generation and drops its value.
+    std::uint64_t gen = 0;
+    /// The local storage read in flight, and its value once served.
+    bool storage_issued = false;
+    std::optional<Record> storage_value;
+    /// Parked at read `parked_read` (Calvin: on its peer reads) since
+    /// `parked_since`; past kStallTimeout the run fails.
+    bool parked = false;
+    std::size_t parked_read = 0;
+    std::chrono::steady_clock::time_point parked_since{};
+  };
+
+  /// Loop-thread scratch (DESIGN §4h): the gathered values, publish
+  /// outbox and round read requests keep their capacity across plans.
+  struct Scratch {
+    ExecScratch exec;
+    std::vector<std::pair<MachineId, Message>> outbox;
+    std::vector<std::pair<MachineId, Message>> requests;
+    std::vector<ObjectKey> remote_keys;  // Calvin: keys peers push to us
+  };
+
   void ServiceLoop();
+  /// The next message: non-blocking callers poll first; this blocks, up
+  /// to the parked head plan's stall deadline.
+  Message AwaitMessage();
   void Dispatch(Message msg);
-  void ExecutePlan(SinkEpoch epoch, const PlanItem& item, bool is_replay);
-  void ExecuteCalvin(const TxnSpec& spec);
+  /// kDown: drops heartbeats, serves fences (and a pending Recover()),
+  /// stashes everything else.
+  void DispatchWhileDown(Message msg);
+  /// Advances the head plan; true when a plan finished (the loop then
+  /// dispatches pending messages before the next one).
+  bool AdvanceTPart();
+  bool AdvanceCalvin();
+  /// Gathers the head's reads from `next_read` on; false when it parks.
+  bool GatherHead();
+  std::optional<Record> LocalStorageRead(const ReadStep& r);
+  std::optional<Record> TakeResponse(std::uint64_t req_id);
+  void NoteParked(std::size_t read_idx);
+  [[noreturn]] void FailStall();
+  /// Runs the gathered head plan: procedure, publish, bookkeeping.
+  void FinishTPartPlan();
+  /// Records the head's result; returns true when its round fully
+  /// drained (credit NOT yet released).
+  bool CompletePlan(TxnResult result, SinkEpoch epoch);
+  /// Clears the head once the plan's crash trigger has been checked.
+  void ReleaseHead();
+  /// One replayed plan ran; the last one turns the machine live.
+  void ReplayedOne();
   void SendOut(MachineId to, Message msg);
   /// Flushes one publish phase's staged messages through send_batch_.
   void SendOutBatch(std::vector<std::pair<MachineId, Message>>& msgs);
   void CrashStop(SinkEpoch resume);
+  /// Wakes the loop (a zero-sequence fence) so it re-examines state a
+  /// foreign thread changed: a failed run's drain, a Recover() request.
+  void Wake();
+  /// Recovery, on the loop: wipe, restore, and queue the replay.
+  void RestoreAndReplay(const std::function<void()>& restore_partition);
+  /// mu_ held: JoinExecutor()'s predicate.
+  bool IdleLocked() const;
 
-  // Service thread, on dispatching a capturing fence (FenceService).
+  /// Serves a remote cache pull, or parks it until the entry appears.
+  void ServePull(Message req);
+  /// Serves the pulls parked on <key, version> (its entry was published).
+  void ServeParkedPulls(ObjectKey key, TxnId version);
+
   void CaptureCheckpoint(SinkEpoch epoch);
   /// Restores the results, unconsumed read responses, cache and storage
-  /// images of `cp` (shared by Recover() and InstallCheckpoint()).
+  /// images of `cp` (shared by recovery and InstallCheckpoint()).
   void RestoreImages(const MachineCheckpoint& cp);
 
   /// Appends one inbound message to the §5.4 network log (byte-counted).
   void LogNetworkMessage(const Message& msg);
 
-  // Elastic-migration internals (service thread). Their messages are
-  // never network-logged: migration state crosses machines exactly once,
-  // and the post-migration forced checkpoint owns its durability.
+  // Elastic-migration internals. Their messages are never network-logged:
+  // migration state crosses machines exactly once, and the post-migration
+  // forced checkpoint owns its durability.
   void HandleMigrateBegin(Message msg);
   void HandleImageChunk(Message msg);
   void HandleMigrateCommit(Message msg);
   void InstallMigration(std::uint64_t stream);
 
-  // Streaming intake internals (service thread only, except credit
-  // release which executors trigger).
+  // Streaming intake internals.
   void HandleSinkPlan(Message msg);
   void EnqueueStreamEpoch(SinkEpoch epoch, std::vector<PlanItem> items);
   /// Sends every kCacheReadReq and remote kStorageReadReq of `items` in
-  /// one batch; the executor's gather awaits the responses.
+  /// one batch; the plans' gathers find the responses in responses_.
   void RequestRemoteReads(const std::vector<PlanItem>& items);
-  /// Returns true when the round fully drained (its credit was released).
-  bool OnPlanItemDone(SinkEpoch epoch);
-  /// Marks one plan item of `epoch` done and returns true when the round
-  /// fully drained — WITHOUT releasing the round's credit. The executor's
-  /// crash-trigger path uses this to defer the release until after
-  /// CrashStop: a migration barrier waking on the credit must already see
-  /// the machine down, or it would start extracting the partition while
-  /// recovery replay still reads it.
-  bool MarkPlanItemDone(SinkEpoch epoch);
   void ReleaseEpochCredit();
-
-  // Awaits a response delivered by the service thread for `req_id`.
-  Record AwaitResponse(std::uint64_t req_id);
 
   MachineId id_;
   std::size_t num_machines_;
@@ -389,39 +452,39 @@ class Machine {
   SendFn send_;
   SendBatchFn send_batch_;
   bool replay_ = false;
+  bool calvin_ = false;
   std::function<MachineId(ObjectKey)> locate_;
 
   CacheArea cache_;
   StorageService storage_;
   /// Inbound message queue: MPSC ring with cv-parked consumer fallback
-  /// (runtime/ring_channel.h). Producers — peer service threads (direct
-  /// transport), the network receiver, the control plane, and our own
-  /// executor's self-sends — take no lock on the fast path.
+  /// (runtime/ring_channel.h). Producers — peer loops (direct transport),
+  /// the network receiver, the control plane, and our own self-sends —
+  /// take no lock on the fast path.
   RingChannel<Message> inbound_;
 
-  // Executor work queue. T-Part work is flattened to per-plan units
-  // consumed in total order by the executor; `replay` marks §5.4
-  // recovery re-execution (outbound suppressed, not re-logged).
-  struct WorkUnit {
-    SinkEpoch epoch = 0;
-    PlanItem item;
-    bool replay = false;
-  };
-  mutable std::mutex work_mu_;
-  std::condition_variable work_cv_;
+  // ---- Loop-owned state ------------------------------------------------
+  // Only the loop thread writes these. Fields other threads read
+  // (StallDiagnostic, JoinExecutor, Recover, the watchdog's probes) are
+  // written under mu_; the loop reads them without it.
+  mutable std::mutex mu_;
+  /// JoinExecutor() and Recover() wait here for the loop.
+  std::condition_variable cv_;
   std::deque<WorkUnit> tpart_work_;
   std::deque<TxnSpec> calvin_work_;
+  bool head_active_ = false;
   bool finished_enqueue_ = false;
-  SinkEpoch evicted_upto_ = 0;
-  mutable std::mutex log_mu_;
+  /// Each in-flight round's unfinished plans.
+  std::unordered_map<SinkEpoch, std::size_t> epoch_outstanding_;
+  std::vector<TxnResult> results_;
+  /// Read responses received but not yet consumed — with intake-time
+  /// requests, up to a few rounds' worth; a checkpoint captures them.
+  FlatMap<std::uint64_t, Record> responses_;
 
   // Streaming intake: reliable transports may deliver rounds out of
-  // order, but the executor relies on FIFO epoch order (a popped plan may
-  // only await versions produced by already-popped or remote plans), so
-  // rounds are reordered and enqueued strictly from 1.
-  // Guarded by stream_mu_: written by the service thread, wiped and read
-  // by the recovery path on the watchdog thread.
-  mutable std::mutex stream_mu_;
+  // order, but plans run in FIFO epoch order (a plan may only await
+  // versions produced by earlier plans or remote machines), so rounds are
+  // reordered and enqueued strictly from 1.
   std::map<SinkEpoch, std::vector<PlanItem>> pending_stream_plans_;
   SinkEpoch next_stream_epoch_ = 1;
   /// Highest round whose remote read requests went out. Like the §5.4
@@ -436,16 +499,48 @@ class Machine {
   /// Rounds dropped as duplicates (re-shipments the machine had already
   /// executed or buffered).
   std::uint64_t duplicate_rounds_dropped_ = 0;
+
+  std::atomic<RunState> run_state_{RunState::kLive};
+  /// Queued crash points, fired front-to-back (CrashStop pops the front;
+  /// more queued points are the chaos matrix's repeat crashes).
+  std::deque<CrashPoint> crash_points_;
+  std::chrono::steady_clock::time_point crash_time_{};
+  SinkEpoch resume_epoch_ = 0;
+  /// Traffic received while down; crash-stop semantics say these were
+  /// never received — re-injecting them at recovery models the peers'
+  /// reliable transport retransmitting.
+  std::vector<Message> down_stash_;
+  /// Set by AbortPendingWaits(): the run was declared failed. Plans drain
+  /// without gathering or running procedures.
+  std::atomic<bool> draining_{false};
+
+  // Loop-only (never read elsewhere while the loop runs).
+  Head head_;
+  Scratch scratch_;
+  SinkEpoch evicted_upto_ = 0;
   /// After a mid-round crash, the resume round is re-shipped whole; the
   /// plans in it that were already logged (hence replayed) are skipped.
   SinkEpoch recovered_partial_epoch_ = 0;
   std::unordered_set<TxnId> recovered_partial_txns_;
+  /// Replayed plans not yet re-executed; recovery completes (state back
+  /// to kLive) when it hits zero.
+  std::size_t replay_remaining_ = 0;
+  /// Parked remote cache pulls: (key, version) -> pending requests.
+  std::map<std::pair<ObjectKey, TxnId>, std::vector<Message>> parked_pulls_;
+  /// Calvin peer-read buffer: values received per transaction.
+  std::unordered_map<TxnId, std::unordered_map<ObjectKey, Record>> peer_reads_;
+  std::atomic<bool> crash_armed_{false};
+
+  // Recover() hand-off: the watchdog posts `restore_` and the loop runs
+  // it holding recover_mu_, so a Recover() that times out can withdraw a
+  // request the loop has not taken, and never returns mid-restore.
+  std::mutex recover_mu_;
+  const std::function<void()>* restore_ = nullptr;
+  std::size_t recovery_replayed_ = 0;
 
   // Epoch flow-control credits: rounds disseminated but not fully
-  // executed here. epoch_outstanding_ (under work_mu_) counts each
-  // in-flight round's unfinished plans; the credit window is its own
-  // lock so executors releasing never contend with intake.
-  std::unordered_map<SinkEpoch, std::size_t> epoch_outstanding_;
+  // executed here. The credit window is its own lock so the loop
+  // releasing never contends with dissemination.
   std::size_t epoch_queue_capacity_ = 0;
   mutable std::mutex credit_mu_;
   std::condition_variable credit_cv_;
@@ -455,31 +550,10 @@ class Machine {
 
   std::function<void(TxnId)> commit_hook_;
 
-  // Request/response plumbing for remote pulls & storage reads. Holds
-  // the responses received but not yet consumed — with intake-time
-  // requests, up to a few rounds' worth; a checkpoint captures them.
-  mutable std::mutex resp_mu_;
-  std::condition_variable resp_cv_;
-  FlatMap<std::uint64_t, Record> responses_;
-  bool resp_shutdown_ = false;
-
-  // Calvin peer-read buffer: values received per transaction.
-  std::mutex peer_mu_;
-  std::condition_variable peer_cv_;
-  std::unordered_map<TxnId, std::unordered_map<ObjectKey, Record>> peer_reads_;
-  bool peer_shutdown_ = false;
-
-  // Parked remote cache pulls: (key, version) -> pending requests.
-  // Guarded by stream_mu_ (service thread + recovery wipe).
-  std::map<std::pair<ObjectKey, TxnId>, std::vector<Message>> parked_pulls_;
-
-  std::vector<TxnResult> results_;
-  std::mutex results_mu_;
-
-  // §5.4 logs; log_mu_ guards both (executor appends request entries,
-  // the service thread appends network entries, recovery reads both,
-  // checkpoint capture truncates both). Byte counters track the live
-  // footprint; peaks survive truncation.
+  // §5.4 logs; log_mu_ guards both (the loop appends, captures and
+  // replays; tests and the cluster read them after the run). Byte
+  // counters track the live footprint; peaks survive truncation.
+  mutable std::mutex log_mu_;
   std::vector<RequestLogEntry> request_log_;
   std::vector<Message> network_log_;
   bool log_recording_ = true;
@@ -492,30 +566,6 @@ class Machine {
   MachineCheckpoint* checkpoint_ = nullptr;
   SinkEpoch checkpoint_every_ = 0;
   SinkEpoch next_checkpoint_epoch_ = 0;
-
-  // ---- Crash / recovery state -----------------------------------------
-  // run_state_ is an atomic for lock-free reads on hot paths but is only
-  // *written* under crash_mu_, so the service thread's stash-or-dispatch
-  // decision (taken under crash_mu_) can never race a state flip — no
-  // message is ever stranded in the stash after recovery reopens the
-  // machine.
-  std::atomic<RunState> run_state_{RunState::kLive};
-  mutable std::mutex crash_mu_;
-  std::condition_variable crash_cv_;
-  /// Queued crash points, fired front-to-back (CrashStop pops the front
-  /// and re-arms when more remain — the chaos matrix's repeat crashes).
-  std::deque<CrashPoint> crash_points_;
-  std::atomic<bool> crash_armed_{false};
-  std::chrono::steady_clock::time_point crash_time_{};
-  SinkEpoch resume_epoch_ = 0;
-  /// Traffic received while down; crash-stop semantics say these were
-  /// never received — re-injecting them at recovery models the peers'
-  /// reliable transport retransmitting. Guarded by crash_mu_.
-  std::vector<Message> down_stash_;
-  /// Replayed plans not yet re-executed; recovery completes (state back
-  /// to kLive) when it hits zero.
-  std::atomic<std::size_t> replay_remaining_{0};
-  std::thread recovery_executor_;
 
   // ---- Elastic migration state ----------------------------------------
   // Inbound image assembly, keyed by migration stream id. Chunks may
@@ -535,15 +585,14 @@ class Machine {
   std::unordered_set<std::uint64_t> migration_installed_;
   MigrationCounters migration_counters_;
 
-  // Service-fence handshake (FenceService <-> service thread), also the
-  // checkpoint capture's.
+  // Service-fence handshake (FenceService <-> loop).
   mutable std::mutex fence_mu_;
   std::condition_variable fence_cv_;
   std::uint64_t fence_posted_ = 0;
   std::uint64_t fence_seen_ = 0;
 
-  // Straggler mode (service thread only): sleep before a heartbeat, at
-  // most once per period, so responses skirt the detector deadline.
+  // Straggler mode (loop only): sleep before a heartbeat, at most once
+  // per period, so responses skirt the detector deadline.
   std::uint64_t straggle_delay_us_ = 0;
   std::uint64_t straggle_period_us_ = 0;
   std::chrono::steady_clock::time_point last_straggle_{};
@@ -561,14 +610,8 @@ class Machine {
   std::function<std::string()> diagnostic_context_;
   /// Timeline sampling stride (set_txn_sample); read on the execute path.
   std::uint64_t txn_sample_ = 0;
-  /// Set by AbortPendingWaits(): the run was declared failed. Executors
-  /// drain their queues without running procedures (gathered values are
-  /// shutdown placeholders, not real records).
-  std::atomic<bool> draining_{false};
 
-  std::thread executor_;
   std::thread service_;
-  std::atomic<bool> service_running_{false};
 };
 
 }  // namespace tpart

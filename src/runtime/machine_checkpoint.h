@@ -44,13 +44,12 @@ namespace tpart {
 ///    results, so the capture carries them; each capture appends only the
 ///    results added since the previous one.
 ///
-/// Thread-safety: capture runs on the machine's service thread when it
-/// dispatches a capturing service fence; restore runs on the watchdog
-/// thread after the machine crashed, and only once Recover()'s own
-/// service fence passed — that fence orders every earlier capture before
-/// the restore, so the images need no lock. The only field read
-/// concurrently is `epoch_` (the dissemination stage reads it to compute
-/// the resend-window prune bound), hence the atomic.
+/// Thread-safety: capture and restore both run on the machine's loop
+/// thread (a cadence capture at a drained boundary, the migration cut's
+/// on a capturing service fence, a restore inside Recover()), so the
+/// images need no lock. The only field read concurrently is `epoch_`
+/// (the dissemination stage reads it to compute the resend-window prune
+/// bound), hence the atomic.
 struct MachineCheckpoint {
   FlatMap<ObjectKey, Record> records;
   CacheArea::Image cache;

@@ -7,17 +7,17 @@ namespace tpart {
 namespace {
 
 /// Shared tail of both replay formulations: re-enqueue the logged plans
-/// in log order (the machine's one executor logged them as it ran them,
-/// so the log is a valid execution order), run the executor to
-/// completion, and collect results.
+/// in log order (the machine's loop logged them as it ran them, so the
+/// log is a valid execution order), run the loop to completion, and
+/// collect results.
 void RunReplay(Machine& machine,
                const std::vector<Machine::RequestLogEntry>& request_log,
                ReplayResult& out) {
-  machine.StartTPart();
   for (const auto& entry : request_log) {
     machine.EnqueueTPartEpoch(entry.epoch, {entry.item});
   }
   machine.FinishEnqueue();
+  machine.StartTPart();
   machine.JoinExecutor();
   out.results = machine.TakeResults();
   machine.Stop();

@@ -1,8 +1,6 @@
 #include "runtime/storage_service.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <memory>
 
 #include "common/logging.h"
 
@@ -123,91 +121,6 @@ void StorageService::AsyncRead(ObjectKey key, TxnId expected_version,
   ReleaseReadyVec(std::move(ready));
 }
 
-namespace {
-
-// Wait state for blocking reads. Owned by a per-thread slab that is never
-// freed, so the ReadDone callback can capture a raw {state, generation}
-// pair — 16 trivially-copyable bytes that fit std::function's inline
-// buffer, keeping the per-read callback off the heap. A timed-out waiter
-// bumps `gen` (under the lock) and recycles the state immediately; the
-// still-parked callback observes the stale generation and does nothing.
-// The slab lives until its thread exits, which covers every parked
-// callback: Shutdown() runs them while waiters are still blocked (it
-// exists to release them), and Reset() drops them without running.
-struct ReadWaitState {
-  std::mutex m;
-  std::condition_variable cv;
-  std::uint64_t gen = 0;
-  bool done = false;
-  Record out;
-};
-
-// One blocking read per thread at a time, so the slab holds one state in
-// steady state. Acquire/Release run on the waiting thread only (blocking
-// reads complete on the calling thread), so the pool needs no locking.
-struct ReadWaitPool {
-  std::vector<std::unique_ptr<ReadWaitState>> slab;
-  std::vector<ReadWaitState*> free_list;
-};
-
-ReadWaitPool& GetReadWaitPool() {
-  thread_local ReadWaitPool pool;
-  return pool;
-}
-
-ReadWaitState* AcquireReadWait() {
-  ReadWaitPool& pool = GetReadWaitPool();
-  if (pool.free_list.empty()) {
-    pool.slab.push_back(std::make_unique<ReadWaitState>());
-    pool.free_list.push_back(pool.slab.back().get());
-  }
-  ReadWaitState* st = pool.free_list.back();
-  pool.free_list.pop_back();
-  return st;
-}
-
-void ReleaseReadWait(ReadWaitState* st) {
-  GetReadWaitPool().free_list.push_back(st);
-}
-
-}  // namespace
-
-Result<Record> StorageService::BlockingReadFor(
-    ObjectKey key, TxnId expected_version, std::chrono::microseconds timeout) {
-  ReadWaitState* st = AcquireReadWait();
-  std::uint64_t gen;
-  {
-    std::lock_guard<std::mutex> lock(st->m);
-    gen = ++st->gen;
-    st->done = false;
-  }
-  struct Tag {
-    ReadWaitState* st;
-    std::uint64_t gen;
-  };
-  const Tag tag{st, gen};
-  AsyncRead(key, expected_version, [tag](Record value) {
-    // Notify while holding the lock; a stale generation means the waiter
-    // timed out and recycled the state — drop the value.
-    std::lock_guard<std::mutex> lock(tag.st->m);
-    if (tag.st->gen != tag.gen) return;
-    tag.st->out = std::move(value);
-    tag.st->done = true;
-    tag.st->cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(st->m);
-  const bool ok = st->cv.wait_for(lock, timeout, [&] { return st->done; });
-  ++st->gen;  // invalidate any still-parked callback before recycling
-  Record out = ok ? std::move(st->out) : Record();
-  st->out = Record();
-  lock.unlock();
-  ReleaseReadWait(st);
-  if (!ok) {
-    return Status::Unavailable("storage read timed out awaiting version");
-  }
-  return std::move(out);
-}
-
 void StorageService::ApplyWriteBack(ObjectKey key, TxnId version,
                                     TxnId replaces, Record value,
                                     std::uint32_t awaits, bool sticky,
@@ -304,9 +217,9 @@ std::size_t StorageService::FoldChanges(Image& image,
                 });
       ki.parked_remote_reads.clear();
       for (const ParkedRead& pr : st.parked_reads) {
-        // The executor is quiescent at capture, so every parked read must
-        // be a remote pull; a local wait here would be lost by the image.
-        // A local read parks only through AsyncRead, which marks its key.
+        // No plan is mid-gather at capture, so every parked read must be
+        // a remote pull; a local read here would be lost by the image. A
+        // local read parks only through AsyncRead, which marks its key.
         TPART_CHECK(pr.remote.has_value())
             << "untagged parked storage read at checkpoint capture (key="
             << key << ")";

@@ -1,8 +1,6 @@
 #ifndef TPART_RUNTIME_STORAGE_SERVICE_H_
 #define TPART_RUNTIME_STORAGE_SERVICE_H_
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -10,7 +8,6 @@
 #include <vector>
 
 #include "common/flat_map.h"
-#include "common/status.h"
 #include "common/types.h"
 #include "storage/kv_store.h"
 
@@ -42,8 +39,9 @@ class StorageService {
 
   /// Identity of the remote requester behind a parked read. A read that
   /// carries a tag can be reconstructed after a crash (the reply callback
-  /// is rebuilt from the tag); untagged reads are local-executor waits and
-  /// never survive a checkpoint (the executor is quiescent at capture).
+  /// is rebuilt from the tag); untagged reads belong to the local head
+  /// plan and never survive a checkpoint (no plan is mid-gather at
+  /// capture).
   struct RemoteReadTag {
     MachineId reply_to = kInvalidMachine;
     std::uint64_t req_id = 0;
@@ -51,19 +49,12 @@ class StorageService {
   };
 
   /// Serves (possibly later) the version of `key` tagged
-  /// `expected_version`. `done` may run inline or from a later
-  /// ApplyWriteBack call on another thread; it must be lightweight.
+  /// `expected_version`. `done` runs inline, or later on the thread of
+  /// the ApplyWriteBack call that makes the version current (a machine's
+  /// loop), or on the Shutdown() caller; it must be lightweight.
   /// `remote` identifies a remote requester (see RemoteReadTag).
   void AsyncRead(ObjectKey key, TxnId expected_version, ReadDone done,
                  std::optional<RemoteReadTag> remote = std::nullopt);
-
-  /// Blocking read for the local executor: kUnavailable when
-  /// `expected_version` does not materialise within `timeout` (e.g. the
-  /// producing machine crashed), instead of hanging forever. The parked
-  /// read may still be served later; its value is discarded.
-  [[nodiscard]] Result<Record> BlockingReadFor(
-      ObjectKey key, TxnId expected_version,
-      std::chrono::microseconds timeout);
 
   /// Applies (or parks) the write-back of `version` of `key`, which
   /// replaces storage version `replaces` (strict replacement order).
@@ -90,7 +81,7 @@ class StorageService {
   /// current tag, read counts, sticky state, parked write-backs (as plain
   /// data, sorted by `replaces`), and parked *remote* reads (as
   /// reconstruction tags). Built up incrementally by FoldChanges() at
-  /// quiescent epoch boundaries; any untagged (local-executor) parked read
+  /// quiescent epoch boundaries; any untagged (local-plan) parked read
   /// on a folded key is a bug and CHECK-fails. A hash map, so a fold costs
   /// a probe per changed key however many keys the image holds; its
   /// iteration order is unspecified (Restore() does not depend on it).

@@ -18,7 +18,6 @@
 #include "obs/flight_recorder.h"
 #include "runtime/channel.h"
 #include "runtime/cluster.h"
-#include "runtime/storage_service.h"
 #include "storage/kv_store.h"
 #include "test_time.h"
 #include "workload/micro.h"
@@ -442,36 +441,6 @@ TEST(CrashTest, ChannelReceiveForTimesOutAndDelivers) {
   const Result<int> got = q.ReceiveFor(std::chrono::microseconds(2000));
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, 7);
-}
-
-TEST(CrashTest, StorageBlockingReadForTimesOutOnMissingVersion) {
-  KvStore store;
-  store.Upsert(1, Record{10});
-  StorageService svc(&store);
-
-  // The initial version is current: served immediately.
-  const Result<Record> now =
-      svc.BlockingReadFor(1, kInvalidTxnId, std::chrono::microseconds(2000));
-  ASSERT_TRUE(now.ok());
-  EXPECT_EQ(now->field(0), 10);
-
-  // Version 7 never materialises (its producer "crashed").
-  const Result<Record> never =
-      svc.BlockingReadFor(1, /*expected_version=*/7,
-                          std::chrono::microseconds(2000));
-  ASSERT_FALSE(never.ok());
-  EXPECT_EQ(never.status().code(), StatusCode::kUnavailable);
-
-  // A late write-back still applies cleanly; the parked read's value is
-  // discarded, not crashed on.
-  svc.ApplyWriteBack(1, /*version=*/7, /*replaces=*/kInvalidTxnId,
-                     Record{70}, /*awaits=*/0, /*sticky=*/false,
-                     /*epoch=*/1);
-  const Result<Record> after =
-      svc.BlockingReadFor(1, /*expected_version=*/7,
-                          std::chrono::microseconds(2000));
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->field(0), 70);
 }
 
 TEST(CrashTest, RecoveryStatsSummaryReportsCrashes) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -333,6 +334,157 @@ TEST(RuntimeTest, RoundRemoteReadsGoOutBeforeEarlierPlansFinish) {
       EXPECT_EQ(req.total_reads, 1u);
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// One thread per machine: the loop that dispatches messages also runs
+// the plans, parking a plan on a missing read instead of blocking.
+// ---------------------------------------------------------------------
+
+std::size_t ProcessThreads() {
+  std::size_t n = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++n;
+  }
+  return n;
+}
+
+TEST(RuntimeTest, StartTPartAddsExactlyOneThread) {
+  // Any runtime helper thread (a sanitizer's, say) that the first thread
+  // start spawns lazily is up before the count.
+  std::thread([] {}).join();
+  KvStore store;
+  ProcedureRegistry registry;
+  Machine m(0, 1, &store, &registry, [](MachineId, Message) {});
+  const std::size_t before = ProcessThreads();
+  m.StartTPart();
+  const std::size_t after = ProcessThreads();
+  m.FinishEnqueue();
+  m.JoinExecutor();
+  m.Stop();
+  EXPECT_EQ(after, before + 1);
+}
+
+TEST(RuntimeTest, ParkedPlanLeavesTheMachineServing) {
+  KvStore store;
+  store.Upsert(40, Record{400});
+  ProcedureRegistry registry;
+  registry.Register(200, "emit_reads", [](TxnContext& ctx) {
+    for (const std::int64_t key : ctx.params()) {
+      Result<Record> r = ctx.Get(static_cast<ObjectKey>(key));
+      if (!r.ok()) return r.status();
+      ctx.EmitOutput(r->field(0));
+    }
+    return Status::Ok();
+  });
+  std::mutex sent_mu;
+  std::vector<std::pair<MachineId, Message>> sent;
+  Machine m(0, 3, &store, &registry, [&](MachineId to, Message msg) {
+    std::lock_guard<std::mutex> lock(sent_mu);
+    sent.emplace_back(to, std::move(msg));
+  });
+  m.set_send_batch([&](std::vector<std::pair<MachineId, Message>>& msgs) {
+    std::lock_guard<std::mutex> lock(sent_mu);
+    for (auto& [to, msg] : msgs) sent.emplace_back(to, std::move(msg));
+  });
+  // An epoch entry a peer will pull: <50, v3>, read once.
+  m.cache().PublishEpochEntry(50, 3, 1, Record{500});
+  m.StartTPart();
+
+  // Round 1: T11 awaits forward-push <10, v9> from machine 1, which
+  // nobody sends yet, so it parks at the head of the queue.
+  TxnPlan t11;
+  t11.txn = 11;
+  t11.machine = 0;
+  t11.reads.push_back(MakeRead(10, ReadSourceKind::kPush, 9, 1));
+  SinkPlan plan;
+  plan.epoch = 1;
+  plan.txns = {t11};
+  TxnSpec s11;
+  s11.id = 11;
+  s11.proc = 200;
+  s11.params = {10};
+  s11.rw.reads = {10};
+  Message round;
+  round.type = Message::Type::kSinkPlan;
+  round.epoch = 1;
+  round.plan_bytes = EncodeSinkPlan(plan);
+  round.specs = {s11};
+  m.Deliver(std::move(round));
+
+  // While T11 is parked the machine answers a peer's storage read and
+  // cache pull, and records a heartbeat.
+  Message storage_req;
+  storage_req.type = Message::Type::kStorageReadReq;
+  storage_req.key = 40;
+  storage_req.version = kInvalidTxnId;
+  storage_req.reply_to = 1;
+  storage_req.req_id = 77;
+  m.Deliver(std::move(storage_req));
+  Message pull;
+  pull.type = Message::Type::kCacheReadReq;
+  pull.key = 50;
+  pull.version = 3;
+  pull.invalidate = true;
+  pull.total_reads = 1;
+  pull.reply_to = 2;
+  pull.req_id = 78;
+  m.Deliver(std::move(pull));
+  Message hb;
+  hb.type = Message::Type::kHeartbeat;
+  hb.req_id = 5;
+  m.Deliver(std::move(hb));
+
+  const auto answered = [&] {
+    std::lock_guard<std::mutex> lock(sent_mu);
+    return sent.size() >= 2 && m.heartbeat_seen() == 5;
+  };
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::microseconds(test::ScaledUs(2'000'000));
+  while (!answered() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(answered()) << m.StallDiagnostic();
+  EXPECT_EQ(m.executed_plans(), 0u);
+  {
+    std::lock_guard<std::mutex> lock(sent_mu);
+    ASSERT_EQ(sent.size(), 2u);
+    for (const auto& [to, resp] : sent) {
+      if (resp.type == Message::Type::kStorageReadResp) {
+        EXPECT_EQ(to, 1u);
+        EXPECT_EQ(resp.req_id, 77u);
+        EXPECT_EQ(resp.value.field(0), 400);
+      } else {
+        EXPECT_EQ(resp.type, Message::Type::kCacheReadResp);
+        EXPECT_EQ(to, 2u);
+        EXPECT_EQ(resp.req_id, 78u);
+        EXPECT_EQ(resp.value.field(0), 500);
+      }
+    }
+  }
+  EXPECT_EQ(m.cache().num_epoch_entries(), 0u);  // its one read served
+
+  // The push arrives: the parked plan resumes and runs.
+  Message push;
+  push.type = Message::Type::kPushVersion;
+  push.key = 10;
+  push.version = 9;
+  push.dst_txn = 11;
+  push.value = Record{100};
+  m.Deliver(std::move(push));
+  Message end;
+  end.type = Message::Type::kPlanStreamEnd;
+  end.epoch = 1;
+  m.Deliver(std::move(end));
+  m.JoinExecutor();
+  m.Stop();
+  EXPECT_EQ(m.executed_plans(), 1u);
+  const std::vector<TxnResult> results = m.TakeResults();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].id, 11u);
+  EXPECT_EQ(results[0].output, (std::vector<std::int64_t>{100}));
 }
 
 }  // namespace

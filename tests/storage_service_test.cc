@@ -4,6 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <future>
+#include <memory>
 #include <set>
 #include <thread>
 #include <utility>
@@ -14,13 +16,20 @@
 namespace tpart {
 namespace {
 
-// Reads through the executor's blocking path. A read still parked after
-// the test timeout fails the test instead of hanging it.
+// Reads through AsyncRead and waits for the callback. A read still parked
+// after the test timeout fails the test instead of hanging it; the shared
+// promise outlives a read that is served after that.
 Record Read(StorageService& svc, ObjectKey key, TxnId version) {
-  Result<Record> r =
-      svc.BlockingReadFor(key, version, std::chrono::seconds(10));
-  EXPECT_TRUE(r.ok()) << r.status().message();
-  return r.ok() ? std::move(r).value() : Record::Absent();
+  auto done = std::make_shared<std::promise<Record>>();
+  std::future<Record> got = done->get_future();
+  svc.AsyncRead(key, version,
+                [done](Record value) { done->set_value(std::move(value)); });
+  if (got.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+    ADD_FAILURE() << "read of key " << key << " v" << version
+                  << " still parked";
+    return Record::Absent();
+  }
+  return got.get();
 }
 
 TEST(StorageServiceTest, ReadsInitialVersionImmediately) {

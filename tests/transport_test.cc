@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -201,7 +202,7 @@ TEST(TransportTest, FaultsUpgradeDirectToSerialized) {
   msg.type = Message::Type::kPushVersion;
   msg.key = 1;
   for (int i = 0; i < 50; ++i) transport->Send(0, 1, msg);
-  transport->Flush();
+  ASSERT_TRUE(transport->Flush().ok());
   EXPECT_EQ(seen[1], 50);
   const TransportStats stats = transport->stats();
   EXPECT_GT(stats.packets_out, 0u);  // serialized, not direct
@@ -221,10 +222,35 @@ TEST(TransportTest, BackpressureCountersSurface) {
   msg.type = Message::Type::kPushVersion;
   msg.value = Record({1, 2, 3});
   for (int i = 0; i < 200; ++i) transport->Send(0, 1, msg);
-  transport->Flush();
+  ASSERT_TRUE(transport->Flush().ok());
   const TransportStats stats = transport->stats();
   EXPECT_GE(stats.queue_high_water, 1u);
   EXPECT_EQ(stats.messages_delivered, 200u);
+  transport->Stop();
+}
+
+TEST(TransportTest, FlushOverASeveredLinkTimesOutNamingTheLink) {
+  // A sever window that never heals: the packet is retried but never
+  // acked, so Flush() gives up at its deadline and names the link
+  // instead of hanging.
+  TransportOptions options;
+  options.kind = TransportKind::kInProcess;
+  options.retry_timeout_us = 1000;
+  PartitionEvent cut;
+  cut.group_a = {0};
+  cut.group_b = {1};
+  options.faults.partition.partitions.push_back(cut);
+  auto transport = MakeTransport(options);
+  std::vector<Transport::DeliverFn> sinks(2, [](Message) {});
+  transport->Start(std::move(sinks));
+  Message msg;
+  msg.type = Message::Type::kPushVersion;
+  msg.key = 1;
+  transport->Send(0, 1, msg);
+  const Status flushed = transport->Flush(std::chrono::milliseconds(50));
+  EXPECT_EQ(flushed.code(), StatusCode::kUnavailable) << flushed.ToString();
+  EXPECT_NE(flushed.message().find("link[0->1]"), std::string::npos)
+      << flushed.message();
   transport->Stop();
 }
 
