@@ -7,7 +7,7 @@
 //   ./build/examples/cluster_cli --workload=tpcc --engine=tpart
 //       --runtime --machines=4 --txns=2000
 //
-// Flags:
+// Flags (an unknown value of an enumerated flag exits with status 2):
 //   --workload=micro|tpcc|tpce      (default micro)
 //   --engine=calvin|tpart|both      (default both)
 //   --machines=N                    (default 4)
@@ -136,6 +136,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -181,6 +182,21 @@ bool BoolFlag(int argc, char** argv, const char* name) {
   for (int i = 1; i < argc; ++i) {
     if (flag == argv[i]) return true;
   }
+  return false;
+}
+
+/// True when `value` is one of `accepted`; otherwise names the accepted
+/// values of --`name` on stderr.
+bool CheckChoice(const char* name, const std::string& value,
+                 std::initializer_list<const char*> accepted) {
+  std::string list;
+  for (const char* choice : accepted) {
+    if (value == choice) return true;
+    list += list.empty() ? "" : "|";
+    list += choice;
+  }
+  std::fprintf(stderr, "--%s must be %s (got '%s')\n", name, list.c_str(),
+               value.c_str());
   return false;
 }
 
@@ -253,6 +269,12 @@ int main(int argc, char** argv) {
                                    : txn_sample_str.c_str() + slash + 1));
   }
   const std::string flight_path = StrFlag(argc, argv, "flight-recorder", "");
+  if (!CheckChoice("workload", workload_name, {"micro", "tpcc", "tpce"}) ||
+      !CheckChoice("engine", engine, {"calvin", "tpart", "both"}) ||
+      !CheckChoice("transport", transport_name, {"direct", "inproc", "tcp"}) ||
+      !CheckChoice("resize-policy", resize_policy, {"rehash", "hotkey"})) {
+    return 2;
+  }
 
   // The simulator's recorder runs on virtual time (deterministic,
   // diffable traces); the threaded runtime's on the steady clock.
@@ -524,9 +546,6 @@ int main(int argc, char** argv) {
       }
       if (resize_policy == "hotkey") {
         opts.resize.policy = MigrationPolicy::kHotKey;
-      } else if (resize_policy != "rehash") {
-        std::fprintf(stderr, "--resize-policy must be rehash or hotkey\n");
-        return 2;
       }
     }
     opts.checkpoint_every = checkpoint_every;

@@ -73,7 +73,8 @@ namespace {
 inline constexpr std::uint8_t kFlagPresent = 1u << 0;
 inline constexpr std::uint8_t kFlagState = 1u << 1;
 inline constexpr std::uint8_t kFlagSticky = 1u << 2;
-inline constexpr std::uint8_t kFlagCacheSticky = 1u << 3;
+inline constexpr std::uint8_t kKnownFlags =
+    kFlagPresent | kFlagState | kFlagSticky;
 }  // namespace
 
 std::string EncodePartitionImage(const PartitionImage& image) {
@@ -87,18 +88,12 @@ std::string EncodePartitionImage(const PartitionImage& image) {
     if (e.present) flags |= kFlagPresent;
     if (e.has_state) flags |= kFlagState;
     if (e.has_sticky) flags |= kFlagSticky;
-    if (e.has_cache_sticky) flags |= kFlagCacheSticky;
     w.PutU8(flags);
     if (e.present) EncodeRecord(e.value, w);
     if (e.has_state) {
       w.PutVarint(e.current);
       w.PutVarint(e.reads_served_since_wb);
       w.PutVarint(e.sticky_expire);
-    }
-    if (e.has_cache_sticky) {
-      EncodeRecord(e.cache_sticky_value, w);
-      w.PutVarint(e.cache_sticky_version);
-      w.PutVarint(e.cache_sticky_expire);
     }
   }
   return out;
@@ -117,15 +112,19 @@ Result<PartitionImage> DecodePartitionImage(std::string_view bytes) {
   std::uint64_t count = 0;
   if (!r.GetVarint(&count)) return truncated();
   PartitionImage image;
-  image.entries.reserve(count);
+  // Each entry takes at least two bytes: a corrupt count cannot reserve
+  // more than the input could hold.
+  image.entries.reserve(std::min<std::uint64_t>(count, bytes.size() / 2));
   for (std::uint64_t i = 0; i < count; ++i) {
     PartitionImage::KeyEntry e;
     std::uint8_t flags = 0;
     if (!r.GetVarint(&e.key) || !r.GetU8(&flags)) return truncated();
+    if ((flags & ~kKnownFlags) != 0) {
+      return Status::InvalidArgument("unknown partition-image entry flags");
+    }
     e.present = (flags & kFlagPresent) != 0;
     e.has_state = (flags & kFlagState) != 0;
     e.has_sticky = (flags & kFlagSticky) != 0;
-    e.has_cache_sticky = (flags & kFlagCacheSticky) != 0;
     if (e.present && !DecodeRecord(r, &e.value)) return truncated();
     if (e.has_state) {
       std::uint64_t reads = 0;
@@ -134,13 +133,6 @@ Result<PartitionImage> DecodePartitionImage(std::string_view bytes) {
         return truncated();
       }
       e.reads_served_since_wb = static_cast<std::uint32_t>(reads);
-    }
-    if (e.has_cache_sticky) {
-      if (!DecodeRecord(r, &e.cache_sticky_value) ||
-          !r.GetVarint(&e.cache_sticky_version) ||
-          !r.GetVarint(&e.cache_sticky_expire)) {
-        return truncated();
-      }
     }
     image.entries.push_back(std::move(e));
   }

@@ -24,10 +24,10 @@ struct MigrationRoute {
 };
 
 /// Diffs `map` across step `version-1 -> version` for the given per-source
-/// key universes (everything a source machine holds state for: records,
-/// storage-service key state, sticky entries) and groups the moved keys
-/// into routes sorted by (source, target). Keys within a route are sorted,
-/// so same-seed runs produce byte-identical migration traffic.
+/// key universes (everything a source machine holds state for: records
+/// and storage-service key state) and groups the moved keys into routes
+/// sorted by (source, target). Keys within a route are sorted, so
+/// same-seed runs produce byte-identical migration traffic.
 std::vector<MigrationRoute> PlanMigration(
     const ElasticPartitionMap& map, std::size_t version,
     const std::vector<std::pair<MachineId, std::vector<ObjectKey>>>&
@@ -50,9 +50,9 @@ void FillHotKeyOverrides(
 
 /// Per-key migration state: the record (if present in the store) plus the
 /// storage-service version discipline (current tag, reads served toward
-/// the next write-back's gate, sticky flags) and any sticky cache entry.
-/// Keys the run never touched have default state on both sides and are
-/// shipped with just their record.
+/// the next write-back's gate, sticky flags). Keys the run never touched
+/// have default state on both sides and are shipped with just their
+/// record.
 struct PartitionImage {
   struct KeyEntry {
     ObjectKey key = 0;
@@ -64,15 +64,15 @@ struct PartitionImage {
     std::uint32_t reads_served_since_wb = 0;
     bool has_sticky = false;
     SinkEpoch sticky_expire = 0;
-    /// CacheArea sticky entry (if the key has one).
-    bool has_cache_sticky = false;
-    Record cache_sticky_value = Record::Absent();
-    TxnId cache_sticky_version = kInvalidTxnId;
-    SinkEpoch cache_sticky_expire = 0;
+    bool operator==(const KeyEntry&) const = default;
   };
   std::vector<KeyEntry> entries;
 };
 
+/// Per entry: key, a flag byte (present | state | sticky), the record
+/// when present, and the state fields when it has state. Decoding rejects
+/// truncated input, trailing bytes, an unknown format version and any
+/// other flag bit with InvalidArgument.
 std::string EncodePartitionImage(const PartitionImage& image);
 Result<PartitionImage> DecodePartitionImage(std::string_view bytes);
 

@@ -1538,6 +1538,9 @@ ClusterRunOutcome LocalCluster::RunTPart() {
     }
     ctx.sampler->ClearSource();
   }
+  // Machine state (results, §5.4 log peaks) is loop-owned: read it only
+  // once every loop has stopped.
+  StopAll();
 
   ClusterRunOutcome outcome = CollectResults(/*dedup_participants=*/false);
   outcome.transport = transport_->stats();
@@ -1619,7 +1622,6 @@ ClusterRunOutcome LocalCluster::RunTPart() {
   for (const auto& m : machines_) {
     failover.fenced_messages += m->fenced_messages();
   }
-  StopAll();
   return outcome;
 }
 
@@ -1748,10 +1750,10 @@ ClusterRunOutcome LocalCluster::RunCalvin() {
   for (auto& m : machines_) m->FinishEnqueue();
   for (auto& m : machines_) m->JoinExecutor();
   const Status flushed = transport_->Flush();
+  StopAll();
   ClusterRunOutcome outcome = CollectResults(/*dedup_participants=*/true);
   outcome.fault = flushed;
   outcome.transport = transport_->stats();
-  StopAll();
   return outcome;
 }
 

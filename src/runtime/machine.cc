@@ -36,7 +36,14 @@ Machine::Machine(MachineId id, std::size_t num_machines, KvStore* store,
       store_(store),
       registry_(registry),
       send_(std::move(send)),
-      storage_(store) {}
+      storage_(store, [this](const StorageService::RemoteReadTag& tag,
+                             Record value) {
+        Message resp;
+        resp.type = Message::Type::kStorageReadResp;
+        resp.req_id = tag.req_id;
+        resp.value = std::move(value);
+        SendOut(tag.reply_to, std::move(resp));
+      }) {}
 
 Machine::~Machine() { Stop(); }
 
@@ -100,15 +107,13 @@ void Machine::Stop() {
   // By the time a machine is stopped every machine has gone idle and the
   // cluster has Flush()ed the transport, so all in-flight messages
   // already sit in the inbound queue; the loop dispatches up to the
-  // shutdown sentinel, applying any remaining write-backs before the
-  // storage front-end closes.
+  // shutdown sentinel, applying any remaining write-backs.
   if (service_.joinable()) {
     Message stop;
     stop.type = Message::Type::kShutdown;
     inbound_.Send(std::move(stop));
     service_.join();
   }
-  storage_.Shutdown();
   {
     std::lock_guard<std::mutex> lock(credit_mu_);
     credit_shutdown_ = true;
@@ -278,23 +283,12 @@ void Machine::Dispatch(Message msg) {
       responses_[msg.req_id] = std::move(msg.value);
       break;
     }
-    case Message::Type::kStorageReadReq: {
+    case Message::Type::kStorageReadReq:
       if (log) LogNetworkMessage(msg);
-      const MachineId reply_to = msg.reply_to;
-      const std::uint64_t req_id = msg.req_id;
-      // The tag lets a checkpoint capture a still-parked remote read and
-      // a recovery rebuild this reply callback from it.
-      storage_.AsyncRead(msg.key, msg.version,
-                         [this, reply_to, req_id](Record value) {
-                           Message resp;
-                           resp.type = Message::Type::kStorageReadResp;
-                           resp.req_id = req_id;
-                           resp.value = std::move(value);
-                           SendOut(reply_to, std::move(resp));
-                         },
-                         StorageService::RemoteReadTag{reply_to, req_id});
+      storage_.RemoteRead(msg.key, msg.version,
+                          StorageService::RemoteReadTag{msg.reply_to,
+                                                        msg.req_id});
       break;
-    }
     case Message::Type::kWriteBackApply:
       if (log) LogNetworkMessage(msg);
       storage_.ApplyWriteBack(msg.key, msg.version, msg.replaces,
@@ -586,21 +580,12 @@ bool Machine::AdvanceTPart() {
     const WorkUnit& unit = head_.unit;
     TPART_CHECK(unit.item.plan.machine == id_);
     head_.next_read = 0;
-    ++head_.gen;
-    head_.storage_issued = false;
-    head_.storage_value.reset();
     scratch_.exec.Clear();
-    if (unit.epoch > evicted_upto_) {
-      evicted_upto_ = unit.epoch;
-      cache_.EvictExpiredSticky(
-          unit.epoch > kStickyTtl ? unit.epoch - kStickyTtl : 0);
-    }
     // Request log: "the transaction requests are logged only after they
     // are partitioned, and each machine logs only those requests that are
     // assigned to itself" (§5.4). Entries land in execution order.
     // Replayed plans are already in the log.
     if (log_recording_ && !replay_ && !unit.replay) {
-      std::lock_guard<std::mutex> lock(log_mu_);
       request_log_.push_back(RequestLogEntry{unit.epoch, unit.item});
       request_log_bytes_ +=
           sizeof(RequestLogEntry) +
@@ -662,7 +647,10 @@ bool Machine::GatherHead() {
         v = TakeResponse(ReadRequestId(p.txn, i));
         break;
       case ReadSourceKind::kStorage:
-        v = r.src_machine == id_ ? LocalStorageRead(r)
+        // A local read is a probe: a miss parks nothing in the storage
+        // service, and the dispatch that makes the version current is
+        // followed by a re-probe.
+        v = r.src_machine == id_ ? storage_.TryRead(r.key, r.src_txn)
                                  : TakeResponse(ReadRequestId(p.txn, i));
         break;
     }
@@ -673,23 +661,6 @@ bool Machine::GatherHead() {
     values[r.key] = std::move(*v);
   }
   return true;
-}
-
-std::optional<Record> Machine::LocalStorageRead(const ReadStep& r) {
-  if (!head_.storage_issued) {
-    head_.storage_issued = true;
-    // The callback runs on this loop: inline, or from the ApplyWriteBack
-    // that makes the version current. Its 16-byte capture stays in
-    // std::function's inline buffer, so a read allocates nothing.
-    const std::uint64_t gen = head_.gen;
-    storage_.AsyncRead(r.key, r.src_txn, [this, gen](Record value) {
-      if (gen != head_.gen) return;  // an abandoned plan's read
-      head_.storage_value = std::move(value);
-    });
-  }
-  if (!head_.storage_value.has_value()) return std::nullopt;
-  head_.storage_issued = false;
-  return std::exchange(head_.storage_value, std::nullopt);
 }
 
 std::optional<Record> Machine::TakeResponse(std::uint64_t req_id) {
@@ -1025,7 +996,6 @@ void Machine::RestoreAndReplay(
     responses_.clear();
     results_.clear();
   }
-  evicted_upto_ = 0;
   parked_pulls_.clear();
   peer_reads_.clear();
   recovered_partial_epoch_ = resume;
@@ -1060,11 +1030,7 @@ void Machine::RestoreAndReplay(
   //    logged for the resume round itself are the partially-executed
   //    prefix of a mid-round crash; the re-shipped round skips them
   //    (recovered_partial_txns_).
-  std::vector<RequestLogEntry> entries;
-  {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    entries = request_log_;
-  }
+  std::vector<RequestLogEntry> entries = request_log_;
   const std::size_t replayed = entries.size();
   for (const RequestLogEntry& entry : entries) {
     if (entry.epoch == resume) {
@@ -1100,13 +1066,10 @@ void Machine::RestoreAndReplay(
       inbound_.Send(std::move(m));
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    for (const Message& m : network_log_) {
-      Message copy = m;
-      copy.redelivery = true;
-      inbound_.Send(std::move(copy));
-    }
+  for (const Message& m : network_log_) {
+    Message copy = m;
+    copy.redelivery = true;
+    inbound_.Send(std::move(copy));
   }
   for (Message& m : stash) inbound_.Send(std::move(m));
 }
@@ -1167,15 +1130,12 @@ void Machine::CaptureCheckpoint(SinkEpoch epoch) {
   }
   std::sort(cp.responses.begin(), cp.responses.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  {
-    std::lock_guard<std::mutex> lock(log_mu_);
-    cp.truncated_request_entries += request_log_.size();
-    cp.truncated_network_messages += network_log_.size();
-    request_log_.clear();
-    network_log_.clear();
-    request_log_bytes_ = 0;
-    network_log_bytes_ = 0;
-  }
+  cp.truncated_request_entries += request_log_.size();
+  cp.truncated_network_messages += network_log_.size();
+  request_log_.clear();
+  network_log_.clear();
+  request_log_bytes_ = 0;
+  network_log_bytes_ = 0;
   ++cp.captures_taken;
   cp.capture_us += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -1197,16 +1157,7 @@ void Machine::RestoreImages(const MachineCheckpoint& cp) {
     }
   }
   cache_.Restore(cp.cache);
-  storage_.Restore(cp.storage,
-                   [this](const StorageService::RemoteReadTag& tag) {
-                     return [this, tag](Record value) {
-                       Message resp;
-                       resp.type = Message::Type::kStorageReadResp;
-                       resp.req_id = tag.req_id;
-                       resp.value = std::move(value);
-                       SendOut(tag.reply_to, std::move(resp));
-                     };
-                   });
+  storage_.Restore(cp.storage);
 }
 
 void Machine::InstallCheckpoint(const MachineCheckpoint& cp) {
@@ -1219,32 +1170,11 @@ void Machine::InstallCheckpoint(const MachineCheckpoint& cp) {
 }
 
 void Machine::LogNetworkMessage(const Message& msg) {
-  std::lock_guard<std::mutex> lock(log_mu_);
   network_log_.push_back(msg);
   network_log_bytes_ += ApproxMessageBytes(msg);
   if (network_log_bytes_ > network_log_bytes_peak_) {
     network_log_bytes_peak_ = network_log_bytes_;
   }
-}
-
-std::size_t Machine::request_log_bytes() const {
-  std::lock_guard<std::mutex> lock(log_mu_);
-  return request_log_bytes_;
-}
-
-std::size_t Machine::network_log_bytes() const {
-  std::lock_guard<std::mutex> lock(log_mu_);
-  return network_log_bytes_;
-}
-
-std::size_t Machine::request_log_bytes_peak() const {
-  std::lock_guard<std::mutex> lock(log_mu_);
-  return request_log_bytes_peak_;
-}
-
-std::size_t Machine::network_log_bytes_peak() const {
-  std::lock_guard<std::mutex> lock(log_mu_);
-  return network_log_bytes_peak_;
 }
 
 // ---------------------------------------------------------------------
@@ -1310,11 +1240,11 @@ void Machine::HandleMigrateBegin(Message msg) {
                     {"keys", keys->size()},
                     {"cut", msg.epoch}});
 
-  // Capture the partition image: record, version-discipline state, and
-  // sticky cache entry per key — then drop everything locally. ExtractKeys
-  // CHECKs that no parked storage work exists (the barrier quiesced the
-  // stream), and marks every key changed so the forced capture folds the
-  // deletions into this machine's checkpoint.
+  // Capture the partition image: record and version-discipline state per
+  // key — then drop both locally. ExtractKeys CHECKs that no parked
+  // storage work exists (the barrier quiesced the stream), and marks
+  // every key changed so the forced capture folds the deletions into this
+  // machine's checkpoint.
   std::unordered_map<ObjectKey, StorageService::MigratedKeyState> state_of;
   for (auto& st : storage_.ExtractKeys(*keys)) {
     const ObjectKey key = st.key;
@@ -1341,12 +1271,6 @@ void Machine::HandleMigrateBegin(Message msg) {
       e.reads_served_since_wb = st->second.reads_served_since_wb;
       e.has_sticky = st->second.has_sticky;
       e.sticky_expire = st->second.sticky_expire;
-    }
-    if (auto sticky = cache_.ExtractSticky(key); sticky.has_value()) {
-      e.has_cache_sticky = true;
-      e.cache_sticky_value = std::move(sticky->value);
-      e.cache_sticky_version = sticky->version;
-      e.cache_sticky_expire = sticky->expire_epoch;
     }
     image.entries.push_back(std::move(e));
   }
@@ -1465,11 +1389,6 @@ void Machine::InstallMigration(std::uint64_t stream) {
       states.push_back(StorageService::MigratedKeyState{
           e.key, e.current, e.reads_served_since_wb, e.has_sticky,
           e.sticky_expire});
-    }
-    if (e.has_cache_sticky) {
-      cache_.InstallSticky(CacheArea::Image::StickyImage{
-          e.key, std::move(e.cache_sticky_value), e.cache_sticky_version,
-          e.cache_sticky_expire});
     }
   }
   storage_.InstallKeys(states);

@@ -44,7 +44,10 @@ namespace tpart {
 /// version it names is in memory). In T-Part mode the loop also requests
 /// each round's remote reads (kCacheRemote pulls and remote kStorage
 /// reads) as the round arrives, so their round trips overlap earlier
-/// plans; local storage reads are issued when a plan reaches the head.
+/// plans; a local storage read is a probe of the storage service when the
+/// plan reaches the head. The cache area, the storage service and the
+/// §5.4 logs are loop-owned: no other thread touches them while the loop
+/// runs, so none of them takes a lock.
 ///
 /// Recovery support (§5.4): the machine logs the requests assigned to it
 /// (after partitioning) and every inbound value-bearing message
@@ -133,7 +136,8 @@ class Machine {
   /// until Stop().
   void JoinExecutor();
   /// Stops the loop thread (after it dispatched everything delivered
-  /// before the call) and releases all waiters.
+  /// before the call) and releases all waiters. The §5.4 logs, their byte
+  /// peaks and the results are read after this.
   void Stop();
 
   /// Network intake (called by the cluster router).
@@ -253,10 +257,13 @@ class Machine {
   MachineId id() const { return id_; }
   std::vector<TxnResult> TakeResults();
   KvStore& store() { return *store_; }
+  /// Loop-owned and unlocked: use them only where the loop cannot be
+  /// writing them — before Start*(), after Stop(), or behind a
+  /// FenceService() on a quiesced stream.
   CacheArea& cache() { return cache_; }
   StorageService& storage() { return storage_; }
 
-  // ---- Recovery logs --------------------------------------------------
+  // ---- Recovery logs (read after Stop()) ------------------------------
   struct RequestLogEntry {
     SinkEpoch epoch;
     PlanItem item;
@@ -284,12 +291,14 @@ class Machine {
   /// the caller's job.
   void InstallCheckpoint(const MachineCheckpoint& cp);
 
-  /// Byte sizes of the §5.4 logs (current and high-water) — the
-  /// log-growth signal checkpoint truncation exists to bound.
-  std::size_t request_log_bytes() const;
-  std::size_t network_log_bytes() const;
-  std::size_t request_log_bytes_peak() const;
-  std::size_t network_log_bytes_peak() const;
+  /// High-water byte sizes of the §5.4 logs — the log-growth signal
+  /// checkpoint truncation exists to bound. Read after Stop().
+  std::size_t request_log_bytes_peak() const {
+    return request_log_bytes_peak_;
+  }
+  std::size_t network_log_bytes_peak() const {
+    return network_log_bytes_peak_;
+  }
 
   // ---- Elastic migration (src/elastic) --------------------------------
   /// Per-machine migration counters; the cluster merges them into
@@ -355,12 +364,6 @@ class Machine {
     WorkUnit unit;
     /// Reads gathered so far (T-Part), in plan order.
     std::size_t next_read = 0;
-    /// Bumped per plan: a local storage read's callback from an earlier
-    /// plan finds a stale generation and drops its value.
-    std::uint64_t gen = 0;
-    /// The local storage read in flight, and its value once served.
-    bool storage_issued = false;
-    std::optional<Record> storage_value;
     /// Parked at read `parked_read` (Calvin: on its peer reads) since
     /// `parked_since`; past kStallTimeout the run fails.
     bool parked = false;
@@ -391,7 +394,6 @@ class Machine {
   bool AdvanceCalvin();
   /// Gathers the head's reads from `next_read` on; false when it parks.
   bool GatherHead();
-  std::optional<Record> LocalStorageRead(const ReadStep& r);
   std::optional<Record> TakeResponse(std::uint64_t req_id);
   void NoteParked(std::size_t read_idx);
   [[noreturn]] void FailStall();
@@ -517,7 +519,6 @@ class Machine {
   // Loop-only (never read elsewhere while the loop runs).
   Head head_;
   Scratch scratch_;
-  SinkEpoch evicted_upto_ = 0;
   /// After a mid-round crash, the resume round is re-shipped whole; the
   /// plans in it that were already logged (hence replayed) are skipped.
   SinkEpoch recovered_partial_epoch_ = 0;
@@ -550,10 +551,9 @@ class Machine {
 
   std::function<void(TxnId)> commit_hook_;
 
-  // §5.4 logs; log_mu_ guards both (the loop appends, captures and
-  // replays; tests and the cluster read them after the run). Byte
-  // counters track the live footprint; peaks survive truncation.
-  mutable std::mutex log_mu_;
+  // §5.4 logs (loop only: the loop appends, captures and replays; tests
+  // and the cluster read them after Stop()). Byte counters track the live
+  // footprint; peaks survive truncation.
   std::vector<RequestLogEntry> request_log_;
   std::vector<Message> network_log_;
   bool log_recording_ = true;

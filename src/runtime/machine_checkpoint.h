@@ -27,12 +27,14 @@ namespace tpart {
 ///    write races it and no second copy is needed to snapshot under
 ///    concurrent writes.
 ///  * `storage` — the storage version discipline (current tags, parked
-///    write-backs, parked remote reads), keyed by object and maintained
+///    write-backs, parked remote reads as their requesters' tags; a local
+///    read is a probe and never parks), keyed by object and maintained
 ///    the same way: each capture overwrites the entries of the keys whose
 ///    state changed since the previous capture and erases the entries of
 ///    keys that lost their state (StorageService::FoldChanges).
-///  * `cache` — the live cache entries, copied whole at each capture
-///    (bounded by the in-flight working set, not by the run).
+///  * `cache` — the cache area's live version and epoch entries, copied
+///    whole at each capture (bounded by the in-flight working set, not by
+///    the run).
 ///  * `parked_pulls` — remote cache pulls the machine had parked waiting
 ///    for a local publish; re-injected (marked `redelivery`) at restore.
 ///  * `responses` — read responses received but not yet consumed, sorted

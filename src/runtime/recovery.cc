@@ -19,8 +19,8 @@ void RunReplay(Machine& machine,
   machine.FinishEnqueue();
   machine.StartTPart();
   machine.JoinExecutor();
-  out.results = machine.TakeResults();
   machine.Stop();
+  out.results = machine.TakeResults();
 }
 
 }  // namespace

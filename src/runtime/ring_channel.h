@@ -2,7 +2,6 @@
 #define TPART_RUNTIME_RING_CHANNEL_H_
 
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -16,63 +15,6 @@
 #include "common/status.h"
 
 namespace tpart {
-
-/// Bounded single-producer / single-consumer lock-free ring. The
-/// building block of the hot-path queueing layer: one cache-line-padded
-/// index per side, acquire/release publication, no mutex anywhere.
-/// Exactly one thread may call TryPush and exactly one may call TryPop.
-template <typename T>
-class SpscRing {
- public:
-  /// `capacity` is rounded up to a power of two (min 2).
-  explicit SpscRing(std::size_t capacity) {
-    std::size_t cap = 2;
-    while (cap < capacity) cap <<= 1;
-    mask_ = cap - 1;
-    buf_ = std::make_unique<T[]>(cap);
-  }
-
-  /// False when full (the caller decides how to back off).
-  bool TryPush(T&& v) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    if (head - cached_tail_ > mask_) {
-      cached_tail_ = tail_.load(std::memory_order_acquire);
-      if (head - cached_tail_ > mask_) return false;
-    }
-    buf_[head & mask_] = std::move(v);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// False when empty.
-  bool TryPop(T& out) {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail == cached_head_) {
-      cached_head_ = head_.load(std::memory_order_acquire);
-      if (tail == cached_head_) return false;
-    }
-    out = std::move(buf_[tail & mask_]);
-    buf_[tail & mask_] = T();  // release held resources eagerly
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  std::size_t capacity() const { return mask_ + 1; }
-  /// Approximate (racy) occupancy; exact when both sides are quiescent.
-  std::size_t size() const {
-    const std::size_t h = head_.load(std::memory_order_acquire);
-    const std::size_t t = tail_.load(std::memory_order_acquire);
-    return h - t;
-  }
-
- private:
-  std::unique_ptr<T[]> buf_;
-  std::size_t mask_ = 0;
-  alignas(64) std::atomic<std::size_t> head_{0};  // producer-owned
-  alignas(64) std::size_t cached_tail_ = 0;       // producer-local
-  alignas(64) std::atomic<std::size_t> tail_{0};  // consumer-owned
-  alignas(64) std::size_t cached_head_ = 0;       // consumer-local
-};
 
 /// Bounded multi-producer / single-consumer ring (Vyukov-style per-slot
 /// sequence numbers). Producers CAS a ticket, then publish their slot

@@ -3,8 +3,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -13,48 +13,56 @@
 
 namespace tpart {
 
-/// Sink epochs a sticky copy (§5.2) stays readable after the write-back
-/// that made it: storage keeps it this long, and each machine's cache
-/// evicts sticky entries older than this.
+/// Sink epochs a storage-side sticky copy (§5.2) stays marked after the
+/// write-back that made it (KeyState::sticky_expire).
 inline constexpr SinkEpoch kStickyTtl = 2;
 
 /// Home-machine storage front-end implementing T-Part's storage-side
 /// version discipline:
 ///  * every record carries the tag of the transaction whose write-back
 ///    produced it (0 = initial load);
-///  * a read names the exact tag it must observe (ReadStep::src_txn) and
-///    parks until that version is current;
+///  * a read names the exact tag it must observe (ReadStep::src_txn): the
+///    local head plan probes with TryRead and re-probes after the next
+///    dispatch; a remote read parks until that version is current;
 ///  * a write-back parks until (a) all earlier write-backs for the key
 ///    applied, and (b) its `awaits` count of reads of the previous version
 ///    have been served — so concurrent sinking rounds on different
 ///    machines can never overtake each other on storage.
-/// Write-backs are the only storage writes; applied values also feed the
-/// sticky cache (§5.2). No UNDO log is kept: a crashed partition is
-/// restored wholesale from its checkpoint before the logs replay (§5.4).
+/// Write-backs are the only storage writes. No UNDO log is kept: a
+/// crashed partition is restored wholesale from its checkpoint before the
+/// logs replay (§5.4).
+///
+/// Owned by one machine's loop thread: no other thread touches it while
+/// the loop runs (the membership step scans StateKeys() behind a service
+/// fence), so it takes no lock.
 class StorageService {
  public:
-  explicit StorageService(KvStore* store) : store_(store) {}
-
-  using ReadDone = std::function<void(Record)>;
-
-  /// Identity of the remote requester behind a parked read. A read that
-  /// carries a tag can be reconstructed after a crash (the reply callback
-  /// is rebuilt from the tag); untagged reads belong to the local head
-  /// plan and never survive a checkpoint (no plan is mid-gather at
-  /// capture).
+  /// Identity of the remote requester behind a parked read; a checkpoint
+  /// captures a parked read as its tag.
   struct RemoteReadTag {
     MachineId reply_to = kInvalidMachine;
     std::uint64_t req_id = 0;
     bool operator==(const RemoteReadTag&) const = default;
   };
 
-  /// Serves (possibly later) the version of `key` tagged
-  /// `expected_version`. `done` runs inline, or later on the thread of
-  /// the ApplyWriteBack call that makes the version current (a machine's
-  /// loop), or on the Shutdown() caller; it must be lightweight.
-  /// `remote` identifies a remote requester (see RemoteReadTag).
-  void AsyncRead(ObjectKey key, TxnId expected_version, ReadDone done,
-                 std::optional<RemoteReadTag> remote = std::nullopt);
+  /// Answers a served remote read (the machine sends kStorageReadResp).
+  /// Runs inside whichever call made the read current (RemoteRead,
+  /// TryRead or ApplyWriteBack); it must not call back into the service.
+  using ReplyFn = std::function<void(const RemoteReadTag&, Record)>;
+
+  StorageService(KvStore* store, ReplyFn reply)
+      : store_(store), reply_(std::move(reply)) {}
+
+  /// The head plan's probe: the version of `key` tagged `expected`, when
+  /// it is current — the read is then served, counted toward the next
+  /// write-back's `awaits` gate, and the key drained. nullopt otherwise;
+  /// a miss creates no state, counts no read and parks nothing.
+  std::optional<Record> TryRead(ObjectKey key, TxnId expected);
+
+  /// A remote requester's read: served now, or parked (as its tag alone)
+  /// until `expected` is current. Either way the value reaches the reply
+  /// function.
+  void RemoteRead(ObjectKey key, TxnId expected, RemoteReadTag tag);
 
   /// Applies (or parks) the write-back of `version` of `key`, which
   /// replaces storage version `replaces` (strict replacement order).
@@ -62,50 +70,44 @@ class StorageService {
                       Record value, std::uint32_t awaits, bool sticky,
                       SinkEpoch epoch);
 
-  /// Closes the service (machine shutdown or a failed run). Local
-  /// (untagged) readers, parked or arriving later, observe
-  /// Record::Absent(); remote-tagged reads are dropped unanswered, so an
-  /// absent placeholder never reaches a peer that is still executing —
-  /// the requester releases its own wait when it drains.
-  void Shutdown();
-
   /// Crash-recovery wipe: forgets every version gate, parked read and
-  /// parked write-back and re-opens a previously Shutdown() service. The
-  /// underlying KvStore is restored separately (checkpoint); replaying
-  /// the request/network logs rebuilds the version discipline from the
-  /// initial state, exactly like a fresh machine. Cumulative counters
-  /// (reads served, write-backs applied) are deliberately kept.
+  /// parked write-back. The underlying KvStore is restored separately
+  /// (checkpoint); replaying the request/network logs rebuilds the version
+  /// discipline from the initial state, exactly like a fresh machine.
+  /// Cumulative counters (reads served, write-backs applied) are
+  /// deliberately kept.
   void Reset();
 
+  /// A write-back parked until its gates open.
+  struct ParkedWriteBack {
+    TxnId version;
+    TxnId replaces;
+    Record value;
+    std::uint32_t awaits;
+    bool sticky;
+    SinkEpoch epoch;
+    bool operator==(const ParkedWriteBack&) const = default;
+  };
+  /// A remote read parked until `expected` is current.
+  struct ParkedRemoteRead {
+    TxnId expected;
+    RemoteReadTag tag;
+    bool operator==(const ParkedRemoteRead&) const = default;
+  };
+
   /// Checkpoint image of the version discipline, keyed by object: per-key
-  /// current tag, read counts, sticky state, parked write-backs (as plain
-  /// data, sorted by `replaces`), and parked *remote* reads (as
-  /// reconstruction tags). Built up incrementally by FoldChanges() at
-  /// quiescent epoch boundaries; any untagged (local-plan) parked read
-  /// on a folded key is a bug and CHECK-fails. A hash map, so a fold costs
-  /// a probe per changed key however many keys the image holds; its
+  /// current tag, read counts, sticky state, parked write-backs (sorted by
+  /// `replaces`) and parked remote reads. Built up incrementally by
+  /// FoldChanges() at quiescent epoch boundaries. A hash map, so a fold
+  /// costs a probe per changed key however many keys the image holds; its
   /// iteration order is unspecified (Restore() does not depend on it).
   struct Image {
-    struct ParkedWbImage {
-      TxnId version;
-      TxnId replaces;
-      Record value;
-      std::uint32_t awaits;
-      bool sticky;
-      SinkEpoch epoch;
-      bool operator==(const ParkedWbImage&) const = default;
-    };
-    struct ParkedRemoteRead {
-      TxnId expected;
-      RemoteReadTag tag;
-      bool operator==(const ParkedRemoteRead&) const = default;
-    };
     struct KeyImage {
       TxnId current;
       std::uint32_t reads_served_since_wb;
       bool has_sticky;
       SinkEpoch sticky_expire;
-      std::vector<ParkedWbImage> parked_wbs;
+      std::vector<ParkedWriteBack> parked_wbs;
       std::vector<ParkedRemoteRead> parked_remote_reads;
       bool operator==(const KeyImage&) const = default;
     };
@@ -120,14 +122,11 @@ class StorageService {
   /// O(keys). Returns the number of image entries written or erased.
   std::size_t FoldChanges(Image& image, std::vector<ObjectKey>& written);
 
-  /// Rebuilds a ReadDone reply callback from a RemoteReadTag at restore.
-  using MakeRemoteDone = std::function<ReadDone(const RemoteReadTag&)>;
-
-  /// Replaces the version-discipline state with `image` and re-opens the
-  /// service; parked remote reads get fresh callbacks via `make_done`.
+  /// Replaces the version-discipline state with `image`; its parked
+  /// remote reads are answered through the reply function once served.
   /// The next FoldChanges() starts from `image`. Cumulative counters are
   /// kept, mirroring Reset().
-  void Restore(const Image& image, const MakeRemoteDone& make_done);
+  void Restore(const Image& image);
 
   /// Per-key migration state, extracted from a quiesced source machine.
   struct MigratedKeyState {
@@ -162,33 +161,20 @@ class StorageService {
   /// have no version-discipline state.
   void MarkDirty(const std::vector<ObjectKey>& keys);
 
-  std::uint64_t sticky_hits() const;
-  std::uint64_t reads_served() const;
-  std::uint64_t write_backs_applied() const;
+  std::uint64_t sticky_hits() const { return sticky_hits_; }
+  std::uint64_t reads_served() const { return reads_served_total_; }
+  std::uint64_t write_backs_applied() const { return write_backs_applied_; }
 
  private:
-  struct ParkedRead {
-    TxnId expected;
-    ReadDone done;
-    std::optional<RemoteReadTag> remote;
-  };
-  struct ParkedWb {
-    TxnId version;
-    TxnId replaces;
-    Record value;
-    std::uint32_t awaits;
-    bool sticky;
-    SinkEpoch epoch;
-  };
   struct KeyState {
     TxnId current = kInvalidTxnId;  // 0 = initial version
     std::uint32_t reads_served_since_wb = 0;
-    std::vector<ParkedRead> parked_reads;
+    std::vector<ParkedRemoteRead> parked_reads;
     // A write-back applies only when the version it replaces is current.
     // At most a handful park per key, so a flat vector (linear search on
     // `replaces`) beats a node-based map; FoldChanges() sorts the image
     // copy by `replaces` so an image does not depend on arrival order.
-    std::vector<ParkedWb> parked_wbs;
+    std::vector<ParkedWriteBack> parked_wbs;
     // Sticky copy of the current version (§5.2).
     bool has_sticky = false;
     // kStateChanged | kRecordWritten bits set since the key was last
@@ -199,21 +185,21 @@ class StorageService {
   static constexpr std::uint8_t kStateChanged = 1;
   static constexpr std::uint8_t kRecordWritten = 2;
 
-  // mu_ held: flags `key` for the next FoldChanges(), listing it the
-  // first time since its last fold.
-  void MarkLocked(ObjectKey key, KeyState& st, std::uint8_t bits) {
+  // Flags `key` for the next FoldChanges(), listing it the first time
+  // since its last fold.
+  void Mark(ObjectKey key, KeyState& st, std::uint8_t bits) {
     if (st.changed == 0) changed_keys_.push_back(key);
     st.changed |= bits;
   }
 
-  // mu_ held; returns callbacks to run after unlock.
-  void DrainKeyLocked(ObjectKey key, KeyState& st,
-                      std::vector<std::pair<ReadDone, Record>>& ready);
-  Record CurrentValueLocked(ObjectKey key, const KeyState& st);
+  /// Serves one read of the current version of `key`.
+  Record Serve(ObjectKey key, KeyState& st);
+  /// Serves the parked reads of the current version and applies every
+  /// write-back whose gates open, until neither makes progress.
+  void DrainKey(ObjectKey key, KeyState& st);
 
-  mutable std::mutex mu_;
-  bool shutdown_ = false;
   KvStore* store_;
+  ReplyFn reply_;
   FlatMap<ObjectKey, KeyState> keys_;
   // Keys to visit at the next FoldChanges(): each key whose `changed`
   // bits went non-zero, plus each key whose state was extracted or whose

@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <thread>
-
 #include "cache/cache_area.h"
 
 namespace tpart {
@@ -11,11 +8,11 @@ namespace {
 TEST(CacheAreaTest, VersionEntryIsConsumedByItsReader) {
   CacheArea cache;
   cache.PutVersion(1, 10, 20, Record{42});
-  EXPECT_TRUE(cache.HasVersion(1, 10, 20));
-  auto v = cache.AwaitVersion(1, 10, 20);
+  auto v = cache.TakeVersion(1, 10, 20);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->field(0), 42);
-  EXPECT_FALSE(cache.HasVersion(1, 10, 20));  // invalidated on read (§5.2)
+  // Invalidated on read (§5.2).
+  EXPECT_FALSE(cache.TakeVersion(1, 10, 20).has_value());
   EXPECT_EQ(cache.num_version_entries(), 0u);
 }
 
@@ -25,19 +22,8 @@ TEST(CacheAreaTest, VersionEntriesAreKeyedByTriple) {
   cache.PutVersion(1, 10, 21, Record{2});
   cache.PutVersion(1, 11, 20, Record{3});
   EXPECT_EQ(cache.num_version_entries(), 3u);
-  EXPECT_EQ(cache.AwaitVersion(1, 10, 21)->field(0), 2);
+  EXPECT_EQ(cache.TakeVersion(1, 10, 21)->field(0), 2);
   EXPECT_EQ(cache.num_version_entries(), 2u);
-}
-
-TEST(CacheAreaTest, AwaitBlocksUntilPut) {
-  CacheArea cache;
-  std::optional<Record> got;
-  std::thread reader([&] { got = cache.AwaitVersion(5, 1, 2); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  cache.PutVersion(5, 1, 2, Record{9});
-  reader.join();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->field(0), 9);
 }
 
 TEST(CacheAreaTest, EpochEntryServesMultipleReadersThenFrees) {
@@ -72,64 +58,38 @@ TEST(CacheAreaTest, TryEpochEntryNonBlocking) {
   EXPECT_TRUE(cache.TryEpochEntry(1, 10, false, 0).has_value());
 }
 
-TEST(CacheAreaTest, StickyEntriesVersionCheckedAndExpiring) {
-  CacheArea cache;
-  cache.PutSticky(1, /*version=*/10, Record{3}, /*expire_epoch=*/5);
-  EXPECT_TRUE(cache.ReadSticky(1, 10, 4).has_value());
-  EXPECT_TRUE(cache.ReadSticky(1, 10, 5).has_value());
-  EXPECT_FALSE(cache.ReadSticky(1, 11, 4).has_value());  // wrong version
-  EXPECT_FALSE(cache.ReadSticky(1, 10, 6).has_value());  // expired
-  EXPECT_EQ(cache.sticky_hits(), 2u);
-  cache.EvictExpiredSticky(6);
-  EXPECT_EQ(cache.num_sticky_entries(), 0u);
-}
-
-TEST(CacheAreaTest, ShutdownReleasesWaiters) {
-  CacheArea cache;
-  std::optional<Record> got = Record{1};
-  std::thread reader([&] { got = cache.AwaitVersion(9, 9, 9); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  cache.Shutdown();
-  reader.join();
-  EXPECT_FALSE(got.has_value());
-}
-
 TEST(CacheAreaTest, PeakEntriesTracksHighWaterMark) {
   CacheArea cache;
   cache.PutVersion(1, 1, 2, Record{});
   cache.PutVersion(2, 1, 2, Record{});
-  cache.AwaitVersion(1, 1, 2);
+  cache.AwaitVersion(1, 1, 2);  // the alias consumes like TakeVersion
   cache.AwaitVersion(2, 1, 2);
+  EXPECT_EQ(cache.num_version_entries(), 0u);
   cache.PutVersion(3, 1, 2, Record{});
   EXPECT_EQ(cache.peak_entries(), 2u);
 }
 
-
-TEST(CacheAreaTest, MissingEntriesTimeOutInsteadOfHanging) {
+TEST(CacheAreaTest, MissingEntriesMissWithoutServingARead) {
   // A lost push or epoch entry must never hang its reader: the probes a
-  // machine's loop parks its plan on return nullopt at once, and the
-  // blocking AwaitVersion gives up at its deadline without a Shutdown().
+  // machine's loop parks its plan on return nullopt at once.
   CacheArea cache;
   EXPECT_FALSE(cache.TakeVersion(1, 2, 3).has_value());
   EXPECT_FALSE(cache.TryEpochEntry(1, 2, false, 0).has_value());
   EXPECT_EQ(cache.num_epoch_entries(), 0u);  // a miss serves no read
-  const auto deadline = std::chrono::milliseconds(20);
-  const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(cache.AwaitVersion(1, 2, 3, deadline).has_value());
-  EXPECT_GE(std::chrono::steady_clock::now() - start, deadline);
+  EXPECT_FALSE(cache.TakeVersion(1, 2, 3).has_value());
+  EXPECT_EQ(cache.num_version_entries(), 0u);
 }
 
-TEST(CacheAreaTest, PresentEntriesAreConsumedUnderADeadline) {
+TEST(CacheAreaTest, PresentEntriesAreConsumedByTheirProbe) {
   CacheArea cache;
-  const auto deadline = std::chrono::milliseconds(20);
   cache.PutVersion(1, 10, 20, Record{42});
-  auto v = cache.AwaitVersion(1, 10, 20, deadline);
+  auto v = cache.TakeVersion(1, 10, 20);
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(v->field(0), 42);
-  // Consumed by that read: a second wait finds nothing.
-  EXPECT_FALSE(cache.AwaitVersion(1, 10, 20, deadline).has_value());
+  // Consumed by that read: a second probe finds nothing.
+  EXPECT_FALSE(cache.TakeVersion(1, 10, 20).has_value());
 
-  // The consuming probe behaves the same.
+  // Another entry, consumed the same way.
   cache.PutVersion(2, 10, 20, Record{43});
   auto t = cache.TakeVersion(2, 10, 20);
   ASSERT_TRUE(t.has_value());

@@ -190,6 +190,9 @@ TEST(CrashTest, CrashedRunIsDeterministicAcrossRuns) {
   const LocalClusterOptions opts = CrashOpts(TransportKind::kInProcess, 2, 4);
   const RunSnapshot first = RunOnce(w, opts);
   const RunSnapshot second = RunOnce(w, opts);
+  // A faulted run explains every mismatch below; report the fault itself.
+  ASSERT_TRUE(first.out.fault.ok()) << first.out.fault.ToString();
+  ASSERT_TRUE(second.out.fault.ok()) << second.out.fault.ToString();
   ExpectSameResults(first.out.results, second.out.results);
   EXPECT_EQ(first.state, second.state);
   // The crash point is deterministic, so the replayed suffix is too.

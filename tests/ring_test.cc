@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -11,66 +9,6 @@
 
 namespace tpart {
 namespace {
-
-// ---- SpscRing ---------------------------------------------------------
-
-TEST(SpscRingTest, FillDrainWraparound) {
-  SpscRing<int> ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  // Several laps around the ring so head/tail wrap the mask repeatedly.
-  int next_in = 0;
-  int next_out = 0;
-  for (int lap = 0; lap < 100; ++lap) {
-    while (ring.TryPush(int(next_in))) ++next_in;
-    EXPECT_EQ(ring.size(), 4u);
-    int v;
-    EXPECT_FALSE(ring.TryPush(int(next_in)));  // full
-    while (ring.TryPop(v)) EXPECT_EQ(v, next_out++);
-    EXPECT_FALSE(ring.TryPop(v));  // empty
-    EXPECT_EQ(next_in, next_out);
-  }
-  EXPECT_EQ(next_in, 400);
-}
-
-TEST(SpscRingTest, CapacityRoundsUpToPowerOfTwo) {
-  SpscRing<int> ring(5);
-  EXPECT_EQ(ring.capacity(), 8u);
-  SpscRing<int> tiny(1);
-  EXPECT_EQ(tiny.capacity(), 2u);
-}
-
-// Producer and consumer race across the full/empty boundaries; run under
-// TSan this is the memory-ordering proof for the acquire/release pair.
-TEST(SpscRingTest, ThreadedFifo) {
-  constexpr std::uint64_t kCount = 200000;
-  SpscRing<std::uint64_t> ring(64);
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kCount; ++i) {
-      while (!ring.TryPush(std::uint64_t(i))) std::this_thread::yield();
-    }
-  });
-  std::uint64_t expect = 0;
-  while (expect < kCount) {
-    std::uint64_t v;
-    if (ring.TryPop(v)) {
-      ASSERT_EQ(v, expect);
-      ++expect;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-  std::uint64_t v;
-  EXPECT_FALSE(ring.TryPop(v));
-}
-
-TEST(SpscRingTest, MoveOnlyPayloadReleasedOnPop) {
-  SpscRing<std::string> ring(2);
-  ASSERT_TRUE(ring.TryPush(std::string(1000, 'x')));
-  std::string out;
-  ASSERT_TRUE(ring.TryPop(out));
-  EXPECT_EQ(out.size(), 1000u);
-}
 
 // ---- MpscRing ---------------------------------------------------------
 

@@ -487,5 +487,82 @@ TEST(RuntimeTest, ParkedPlanLeavesTheMachineServing) {
   EXPECT_EQ(results[0].output, (std::vector<std::int64_t>{100}));
 }
 
+TEST(RuntimeTest, HeadParkedOnStorageProbeResumesOnAPeersWriteBack) {
+  KvStore store;
+  store.Upsert(60, Record{600});
+  ProcedureRegistry registry;
+  registry.Register(200, "emit_reads", [](TxnContext& ctx) {
+    for (const std::int64_t key : ctx.params()) {
+      Result<Record> r = ctx.Get(static_cast<ObjectKey>(key));
+      if (!r.ok()) return r.status();
+      ctx.EmitOutput(r->field(0));
+    }
+    return Status::Ok();
+  });
+  Machine m(0, 2, &store, &registry, [](MachineId, Message) {});
+  m.set_send_batch([](std::vector<std::pair<MachineId, Message>>&) {});
+  m.StartTPart();
+
+  // Round 1: T21 reads version 8 of key 60 from local storage; machine 1
+  // has not written it back yet, so T21 parks at the head.
+  TxnPlan t21;
+  t21.txn = 21;
+  t21.machine = 0;
+  t21.reads.push_back(MakeRead(60, ReadSourceKind::kStorage, 8, 0));
+  SinkPlan plan;
+  plan.epoch = 1;
+  plan.txns = {t21};
+  TxnSpec s21;
+  s21.id = 21;
+  s21.proc = 200;
+  s21.params = {60};
+  s21.rw.reads = {60};
+  Message round;
+  round.type = Message::Type::kSinkPlan;
+  round.epoch = 1;
+  round.plan_bytes = EncodeSinkPlan(plan);
+  round.specs = {s21};
+  m.Deliver(std::move(round));
+  Message hb;
+  hb.type = Message::Type::kHeartbeat;
+  hb.req_id = 1;
+  m.Deliver(std::move(hb));
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::microseconds(test::ScaledUs(2'000'000));
+  while (m.heartbeat_seen() != 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(m.heartbeat_seen(), 1u) << m.StallDiagnostic();
+  // Give the loop time to probe (and miss) a few times.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(m.executed_plans(), 0u);
+
+  // Machine 1's write-back makes v8 current: the head re-probes and runs.
+  Message wb;
+  wb.type = Message::Type::kWriteBackApply;
+  wb.key = 60;
+  wb.version = 8;
+  wb.replaces = kInvalidTxnId;
+  wb.value = Record{800};
+  wb.awaits = 0;
+  wb.epoch = 1;
+  m.Deliver(std::move(wb));
+  Message end;
+  end.type = Message::Type::kPlanStreamEnd;
+  end.epoch = 1;
+  m.Deliver(std::move(end));
+  m.JoinExecutor();
+  m.Stop();
+  EXPECT_EQ(m.executed_plans(), 1u);
+  const std::vector<TxnResult> results = m.TakeResults();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].id, 21u);
+  EXPECT_EQ(results[0].output, (std::vector<std::int64_t>{800}));
+  // The misses while parked served nothing; the one hit is the only read.
+  EXPECT_EQ(m.storage().reads_served(), 1u);
+  EXPECT_EQ(m.storage().write_backs_applied(), 1u);
+}
+
 }  // namespace
 }  // namespace tpart

@@ -1,13 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <future>
-#include <memory>
+#include <optional>
 #include <set>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -16,53 +13,94 @@
 namespace tpart {
 namespace {
 
-// Reads through AsyncRead and waits for the callback. A read still parked
-// after the test timeout fails the test instead of hanging it; the shared
-// promise outlives a read that is served after that.
+using Image = StorageService::Image;
+using RemoteReadTag = StorageService::RemoteReadTag;
+using Replies = std::vector<std::pair<RemoteReadTag, Record>>;
+
+// A reply function recording each answered remote read.
+StorageService::ReplyFn RecordTo(Replies* replies) {
+  return [replies](const RemoteReadTag& tag, Record value) {
+    replies->emplace_back(tag, std::move(value));
+  };
+}
+
+// The reply function of a service no remote reader uses.
+StorageService::ReplyFn NoReplies() {
+  return [](const RemoteReadTag& tag, Record) {
+    ADD_FAILURE() << "unexpected reply to request " << tag.req_id;
+  };
+}
+
+// The head plan's probe of a version that must be current.
 Record Read(StorageService& svc, ObjectKey key, TxnId version) {
-  auto done = std::make_shared<std::promise<Record>>();
-  std::future<Record> got = done->get_future();
-  svc.AsyncRead(key, version,
-                [done](Record value) { done->set_value(std::move(value)); });
-  if (got.wait_for(std::chrono::seconds(10)) != std::future_status::ready) {
+  std::optional<Record> got = svc.TryRead(key, version);
+  if (!got.has_value()) {
     ADD_FAILURE() << "read of key " << key << " v" << version
-                  << " still parked";
+                  << " is not current";
     return Record::Absent();
   }
-  return got.get();
+  return *std::move(got);
 }
 
 TEST(StorageServiceTest, ReadsInitialVersionImmediately) {
   KvStore store;
   store.Upsert(1, Record{10});
-  StorageService svc(&store);
+  StorageService svc(&store, NoReplies());
   EXPECT_EQ(Read(svc, 1, kInvalidTxnId).field(0), 10);
   EXPECT_EQ(svc.reads_served(), 1u);
 }
 
 TEST(StorageServiceTest, MissingKeyReadsAbsent) {
   KvStore store;
-  StorageService svc(&store);
+  StorageService svc(&store, NoReplies());
   EXPECT_TRUE(Read(svc, 99, kInvalidTxnId).is_absent());
 }
 
-TEST(StorageServiceTest, ReadParksUntilExpectedVersionApplied) {
+TEST(StorageServiceTest, ProbeMissesUntilExpectedVersionApplied) {
   KvStore store;
   store.Upsert(1, Record{10});
-  StorageService svc(&store);
-  std::atomic<bool> served{false};
-  Record got;
-  std::thread reader([&] {
-    got = Read(svc, 1, /*expected=*/7);
-    served = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(served.load());
+  StorageService svc(&store, NoReplies());
+  EXPECT_FALSE(svc.TryRead(1, /*expected=*/7).has_value());
   svc.ApplyWriteBack(1, /*version=*/7, /*replaces=*/kInvalidTxnId,
                      Record{70}, /*awaits=*/0, /*sticky=*/false,
                      /*epoch=*/1);
-  reader.join();
-  EXPECT_EQ(got.field(0), 70);
+  EXPECT_EQ(Read(svc, 1, 7).field(0), 70);
+  EXPECT_EQ(svc.reads_served(), 1u);  // the miss counted nothing
+}
+
+TEST(StorageServiceTest, MissedProbeParksNothingAndOpensGatesOnlyWhenServed) {
+  KvStore store;
+  store.Upsert(1, Record{10});
+  Replies replies;
+  StorageService svc(&store, RecordTo(&replies));
+  // v7 is not current: the probe misses, twice, and leaves no state.
+  EXPECT_FALSE(svc.TryRead(1, /*expected=*/7).has_value());
+  EXPECT_FALSE(svc.TryRead(1, /*expected=*/7).has_value());
+  EXPECT_EQ(svc.reads_served(), 0u);
+  EXPECT_TRUE(svc.StateKeys().empty());
+  Image image;
+  std::vector<ObjectKey> written;
+  EXPECT_EQ(svc.FoldChanges(image, written), 0u);
+
+  // v7 becomes current; wb(v9) replaces it once its one planned read is
+  // served, and a remote reader asks for v9.
+  svc.ApplyWriteBack(1, /*version=*/7, kInvalidTxnId, Record{70},
+                     /*awaits=*/0, false, 1);
+  svc.ApplyWriteBack(1, /*version=*/9, /*replaces=*/7, Record{90},
+                     /*awaits=*/1, false, 2);
+  svc.RemoteRead(1, /*expected=*/9, RemoteReadTag{/*reply_to=*/2, 5});
+  // Had a miss parked a read, v7's write-back would have served it and
+  // opened wb(v9)'s gate.
+  EXPECT_EQ(store.Read(1)->field(0), 70);
+  EXPECT_TRUE(replies.empty());
+
+  // The same probe now serves v7; that read applies wb(v9), which answers
+  // the remote read with v9.
+  EXPECT_EQ(Read(svc, 1, 7).field(0), 70);
+  EXPECT_EQ(store.Read(1)->field(0), 90);
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_EQ(replies[0].first, (RemoteReadTag{2, 5}));
+  EXPECT_EQ(replies[0].second.field(0), 90);
 }
 
 TEST(StorageServiceTest, WriteBackAwaitsOldReaders) {
@@ -70,7 +108,7 @@ TEST(StorageServiceTest, WriteBackAwaitsOldReaders) {
   // version, even though it arrives first.
   KvStore store;
   store.Upsert(1, Record{10});
-  StorageService svc(&store);
+  StorageService svc(&store, NoReplies());
   svc.ApplyWriteBack(1, 7, kInvalidTxnId, Record{70}, /*awaits=*/2,
                      false, 1);
   EXPECT_EQ(store.Read(1)->field(0), 10);  // parked
@@ -84,7 +122,7 @@ TEST(StorageServiceTest, WriteBackAwaitsOldReaders) {
 TEST(StorageServiceTest, WriteBacksApplyInVersionOrder) {
   KvStore store;
   store.Upsert(1, Record{10});
-  StorageService svc(&store);
+  StorageService svc(&store, NoReplies());
   // v9 arrives before v7; v9 awaits the (single) reader of v7.
   svc.ApplyWriteBack(1, 9, /*replaces=*/7, Record{90}, /*awaits=*/1,
                      false, 2);
@@ -98,7 +136,7 @@ TEST(StorageServiceTest, WriteBacksApplyInVersionOrder) {
 TEST(StorageServiceTest, AbsentWriteBackDeletes) {
   KvStore store;
   store.Upsert(1, Record{10});
-  StorageService svc(&store);
+  StorageService svc(&store, NoReplies());
   svc.ApplyWriteBack(1, 3, kInvalidTxnId, Record::Absent(), 0, false, 1);
   EXPECT_FALSE(store.Contains(1));
   EXPECT_TRUE(Read(svc, 1, 3).is_absent());
@@ -107,71 +145,15 @@ TEST(StorageServiceTest, AbsentWriteBackDeletes) {
 TEST(StorageServiceTest, StickyHitCounting) {
   KvStore store;
   store.Upsert(1, Record{10});
-  StorageService svc(&store);
+  StorageService svc(&store, NoReplies());
   svc.ApplyWriteBack(1, 3, kInvalidTxnId, Record{30}, 0, /*sticky=*/true, 1);
   EXPECT_EQ(Read(svc, 1, 3).field(0), 30);
   EXPECT_EQ(svc.sticky_hits(), 1u);
 }
 
-TEST(StorageServiceTest, ShutdownReleasesParkedReaders) {
-  KvStore store;
-  StorageService svc(&store);
-  std::optional<Record> got;
-  std::thread reader([&] { got = Read(svc, 1, /*expected=*/5); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  svc.Shutdown();
-  reader.join();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_TRUE(got->is_absent());
-}
-
-TEST(StorageServiceTest, ShutdownNeverAnswersARemoteRead) {
-  // A failed run shuts machines down one at a time, so a remote requester
-  // may still be executing: an absent placeholder sent to it would run a
-  // procedure on a record that does not exist. Only local readers, parked
-  // or arriving after shutdown, get the placeholder.
-  KvStore store;
-  store.Upsert(1, Record{10});
-  StorageService svc(&store);
-  std::vector<Record> local;
-  std::vector<Record> remote;
-  const auto local_done = [&](Record v) { local.push_back(std::move(v)); };
-  const auto remote_done = [&](Record v) { remote.push_back(std::move(v)); };
-  // Parked: version 5 of key 1 never arrives.
-  svc.AsyncRead(1, /*expected=*/5, local_done);
-  svc.AsyncRead(1, /*expected=*/5, remote_done,
-                StorageService::RemoteReadTag{/*reply_to=*/2, /*req_id=*/7});
-  svc.Shutdown();
-  ASSERT_EQ(local.size(), 1u);
-  EXPECT_TRUE(local[0].is_absent());
-  EXPECT_TRUE(remote.empty());
-  // Arriving after shutdown, for the version that is current.
-  svc.AsyncRead(1, kInvalidTxnId, local_done);
-  svc.AsyncRead(1, kInvalidTxnId, remote_done,
-                StorageService::RemoteReadTag{/*reply_to=*/2, /*req_id=*/8});
-  ASSERT_EQ(local.size(), 2u);
-  EXPECT_TRUE(local[1].is_absent());
-  EXPECT_TRUE(remote.empty());
-}
-
-
 // ---------------------------------------------------------------------
 // Incremental checkpoint image (FoldChanges / Restore).
 // ---------------------------------------------------------------------
-
-using Image = StorageService::Image;
-using RemoteReadTag = StorageService::RemoteReadTag;
-
-// Parks (or serves) a read on behalf of a remote requester; the reply is
-// recorded in `replies` as (req_id, value).
-void RemoteRead(StorageService& svc, ObjectKey key, TxnId expected,
-                RemoteReadTag tag,
-                std::vector<std::pair<std::uint64_t, Record>>* replies) {
-  svc.AsyncRead(
-      key, expected,
-      [replies, tag](Record v) { replies->emplace_back(tag.req_id, v); },
-      tag);
-}
 
 // A copy of the image entry for `key`: a failure, and an empty entry,
 // when the image has none.
@@ -199,7 +181,8 @@ void Load(KvStore& store, ObjectKey n) {
 TEST(StorageServiceTest, FoldTakesOnlyKeysChangedSinceTheLastFold) {
   KvStore store;
   Load(store, 100);
-  StorageService svc(&store);
+  Replies replies;
+  StorageService svc(&store, RecordTo(&replies));
   for (ObjectKey k = 0; k < 100; ++k) Read(svc, k, kInvalidTxnId);
 
   Image image;
@@ -210,11 +193,10 @@ TEST(StorageServiceTest, FoldTakesOnlyKeysChangedSinceTheLastFold) {
 
   // Touch k = 3 of the 100 keys: a read, a write-back, a parked remote
   // read. The next fold visits exactly those three.
-  std::vector<std::pair<std::uint64_t, Record>> replies;
   Read(svc, 3, kInvalidTxnId);
   svc.ApplyWriteBack(50, /*version=*/7, kInvalidTxnId, Record{500},
                      /*awaits=*/1, /*sticky=*/false, /*epoch=*/1);
-  RemoteRead(svc, 97, /*expected=*/9, RemoteReadTag{1, 42}, &replies);
+  svc.RemoteRead(97, /*expected=*/9, RemoteReadTag{1, 42});
   EXPECT_EQ(svc.FoldChanges(image, written), 3u);
   EXPECT_EQ(written, std::vector<ObjectKey>{50});
   EXPECT_EQ(image.keys.size(), 100u);
@@ -234,11 +216,11 @@ TEST(StorageServiceTest, InterleavedFoldsMatchOneFoldAtTheEnd) {
   // The same operations on two services: one folds after every step, the
   // other once at the end. Both images (and the union of the keys whose
   // records they refreshed) must agree.
-  std::vector<std::pair<std::uint64_t, Record>> replies;
+  Replies replies;
   const std::vector<std::function<void(StorageService&)>> steps = {
       [](StorageService& s) { Read(s, 1, kInvalidTxnId); },
-      [&](StorageService& s) {
-        RemoteRead(s, 2, /*expected=*/5, RemoteReadTag{1, 100}, &replies);
+      [](StorageService& s) {
+        s.RemoteRead(2, /*expected=*/5, RemoteReadTag{1, 100});
       },
       [](StorageService& s) {
         // Serves the parked remote read of key 2.
@@ -248,8 +230,8 @@ TEST(StorageServiceTest, InterleavedFoldsMatchOneFoldAtTheEnd) {
         // Gated on one read of the initial version of key 3.
         s.ApplyWriteBack(3, 9, kInvalidTxnId, Record{90}, 1, true, 1);
       },
-      [&](StorageService& s) {
-        RemoteRead(s, 4, /*expected=*/8, RemoteReadTag{2, 101}, &replies);
+      [](StorageService& s) {
+        s.RemoteRead(4, /*expected=*/8, RemoteReadTag{2, 101});
       },
       [](StorageService& s) { Read(s, 3, kInvalidTxnId); },  // opens wb(3)
       [](StorageService& s) {
@@ -269,8 +251,8 @@ TEST(StorageServiceTest, InterleavedFoldsMatchOneFoldAtTheEnd) {
   KvStore store_b;
   Load(store_a, 8);
   Load(store_b, 8);
-  StorageService a(&store_a);
-  StorageService b(&store_b);
+  StorageService a(&store_a, RecordTo(&replies));
+  StorageService b(&store_b, RecordTo(&replies));
   Image image_a;
   Image image_b;
   std::set<ObjectKey> written_a;
@@ -298,7 +280,11 @@ TEST(StorageServiceTest, InterleavedFoldsMatchOneFoldAtTheEnd) {
   EXPECT_EQ(Entry(image_b, 5).parked_wbs[1].replaces, 10u);
   EXPECT_EQ(Entry(image_b, 4).parked_remote_reads.size(), 1u);
   EXPECT_TRUE(Entry(image_b, 2).parked_remote_reads.empty());
-  EXPECT_EQ(replies.size(), 2u);  // key 2 served once on each service
+  ASSERT_EQ(replies.size(), 2u);  // key 2 served once on each service
+  for (const auto& [tag, value] : replies) {
+    EXPECT_EQ(tag, (RemoteReadTag{1, 100}));
+    EXPECT_EQ(value.field(0), 50);  // the version it named, v5
+  }
 }
 
 TEST(StorageServiceTest, RestoredServiceBehavesLikeTheOriginal) {
@@ -306,31 +292,24 @@ TEST(StorageServiceTest, RestoredServiceBehavesLikeTheOriginal) {
   KvStore store_restored;
   Load(store_orig, 4);
   Load(store_restored, 4);
-  StorageService orig(&store_orig);
-  std::vector<std::pair<std::uint64_t, Record>> orig_replies;
+  Replies orig_replies;
+  StorageService orig(&store_orig, RecordTo(&orig_replies));
   // One of the two planned reads of key 1's initial version, a write-back
   // gated on both, and a remote read parked on a version of key 2.
   Read(orig, 1, kInvalidTxnId);
   orig.ApplyWriteBack(1, 7, kInvalidTxnId, Record{70}, /*awaits=*/2, false,
                       1);
-  RemoteRead(orig, 2, /*expected=*/5, RemoteReadTag{3, 42}, &orig_replies);
+  orig.RemoteRead(2, /*expected=*/5, RemoteReadTag{3, 42});
 
   Image image;
   std::vector<ObjectKey> written;
   orig.FoldChanges(image, written);
   EXPECT_TRUE(written.empty());
 
-  StorageService restored(&store_restored);
-  std::vector<std::pair<std::uint64_t, Record>> restored_replies;
-  std::vector<RemoteReadTag> rebuilt;
-  restored.Restore(image, [&](const RemoteReadTag& tag) {
-    rebuilt.push_back(tag);
-    return StorageService::ReadDone([&restored_replies, tag](Record v) {
-      restored_replies.emplace_back(tag.req_id, v);
-    });
-  });
-  ASSERT_EQ(rebuilt.size(), 1u);
-  EXPECT_EQ(rebuilt[0], (RemoteReadTag{3, 42}));
+  Replies restored_replies;
+  StorageService restored(&store_restored, RecordTo(&restored_replies));
+  restored.Restore(image);
+  EXPECT_TRUE(restored_replies.empty());
 
   // The same operations on both: the gated write-back applies after the
   // second read, and the parked remote read is served by key 2's write.
@@ -344,8 +323,10 @@ TEST(StorageServiceTest, RestoredServiceBehavesLikeTheOriginal) {
   }
   ASSERT_EQ(orig_replies.size(), 1u);
   ASSERT_EQ(restored_replies.size(), 1u);
+  EXPECT_EQ(restored_replies[0].first, (RemoteReadTag{3, 42}));
   EXPECT_EQ(orig_replies[0].first, restored_replies[0].first);
   EXPECT_EQ(orig_replies[0].second, restored_replies[0].second);
+  EXPECT_EQ(restored_replies[0].second.field(0), 50);
 
   // Folding both from the shared baseline lands on the same image.
   Image orig_image = image;
@@ -358,7 +339,7 @@ TEST(StorageServiceTest, RestoredServiceBehavesLikeTheOriginal) {
 TEST(StorageServiceTest, ExtractDropsAKeyFromTheImageAndInstallAddsOne) {
   KvStore store;
   Load(store, 4);
-  StorageService svc(&store);
+  StorageService svc(&store, NoReplies());
   Read(svc, 1, kInvalidTxnId);
   Read(svc, 2, kInvalidTxnId);
   Image image;
@@ -397,7 +378,7 @@ TEST(StorageServiceTest, ExtractDropsAKeyFromTheImageAndInstallAddsOne) {
 TEST(StorageServiceTest, ResetStartsTheNextFoldFromEmpty) {
   KvStore store;
   Load(store, 4);
-  StorageService svc(&store);
+  StorageService svc(&store, NoReplies());
   Read(svc, 1, kInvalidTxnId);
   svc.ApplyWriteBack(2, 5, kInvalidTxnId, Record{50}, 0, false, 1);
   svc.Reset();

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "elastic/migration.h"
 #include "net/wire.h"
 #include "obs/trace_context.h"
 
@@ -751,6 +752,97 @@ TEST(WireFramingTest, InsaneLengthRejectedBeforeAllocation) {
   FrameBuffer fb;
   fb.Append(stream);
   EXPECT_FALSE(fb.Next().ok());
+}
+
+// -------------------------------------------------------------------
+// Partition images (elastic migration)
+// -------------------------------------------------------------------
+
+// One entry per (record present/absent) x (state/no state), with keys and
+// tags wide enough to take multi-byte varints.
+PartitionImage FullPartitionImage() {
+  PartitionImage image;
+  ObjectKey key = 7;
+  for (const bool present : {false, true}) {
+    for (const bool has_state : {false, true}) {
+      PartitionImage::KeyEntry e;
+      e.key = key;
+      key = key * 131 + 1;
+      e.present = present;
+      if (present) e.value = Record{static_cast<std::int64_t>(key), -3};
+      if (has_state) {
+        e.has_state = true;
+        e.current = 100000 + key;
+        e.reads_served_since_wb = 2;
+        e.has_sticky = present;
+        e.sticky_expire = 9;
+      }
+      image.entries.push_back(std::move(e));
+    }
+  }
+  return image;
+}
+
+TEST(WirePartitionImageTest, EveryEntryShapeRoundTrips) {
+  const PartitionImage image = FullPartitionImage();
+  Result<PartitionImage> got =
+      DecodePartitionImage(EncodePartitionImage(image));
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->entries, image.entries);
+  // An empty image round-trips too.
+  Result<PartitionImage> empty =
+      DecodePartitionImage(EncodePartitionImage(PartitionImage{}));
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_TRUE(empty->entries.empty());
+}
+
+TEST(WirePartitionImageTest, EveryTruncationRejected) {
+  const std::string bytes = EncodePartitionImage(FullPartitionImage());
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_FALSE(
+        DecodePartitionImage(std::string_view(bytes.data(), cut)).ok())
+        << "truncation to " << cut << " bytes accepted";
+  }
+}
+
+TEST(WirePartitionImageTest, TrailingGarbageRejected) {
+  std::string bytes = EncodePartitionImage(FullPartitionImage());
+  bytes.push_back('\x00');
+  EXPECT_FALSE(DecodePartitionImage(bytes).ok());
+}
+
+TEST(WirePartitionImageTest, BadVersionAndInsaneCountRejected) {
+  std::string bytes = EncodePartitionImage(FullPartitionImage());
+  bytes[0] = static_cast<char>(kWireFormatVersion + 1);
+  EXPECT_FALSE(DecodePartitionImage(bytes).ok());
+
+  // A garbage count far beyond what the bytes could hold is rejected as
+  // truncated, without reserving room for it first.
+  std::string bad_count;
+  WireWriter w(&bad_count);
+  w.PutU8(kWireFormatVersion);
+  w.PutVarint(1ULL << 60);
+  EXPECT_FALSE(DecodePartitionImage(bad_count).ok());
+}
+
+TEST(WirePartitionImageTest, UnknownFlagBitRejected) {
+  // One entry with a one-byte key: version, count, key, then the flags.
+  PartitionImage image;
+  PartitionImage::KeyEntry e;
+  e.key = 5;
+  image.entries.push_back(e);
+  const std::string bytes = EncodePartitionImage(image);
+  ASSERT_EQ(bytes.size(), 4u);
+  ASSERT_TRUE(DecodePartitionImage(bytes).ok());
+  // Bits 0-2 are present | state | sticky; every other bit (bit 3 once
+  // carried a cache sticky entry) must fail rather than misparse.
+  for (int bit = 3; bit < 8; ++bit) {
+    std::string bad = bytes;
+    bad[3] = static_cast<char>(bad[3] | (1 << bit));
+    Result<PartitionImage> got = DecodePartitionImage(bad);
+    ASSERT_FALSE(got.ok()) << "flag bit " << bit << " accepted";
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 }  // namespace
