@@ -2,33 +2,37 @@
 
 namespace tpart {
 
-void ResendWindow::Append(Message msg) {
+void ResendWindow::Append(MachineId dst, Message slice) {
   std::lock_guard<std::mutex> lock(mu_);
-  bytes_ += ApproxMessageBytes(msg);
+  bytes_ += ApproxMessageBytes(slice);
   if (bytes_ > bytes_peak_) bytes_peak_ = bytes_;
-  if (msg.epoch > last_epoch_) last_epoch_ = msg.epoch;
-  window_.push_back(std::move(msg));
+  if (window_.empty() || window_.back().slice.epoch != slice.epoch) ++rounds_;
+  if (slice.epoch > last_epoch_) last_epoch_ = slice.epoch;
+  window_.push_back(Entry{dst, std::move(slice)});
 }
 
 std::size_t ResendWindow::PruneThrough(SinkEpoch through) {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t dropped = 0;
-  while (!window_.empty() && window_.front().epoch <= through) {
-    bytes_ -= ApproxMessageBytes(window_.front());
+  while (!window_.empty() && window_.front().slice.epoch <= through) {
+    const SinkEpoch epoch = window_.front().slice.epoch;
+    bytes_ -= ApproxMessageBytes(window_.front().slice);
     window_.pop_front();
-    ++dropped;
+    if (window_.empty() || window_.front().slice.epoch != epoch) ++dropped;
   }
+  rounds_ -= dropped;
   pruned_rounds_ += dropped;
   return dropped;
 }
 
 std::size_t ResendWindow::ForEachFrom(
-    SinkEpoch resume, const std::function<void(const Message&)>& fn) const {
+    SinkEpoch resume, MachineId dst,
+    const std::function<void(const Message&)>& fn) const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t replayed = 0;
-  for (const Message& msg : window_) {
-    if (msg.epoch < resume) continue;
-    fn(msg);
+  for (const Entry& entry : window_) {
+    if (entry.dst != dst || entry.slice.epoch < resume) continue;
+    fn(entry.slice);
     ++replayed;
   }
   return replayed;
@@ -36,7 +40,7 @@ std::size_t ResendWindow::ForEachFrom(
 
 SinkEpoch ResendWindow::front_epoch() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return window_.empty() ? 0 : window_.front().epoch;
+  return window_.empty() ? 0 : window_.front().slice.epoch;
 }
 
 SinkEpoch ResendWindow::last_epoch() const {
@@ -51,7 +55,7 @@ bool ResendWindow::empty() const {
 
 std::size_t ResendWindow::size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return window_.size();
+  return rounds_;
 }
 
 std::size_t ResendWindow::bytes() const {

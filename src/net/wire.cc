@@ -5,6 +5,8 @@
 #include <cstring>
 #include <utility>
 
+#include "common/logging.h"
+
 namespace tpart {
 
 namespace {
@@ -474,6 +476,38 @@ std::string EncodeSinkPlan(const SinkPlan& plan) {
   w.PutVarint(plan.txns.size());
   for (const TxnPlan& p : plan.txns) EncodeTxnPlan(p, w);
   return out;
+}
+
+std::vector<Message> SliceSinkPlan(SinkPlan plan, std::vector<TxnSpec> specs,
+                                   std::size_t num_machines) {
+  TPART_CHECK(specs.size() == plan.txns.size())
+      << "round " << plan.epoch << " has " << specs.size() << " specs for "
+      << plan.txns.size() << " plans";
+  std::vector<std::size_t> counts(num_machines, 0);
+  for (const TxnPlan& p : plan.txns) {
+    TPART_CHECK(p.machine < num_machines)
+        << "round " << plan.epoch << " plans T" << p.txn << " on machine "
+        << p.machine << " of " << num_machines;
+    ++counts[p.machine];
+  }
+  std::vector<SinkPlan> parts(num_machines);
+  std::vector<Message> slices(num_machines);
+  for (std::size_t m = 0; m < num_machines; ++m) {
+    parts[m].epoch = plan.epoch;
+    parts[m].txns.reserve(counts[m]);
+    slices[m].specs.reserve(counts[m]);
+  }
+  for (std::size_t i = 0; i < plan.txns.size(); ++i) {
+    const MachineId m = plan.txns[i].machine;
+    parts[m].txns.push_back(std::move(plan.txns[i]));
+    slices[m].specs.push_back(std::move(specs[i]));
+  }
+  for (std::size_t m = 0; m < num_machines; ++m) {
+    slices[m].type = Message::Type::kSinkPlan;
+    slices[m].epoch = plan.epoch;
+    slices[m].plan_bytes = EncodeSinkPlan(parts[m]);
+  }
+  return slices;
 }
 
 Result<SinkPlan> DecodeSinkPlan(std::string_view bytes) {

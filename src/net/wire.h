@@ -148,10 +148,19 @@ std::string EncodeMessageBatch(const std::vector<Message>& msgs);
 /// as DecodeMessage on every entry plus the batch envelope itself.
 Result<std::vector<Message>> DecodeMessageBatch(std::string_view bytes);
 
-/// Serializes one sinking round's full push plan (§3.4): what a central
-/// scheduler would broadcast to machines in a real deployment.
+/// Serializes a sinking round's push plans (§3.4), or one machine's
+/// slice of them (SliceSinkPlan).
 std::string EncodeSinkPlan(const SinkPlan& plan);
 Result<SinkPlan> DecodeSinkPlan(std::string_view bytes);
+
+/// Splits one sunk round into per-machine kSinkPlan messages: entry m
+/// carries machine m's TxnPlans, encoded once by EncodeSinkPlan, and
+/// their specs, moved, in plan order (`specs[i]` is the spec of
+/// `plan.txns[i]`). A machine with no plans in the round still gets an
+/// empty slice: its epoch-reorder buffer, FIFO intake and epoch credit
+/// need every round. The caller stamps term and trace context.
+std::vector<Message> SliceSinkPlan(SinkPlan plan, std::vector<TxnSpec> specs,
+                                   std::size_t num_machines);
 
 // ---------------------------------------------------------------------
 // Framing

@@ -15,18 +15,15 @@ void StreamingGreedyPartitioner::Partition(TGraph& graph) {
     load[m] = graph.sink_weight(static_cast<MachineId>(m));
   }
 
-  std::vector<TxnId> order;
-  order.reserve(graph.num_unsunk());
-  graph.ForEachUnsunk(
-      [&](const TxnNode& n) { order.push_back(n.spec.id); });
-
+  // Unsunk ids are consecutive, so the pass walks them in total order.
+  const TxnId first = graph.first_unsunk_id();
+  const TxnId end = first + graph.num_unsunk();
   std::vector<double> affinity(k);
-  for (const TxnId id : order) {
+  for (TxnId id = first; id < end; ++id) {
     std::fill(affinity.begin(), affinity.end(), 0.0);
     // Only neighbours already (re)placed in this pass count as placed —
     // i.e. transactions earlier in the total order — plus sink nodes.
-    graph.AccumulateAffinity(
-        id, [&](TxnId peer) { return peer < id; }, affinity);
+    graph.AccumulateAffinity(id, affinity);
 
     MachineId best = 0;
     if (options_.mode == Mode::kWeighted) {

@@ -37,10 +37,10 @@ struct Message {
     kWriteBackApply,
     /// Calvin peer-push of local read results for one transaction (§2.1).
     kPeerReads,
-    /// Streaming dissemination (§3.3/§5.2): one sinking round's full push
-    /// plan (`plan_bytes` = EncodeSinkPlan output) plus the specs of its
-    /// transactions; every machine receives every round and executes only
-    /// its own slice.
+    /// Streaming dissemination (§3.3/§5.2): one machine's slice of a
+    /// sinking round — its push plans (`plan_bytes` = EncodeSinkPlan
+    /// output) plus their specs. Every machine receives a slice of every
+    /// round, empty when it runs none of the round's transactions.
     kSinkPlan,
     /// Streaming dissemination: no more plans will arrive; `epoch` carries
     /// the last emitted sinking round (0 when the stream was empty).
@@ -113,10 +113,10 @@ struct Message {
   std::uint64_t req_id = 0;
   TxnId txn = kInvalidTxnId;
   std::vector<std::pair<ObjectKey, Record>> kvs;
-  /// kSinkPlan: the round's plan, already wire-encoded (EncodeSinkPlan) so
-  /// the scheduler serializes once per round, not once per destination.
+  /// kSinkPlan: the destination's slice of the round, already wire-encoded
+  /// (EncodeSinkPlan) so each plan is serialized once.
   std::string plan_bytes;
-  /// kSinkPlan: specs of the plan's (non-dummy) transactions, in plan order.
+  /// kSinkPlan: specs of the slice's transactions, in plan order.
   std::vector<TxnSpec> specs;
   /// Per-transaction causal-timeline context (obs/trace_context.h packs
   /// it): sampled-txn flag + origin machine + coordinator term, riding

@@ -4,12 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <limits>
 #include <mutex>
 #include <optional>
 #include <sstream>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "common/flat_map.h"
@@ -250,12 +250,13 @@ struct RunContext {
       coordinator != nullptr ? coordinator->term() : 1};
   std::atomic<std::uint64_t> fault_epoch_live{0};
 
-  // Dissemination keeps every disseminated round (crash and checkpoint
-  // runs) so recovery can re-ship what a crashed machine lost. The window
-  // cannot be pruned by the epoch-credit bound: a round with no slice for
-  // the victim releases its credit immediately, so dissemination may run
-  // arbitrarily far ahead of the victim's resume round. Without periodic
-  // checkpointing the run pays one retained Message per round — the same
+  // Dissemination keeps every disseminated round's slices, each with its
+  // destination (crash and checkpoint runs), so recovery can re-ship what
+  // a crashed machine lost. The window cannot be pruned by the
+  // epoch-credit bound: a round whose slice for the victim is empty
+  // releases its credit immediately, so dissemination may run arbitrarily
+  // far ahead of the victim's resume round. Without periodic
+  // checkpointing the window holds every round of the run — the same
   // order of memory as the §5.4 request logs it already requires; with
   // checkpoint_every set, rounds at or below the minimum checkpointed
   // epoch across machines are pruned (no recovery can need them: a
@@ -477,11 +478,13 @@ class Admission {
 
 /// Stage 2: scheduler. Consumes ordered batches, maintains the T-graph,
 /// and emits each sunk round the moment it exists. Specs are parked here
-/// between arrival and sinking — the T-graph's unsunk bound caps that
-/// parking, so this stage is bounded too. A new term first replays the
-/// committed log into a fresh T-graph (§5.4 semantics applied to the
-/// coordinator): every round and every Rehome decision of the crashed
-/// leader is re-derived, because both are pure functions of the stream.
+/// between arrival and sinking, in a FIFO: rounds sink in id order and
+/// skip dummies, so a round's specs are always at its front. The
+/// T-graph's unsunk bound caps that parking, so this stage is bounded
+/// too. A new term first replays the committed log into a fresh T-graph
+/// (§5.4 semantics applied to the coordinator): every round and every
+/// Rehome decision of the crashed leader is re-derived, because both are
+/// pure functions of the stream.
 class Scheduling {
  public:
   explicit Scheduling(RunContext& ctx) : ctx_(ctx) {}
@@ -502,7 +505,7 @@ class Scheduling {
                         ? std::static_pointer_cast<const DataPartitionMap>(
                               ctx_.elastic)
                         : ctx_.workload.partition_map);
-    std::unordered_map<TxnId, TxnSpec> parked;
+    std::deque<TxnSpec> parked;
     int hot_refresh_countdown = 16;
     const auto emit = [&](SinkPlan plan) {
       TPART_FLIGHT(obs::FlightEvent::kScheduleRound, 0, plan.epoch,
@@ -510,11 +513,11 @@ class Scheduling {
       PlanEnvelope env;
       env.specs.reserve(plan.txns.size());
       for (const TxnPlan& p : plan.txns) {
-        auto node = parked.extract(p.txn);
-        TPART_CHECK(!node.empty())
+        TPART_CHECK(!parked.empty() && parked.front().id == p.txn)
             << "round " << plan.epoch << " sank T" << p.txn
-            << " with no parked spec";
-        env.specs.push_back(std::move(node.mapped()));
+            << " out of parked order (" << parked.size() << " parked)";
+        env.specs.push_back(std::move(parked.front()));
+        parked.pop_front();
       }
       env.plan = std::move(plan);
       if (term.plans.Send(std::move(env))) ++waits;
@@ -522,7 +525,7 @@ class Scheduling {
     for (const TxnBatch& b : term.committed_log) {
       for (const TxnSpec& spec : b.txns) {
         std::vector<SinkPlan> replayed = scheduler.OnTxn(spec);
-        if (!spec.is_dummy) parked.emplace(spec.id, spec);
+        if (!spec.is_dummy) parked.push_back(spec);
         for (SinkPlan& plan : replayed) emit(std::move(plan));
       }
       ++replayed_batches;
@@ -542,7 +545,7 @@ class Scheduling {
         std::vector<SinkPlan> plans = scheduler.OnTxn(spec);
         // Dummies are discarded at plan generation (§3.3); only real
         // specs ever travel to a machine.
-        if (!spec.is_dummy) parked.emplace(spec.id, std::move(spec));
+        if (!spec.is_dummy) parked.push_back(std::move(spec));
         for (SinkPlan& plan : plans) emit(std::move(plan));
       }
       if (ctx_.sampler != nullptr) {
@@ -795,8 +798,8 @@ class Watchdog {
       const std::uint64_t resend_term =
           ctx_.current_term.load(std::memory_order_acquire);
       stats_.resent_rounds += ctx_.resend_window.ForEachFrom(
-          resume, [&](const Message& round) {
-            Message copy = round;
+          resume, id, [&](const Message& slice) {
+            Message copy = slice;
             copy.term = resend_term;
             ctx_.transport.Send(0, id, std::move(copy));
           });
@@ -859,9 +862,10 @@ class Watchdog {
   std::thread thread_;
 };
 
-/// Stage 3: dissemination, on RunTPart()'s own thread. Each round is
-/// serialized once and shipped to every machine as a kSinkPlan wire
-/// message; epoch credits bound how far dissemination may run ahead of
+/// Stage 3: dissemination, on RunTPart()'s own thread. Each round is split
+/// into one kSinkPlan slice per machine (SliceSinkPlan: that machine's
+/// plans, encoded once, and their specs) and each slice is moved to its
+/// machine; epoch credits bound how far dissemination may run ahead of
 /// execution. Round r reaches every machine before r+1 reaches any, which
 /// the FIFO machine loops rely on. Being the only shipper, this stage also
 /// owns the fault clock, the membership steps, catch-up re-ships after a
@@ -910,27 +914,36 @@ class Disseminator {
       const bool catchup = epoch <= catchup_through_;
       if (!catchup) AdvanceFaultClock(epoch);
       RunDueMembershipSteps(epoch);
+      const std::size_t txns = round.plan.txns.size();
       TPART_TRACE_SPAN("disseminate", "pipeline",
-                       {{"epoch", epoch}, {"txns", round.plan.txns.size()}});
-      TPART_FLIGHT(obs::FlightEvent::kDisseminateRound, 0, epoch,
-                   round.plan.txns.size());
-      Message msg;
-      msg.type = Message::Type::kSinkPlan;
-      msg.epoch = epoch;
+                       {{"epoch", epoch}, {"txns", txns}});
+      TPART_FLIGHT(obs::FlightEvent::kDisseminateRound, 0, epoch, txns);
+      if (!catchup && ctx_.sampler != nullptr) {
+        ctx_.live_planned_txns.fetch_add(txns, std::memory_order_relaxed);
+        ctx_.live_distributed_txns.fetch_add(round.plan.NumDistributed(),
+                                             std::memory_order_relaxed);
+      }
+      std::vector<Message> slices = SliceSinkPlan(
+          std::move(round.plan), std::move(round.specs), ctx_.machines.size());
       // Term fence (DESIGN §4j): every round carries the term that
       // shipped it, so a deposed leader's in-flight traffic is rejectable
       // by every machine the moment a newer term is witnessed. Catch-up
       // re-ships deliberately carry the *new* term.
-      msg.term = ctx_.current_term.load(std::memory_order_acquire);
+      const std::uint64_t shipping_term =
+          ctx_.current_term.load(std::memory_order_acquire);
       // Causal timelines: stamp the round with a packed trace context
       // (origin = control plane, current coordinator term) so
       // receive-side markers on every machine know which term shipped it.
-      if (ctx_.options.txn_sample != 0) {
-        msg.trace_ctx = obs::PackTraceCtx(
-            /*origin=*/0, ctx_.live_term.load(std::memory_order_relaxed));
+      const std::uint64_t trace_ctx =
+          ctx_.options.txn_sample != 0
+              ? obs::PackTraceCtx(
+                    /*origin=*/0,
+                    ctx_.live_term.load(std::memory_order_relaxed))
+              : 0;
+      for (Message& slice : slices) {
+        slice.term = shipping_term;
+        slice.trace_ctx = trace_ctx;
       }
-      msg.plan_bytes = EncodeSinkPlan(round.plan);
-      msg.specs = std::move(round.specs);
       if (catchup) {
         // Re-ship only to machines whose watermark shows a gap, with no
         // credit / window / timeline side effects (those all happened in
@@ -938,23 +951,32 @@ class Disseminator {
         // before enqueue, touching no credits, so the credit ledger stays
         // exactly balanced).
         ++failover.catchup_rounds;
-        for (std::size_t m = 0; m < ctx_.machines.size(); ++m) {
+        for (std::size_t m = 0; m < slices.size(); ++m) {
           if (epoch > watermarks_[m]) {
-            ctx_.transport.Send(0, static_cast<MachineId>(m), msg);
+            ctx_.transport.Send(0, static_cast<MachineId>(m),
+                                std::move(slices[m]));
             ++failover.reshipped_rounds;
           }
         }
         continue;
       }
-      Ship(msg, round.plan);
+      const bool crash_coordinator =
+          coord_event_idx_ < coord_crashes_.size() &&
+          epoch >= coord_crashes_[coord_event_idx_].first;
+      // A coordinator crash scheduled to revive keeps the slices it had
+      // in flight, for the zombie to replay under its stale term.
+      std::vector<Message> in_flight;
+      if (crash_coordinator && coord_crashes_[coord_event_idx_].second > 0) {
+        in_flight = slices;
+      }
+      Ship(epoch, std::move(slices));
       if (zombie_pending_ &&
           ctx_.current_term.load(std::memory_order_acquire) > zombie_term_ &&
           epoch >= zombie_at_) {
         ReviveZombie(epoch);
       }
-      if (coord_event_idx_ < coord_crashes_.size() &&
-          epoch >= coord_crashes_[coord_event_idx_].first) {
-        CrashCoordinator(epoch, msg);
+      if (crash_coordinator) {
+        CrashCoordinator(epoch, std::move(in_flight));
         term.abort.store(true, std::memory_order_release);
         aborted = true;
       }
@@ -1238,20 +1260,15 @@ class Disseminator {
     return Status::Ok();
   }
 
-  // The hot path: one fresh round to every machine, each send gated on
-  // that machine's epoch credit.
-  void Ship(const Message& msg, const SinkPlan& plan) {
-    const SinkEpoch epoch = plan.epoch;
+  // The hot path: each machine's slice of one fresh round, moved to it
+  // once its epoch credit is granted.
+  void Ship(SinkEpoch epoch, std::vector<Message> slices) {
     ++ctx_.plans;
     ctx_.last_epoch = epoch;
-    if (ctx_.sampler != nullptr) {
-      ctx_.live_planned_txns.fetch_add(plan.txns.size(),
-                                       std::memory_order_relaxed);
-      ctx_.live_distributed_txns.fetch_add(plan.NumDistributed(),
-                                           std::memory_order_relaxed);
-    }
     if (ctx_.keep_resend_window) {
-      ctx_.resend_window.Append(msg);
+      for (std::size_t m = 0; m < slices.size(); ++m) {
+        ctx_.resend_window.Append(static_cast<MachineId>(m), slices[m]);
+      }
       if (ctx_.options.checkpoint_every > 0 && !ctx_.checkpoints.empty()) {
         // No recovery can ever need a round at or below the minimum
         // checkpointed epoch across machines: each machine resumes
@@ -1293,7 +1310,7 @@ class Disseminator {
           break;
         }
       }
-      ctx_.transport.Send(0, static_cast<MachineId>(m), msg);
+      ctx_.transport.Send(0, static_cast<MachineId>(m), std::move(slices[m]));
     }
     if (ctx_.options.record_epoch_timeline || ctx_.options.resize.enabled()) {
       timeline.push_back(
@@ -1308,13 +1325,13 @@ class Disseminator {
   }
 
   // ---- Zombie-leader revival (DESIGN §4j). The deposed leader wakes up
-  // and replays its stale in-flight traffic: the round it was shipping
-  // when it was paused, a premature plan-stream-end (the genuinely
-  // dangerous message — unfenced, it would truncate every machine's
-  // stream), and a stale log append to the replica ensemble. Wait until
-  // every machine has witnessed the new term (heartbeats, rounds, and
-  // watermark probes all carry it) so the run proves the *fence* rejects
-  // the zombie, not a lucky race.
+  // and replays its stale in-flight traffic: each machine's slice of the
+  // round it was shipping when it was paused, a premature plan-stream-end
+  // (the genuinely dangerous message — unfenced, it would truncate every
+  // machine's stream), and a stale log append to the replica ensemble.
+  // Wait until every machine has witnessed the new term (heartbeats,
+  // rounds, and watermark probes all carry it) so the run proves the
+  // *fence* rejects the zombie, not a lucky race.
   void ReviveZombie(SinkEpoch epoch) {
     zombie_pending_ = false;
     const std::uint64_t new_term =
@@ -1338,7 +1355,8 @@ class Disseminator {
     TPART_TRACE(Instant("zombie_revival", "fault",
                         {{"stale_term", zombie_term_}, {"epoch", epoch}}));
     for (std::size_t m = 0; m < ctx_.machines.size(); ++m) {
-      ctx_.transport.Send(0, static_cast<MachineId>(m), zombie_round_);
+      ctx_.transport.Send(0, static_cast<MachineId>(m),
+                          std::move(zombie_slices_[m]));
       Message stale_end;
       stale_end.type = Message::Type::kPlanStreamEnd;
       stale_end.epoch = zombie_end_epoch_;
@@ -1350,8 +1368,9 @@ class Disseminator {
 
   // Scheduled coordinator crash: fires after the first shipped round with
   // epoch >= the entry. Captures the leader index before the crash-stop —
-  // the election moves it.
-  void CrashCoordinator(SinkEpoch epoch, const Message& in_flight) {
+  // the election moves it. `in_flight` holds the round's slices when the
+  // crash is scheduled to revive, else nothing.
+  void CrashCoordinator(SinkEpoch epoch, std::vector<Message> in_flight) {
     const SinkEpoch revive_at = coord_crashes_[coord_event_idx_].second;
     ++coord_event_idx_;
     crashed_leader_ = ctx_.coordinator->leader();
@@ -1369,7 +1388,7 @@ class Disseminator {
       zombie_term_ = ctx_.current_term.load(std::memory_order_acquire);
       zombie_leader_ = crashed_leader_;
       zombie_end_epoch_ = epoch;
-      zombie_round_ = in_flight;
+      zombie_slices_ = std::move(in_flight);
     }
   }
 
@@ -1389,15 +1408,15 @@ class Disseminator {
   Clock::time_point t_term_start_ = stream_t0_;
   bool pending_replan_stamp_ = false;
   // Zombie revival (--crash seq@E+revive@E'): the deposed leader's last
-  // in-flight round, a premature stream-end, and a stale log append are
-  // replayed under the old term once the new term's stream reaches the
-  // revival epoch.
+  // in-flight round (one slice per machine), a premature stream-end, and a
+  // stale log append are replayed under the old term once the new term's
+  // stream reaches the revival epoch.
   bool zombie_pending_ = false;
   SinkEpoch zombie_at_ = 0;
   std::uint64_t zombie_term_ = 0;
   std::size_t zombie_leader_ = 0;
   SinkEpoch zombie_end_epoch_ = 0;
-  Message zombie_round_;
+  std::vector<Message> zombie_slices_;
 };
 
 /// Runs one leader term end to end: admission and scheduling on their

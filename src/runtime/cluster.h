@@ -290,9 +290,9 @@ class LocalCluster {
 
   /// Runs the paper's §3.1 layering as a stream: requests are admitted
   /// incrementally through a Sequencer, scheduled on a dedicated thread,
-  /// and each sunk round ships to the machines as a kSinkPlan wire
-  /// message the moment it exists. Memory stays bounded by the
-  /// `pipeline` caps; each machine runs one loop thread.
+  /// and each sunk round ships the moment it exists, as one kSinkPlan
+  /// slice per machine holding only that machine's plans. Memory stays
+  /// bounded by the `pipeline` caps; each machine runs one loop thread.
   ClusterRunOutcome RunTPart();
   ClusterRunOutcome RunCalvin();
 

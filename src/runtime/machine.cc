@@ -399,17 +399,22 @@ void Machine::HandleSinkPlan(Message msg) {
   Result<SinkPlan> plan = DecodeSinkPlan(msg.plan_bytes);
   TPART_CHECK(plan.ok()) << "bad sink plan on the wire: "
                          << plan.status().ToString();
-  std::unordered_map<TxnId, TxnSpec> spec_of;
-  spec_of.reserve(msg.specs.size());
-  for (TxnSpec& spec : msg.specs) spec_of.emplace(spec.id, std::move(spec));
-
+  // Dissemination ships each machine only its slice of the round
+  // (SliceSinkPlan): this machine's plans, with specs[i] for txns[i].
+  TPART_CHECK(msg.specs.size() == plan->txns.size())
+      << "round " << plan->epoch << " slice carries " << msg.specs.size()
+      << " specs for " << plan->txns.size() << " plans";
   std::vector<PlanItem> slice;
-  for (TxnPlan& p : plan->txns) {
-    if (p.machine != id_) continue;
-    auto node = spec_of.extract(p.txn);
-    TPART_CHECK(!node.empty()) << "round " << plan->epoch
-                               << " plan for T" << p.txn << " has no spec";
-    slice.push_back(PlanItem{std::move(p), std::move(node.mapped())});
+  slice.reserve(plan->txns.size());
+  for (std::size_t i = 0; i < plan->txns.size(); ++i) {
+    TxnPlan& p = plan->txns[i];
+    TPART_CHECK(p.machine == id_)
+        << "round " << plan->epoch << " slice for machine " << id_
+        << " holds T" << p.txn << "'s plan for machine " << p.machine;
+    TPART_CHECK(msg.specs[i].id == p.txn)
+        << "round " << plan->epoch << " slice pairs spec T"
+        << msg.specs[i].id << " with the plan of T" << p.txn;
+    slice.push_back(PlanItem{std::move(p), std::move(msg.specs[i])});
   }
   TPART_FLIGHT(obs::FlightEvent::kRoundReceived, 1 + id_, plan->epoch,
                slice.size());

@@ -18,6 +18,7 @@ namespace tpart {
 /// relays are safe: an aborted transaction still pushes forward the data
 /// it read (§5.3).
 ///
+/// `plan.txns` must be in total order, as TGraph::Sink emits them.
 /// Returns the number of remote pushes eliminated.
 std::size_t OptimizeSinkPlan(SinkPlan& plan);
 

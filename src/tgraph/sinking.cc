@@ -29,15 +29,13 @@ SinkPlan TGraph::Sink(std::size_t count, SinkEpoch epoch) {
   for (std::size_t i = 0; i < count; ++i) {
     TxnNode& n = nodes_[i];
     if (n.assigned == kInvalidMachine) {
-      TPART_CHECK(n.spec.is_dummy)
-          << "sinking unassigned transaction T" << n.spec.id;
+      TPART_CHECK(n.is_dummy) << "sinking unassigned transaction T" << n.id;
       n.assigned = 0;
     }
-    n.sunk = true;
-    slots[i].txn = n.spec.id;
+    slots[i].txn = n.id;
     slots[i].machine = n.assigned;
-    slots[i].num_reads = static_cast<std::uint32_t>(n.spec.rw.reads.size());
-    slots[i].num_writes = static_cast<std::uint32_t>(n.spec.rw.writes.size());
+    slots[i].num_reads = n.num_reads;
+    slots[i].num_writes = n.num_writes;
   }
   auto slot_of = [&](TxnId id) -> TxnPlan& {
     return slots[static_cast<std::size_t>(id - first_id_)];
@@ -48,13 +46,13 @@ SinkPlan TGraph::Sink(std::size_t count, SinkEpoch epoch) {
   // LocalVersion step to their source transaction's plan.
   for (std::size_t i = 0; i < count; ++i) {
     const TxnNode& n = nodes_[i];
-    if (n.spec.is_dummy) continue;
-    const TxnId v = n.spec.id;
+    if (n.is_dummy) continue;
+    const TxnId v = n.id;
     TxnPlan& p = slots[i];
     for (const std::size_t eid : n.edges) {
-      auto it = edges_.find(eid);
-      if (it == edges_.end()) continue;
-      TEdge& e = it->second;
+      const TEdge* found = FindEdge(eid);
+      if (found == nullptr) continue;
+      const TEdge& e = *found;
       if (e.stale || e.dst_txn != v) continue;
 
       ReadStep r;
@@ -128,8 +126,8 @@ SinkPlan TGraph::Sink(std::size_t count, SinkEpoch epoch) {
   // back immediately and the readers become storage readers.
   for (std::size_t i = 0; i < count; ++i) {
     const TxnNode& n = nodes_[i];
-    if (n.spec.is_dummy) continue;
-    const TxnId w = n.spec.id;
+    if (n.is_dummy) continue;
+    const TxnId w = n.id;
     // (key, edge) pairs grouped by key in the sink arena; the stable sort
     // reproduces the old std::map iteration (ascending key, edges in
     // discovery order within a key), so plan bytes are unchanged.
@@ -138,12 +136,12 @@ SinkPlan TGraph::Sink(std::size_t count, SinkEpoch epoch) {
         ArenaAllocator<StrandedEdge>(&sink_arena_)};
     stranded.reserve(n.edges.size());
     for (const std::size_t eid : n.edges) {
-      auto it = edges_.find(eid);
-      if (it == edges_.end()) continue;
-      const TEdge& e = it->second;
-      if (e.stale || e.kind != EdgeKind::kForwardPush) continue;
-      if (e.src_txn == w && e.dst_txn > last_sunk) {
-        stranded.emplace_back(e.key, eid);
+      const TEdge* e = FindEdge(eid);
+      if (e == nullptr || e->stale || e->kind != EdgeKind::kForwardPush) {
+        continue;
+      }
+      if (e->src_txn == w && e->dst_txn > last_sunk) {
+        stranded.emplace_back(e->key, eid);
       }
     }
     std::stable_sort(
@@ -166,7 +164,7 @@ SinkPlan TGraph::Sink(std::size_t count, SinkEpoch epoch) {
         entry.epoch = epoch;
         entry.dirty = true;
         for (std::size_t si = lo; si < hi; ++si) {
-          TEdge& e = edges_.at(stranded[si].second);
+          TEdge& e = *FindEdge(stranded[si].second);
           entry.unsunk_readers.push_back(e.dst_txn);
           e.kind = EdgeKind::kCacheRead;
           e.sink = machine;
@@ -194,7 +192,7 @@ SinkPlan TGraph::Sink(std::size_t count, SinkEpoch epoch) {
         st.storage_readers_since_wb = 0;
         st.storage_version = wb.version_txn;
         for (std::size_t si = lo; si < hi; ++si) {
-          TEdge& e = edges_.at(stranded[si].second);
+          TEdge& e = *FindEdge(stranded[si].second);
           e.kind = EdgeKind::kStorageRead;
           e.sink = wb.home;
           e.storage_min_epoch = epoch;
@@ -202,13 +200,11 @@ SinkPlan TGraph::Sink(std::size_t count, SinkEpoch epoch) {
           ++st.storage_readers_since_wb;
         }
         st.write_back_epoch = epoch;
-        st.ever_written_back = true;
         if (st.loc == Loc::kUnsunkTxn && st.version_writer == w) {
           st.loc = Loc::kStorage;
           st.dirty = false;
           if (st.wb_edge != kNoEdge) {
-            auto wit = edges_.find(st.wb_edge);
-            if (wit != edges_.end()) wit->second.stale = true;
+            if (TEdge* wb_edge = FindEdge(st.wb_edge)) wb_edge->stale = true;
             st.wb_edge = kNoEdge;
           }
         }
@@ -223,12 +219,12 @@ SinkPlan TGraph::Sink(std::size_t count, SinkEpoch epoch) {
   // frees any cache entry holding it.
   for (std::size_t i = 0; i < count; ++i) {
     const TxnNode& n = nodes_[i];
-    if (n.spec.is_dummy) continue;
-    const TxnId a = n.spec.id;
+    if (n.is_dummy) continue;
+    const TxnId a = n.id;
     for (const std::size_t eid : n.edges) {
-      auto it = edges_.find(eid);
-      if (it == edges_.end()) continue;
-      const TEdge& e = it->second;
+      const TEdge* found = FindEdge(eid);
+      if (found == nullptr) continue;
+      const TEdge& e = *found;
       if (e.stale || e.kind != EdgeKind::kStorageWrite || e.src_txn != a) {
         continue;
       }
@@ -264,54 +260,48 @@ SinkPlan TGraph::Sink(std::size_t count, SinkEpoch epoch) {
       st.loc = Loc::kStorage;
       st.dirty = false;
       st.write_back_epoch = epoch;
-      st.ever_written_back = true;
       st.wb_edge = kNoEdge;
     }
   }
 
-  // ---- Pass 4: account sunk load into the sink nodes ("the weight of a
-  // sink node ... is the sum of weights of nodes that have already been
-  // sent to the executor on that machine, but not committed yet", §3.1),
-  // garbage-collect dead edges, and drop the sunk nodes.
+  // ---- Pass 4: account sunk load into the sink nodes (§3.1; the
+  // runtime never subtracts commits, see TGraph::sink_weight), emit the
+  // plans of real transactions only ("the schedulers discard these dummy
+  // requests when generating a push plan", §3.3), erase the sunk nodes'
+  // dead edges, trim the ring's dead prefix and drop the nodes.
+  plan.txns.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const TxnNode& n = nodes_[i];
-    if (!n.spec.is_dummy) {
+    if (!n.is_dummy) {
       sink_weight_[n.assigned] += n.weight;
-      outstanding_[n.spec.id] = {n.assigned, n.weight};
+      plan.txns.push_back(std::move(slots[i]));
     }
     for (const std::size_t eid : n.edges) {
-      auto it = edges_.find(eid);
-      if (it == edges_.end()) continue;
-      const TEdge& e = it->second;
+      TEdge* e = FindEdge(eid);
+      if (e == nullptr) continue;
       bool dead = false;
-      switch (e.kind) {
+      switch (e->kind) {
         case EdgeKind::kForwardPush:
-          dead = e.dst_txn <= last_sunk;
-          break;
         case EdgeKind::kStorageRead:
         case EdgeKind::kCacheRead:
-          dead = e.dst_txn <= last_sunk;
+          dead = e->dst_txn <= last_sunk;
           break;
         case EdgeKind::kStorageWrite:
-          dead = e.stale || e.src_txn <= last_sunk;
+          dead = e->stale || e->src_txn <= last_sunk;
           break;
       }
-      if (dead) edges_.erase(it);
+      if (dead) e->live = false;
     }
+  }
+  // Every edge AddTxn created for a sunk transaction died just now, so
+  // the dead prefix is exactly the sunk transactions' edges.
+  while (!edges_.empty() && !edges_.front().live) {
+    edges_.pop_front();
+    ++edge_base_;
   }
   nodes_.erase(nodes_.begin(),
                nodes_.begin() + static_cast<std::ptrdiff_t>(count));
   first_id_ += count;
-
-  // Emit plans for real transactions only ("the schedulers discard these
-  // dummy requests when generating a push plan", §3.3). Dummies are never
-  // recorded in outstanding_, which identifies them here.
-  plan.txns.reserve(count);
-  for (auto& slot : slots) {
-    if (outstanding_.count(slot.txn) > 0) {
-      plan.txns.push_back(std::move(slot));
-    }
-  }
   return plan;
 }
 

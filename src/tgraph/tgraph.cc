@@ -28,20 +28,34 @@ TxnNode& TGraph::mutable_node(TxnId id) {
   return nodes_[static_cast<std::size_t>(id - first_id_)];
 }
 
-std::size_t TGraph::AddEdge(TEdge edge) {
-  const std::size_t id = next_edge_id_++;
-  edges_.emplace(id, edge);
-  return id;
+const TEdge& TGraph::edge(std::size_t edge_id) const {
+  const TEdge* e = FindEdge(edge_id);
+  TPART_CHECK(e != nullptr) << "edge " << edge_id << " is not live";
+  return *e;
+}
+
+TEdge* TGraph::FindEdge(std::size_t edge_id) {
+  if (edge_id < edge_base_ || edge_id - edge_base_ >= edges_.size()) {
+    return nullptr;
+  }
+  TEdge& e = edges_[edge_id - edge_base_];
+  return e.live ? &e : nullptr;
+}
+
+const TEdge* TGraph::FindEdge(std::size_t edge_id) const {
+  return const_cast<TGraph*>(this)->FindEdge(edge_id);
+}
+
+std::size_t TGraph::AddEdge(const TEdge& edge) {
+  edges_.push_back(edge);
+  return edge_base_ + edges_.size() - 1;
 }
 
 void TGraph::MoveWriteBackEdge(ObjectState& st, ObjectKey key,
                                TxnId new_owner) {
-  if (st.wb_edge != kNoEdge) {
-    auto it = edges_.find(st.wb_edge);
-    if (it != edges_.end()) {
-      if (it->second.src_txn == new_owner) return;  // already owns the duty
-      it->second.stale = true;
-    }
+  if (TEdge* old = FindEdge(st.wb_edge)) {  // kNoEdge finds nothing
+    if (old->src_txn == new_owner) return;  // already owns the duty
+    old->stale = true;
   }
   TEdge e;
   e.kind = EdgeKind::kStorageWrite;
@@ -62,7 +76,10 @@ void TGraph::AddTxn(const TxnSpec& spec) {
 
   nodes_.push_back(TxnNode{});
   TxnNode& node = nodes_.back();
-  node.spec = spec;
+  node.id = spec.id;
+  node.is_dummy = spec.is_dummy;
+  node.num_reads = static_cast<std::uint32_t>(spec.rw.reads.size());
+  node.num_writes = static_cast<std::uint32_t>(spec.rw.writes.size());
   node.weight = spec.is_dummy ? 0.0 : spec.node_weight;
   if (spec.is_dummy) return;
 
@@ -70,8 +87,10 @@ void TGraph::AddTxn(const TxnSpec& spec) {
 
   // §5.3: a transaction reads the objects it writes so that, on a logic
   // abort, it can push the (old) read data forward unchanged.
-  const KeySet effective_reads =
-      options_.read_own_writes ? spec.rw.AllKeys() : spec.rw.reads;
+  KeySet own_writes_read;
+  if (options_.read_own_writes) own_writes_read = spec.rw.AllKeys();
+  const KeySet& effective_reads =
+      options_.read_own_writes ? own_writes_read : spec.rw.reads;
 
   // Each read contributes at most one edge id; each access of a dirty
   // object can additionally move a write-back edge here.
@@ -118,7 +137,6 @@ void TGraph::AddTxn(const TxnSpec& spec) {
         break;
       }
     }
-    st.last_accessor = v;
     // writing-back-the-latest (§4.2): the storage-write duty for a dirty
     // object follows its latest accessor (cf. T6 writing back C, Fig. 3).
     if (st.dirty) MoveWriteBackEdge(st, o, v);
@@ -129,19 +147,8 @@ void TGraph::AddTxn(const TxnSpec& spec) {
     st.version_writer = v;
     st.loc = Loc::kUnsunkTxn;
     st.dirty = true;
-    st.last_accessor = v;
     MoveWriteBackEdge(st, o, v);
   }
-}
-
-void TGraph::OnCommitted(TxnId id) {
-  auto it = outstanding_.find(id);
-  if (it == outstanding_.end()) return;
-  sink_weight_[it->second.first] -= it->second.second;
-  if (sink_weight_[it->second.first] < 0.0) {
-    sink_weight_[it->second.first] = 0.0;
-  }
-  outstanding_.erase(it);
 }
 
 void TGraph::Rehome(std::size_t new_n) {
@@ -150,9 +157,8 @@ void TGraph::Rehome(std::size_t new_n) {
       << "membership " << new_n << " exceeds the map's machine slots";
   options_.num_machines = new_n;
   if (sink_weight_.size() < new_n) sink_weight_.resize(new_n, 0.0);
-  for (auto& [eid, e] : edges_) {
-    (void)eid;
-    if (e.stale) continue;
+  for (TEdge& e : edges_) {
+    if (!e.live || e.stale) continue;
     if (e.kind == EdgeKind::kStorageRead ||
         e.kind == EdgeKind::kStorageWrite) {
       e.sink = data_map_->Locate(e.key);
@@ -172,19 +178,18 @@ void TGraph::ForEachUnsunk(
 }
 
 void TGraph::AccumulateAffinity(TxnId id,
-                                const std::function<bool(TxnId)>& peer_placed,
                                 std::vector<double>& affinity) const {
   const TxnNode& n = node(id);
   for (const std::size_t eid : n.edges) {
-    auto it = edges_.find(eid);
-    if (it == edges_.end()) continue;
-    const TEdge& e = it->second;
+    const TEdge* found = FindEdge(eid);
+    if (found == nullptr) continue;
+    const TEdge& e = *found;
     if (e.stale) continue;
     if (e.kind == EdgeKind::kForwardPush) {
-      const TxnId peer = e.src_txn == id ? e.dst_txn : e.src_txn;
-      if (!HasNode(peer)) continue;
-      if (!peer_placed(peer)) continue;
-      const MachineId m = node(peer).assigned;
+      // Only the source of a forward push precedes the node, and it is
+      // unsunk whenever the edge is still a push.
+      if (e.src_txn == id || !HasNode(e.src_txn)) continue;
+      const MachineId m = node(e.src_txn).assigned;
       if (m == kInvalidMachine) continue;
       affinity[m] += e.weight;
     } else if (e.sink < affinity.size()) {
@@ -198,9 +203,8 @@ void TGraph::AccumulateAffinity(TxnId id,
 
 double TGraph::CutWeight() const {
   double cut = 0.0;
-  for (const auto& [eid, e] : edges_) {
-    (void)eid;
-    if (e.stale) continue;
+  for (const TEdge& e : edges_) {
+    if (!e.live || e.stale) continue;
     MachineId a = kInvalidMachine;
     MachineId b = kInvalidMachine;
     if (e.kind == EdgeKind::kForwardPush) {
@@ -245,7 +249,7 @@ TGraph::Snapshot TGraph::ExportSnapshot() const {
   }
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     snap.vertex_weight[k + i] = nodes_[i].weight;
-    snap.vertex_txn[k + i] = nodes_[i].spec.id;
+    snap.vertex_txn[k + i] = nodes_[i].id;
   }
 
   auto vtx_of_txn = [&](TxnId id) {
@@ -254,9 +258,8 @@ TGraph::Snapshot TGraph::ExportSnapshot() const {
 
   // Merge parallel edges via a temporary map per vertex at the end; here
   // we just append, then coalesce.
-  for (const auto& [eid, e] : edges_) {
-    (void)eid;
-    if (e.stale) continue;
+  for (const TEdge& e : edges_) {
+    if (!e.live || e.stale) continue;
     int u, v;
     if (e.kind == EdgeKind::kForwardPush) {
       if (!HasNode(e.src_txn) || !HasNode(e.dst_txn)) continue;
@@ -299,9 +302,20 @@ bool TGraph::CheckInvariants(std::string* why) const {
     if (why != nullptr) *why = msg;
     return false;
   };
+  if (!edges_.empty() && !edges_.front().live) {
+    return fail("edge ring keeps a dead prefix");
+  }
   std::unordered_map<ObjectKey, std::size_t> live_wb;
-  for (const auto& [eid, e] : edges_) {
-    if (e.stale) continue;
+  for (std::size_t i = 0; i < edges_.size(); ++i) {
+    const TEdge& e = edges_[i];
+    const std::size_t eid = edge_base_ + i;
+    if (!e.live) continue;
+    if (e.stale) {
+      if (!HasNode(e.src_txn)) {
+        return fail("stale storage-write edge outlived its owner");
+      }
+      continue;
+    }
     switch (e.kind) {
       case EdgeKind::kForwardPush:
         if (!HasNode(e.src_txn) || !HasNode(e.dst_txn)) {

@@ -55,16 +55,22 @@ struct TEdge {
   /// Storage-write edges move to the latest accessor; superseded copies
   /// are marked stale and ignored everywhere.
   bool stale = false;
+  /// False once the edge is erased (its reader or write-back owner sank).
+  bool live = true;
 };
 
-/// A transaction node of the T-graph.
+/// A transaction node of the T-graph. It keeps only what sinking needs
+/// from the spec (the runtime parks the spec itself until its round).
 struct TxnNode {
-  TxnSpec spec;
+  TxnId id = kInvalidTxnId;
+  bool is_dummy = false;
+  /// Declared read/write set sizes, copied into the node's TxnPlan.
+  std::uint32_t num_reads = 0;
+  std::uint32_t num_writes = 0;
   double weight = 1.0;
   /// Current partition assignment (mutable until sunk, §3.3: "the
   /// partition assignment of each transaction changes over time").
   MachineId assigned = kInvalidMachine;
-  bool sunk = false;
   /// Ids of edges incident to this node (both directions).
   std::vector<std::size_t> edges;
 };
@@ -117,10 +123,6 @@ class TGraph {
   /// sinking-round number and must increase by one per call.
   SinkPlan Sink(std::size_t count, SinkEpoch epoch);
 
-  /// Engine feedback: transaction committed, so its weight no longer
-  /// counts toward its machine's sink-node weight (§3.1).
-  void OnCommitted(TxnId id);
-
   /// Elastic membership change at a sink-epoch cut: the data map has just
   /// advanced to a new version, and rounds from here on address `new_n`
   /// machines. Re-homes every live storage-read/storage-write edge to the
@@ -130,8 +132,7 @@ class TGraph {
   /// edges keep their holder: published epoch entries stay valid on the
   /// machine that published them, even one leaving the membership (it
   /// keeps serving residual pulls). The sink-weight vector only ever
-  /// grows — OnCommitted() for transactions sunk on a leaver before the
-  /// cut still indexes its slot.
+  /// grows: a leaver keeps the load sunk on it before the cut.
   void Rehome(std::size_t new_n);
 
   // --- Introspection / partitioner interface -------------------------
@@ -147,23 +148,29 @@ class TGraph {
     return id >= first_id_ && id < first_id_ + nodes_.size();
   }
 
-  /// Sink-node weight of machine `m` (sunk-but-uncommitted load, §3.1).
+  /// Sink-node weight of machine `m`: the total weight ever sunk on it.
+  /// §3.1 subtracts committed transactions; the runtime feeds no commits
+  /// back, so its plans stay a pure function of the stream (DESIGN §4c).
+  /// The DES models the backlog through set_sink_weight instead.
   double sink_weight(MachineId m) const { return sink_weight_[m]; }
-  /// Tests/benches may seed sink weights to model pre-existing load.
+  /// Tests, benches and the DES may seed sink weights to model load.
   void set_sink_weight(MachineId m, double w) { sink_weight_[m] = w; }
 
-  const TEdge& edge(std::size_t edge_id) const { return edges_.at(edge_id); }
+  /// Live edge `edge_id` (must be incident to an unsunk node).
+  const TEdge& edge(std::size_t edge_id) const;
+
+  /// Edge slots the ring currently spans: every edge the unsunk
+  /// transactions created, and nothing older (Sink trims the rest).
+  std::size_t edge_ring_size() const { return edges_.size(); }
 
   /// Visits unsunk nodes in total order.
   void ForEachUnsunk(const std::function<void(const TxnNode&)>& fn) const;
 
   /// Adds, for every non-stale edge incident to node `id`, the edge weight
   /// to `affinity[p]` where p is the partition of the peer endpoint. Txn
-  /// peers contribute only when `peer_placed(peer_id)` returns true (the
-  /// streaming pass decides which neighbours count as placed).
-  void AccumulateAffinity(TxnId id,
-                          const std::function<bool(TxnId)>& peer_placed,
-                          std::vector<double>& affinity) const;
+  /// peers count only when they precede `id` in the total order, i.e.
+  /// the streaming pass already (re)placed them this round.
+  void AccumulateAffinity(TxnId id, std::vector<double>& affinity) const;
 
   /// Sum of weights of non-stale edges crossing partitions, counting txn
   /// assignments plus sink placements. Unassigned nodes are skipped.
@@ -227,8 +234,6 @@ class TGraph {
     SinkEpoch cache_epoch = 0;
     bool dirty = false;
     SinkEpoch write_back_epoch = 0;
-    bool ever_written_back = false;  // sticky-hint basis
-    TxnId last_accessor = kInvalidTxnId;
     std::size_t wb_edge = kNoEdge;   // live storage-write edge
     // Planned storage reads of the current storage version since the last
     // write-back; recorded into the next WriteBackStep::readers_to_await.
@@ -237,7 +242,10 @@ class TGraph {
 
   static constexpr std::size_t kNoEdge = static_cast<std::size_t>(-1);
 
-  std::size_t AddEdge(TEdge edge);
+  std::size_t AddEdge(const TEdge& edge);
+  /// The live edge `edge_id`, or nullptr once it was erased.
+  TEdge* FindEdge(std::size_t edge_id);
+  const TEdge* FindEdge(std::size_t edge_id) const;
   void MoveWriteBackEdge(ObjectState& st, ObjectKey key, TxnId new_owner);
   ObjectState& StateOf(ObjectKey key) { return objects_[key]; }
 
@@ -248,19 +256,21 @@ class TGraph {
   TxnId first_id_ = 1;         // id of nodes_.front()
   TxnId next_expected_id_ = 1;
 
+  // The edge ring: edges_[id - edge_base_]. Ids are sequential, and every
+  // edge AddTxn(T) creates names T as its reader or write-back owner, so
+  // it is dead once T sinks. Sink erases edges by clearing `live` and then
+  // pops the dead prefix; the ring spans only the unsunk window's edges.
+  std::deque<TEdge> edges_;
+  std::size_t edge_base_ = 0;
+
   // Open-addressing tables (common/flat_map.h): AddTxn/Sink run once per
   // transaction on the scheduler hot path, and node-based maps spent it
   // allocating. Iteration order is a pure function of the operation
   // history, so independent TGraph replicas still agree byte-for-byte.
-  FlatMap<std::size_t, TEdge> edges_;
-  std::size_t next_edge_id_ = 0;
-
   FlatMap<ObjectKey, ObjectState> objects_;
   FlatMap<std::pair<ObjectKey, TxnId>, CacheEntryState> cache_entries_;
 
   std::vector<double> sink_weight_;
-  // weight of sunk-but-uncommitted txns, per txn (for OnCommitted).
-  FlatMap<TxnId, std::pair<MachineId, double>> outstanding_;
 
   SinkEpoch last_epoch_ = 0;
 

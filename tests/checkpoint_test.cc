@@ -72,11 +72,15 @@ TEST(CheckpointTest, ResendWindowPrunesAndReplaysInOrder) {
   ResendWindow window;
   EXPECT_TRUE(window.empty());
   EXPECT_EQ(window.front_epoch(), 0u);
+  // Ten rounds, each kept as one slice per machine (the key tags which).
   for (SinkEpoch e = 1; e <= 10; ++e) {
-    Message msg;
-    msg.type = Message::Type::kSinkPlan;
-    msg.epoch = e;
-    window.Append(std::move(msg));
+    for (MachineId m = 0; m < 3; ++m) {
+      Message slice;
+      slice.type = Message::Type::kSinkPlan;
+      slice.epoch = e;
+      slice.key = m;
+      window.Append(m, std::move(slice));
+    }
   }
   EXPECT_EQ(window.size(), 10u);
   EXPECT_EQ(window.front_epoch(), 1u);
@@ -91,15 +95,19 @@ TEST(CheckpointTest, ResendWindowPrunesAndReplaysInOrder) {
   EXPECT_LT(window.bytes(), bytes_full);
   EXPECT_EQ(window.bytes_peak(), bytes_full);  // peak survives pruning
 
+  // A re-ship replays only the destination's own slices, one per round.
   std::vector<SinkEpoch> replayed;
-  const std::size_t n = window.ForEachFrom(
-      7, [&](const Message& m) { replayed.push_back(m.epoch); });
+  const std::size_t n = window.ForEachFrom(7, 1, [&](const Message& m) {
+    EXPECT_EQ(m.key, 1u);
+    replayed.push_back(m.epoch);
+  });
   EXPECT_EQ(n, 4u);
   EXPECT_EQ(replayed, (std::vector<SinkEpoch>{7, 8, 9, 10}));
 
   // Pruning everything empties the window; front_epoch reports 0.
   EXPECT_EQ(window.PruneThrough(100), 6u);
   EXPECT_TRUE(window.empty());
+  EXPECT_EQ(window.size(), 0u);
   EXPECT_EQ(window.front_epoch(), 0u);
   EXPECT_EQ(window.bytes(), 0u);
 }

@@ -244,6 +244,28 @@ TEST(CrashTest, CrashAtFinalEpochAfterLastPlanRecovers) {
   EXPECT_GT(got.out.recovery.replayed_txns, 0u);
 }
 
+// A re-ship sends the victim only its own slice of each lost round and
+// counts rounds, not slices: the count is every round from the resume
+// epoch on, not that number times the machine count.
+TEST(CrashTest, ResentRoundsCountRoundsShippedSinceResume) {
+  const Workload w = MakeMicroWorkload(SmallMicro());
+  const RunSnapshot ref = RunOnce(w, StreamingOpts(TransportKind::kDirect));
+  const SinkEpoch final_epoch =
+      static_cast<SinkEpoch>(ref.out.pipeline.plans);
+  ASSERT_GT(final_epoch, 3u);
+
+  // The rounds past the crash fit in the victim's epoch credits, so every
+  // round is shipped (and retained) long before the detector fires.
+  const RunSnapshot got =
+      RunOnce(w, CrashOpts(TransportKind::kDirect, 1, final_epoch - 2));
+  ExpectRecovered(got.out, 1);
+  ExpectSameResults(ref.out.results, got.out.results);
+  EXPECT_EQ(got.state, ref.state);
+  const SinkEpoch crash_epoch = got.out.recovery.crash_epoch;
+  ASSERT_LT(crash_epoch, final_epoch);
+  EXPECT_EQ(got.out.recovery.resent_rounds, final_epoch - crash_epoch);
+}
+
 // ---------------------------------------------------------------------
 // The seeded chaos matrix: sequential crashes of distinct machines, a
 // repeat crash of a recovered machine, and a straggler that must never

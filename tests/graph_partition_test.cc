@@ -59,8 +59,10 @@ TEST(StreamingGreedyTest, CoLocatesDependencyChains) {
   MachineId m1 = kInvalidMachine, m2 = kInvalidMachine;
   bool split1 = false, split2 = false;
   g.ForEachUnsunk([&](const TxnNode& n) {
-    MachineId& m = n.spec.rw.ReadsKey(1) ? m1 : m2;
-    bool& split = n.spec.rw.ReadsKey(1) ? split1 : split2;
+    // MakeClusteredGraph gives odd ids the key-1 chain, even ids key 2.
+    const bool key1 = n.id % 2 == 1;
+    MachineId& m = key1 ? m1 : m2;
+    bool& split = key1 ? split1 : split2;
     if (m == kInvalidMachine) {
       m = n.assigned;
     } else if (m != n.assigned) {
@@ -89,7 +91,7 @@ TEST(StreamingGreedyTest, DeterministicAcrossInstances) {
   p1.Partition(g1);
   p2.Partition(g2);
   g1.ForEachUnsunk([&](const TxnNode& n) {
-    EXPECT_EQ(n.assigned, g2.node(n.spec.id).assigned);
+    EXPECT_EQ(n.assigned, g2.node(n.id).assigned);
   });
 }
 
@@ -258,7 +260,7 @@ TEST(PinReductionTest, DetectsViolatedConstraint) {
 TEST(PartitionMetricsTest, SkewIsMaxMinusMin) {
   TGraph g = MakeClusteredGraph(2, 5);
   g.ForEachUnsunk([&](const TxnNode& n) {
-    g.mutable_node(n.spec.id).assigned = 0;
+    g.mutable_node(n.id).assigned = 0;
   });
   const PartitionQuality q = MeasurePartition(g);
   EXPECT_DOUBLE_EQ(q.skew, 10.0);  // all 10 nodes on machine 0

@@ -564,5 +564,101 @@ TEST(RuntimeTest, HeadParkedOnStorageProbeResumesOnAPeersWriteBack) {
   EXPECT_EQ(m.storage().write_backs_applied(), 1u);
 }
 
+// ---------------------------------------------------------------------
+// Per-machine round slices: a machine receives a slice of every round,
+// empty or not, holding only its own plans, each paired with its spec.
+// ---------------------------------------------------------------------
+
+TxnSpec NoopSpec(TxnId id) {
+  TxnSpec spec;
+  spec.id = id;
+  spec.proc = 201;
+  return spec;
+}
+
+TxnPlan NoopPlan(TxnId id, MachineId machine) {
+  TxnPlan p;
+  p.txn = id;
+  p.machine = machine;
+  return p;
+}
+
+ProcedureRegistry NoopRegistry() {
+  ProcedureRegistry registry;
+  registry.Register(201, "noop", [](TxnContext&) { return Status::Ok(); });
+  return registry;
+}
+
+TEST(RuntimeTest, EmptySliceStillCarriesItsRound) {
+  // Round 1 runs only on machine 1; round 2 runs T2 here and T3 on
+  // machine 2. Machine 0 executes T2 only once round 1's (empty) slice
+  // arrived, because rounds enter the FIFO in epoch order.
+  SinkPlan round1;
+  round1.epoch = 1;
+  round1.txns = {NoopPlan(1, 1)};
+  SinkPlan round2;
+  round2.epoch = 2;
+  round2.txns = {NoopPlan(2, 0), NoopPlan(3, 2)};
+  std::vector<Message> slices1 =
+      SliceSinkPlan(round1, {NoopSpec(1)}, /*num_machines=*/3);
+  std::vector<Message> slices2 =
+      SliceSinkPlan(round2, {NoopSpec(2), NoopSpec(3)}, 3);
+  ASSERT_EQ(slices1.size(), 3u);
+  EXPECT_TRUE(slices1[0].specs.empty());
+
+  KvStore store;
+  const ProcedureRegistry registry = NoopRegistry();
+  Machine m(0, 3, &store, &registry, [](MachineId, Message) {});
+  m.StartTPart();
+  m.Deliver(std::move(slices2[0]));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(m.executed_plans(), 0u) << "round 2 ran ahead of round 1";
+  m.Deliver(std::move(slices1[0]));
+  Message end;
+  end.type = Message::Type::kPlanStreamEnd;
+  end.epoch = 2;
+  m.Deliver(std::move(end));
+  m.JoinExecutor();
+  m.Stop();
+  const std::vector<TxnResult> results = m.TakeResults();
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].id, 2u);
+}
+
+// Delivers one round-1 slice holding T7's plan (for `plan_machine`) with
+// `specs` to machine 0, then ends the stream.
+void DeliverSlice(MachineId plan_machine, std::vector<TxnSpec> specs) {
+  KvStore store;
+  const ProcedureRegistry registry = NoopRegistry();
+  Machine m(0, 2, &store, &registry, [](MachineId, Message) {});
+  m.StartTPart();
+  SinkPlan plan;
+  plan.epoch = 1;
+  plan.txns = {NoopPlan(7, plan_machine)};
+  Message slice;
+  slice.type = Message::Type::kSinkPlan;
+  slice.epoch = 1;
+  slice.plan_bytes = EncodeSinkPlan(plan);
+  slice.specs = std::move(specs);
+  m.Deliver(std::move(slice));
+  Message end;
+  end.type = Message::Type::kPlanStreamEnd;
+  end.epoch = 1;
+  m.Deliver(std::move(end));
+  m.JoinExecutor();
+  m.Stop();
+}
+
+TEST(RuntimeDeathTest, SliceMustPairEachOwnPlanWithItsSpec) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(DeliverSlice(0, {}), "slice carries 0 specs for 1 plans");
+  EXPECT_DEATH(DeliverSlice(0, {NoopSpec(7), NoopSpec(8)}),
+               "slice carries 2 specs for 1 plans");
+  EXPECT_DEATH(DeliverSlice(0, {NoopSpec(8)}),
+               "pairs spec T8 with the plan of T7");
+  EXPECT_DEATH(DeliverSlice(1, {NoopSpec(7)}),
+               "slice for machine 0 holds T7's plan for machine 1");
+}
+
 }  // namespace
 }  // namespace tpart

@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "common/random.h"
+#include "net/wire.h"
 #include "scheduler/plan_optimizer.h"
 #include "scheduler/tpart_scheduler.h"
+#include "sequencer/sequencer.h"
 #include "storage/data_partition.h"
+#include "workload/micro.h"
+#include "workload/tpcc.h"
 
 namespace tpart {
 namespace {
@@ -207,6 +214,124 @@ TEST(SchedulerTest, OptimizerReducesRemotePushesEndToEnd) {
   }
   sched.Drain();
   EXPECT_GT(sched.num_pushes_eliminated(), 0u);
+}
+
+// ---- Golden plan digests ----------------------------------------------
+//
+// Fixed-seed workloads streamed through the scheduler the way the runtime
+// does it (sequenced into dummy-padded batches, sink size 50). Every
+// round's EncodeSinkPlan bytes fold into one FNV-1a digest, so any change
+// to the T-graph, the partitioner, sinking or the plan optimizer that
+// moves a single plan byte shows up here. A data-structure change must
+// leave every digest as it is; only a deliberate change to the planning
+// rules updates them.
+
+struct PlanDigest {
+  std::uint64_t fnv = 0xcbf29ce484222325ull;
+  std::uint64_t rounds = 0;
+  std::uint64_t plans = 0;
+
+  void Add(const SinkPlan& plan) {
+    for (const char c : EncodeSinkPlan(plan)) {
+      fnv ^= static_cast<unsigned char>(c);
+      fnv *= 0x100000001b3ull;
+    }
+    ++rounds;
+    plans += plan.txns.size();
+  }
+};
+
+PlanDigest DigestOf(const Workload& w,
+                    const TPartScheduler::Options& options) {
+  TPartScheduler sched(options, w.partition_map);
+  Sequencer sequencer{Sequencer::Options{}};
+  PlanDigest digest;
+  const auto feed = [&](const TxnBatch& batch) {
+    for (const TxnSpec& spec : batch.txns) {
+      for (const SinkPlan& plan : sched.OnTxn(spec)) digest.Add(plan);
+    }
+  };
+  for (const TxnSpec& request : w.requests) {
+    sequencer.Submit(request);
+    while (std::optional<TxnBatch> batch = sequencer.NextBatch()) {
+      feed(*batch);
+    }
+  }
+  if (sequencer.pending() > 0) {
+    if (std::optional<TxnBatch> batch = sequencer.Flush()) feed(*batch);
+  }
+  for (const SinkPlan& plan : sched.Drain()) digest.Add(plan);
+  return digest;
+}
+
+TPartScheduler::Options DigestOpts(const Workload& w) {
+  TPartScheduler::Options o;
+  o.sink_size = 50;
+  o.graph.num_machines = w.num_machines;
+  return o;
+}
+
+MicroOptions DigestMicro(double read_write_rate,
+                         std::uint64_t records_per_machine) {
+  MicroOptions o;
+  o.num_machines = 3;
+  o.records_per_machine = records_per_machine;
+  o.hot_set_size = 200;
+  o.num_txns = 5000;
+  o.read_write_rate = read_write_rate;
+  o.seed = 23;
+  return o;
+}
+
+std::string Hex(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(PlanDigestTest, MicroPlansMatchGolden) {
+  const Workload w = MakeMicroWorkload(DigestMicro(0.5, 20'000));
+  const PlanDigest d = DigestOf(w, DigestOpts(w));
+  EXPECT_EQ(d.plans, 5000u);
+  EXPECT_EQ(Hex(d.fnv), "0xbfbcd901a37f7357") << d.rounds << " rounds";
+}
+
+TEST(PlanDigestTest, MicroFtShapedPlansMatchGolden) {
+  const Workload w = MakeMicroWorkload(DigestMicro(1.0, 200'000));
+  const PlanDigest d = DigestOf(w, DigestOpts(w));
+  EXPECT_EQ(d.plans, 5000u);
+  EXPECT_EQ(Hex(d.fnv), "0x5dc0b94977bf5e64") << d.rounds << " rounds";
+}
+
+TpccOptions DigestTpcc() {
+  TpccOptions o;
+  o.num_machines = 3;
+  o.warehouses_per_machine = 2;
+  o.num_txns = 4000;
+  o.seed = 23;
+  return o;
+}
+
+TEST(PlanDigestTest, TpccPlansMatchGolden) {
+  const Workload w = MakeTpccWorkload(DigestTpcc());
+  const PlanDigest d = DigestOf(w, DigestOpts(w));
+  EXPECT_EQ(d.plans, 4000u);
+  EXPECT_EQ(Hex(d.fnv), "0xd99d53a28d04dd9c") << d.rounds << " rounds";
+}
+
+// The §5.3 read-own-writes union (TPC-C has blind writes; the micro
+// writes are a subset of its reads) and G-Store's always-write-back path
+// are the T-graph branches the runtime workloads above do not take.
+TEST(PlanDigestTest, ReadOwnWritesAndAlwaysWriteBackPlansMatchGolden) {
+  const Workload tpcc = MakeTpccWorkload(DigestTpcc());
+  TPartScheduler::Options own = DigestOpts(tpcc);
+  own.graph.read_own_writes = true;
+  EXPECT_EQ(Hex(DigestOf(tpcc, own).fnv), "0x62d8cb8f30ec0409");
+  const Workload micro = MakeMicroWorkload(DigestMicro(0.5, 20'000));
+  TPartScheduler::Options gstore = DigestOpts(micro);
+  gstore.graph.always_write_back = true;
+  EXPECT_EQ(Hex(DigestOf(micro, gstore).fnv), "0x4eda229d0b068b77");
 }
 
 }  // namespace

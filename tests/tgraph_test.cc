@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <string>
+
+#include "common/random.h"
+#include "partition/streaming_greedy.h"
 #include "storage/data_partition.h"
 #include "tgraph/edge_weight.h"
 #include "tgraph/tgraph.h"
@@ -149,7 +155,7 @@ TEST(TGraphTest, AffinityCountsPlacedNeighboursAndSinks) {
   g.AddTxn(Txn(2, {10}, {}));
   g.mutable_node(1).assigned = 1;
   std::vector<double> affinity(2, 0.0);
-  g.AccumulateAffinity(2, [](TxnId peer) { return peer < 2; }, affinity);
+  g.AccumulateAffinity(2, affinity);
   // Push edge toward T1's machine (weight 1) plus T2's storage-write...
   // T2 holds the write-back duty for key 10 toward its home sink.
   const MachineId home = g.data_map().Locate(10);
@@ -224,6 +230,57 @@ TEST(TGraphTest, StorageReadAwaitCountsFlowIntoWriteBacks) {
   const TxnPlan& p3 = plan.txns[2];
   ASSERT_EQ(p3.write_backs.size(), 1u);
   EXPECT_EQ(p3.write_backs[0].readers_to_await, 2u);
+}
+
+// ---- The edge ring -------------------------------------------------------
+
+// The scheduler's share of "memory bounded by the stage caps": streamed
+// far past its window, the T-graph's edge ring holds exactly the edges the
+// unsunk transactions created, whatever the stream's length.
+TEST(TGraphTest, EdgeRingSpansOnlyTheUnsunkWindow) {
+  constexpr std::size_t kSinkSize = 50;
+  constexpr TxnId kTxns = 20'000;
+  TGraph g = MakeGraph(3);
+  StreamingGreedyPartitioner partitioner;
+  Rng rng(0xED6E);
+  // Edges each unsunk transaction added, in id order.
+  std::deque<std::size_t> created;
+  std::size_t window_edges = 0;
+  std::size_t peak_ring = 0;
+  SinkEpoch epoch = 0;
+  for (TxnId id = 1; id <= kTxns; ++id) {
+    TxnSpec spec;
+    if (id % 97 == 0) {
+      spec = MakeDummyTxn();
+      spec.id = id;
+    } else {
+      // Four reads over a small key space (pushes, cache reads and moved
+      // write-back duties), two writes: one read-modify-write, one blind.
+      std::vector<ObjectKey> reads;
+      for (int r = 0; r < 4; ++r) reads.push_back(rng.NextBelow(400));
+      spec = Txn(id, reads, {reads[0], rng.NextBelow(400)});
+    }
+    const std::size_t before = g.edge_ring_size();
+    g.AddTxn(spec);
+    created.push_back(g.edge_ring_size() - before);
+    window_edges += created.back();
+    if (g.num_unsunk() >= 2 * kSinkSize) {
+      partitioner.Partition(g);
+      g.Sink(kSinkSize, ++epoch);
+      for (std::size_t k = 0; k < kSinkSize; ++k) {
+        window_edges -= created.front();
+        created.pop_front();
+      }
+      std::string why;
+      ASSERT_TRUE(g.CheckInvariants(&why)) << "round " << epoch << ": " << why;
+      ASSERT_EQ(g.edge_ring_size(), window_edges) << "round " << epoch;
+    }
+    peak_ring = std::max(peak_ring, g.edge_ring_size());
+  }
+  EXPECT_GT(epoch, 390u);
+  // At most 2 * sink_size unsunk transactions, each adding at most one
+  // edge per read plus one write-back duty per read and write.
+  EXPECT_LE(peak_ring, 2 * kSinkSize * (2 * 4 + 2));
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 #include "elastic/migration.h"
 #include "net/wire.h"
 #include "obs/trace_context.h"
+#include "scheduler/tpart_scheduler.h"
+#include "storage/data_partition.h"
 
 namespace tpart {
 namespace {
@@ -705,6 +707,66 @@ TEST(WireSinkPlanTest, MutationFuzzRoundTripsOrRejects) {
       EXPECT_TRUE(*again == *got);
     }
   }
+}
+
+// Real scheduler rounds split per machine: each slice decodes to exactly
+// its machine's plans, in id order, with specs aligned, and every machine
+// gets a slice of every round — empty when it runs none of the round.
+TEST(WireSinkPlanTest, SlicesCarryOnlyEachMachinesPlansWithAlignedSpecs) {
+  constexpr std::size_t kMachines = 3;
+  TPartScheduler::Options o;
+  o.sink_size = 4;
+  o.graph.num_machines = kMachines;
+  TPartScheduler sched(o, std::make_shared<HashPartitionMap>(kMachines));
+  Rng rng(0x511CE);
+  std::vector<TxnSpec> specs;
+  std::vector<SinkPlan> rounds;
+  for (TxnId id = 1; id <= 400; ++id) {
+    TxnSpec spec;
+    spec.id = id;
+    spec.proc = 9;
+    spec.params = {static_cast<std::int64_t>(id)};
+    spec.rw.reads = {rng.NextBelow(30), rng.NextBelow(30)};
+    spec.rw.writes = {spec.rw.reads[0]};
+    spec.rw.Normalize();
+    specs.push_back(spec);
+    for (SinkPlan& plan : sched.OnTxn(spec)) rounds.push_back(std::move(plan));
+  }
+  for (SinkPlan& plan : sched.Drain()) rounds.push_back(std::move(plan));
+
+  std::size_t empty_slices = 0;
+  std::size_t plans_seen = 0;
+  for (const SinkPlan& round : rounds) {
+    std::vector<TxnSpec> round_specs;
+    for (const TxnPlan& p : round.txns) round_specs.push_back(specs[p.txn - 1]);
+    const std::vector<Message> slices =
+        SliceSinkPlan(round, std::move(round_specs), kMachines);
+    ASSERT_EQ(slices.size(), kMachines);
+    for (MachineId m = 0; m < kMachines; ++m) {
+      const Message& slice = slices[m];
+      EXPECT_EQ(slice.type, Message::Type::kSinkPlan);
+      EXPECT_EQ(slice.epoch, round.epoch);
+      Result<SinkPlan> got = DecodeSinkPlan(slice.plan_bytes);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got->epoch, round.epoch);
+      const std::vector<const TxnPlan*> own = round.PlansFor(m);
+      ASSERT_EQ(got->txns.size(), own.size());
+      ASSERT_EQ(slice.specs.size(), own.size());
+      for (std::size_t i = 0; i < own.size(); ++i) {
+        EXPECT_TRUE(got->txns[i] == *own[i]) << "T" << own[i]->txn;
+        EXPECT_EQ(got->txns[i].machine, m);
+        if (i > 0) {
+          EXPECT_LT(got->txns[i - 1].txn, got->txns[i].txn);
+        }
+        EXPECT_TRUE(slice.specs[i] == specs[own[i]->txn - 1]);
+      }
+      if (own.empty()) ++empty_slices;
+      plans_seen += own.size();
+    }
+  }
+  EXPECT_EQ(plans_seen, specs.size());
+  // Sink size 4 over 3 machines leaves some machine idle in some round.
+  EXPECT_GT(empty_slices, 0u);
 }
 
 // -------------------------------------------------------------------
