@@ -43,17 +43,15 @@ void DirectTransport::Start(std::vector<DeliverFn> deliver) {
 void DirectTransport::Send(MachineId from, MachineId to, Message msg) {
   (void)from;
   TPART_CHECK(to < deliver_.size()) << "send to unknown machine " << to;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.messages_sent;
-    ++stats_.messages_delivered;
-  }
+  messages_.fetch_add(1, std::memory_order_relaxed);
   deliver_[to](std::move(msg));
 }
 
 TransportStats DirectTransport::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return stats_;
+  TransportStats out;
+  out.messages_sent = messages_.load(std::memory_order_relaxed);
+  out.messages_delivered = out.messages_sent;
+  return out;
 }
 
 // ---------------------------------------------------------------------
@@ -113,8 +111,8 @@ void SerializedTransport::Send(MachineId from, MachineId to, Message msg) {
     w.PutVarint(from);
     w.PutVarint(seq);
     packet.append(payload);
-    link.unacked[seq] =
-        Link::Unacked{packet, std::chrono::steady_clock::now()};
+    const auto now = std::chrono::steady_clock::now();
+    link.unacked[seq] = Link::Unacked{packet, now, now};
     ++unacked_total_;
   }
   network_->Send(from, to, std::move(packet));
@@ -181,8 +179,8 @@ void SerializedTransport::SendBatch(
       w.PutVarint(from);
       w.PutVarint(seq);
       packet.append(payload);
-      link.unacked[seq] =
-          Link::Unacked{packet, std::chrono::steady_clock::now()};
+      const auto now = std::chrono::steady_clock::now();
+      link.unacked[seq] = Link::Unacked{packet, now, now};
       ++unacked_total_;
     }
     network_->Send(from, static_cast<MachineId>(to), std::move(packet));
@@ -340,13 +338,15 @@ std::string SerializedTransport::LinkDiagnostic() const {
     for (std::size_t to = 0; to < n_; ++to) {
       const Link& link = links_[from * n_ + to];
       if (link.unacked.empty()) continue;
+      // Retries refresh `sent`; the first send dates how long the
+      // oldest packet has gone unacked.
       const auto oldest_us =
           std::chrono::duration_cast<std::chrono::microseconds>(
-              now - link.unacked.begin()->second.sent)
+              now - link.unacked.begin()->second.first_sent)
               .count();
       out << " link[" << from << "->" << to
           << "]: backlog=" << link.unacked.size()
-          << " oldest_sent_us=" << oldest_us;
+          << " oldest_unacked_us=" << oldest_us;
     }
   }
   return out.str();

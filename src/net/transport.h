@@ -105,7 +105,8 @@ class Transport {
   virtual std::string LinkDiagnostic() const { return std::string(); }
 };
 
-/// The seed's zero-copy path: Send() delivers the struct synchronously.
+/// The seed's zero-copy path: Send() delivers the struct synchronously,
+/// so every message sent is also delivered.
 class DirectTransport : public Transport {
  public:
   void Start(std::vector<DeliverFn> deliver) override;
@@ -116,8 +117,7 @@ class DirectTransport : public Transport {
 
  private:
   std::vector<DeliverFn> deliver_;
-  mutable std::mutex stats_mu_;
-  TransportStats stats_;
+  std::atomic<std::uint64_t> messages_{0};
 };
 
 /// Serializes messages through net/wire.h and ships the bytes over a
@@ -150,7 +150,8 @@ class SerializedTransport : public Transport {
     std::uint64_t next_seq = 1;
     struct Unacked {
       std::string packet;  // full envelope, ready to retransmit
-      std::chrono::steady_clock::time_point sent;
+      std::chrono::steady_clock::time_point first_sent;
+      std::chrono::steady_clock::time_point sent;  // latest (re)send
     };
     std::map<std::uint64_t, Unacked> unacked;
     std::uint64_t dedupe_floor = 0;  // all seqs <= floor delivered

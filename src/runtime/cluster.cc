@@ -1147,50 +1147,40 @@ class Disseminator {
   // (every in-flight round executed, every service FIFO drained),
   // computes and ships the migration routes, waits for every image to
   // install, and forces a checkpoint on all machines at the cut epoch so
-  // no later replay can resurrect moved keys. On a wait timeout the
-  // returned status carries a stall diagnostic.
+  // no later replay can resurrect moved keys. Every wait is bounded by
+  // kStallTimeout; on a timeout the returned status carries a stall
+  // diagnostic.
   Status RunMembershipStep(std::size_t step_idx) {
     const MembershipStep& step = ctx_.elastic->step(step_idx);
     const std::size_t version = step_idx + 1;
     const auto t0 = Clock::now();
-    const auto deadline = t0 + kStallTimeout;
     TPART_TRACE_SPAN("membership_step", "elastic",
                      {{"cut", step.cut_epoch},
                       {"n_before", step.n_before},
                       {"n_after", step.n_after}});
-    // 1. Quiesce: every disseminated round has fully executed everywhere.
-    //    The scheduler may already have sunk rounds past the cut, but this
-    //    thread is the only shipper, so nothing past the cut is in flight.
-    //    A crash armed at the cut epoch flips its machine down BEFORE the
-    //    round's credit is released (the loop defers the release past
-    //    CrashStop), so a post-drain crashed() probe reliably sees it; the
-    //    probe also covers the replay phase of an earlier crash, since the
-    //    machine stays kRecovering until the replayed suffix finishes.
-    //    When it trips, wait out the watchdog's detect + recover + replay,
-    //    then re-drain: re-shipped rounds still hold their original ship
-    //    credits, so the redo absorbs them.
+    // 1. Quiesce: every disseminated round has fully executed everywhere,
+    //    and every machine is live. The scheduler may already have sunk
+    //    rounds past the cut, but this thread is the only shipper, so
+    //    nothing past the cut is in flight. A crash armed at the cut epoch
+    //    flips its machine down BEFORE the round's credit is released (the
+    //    loop defers the release past CrashStop), and the machine stays
+    //    kRecovering until its replayed suffix finishes, so the drain wait
+    //    spans the watchdog's detect + recover + replay and the re-shipped
+    //    rounds, which still hold their original ship credits.
     for (auto& m : ctx_.machines) {
-      for (;;) {
-        Status s = m->WaitStreamDrained(kStallTimeout);
-        if (!s.ok()) return s;
-        if (!m->crashed()) break;
-        if (Clock::now() > deadline) {
-          std::ostringstream out;
-          out << "membership step at epoch " << step.cut_epoch
-              << ": machine " << m->id() << " is still down at the cut";
-          return Status::Unavailable(out.str());
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
+      if (Status s = m->WaitStreamDrained(kStallTimeout); !s.ok()) return s;
     }
     // 2. Push every in-flight write-back and forward-push to its
     //    destination queue, then fence each service FIFO so everything
     //    delivered is also applied before state is scanned.
-    if (Status s = ctx_.transport.Flush(); !s.ok()) return s;
-    for (auto& m : ctx_.machines) {
-      Status s = m->FenceService(kStallTimeout);
-      if (!s.ok()) return s;
-    }
+    const auto flush_and_fence = [&]() -> Status {
+      if (Status s = ctx_.transport.Flush(); !s.ok()) return s;
+      for (auto& m : ctx_.machines) {
+        if (Status s = m->FenceService(kStallTimeout); !s.ok()) return s;
+      }
+      return Status::Ok();
+    };
+    if (Status s = flush_and_fence(); !s.ok()) return s;
     // 3. Plan the routes: a machine's key universe is its record store
     //    plus its version-discipline key state (PlanMigration drops keys
     //    whose home does not actually change across the step).
@@ -1205,9 +1195,7 @@ class Disseminator {
     const std::vector<MigrationRoute> routes =
         PlanMigration(*ctx_.elastic, version, keys_by_source);
     // 4. Ship each route (begin -> chunked image -> commit; the source
-    //    captures and drops, the target installs exactly once) and wait
-    //    for every install. Flush between polls pushes retried chunks
-    //    through a fault-injecting transport.
+    //    captures and drops, the target installs exactly once).
     for (const MigrationRoute& route : routes) {
       Message begin;
       begin.type = Message::Type::kMigrateBegin;
@@ -1224,20 +1212,24 @@ class Disseminator {
       migration.keys_moved += route.keys.size();
     }
     migration.routes += routes.size();
+    //    Then two flush-and-fence passes: after the first, every source
+    //    has dispatched its begin (image captured, chunks and commit
+    //    sent); after the second, every target has dispatched those
+    //    (image installed). Behind the fences the loops' done-sets are
+    //    safe to read; a route that is not done lost a message (a
+    //    stale-term fence, say).
+    if (Status s = flush_and_fence(); !s.ok()) return s;
+    if (Status s = flush_and_fence(); !s.ok()) return s;
     for (const MigrationRoute& route : routes) {
       const std::uint64_t stream = MigrationStreamId(
           static_cast<std::uint64_t>(version), route.source, route.target);
-      while (!ctx_.machines[route.source]->MigrationSourceDone(stream) ||
-             !ctx_.machines[route.target]->MigrationInstalled(stream)) {
-        if (Clock::now() > deadline) {
-          std::ostringstream out;
-          out << "migration stream " << route.source << " -> "
-              << route.target << " (" << route.keys.size()
-              << " keys) timed out";
-          return Status::Unavailable(out.str());
-        }
-        if (Status s = ctx_.transport.Flush(); !s.ok()) return s;
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      if (!ctx_.machines[route.source]->MigrationSourceDone(stream) ||
+          !ctx_.machines[route.target]->MigrationInstalled(stream)) {
+        std::ostringstream out;
+        out << "migration stream " << route.source << " -> " << route.target
+            << " (" << route.keys.size()
+            << " keys) did not complete behind its fences";
+        return Status::Unavailable(out.str());
       }
     }
     // 5. Force a checkpoint on every machine at the cut: a capturing
@@ -1765,8 +1757,10 @@ ClusterRunOutcome LocalCluster::RunCalvin() {
       if (participates[m]) machines_[m]->EnqueueCalvinTxn(spec);
     }
   }
-  for (auto& m : machines_) m->StartCalvin();
-  for (auto& m : machines_) m->FinishEnqueue();
+  for (auto& m : machines_) {
+    m->FinishEnqueue();
+    m->StartCalvin();
+  }
   for (auto& m : machines_) m->JoinExecutor();
   const Status flushed = transport_->Flush();
   StopAll();

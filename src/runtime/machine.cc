@@ -59,23 +59,21 @@ void Machine::SendOutBatch(std::vector<std::pair<MachineId, Message>>& msgs) {
 
 void Machine::EnqueueTPartEpoch(SinkEpoch epoch,
                                 std::vector<PlanItem> items) {
-  std::lock_guard<std::mutex> lock(mu_);
   for (auto& item : items) {
     tpart_work_.push_back(WorkUnit{epoch, std::move(item), false});
   }
 }
 
 void Machine::EnqueueCalvinTxn(TxnSpec spec) {
-  std::lock_guard<std::mutex> lock(mu_);
   calvin_work_.push_back(std::move(spec));
 }
 
 void Machine::FinishEnqueue() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    finished_enqueue_ = true;
-  }
-  cv_.notify_all();
+  TPART_CHECK(!service_.joinable())
+      << "machine " << id_
+      << ": FinishEnqueue() on a started machine; end its stream with "
+         "kPlanStreamEnd";
+  finished_enqueue_ = true;
 }
 
 void Machine::StartTPart() {
@@ -87,8 +85,8 @@ void Machine::StartCalvin() {
   service_ = std::thread([this] { ServiceLoop(); });
 }
 
-bool Machine::IdleLocked() const {
-  const bool draining = draining_.load(std::memory_order_relaxed);
+bool Machine::Idle() const {
+  const bool draining = draining_.load(std::memory_order_acquire);
   // A crashed machine is waited for through its recovery, unless the run
   // failed and nobody will recover it.
   if (run_state_.load(std::memory_order_relaxed) == RunState::kDown) {
@@ -98,9 +96,31 @@ bool Machine::IdleLocked() const {
          (finished_enqueue_ || draining);
 }
 
+void Machine::PublishProgress() {
+  Progress now;
+  now.idle = Idle();
+  now.work = tpart_work_.size();
+  now.rounds_in_progress = epoch_outstanding_.size();
+  now.finished_enqueue = finished_enqueue_;
+  now.pending_rounds = pending_stream_plans_.size();
+  now.next_epoch = next_stream_epoch_;
+  now.reads_issued_through = reads_issued_through_;
+  now.dup_rounds_dropped = duplicate_rounds_dropped_;
+  now.responses_pending = responses_.size();
+  now.stashed = down_stash_.size();
+  if (now == published_) return;
+  const bool idle_changed = now.idle != published_.idle;
+  published_ = now;
+  {
+    std::lock_guard<std::mutex> lock(status_mu_);
+    status_.progress = now;
+  }
+  if (idle_changed) status_cv_.notify_all();
+}
+
 void Machine::JoinExecutor() {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return IdleLocked(); });
+  std::unique_lock<std::mutex> lock(status_mu_);
+  status_cv_.wait(lock, [&] { return status_.progress.idle; });
 }
 
 void Machine::Stop() {
@@ -115,16 +135,13 @@ void Machine::Stop() {
     service_.join();
   }
   {
-    std::lock_guard<std::mutex> lock(credit_mu_);
-    credit_shutdown_ = true;
+    std::lock_guard<std::mutex> lock(status_mu_);
+    status_.credit_shutdown = true;
   }
-  credit_cv_.notify_all();
+  status_cv_.notify_all();
 }
 
-std::vector<TxnResult> Machine::TakeResults() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::move(results_);
-}
+std::vector<TxnResult> Machine::TakeResults() { return std::move(results_); }
 
 void Machine::Wake() {
   Message wake;
@@ -140,13 +157,8 @@ void Machine::ServiceLoop() {
   TPART_TRACE(SetThreadInfo(static_cast<int>(1 + id_), "loop"));
   // The epoch-0 edge of the chaos matrix: the machine dies before any
   // plan runs.
-  if (!calvin_ && crash_armed_.load(std::memory_order_acquire)) {
-    bool fire = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      fire = !crash_points_.empty() && crash_points_.front().at_start;
-    }
-    if (fire) CrashStop(/*resume=*/1);
+  if (!calvin_ && !crash_points_.empty() && crash_points_.front().at_start) {
+    CrashStop(/*resume=*/1);
   }
   while (true) {
     // Pending messages go first, so a run of ready plans (a recovery
@@ -167,6 +179,8 @@ void Machine::ServiceLoop() {
 }
 
 Message Machine::AwaitMessage() {
+  // Other threads see the loop's progress as of its latest block.
+  PublishProgress();
   if (!head_.parked) return inbound_.Receive();
   const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
       head_.parked_since + kStallTimeout - std::chrono::steady_clock::now());
@@ -189,17 +203,17 @@ void Machine::DispatchWhileDown(Message msg) {
     case Message::Type::kServiceFence:
       Dispatch(std::move(msg));
       break;
-    default: {
-      std::lock_guard<std::mutex> lock(mu_);
+    default:
       down_stash_.push_back(std::move(msg));
       return;
-    }
   }
-  std::lock_guard<std::mutex> lock(recover_mu_);
-  if (restore_ != nullptr) {
-    RestoreAndReplay(*restore_);
-    restore_ = nullptr;
+  const std::function<void()>* restore = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(status_mu_);
+    restore = std::exchange(status_.restore, nullptr);
+    status_.restoring = restore != nullptr;
   }
+  if (restore != nullptr) RestoreAndReplay(*restore);
 }
 
 void Machine::Dispatch(Message msg) {
@@ -277,12 +291,10 @@ void Machine::Dispatch(Message msg) {
       ServePull(std::move(msg));
       break;
     case Message::Type::kCacheReadResp:
-    case Message::Type::kStorageReadResp: {
+    case Message::Type::kStorageReadResp:
       if (log) LogNetworkMessage(msg);
-      std::lock_guard<std::mutex> lock(mu_);
       responses_[msg.req_id] = std::move(msg.value);
       break;
-    }
     case Message::Type::kStorageReadReq:
       if (log) LogNetworkMessage(msg);
       storage_.RemoteRead(msg.key, msg.version,
@@ -321,29 +333,23 @@ void Machine::Dispatch(Message msg) {
       if (msg.epoch != 0) CaptureCheckpoint(msg.epoch);
       if (msg.req_id == 0) break;  // a bare wake-up (Wake)
       {
-        std::lock_guard<std::mutex> lock(fence_mu_);
-        if (msg.req_id > fence_seen_) fence_seen_ = msg.req_id;
+        std::lock_guard<std::mutex> lock(status_mu_);
+        status_.fence_seen = std::max(status_.fence_seen, msg.req_id);
       }
-      fence_cv_.notify_all();
+      status_cv_.notify_all();
       break;
     // Streaming dissemination. Not network-logged: §5.4 replay re-runs
     // from the request log, which the plan's start populates either way.
     case Message::Type::kSinkPlan:
       HandleSinkPlan(std::move(msg));
       break;
-    case Message::Type::kPlanStreamEnd: {
-      bool finish = false;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        stream_end_seen_ = true;
-        stream_final_epoch_ = msg.epoch;
-        // The end marker can overtake delayed rounds on an unordered
-        // transport; only finish once every round up to it is enqueued.
-        finish = next_stream_epoch_ > stream_final_epoch_;
-      }
-      if (finish) FinishEnqueue();
+    case Message::Type::kPlanStreamEnd:
+      stream_end_seen_ = true;
+      stream_final_epoch_ = msg.epoch;
+      // The end marker can overtake delayed rounds on an unordered
+      // transport; only finish once every round up to it is enqueued.
+      if (next_stream_epoch_ > stream_final_epoch_) finished_enqueue_ = true;
       break;
-    }
     // Coordinator replication (DESIGN §4i). Replica-to-replica traffic is
     // handled by CoordinatorReplicaSet; a copy reaching a worker machine
     // is ignored. Never network-logged: the replicated request log owns
@@ -432,45 +438,37 @@ void Machine::HandleSinkPlan(Message msg) {
     }
   }
 
-  std::vector<std::pair<SinkEpoch, std::vector<PlanItem>>> ready;
-  bool finish = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (plan->epoch < next_stream_epoch_ ||
-        pending_stream_plans_.count(plan->epoch) != 0) {
-      // Duplicate round: recovery re-ships a window of recent rounds and
-      // cannot know how far this machine got, so intake is idempotent.
-      ++duplicate_rounds_dropped_;
-      TPART_TRACE(Instant("dup_round_dropped", "stream",
-                          {{"epoch", plan->epoch}}));
-      return;
-    }
-    if (plan->epoch == recovered_partial_epoch_ &&
-        !recovered_partial_txns_.empty()) {
-      // The machine crashed mid-round; the §5.4 replay already re-ran the
-      // round's logged prefix, so only the remainder executes live.
-      slice.erase(std::remove_if(slice.begin(), slice.end(),
-                                 [&](const PlanItem& item) {
-                                   return recovered_partial_txns_.count(
-                                              item.plan.txn) != 0;
-                                 }),
-                  slice.end());
-    }
-    pending_stream_plans_.emplace(plan->epoch, std::move(slice));
-    // Deliver in order; a reliable-but-unordered transport may have
-    // handed us later rounds first.
-    for (auto it = pending_stream_plans_.begin();
-         it != pending_stream_plans_.end() &&
-         it->first == next_stream_epoch_;
-         it = pending_stream_plans_.erase(it), ++next_stream_epoch_) {
-      ready.emplace_back(it->first, std::move(it->second));
-    }
-    finish = stream_end_seen_ && next_stream_epoch_ > stream_final_epoch_;
+  if (plan->epoch < next_stream_epoch_ ||
+      pending_stream_plans_.count(plan->epoch) != 0) {
+    // Duplicate round: recovery re-ships a window of recent rounds and
+    // cannot know how far this machine got, so intake is idempotent.
+    ++duplicate_rounds_dropped_;
+    TPART_TRACE(Instant("dup_round_dropped", "stream",
+                        {{"epoch", plan->epoch}}));
+    return;
   }
-  for (auto& [epoch, items] : ready) {
-    EnqueueStreamEpoch(epoch, std::move(items));
+  if (plan->epoch == recovered_partial_epoch_ &&
+      !recovered_partial_txns_.empty()) {
+    // The machine crashed mid-round; the §5.4 replay already re-ran the
+    // round's logged prefix, so only the remainder executes live.
+    slice.erase(std::remove_if(slice.begin(), slice.end(),
+                               [&](const PlanItem& item) {
+                                 return recovered_partial_txns_.count(
+                                            item.plan.txn) != 0;
+                               }),
+                slice.end());
   }
-  if (finish) FinishEnqueue();
+  pending_stream_plans_.emplace(plan->epoch, std::move(slice));
+  // Deliver in order; a reliable-but-unordered transport may have handed
+  // us later rounds first.
+  for (auto it = pending_stream_plans_.begin();
+       it != pending_stream_plans_.end() && it->first == next_stream_epoch_;
+       it = pending_stream_plans_.erase(it), ++next_stream_epoch_) {
+    EnqueueStreamEpoch(it->first, std::move(it->second));
+  }
+  if (stream_end_seen_ && next_stream_epoch_ > stream_final_epoch_) {
+    finished_enqueue_ = true;
+  }
 }
 
 void Machine::EnqueueStreamEpoch(SinkEpoch epoch,
@@ -479,22 +477,18 @@ void Machine::EnqueueStreamEpoch(SinkEpoch epoch,
   // so their round trips overlap earlier plans. A round re-shipped after
   // Recover() at or below the watermark already has its requests out.
   if (epoch > reads_issued_through_) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      reads_issued_through_ = epoch;
-    }
+    reads_issued_through_ = epoch;
     RequestRemoteReads(items);
   }
-  const bool empty = items.empty();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!empty) epoch_outstanding_[epoch] = items.size();
-    for (auto& item : items) {
-      tpart_work_.push_back(WorkUnit{epoch, std::move(item), false});
-    }
-  }
   // A round with no local slice holds its credit for no reason.
-  if (empty) ReleaseEpochCredit();
+  if (items.empty()) {
+    ReleaseEpochCredit();
+    return;
+  }
+  epoch_outstanding_[epoch] = items.size();
+  for (auto& item : items) {
+    tpart_work_.push_back(WorkUnit{epoch, std::move(item), false});
+  }
 }
 
 void Machine::RequestRemoteReads(const std::vector<PlanItem>& items) {
@@ -528,42 +522,42 @@ void Machine::RequestRemoteReads(const std::vector<PlanItem>& items) {
 
 Machine::CreditGrant Machine::AcquireEpochCreditFor(
     std::chrono::microseconds timeout) {
-  std::unique_lock<std::mutex> lock(credit_mu_);
+  std::unique_lock<std::mutex> lock(status_mu_);
   bool waited = false;
   const auto open = [&] {
-    return epochs_in_flight_ < epoch_queue_capacity_ || credit_shutdown_;
+    return status_.credits_in_flight < epoch_queue_capacity_ ||
+           status_.credit_shutdown;
   };
   if (!open()) {
     waited = true;
-    if (!credit_cv_.wait_for(lock, timeout, open)) {
+    if (!status_cv_.wait_for(lock, timeout, open)) {
       return CreditGrant::kTimedOut;
     }
   }
-  ++epochs_in_flight_;
-  if (epochs_in_flight_ > epoch_high_water_) {
-    epoch_high_water_ = epochs_in_flight_;
-  }
+  ++status_.credits_in_flight;
+  status_.credit_high_water =
+      std::max(status_.credit_high_water, status_.credits_in_flight);
   return waited ? CreditGrant::kGrantedAfterWait : CreditGrant::kGranted;
 }
 
 void Machine::ReleaseEpochCredit() {
   {
-    std::lock_guard<std::mutex> lock(credit_mu_);
-    if (epochs_in_flight_ > 0) --epochs_in_flight_;
+    std::lock_guard<std::mutex> lock(status_mu_);
+    if (status_.credits_in_flight > 0) --status_.credits_in_flight;
   }
-  // notify_all: a migration barrier's WaitStreamDrained may be waiting on
-  // the same cv as an AcquireEpochCreditFor caller.
-  credit_cv_.notify_all();
+  // notify_all: the condvar is shared (a credit acquirer, a migration
+  // barrier's WaitStreamDrained, JoinExecutor, fence waiters).
+  status_cv_.notify_all();
 }
 
 std::size_t Machine::epoch_queue_high_water() const {
-  std::lock_guard<std::mutex> lock(credit_mu_);
-  return epoch_high_water_;
+  std::lock_guard<std::mutex> lock(status_mu_);
+  return status_.credit_high_water;
 }
 
 std::size_t Machine::epochs_in_flight() const {
-  std::lock_guard<std::mutex> lock(credit_mu_);
-  return epochs_in_flight_;
+  std::lock_guard<std::mutex> lock(status_mu_);
+  return status_.credits_in_flight;
 }
 
 // ---------------------------------------------------------------------
@@ -572,16 +566,13 @@ std::size_t Machine::epochs_in_flight() const {
 
 bool Machine::AdvanceTPart() {
   if (!head_active_) {
-    if (run_state_.load(std::memory_order_relaxed) == RunState::kDown) {
+    if (run_state_.load(std::memory_order_relaxed) == RunState::kDown ||
+        tpart_work_.empty()) {
       return false;
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (tpart_work_.empty()) return false;
-      head_.unit = std::move(tpart_work_.front());
-      tpart_work_.pop_front();
-      head_active_ = true;
-    }
+    head_.unit = std::move(tpart_work_.front());
+    tpart_work_.pop_front();
+    head_active_ = true;
     const WorkUnit& unit = head_.unit;
     TPART_CHECK(unit.item.plan.machine == id_);
     head_.next_read = 0;
@@ -669,7 +660,6 @@ bool Machine::GatherHead() {
 }
 
 std::optional<Record> Machine::TakeResponse(std::uint64_t req_id) {
-  std::lock_guard<std::mutex> lock(mu_);
   auto it = responses_.find(req_id);
   if (it == responses_.end()) return std::nullopt;
   Record v = std::move(it->second);
@@ -689,6 +679,7 @@ void Machine::NoteParked(std::size_t read_idx) {
 }
 
 void Machine::FailStall() {
+  PublishProgress();  // the diagnostic reads the status block
   if (calvin_) {
     TPART_CHECK(false) << "stalled awaiting peer reads for T"
                        << head_.unit.item.spec.id << ": "
@@ -713,7 +704,6 @@ void Machine::FailStall() {
 }
 
 bool Machine::CompletePlan(TxnResult result, SinkEpoch epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
   results_.push_back(std::move(result));
   auto it = epoch_outstanding_.find(epoch);
   if (it != epoch_outstanding_.end() && --it->second == 0) {
@@ -724,14 +714,9 @@ bool Machine::CompletePlan(TxnResult result, SinkEpoch epoch) {
 }
 
 void Machine::ReleaseHead() {
-  bool idle = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    head_active_ = false;
-    idle = IdleLocked();
-  }
+  head_active_ = false;
   head_.parked = false;
-  if (idle) cv_.notify_all();
+  if (Idle() != published_.idle) PublishProgress();
 }
 
 void Machine::ReplayedOne() {
@@ -740,10 +725,10 @@ void Machine::ReplayedOne() {
   // on this flip; the cluster re-ships lost rounds only after it returns,
   // so live rounds never race the replay.
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(status_mu_);
     run_state_.store(RunState::kLive, std::memory_order_release);
   }
-  cv_.notify_all();
+  status_cv_.notify_all();
 }
 
 void Machine::FinishTPartPlan() {
@@ -866,12 +851,8 @@ void Machine::FinishTPartPlan() {
     next_checkpoint_epoch_ = epoch + checkpoint_every_;
   }
 
-  if (!is_replay && crash_armed_.load(std::memory_order_relaxed)) {
-    CrashPoint point;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!crash_points_.empty()) point = crash_points_.front();
-    }
+  if (!is_replay && !crash_points_.empty()) {
+    const CrashPoint point = crash_points_.front();
     // >= so a round with no local slice (which never drains here) cannot
     // disarm the trigger: the first drained round at or past the target
     // fires it.
@@ -900,11 +881,9 @@ void Machine::ArmCrash(CrashPoint point) {
   TPART_CHECK(point.armed()) << "empty crash point";
   TPART_CHECK(log_recording_)
       << "crash recovery replays the §5.4 logs; enable log recording";
-  std::lock_guard<std::mutex> lock(mu_);
   TPART_CHECK(!point.at_start || crash_points_.empty())
       << "an at_start crash point must be the first queued";
   crash_points_.push_back(point);
-  crash_armed_.store(true, std::memory_order_release);
 }
 
 void Machine::ArmStraggler(std::uint64_t delay_us, std::uint64_t period_us) {
@@ -914,18 +893,18 @@ void Machine::ArmStraggler(std::uint64_t delay_us, std::uint64_t period_us) {
 }
 
 void Machine::CrashStop(SinkEpoch resume) {
+  if (run_state_.load(std::memory_order_relaxed) != RunState::kLive) return;
+  // Pop the fired point; more queued points (the chaos matrix's repeat
+  // crashes) keep the trigger armed for the recovered machine.
+  if (!crash_points_.empty()) crash_points_.pop_front();
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (run_state_.load(std::memory_order_relaxed) != RunState::kLive) return;
-    // Pop the fired point; more queued points (the chaos matrix's repeat
-    // crashes) keep the trigger armed for the recovered machine.
-    if (!crash_points_.empty()) crash_points_.pop_front();
-    crash_armed_.store(!crash_points_.empty(), std::memory_order_relaxed);
-    crash_time_ = std::chrono::steady_clock::now();
-    resume_epoch_ = resume;
+    // Nobody waits for a crash; the watchdog reads the time and resume
+    // epoch once its detector fires.
+    std::lock_guard<std::mutex> lock(status_mu_);
+    status_.crash_time = std::chrono::steady_clock::now();
+    status_.resume_epoch = resume;
     run_state_.store(RunState::kDown, std::memory_order_release);
   }
-  cv_.notify_all();
   TPART_TRACE(Instant("crash_stop", "fault",
                       {{"machine", id_}, {"resume_epoch", resume}}));
   TPART_FLIGHT(obs::FlightEvent::kCrashStop, 1 + id_, id_, resume);
@@ -936,13 +915,13 @@ bool Machine::crashed() const {
 }
 
 std::chrono::steady_clock::time_point Machine::crash_time() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return crash_time_;
+  std::lock_guard<std::mutex> lock(status_mu_);
+  return status_.crash_time;
 }
 
 SinkEpoch Machine::resume_epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return resume_epoch_;
+  std::lock_guard<std::mutex> lock(status_mu_);
+  return status_.resume_epoch;
 }
 
 Result<std::size_t> Machine::Recover(
@@ -950,27 +929,22 @@ Result<std::size_t> Machine::Recover(
   TPART_CHECK(run_state_.load(std::memory_order_acquire) == RunState::kDown)
       << "Recover() on a machine that did not crash";
   {
-    std::lock_guard<std::mutex> lock(recover_mu_);
-    restore_ = &restore_partition;
+    std::lock_guard<std::mutex> lock(status_mu_);
+    status_.restore = &restore_partition;
   }
   Wake();
   // The loop wipes, restores and re-runs the replayed suffix; the state
   // turns live once the suffix drained.
-  bool live = false;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    live = cv_.wait_for(lock, kStallTimeout, [&] {
-      return run_state_.load(std::memory_order_relaxed) == RunState::kLive;
-    });
-  }
-  std::size_t replayed = 0;
-  {
-    // Taken only between restores: past this point the loop never calls
-    // `restore_partition` again.
-    std::lock_guard<std::mutex> lock(recover_mu_);
-    restore_ = nullptr;  // withdraws a request the loop never took
-    replayed = recovery_replayed_;
-  }
+  std::unique_lock<std::mutex> lock(status_mu_);
+  const bool live = status_cv_.wait_for(lock, kStallTimeout, [&] {
+    return run_state_.load(std::memory_order_relaxed) == RunState::kLive;
+  });
+  // Withdraw a request the loop never took, and wait out a restore it
+  // did take: past this point the loop never calls `restore_partition`.
+  status_.restore = nullptr;
+  status_cv_.wait(lock, [&] { return !status_.restoring; });
+  const std::size_t replayed = status_.replayed;
+  lock.unlock();
   if (!live) {
     return Status::Unavailable("machine " + std::to_string(id_) +
                                " recovery did not finish its replay: " +
@@ -985,22 +959,20 @@ Result<std::size_t> Machine::Recover(
 void Machine::RestoreAndReplay(
     const std::function<void()>& restore_partition) {
   TPART_TRACE_SPAN("recover", "fault", {{"machine", id_}});
-  const SinkEpoch resume = resume_epoch_;
+  // Only the loop writes the status block's resume epoch.
+  const SinkEpoch resume = status_.resume_epoch;
 
   // 1. The crash lost all volatile state. The loop crash-stopped between
   //    plans and has only stashed since, so nothing is half-applied.
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    tpart_work_.clear();
-    epoch_outstanding_.clear();
-    finished_enqueue_ = false;
-    pending_stream_plans_.clear();
-    stream_end_seen_ = false;
-    stream_final_epoch_ = 0;
-    next_stream_epoch_ = resume;
-    responses_.clear();
-    results_.clear();
-  }
+  tpart_work_.clear();
+  epoch_outstanding_.clear();
+  finished_enqueue_ = false;
+  pending_stream_plans_.clear();
+  stream_end_seen_ = false;
+  stream_final_epoch_ = 0;
+  next_stream_epoch_ = resume;
+  responses_.clear();
+  results_.clear();
   parked_pulls_.clear();
   peer_reads_.clear();
   recovered_partial_epoch_ = resume;
@@ -1043,7 +1015,6 @@ void Machine::RestoreAndReplay(
     }
   }
   replay_remaining_ = replayed;
-  recovery_replayed_ = replayed;
 
   // 4. Reopen and re-deliver the inbound past: the parked remote pulls
   //    the checkpoint saved, then the network log (the §5.4 PUSH-log
@@ -1053,18 +1024,11 @@ void Machine::RestoreAndReplay(
   //    re-injections carry the redelivery mark (already logged once); the
   //    stash does not — those messages were never processed, and a second
   //    crash must be able to replay them.
-  std::vector<Message> stash;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (RequestLogEntry& entry : entries) {
-      tpart_work_.push_back(
-          WorkUnit{entry.epoch, std::move(entry.item), true});
-    }
-    run_state_.store(replayed == 0 ? RunState::kLive : RunState::kRecovering,
-                     std::memory_order_release);
-    stash.swap(down_stash_);
+  for (RequestLogEntry& entry : entries) {
+    tpart_work_.push_back(WorkUnit{entry.epoch, std::move(entry.item), true});
   }
-  cv_.notify_all();
+  std::vector<Message> stash;
+  stash.swap(down_stash_);
   if (cp_epoch > 0) {
     for (Message m : checkpoint_->parked_pulls) {
       m.redelivery = true;
@@ -1077,6 +1041,17 @@ void Machine::RestoreAndReplay(
     inbound_.Send(std::move(copy));
   }
   for (Message& m : stash) inbound_.Send(std::move(m));
+
+  // 5. Hand back to Recover(): the restore is over, and the machine is
+  //    live at once when nothing is replayed.
+  {
+    std::lock_guard<std::mutex> lock(status_mu_);
+    status_.restoring = false;
+    status_.replayed = replayed;
+    run_state_.store(replayed == 0 ? RunState::kLive : RunState::kRecovering,
+                     std::memory_order_release);
+  }
+  status_cv_.notify_all();
 }
 
 // ---------------------------------------------------------------------
@@ -1113,26 +1088,23 @@ void Machine::CaptureCheckpoint(SinkEpoch epoch) {
     (void)key_version;
     cp.parked_pulls.insert(cp.parked_pulls.end(), reqs.begin(), reqs.end());
   }
-  {
-    // Suffix replay cannot regenerate the truncated prefix's results, so
-    // the capture carries everything accumulated up to the boundary.
-    // Results only grow, and a restore resets them to the capture's, so
-    // the capture already holds a prefix: append the rest.
-    std::lock_guard<std::mutex> lock(mu_);
-    const std::size_t held = cp.results.size();
-    TPART_CHECK(held <= results_.size() &&
-                (held == 0 || results_[held - 1].id == cp.results.back().id))
-        << "machine " << id_ << " checkpoint results (" << held
-        << ") are not a prefix of its " << results_.size() << " results";
-    cp.results.insert(cp.results.end(),
-                      results_.begin() + static_cast<std::ptrdiff_t>(held),
-                      results_.end());
-    // Responses to requests of rounds past the capture: the network log
-    // that delivered them truncates below, and the watermark keeps them
-    // from being requested again.
-    cp.responses.clear();
-    for (const auto& entry : responses_) cp.responses.push_back(entry);
-  }
+  // Suffix replay cannot regenerate the truncated prefix's results, so
+  // the capture carries everything accumulated up to the boundary.
+  // Results only grow, and a restore resets them to the capture's, so the
+  // capture already holds a prefix: append the rest.
+  const std::size_t held = cp.results.size();
+  TPART_CHECK(held <= results_.size() &&
+              (held == 0 || results_[held - 1].id == cp.results.back().id))
+      << "machine " << id_ << " checkpoint results (" << held
+      << ") are not a prefix of its " << results_.size() << " results";
+  cp.results.insert(cp.results.end(),
+                    results_.begin() + static_cast<std::ptrdiff_t>(held),
+                    results_.end());
+  // Responses to requests of rounds past the capture: the network log
+  // that delivered them truncates below, and the watermark keeps them
+  // from being requested again.
+  cp.responses.clear();
+  for (const auto& entry : responses_) cp.responses.push_back(entry);
   std::sort(cp.responses.begin(), cp.responses.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   cp.truncated_request_entries += request_log_.size();
@@ -1153,14 +1125,9 @@ void Machine::CaptureCheckpoint(SinkEpoch epoch) {
 }
 
 void Machine::RestoreImages(const MachineCheckpoint& cp) {
-  {
-    // The truncated prefix's results only exist in the capture.
-    std::lock_guard<std::mutex> lock(mu_);
-    results_ = cp.results;
-    for (const auto& [req_id, value] : cp.responses) {
-      responses_[req_id] = value;
-    }
-  }
+  // The truncated prefix's results only exist in the capture.
+  results_ = cp.results;
+  for (const auto& [req_id, value] : cp.responses) responses_[req_id] = value;
   cache_.Restore(cp.cache);
   storage_.Restore(cp.storage);
 }
@@ -1187,12 +1154,16 @@ void Machine::LogNetworkMessage(const Message& msg) {
 // ---------------------------------------------------------------------
 
 Status Machine::WaitStreamDrained(std::chrono::microseconds timeout) {
-  std::unique_lock<std::mutex> lock(credit_mu_);
+  std::unique_lock<std::mutex> lock(status_mu_);
+  // A crash at a drained boundary leaves no credit held while the machine
+  // is down; its recovery's replay and re-shipped rounds must finish too.
   const auto drained = [&] {
-    return epochs_in_flight_ == 0 || credit_shutdown_;
+    return (status_.credits_in_flight == 0 &&
+            run_state_.load(std::memory_order_relaxed) == RunState::kLive) ||
+           status_.credit_shutdown;
   };
-  if (!credit_cv_.wait_for(lock, timeout, drained)) {
-    lock.unlock();  // StallDiagnostic takes credit_mu_
+  if (!status_cv_.wait_for(lock, timeout, drained)) {
+    lock.unlock();  // StallDiagnostic takes status_mu_
     return Status::Unavailable("stream drain timed out: " +
                                StallDiagnostic());
   }
@@ -1206,19 +1177,19 @@ Status Machine::FenceService(std::chrono::microseconds timeout,
   TPART_CHECK(capture_at == 0 ||
               run_state_.load(std::memory_order_acquire) == RunState::kLive)
       << "machine " << id_ << ": checkpoint capture on a non-live machine";
-  std::unique_lock<std::mutex> lock(fence_mu_);
-  const std::uint64_t seq = ++fence_posted_;
+  std::unique_lock<std::mutex> lock(status_mu_);
+  const std::uint64_t seq = ++status_.fence_posted;
   Message fence;
   fence.type = Message::Type::kServiceFence;
   fence.req_id = seq;
   fence.epoch = capture_at;
   // Direct into the inbound queue, never through the transport: the fence
-  // is a local ordering marker, not a wire message. Sent under fence_mu_
+  // is a local ordering marker, not a wire message. Sent under status_mu_
   // (Send never blocks), so fences enter the FIFO in sequence order and
-  // fence_seen_ >= seq means this fence, and its capture, was dispatched.
+  // fence_seen >= seq means this fence, and its capture, was dispatched.
   inbound_.Send(std::move(fence));
-  const auto done = [&] { return fence_seen_ >= seq; };
-  if (!fence_cv_.wait_for(lock, timeout, done)) {
+  const auto done = [&] { return status_.fence_seen >= seq; };
+  if (!status_cv_.wait_for(lock, timeout, done)) {
     lock.unlock();
     return Status::Unavailable("service fence (capture epoch " +
                                std::to_string(capture_at) +
@@ -1229,12 +1200,9 @@ Status Machine::FenceService(std::chrono::microseconds timeout,
 
 void Machine::HandleMigrateBegin(Message msg) {
   const std::uint64_t stream = msg.req_id;
-  {
-    // The done-set doubles as the idempotence guard: a duplicate begin
-    // must not re-capture keys that were already extracted and dropped.
-    std::lock_guard<std::mutex> lock(migrate_mu_);
-    if (!migration_source_done_.insert(stream).second) return;
-  }
+  // The done-set doubles as the idempotence guard: a duplicate begin must
+  // not re-capture keys that were already extracted and dropped.
+  if (!migration_source_done_.insert(stream).second) return;
   Result<std::vector<ObjectKey>> keys = DecodeKeyList(msg.plan_bytes);
   TPART_CHECK(keys.ok()) << "bad migration key list on machine " << id_
                          << ": " << keys.status().ToString();
@@ -1302,73 +1270,57 @@ void Machine::HandleMigrateBegin(Message msg) {
   commit.epoch = msg.epoch;
   SendOut(target, std::move(commit));
 
-  {
-    std::lock_guard<std::mutex> lock(migrate_mu_);
-    migration_counters_.keys_moved_out += keys->size();
-    migration_counters_.records_moved += records;
-    migration_counters_.bytes_shipped += encoded.size();
-    migration_counters_.chunks_shipped += chunks.size();
-    ++migration_counters_.images_sent;
-  }
+  migration_counters_.keys_moved_out += keys->size();
+  migration_counters_.records_moved += records;
+  migration_counters_.bytes_shipped += encoded.size();
+  migration_counters_.chunks_shipped += chunks.size();
+  ++migration_counters_.images_sent;
 }
 
 void Machine::HandleImageChunk(Message msg) {
   const std::uint64_t stream = msg.req_id;
-  bool install = false;
-  {
-    std::lock_guard<std::mutex> lock(migrate_mu_);
-    if (migration_installed_.count(stream) != 0) {
-      ++migration_counters_.duplicate_chunks_dropped;
-      return;
-    }
-    InboundImage& img = inbound_images_[stream];
-    if (!img.chunks.emplace(msg.epoch, std::move(msg.plan_bytes)).second) {
-      ++migration_counters_.duplicate_chunks_dropped;
-      return;
-    }
-    install = img.commit_seen && img.chunks.size() == img.expect_chunks;
+  if (migration_installed_.count(stream) != 0) {
+    ++migration_counters_.duplicate_chunks_dropped;
+    return;
   }
-  if (install) InstallMigration(stream);
+  InboundImage& img = inbound_images_[stream];
+  if (!img.chunks.emplace(msg.epoch, std::move(msg.plan_bytes)).second) {
+    ++migration_counters_.duplicate_chunks_dropped;
+    return;
+  }
+  if (img.commit_seen && img.chunks.size() == img.expect_chunks) {
+    InstallMigration(stream);
+  }
 }
 
 void Machine::HandleMigrateCommit(Message msg) {
   const std::uint64_t stream = msg.req_id;
-  bool install = false;
-  {
-    std::lock_guard<std::mutex> lock(migrate_mu_);
-    if (migration_installed_.count(stream) != 0) return;  // dup commit
-    InboundImage& img = inbound_images_[stream];
-    if (img.commit_seen) return;  // dup commit, still assembling
-    img.commit_seen = true;
-    img.expect_chunks = msg.txn;
-    img.expect_entries = msg.version;
-    img.checksum = static_cast<std::uint32_t>(msg.key);
-    // A faulty transport may reorder the commit ahead of trailing chunks;
-    // install fires from the last chunk's handler in that case.
-    install = img.chunks.size() == img.expect_chunks;
-  }
-  if (install) InstallMigration(stream);
+  if (migration_installed_.count(stream) != 0) return;  // dup commit
+  InboundImage& img = inbound_images_[stream];
+  if (img.commit_seen) return;  // dup commit, still assembling
+  img.commit_seen = true;
+  img.expect_chunks = msg.txn;
+  img.expect_entries = msg.version;
+  img.checksum = static_cast<std::uint32_t>(msg.key);
+  // A faulty transport may reorder the commit ahead of trailing chunks;
+  // install fires from the last chunk's handler in that case.
+  if (img.chunks.size() == img.expect_chunks) InstallMigration(stream);
 }
 
 void Machine::InstallMigration(std::uint64_t stream) {
+  auto it = inbound_images_.find(stream);
+  TPART_CHECK(it != inbound_images_.end());
+  const InboundImage& img = it->second;
+  TPART_CHECK(img.chunks.size() == img.expect_chunks);
   std::string encoded;
-  std::uint32_t checksum = 0;
-  std::uint64_t expect_entries = 0;
-  {
-    std::lock_guard<std::mutex> lock(migrate_mu_);
-    auto it = inbound_images_.find(stream);
-    TPART_CHECK(it != inbound_images_.end());
-    InboundImage& img = it->second;
-    TPART_CHECK(img.chunks.size() == img.expect_chunks);
-    std::uint64_t next = 0;
-    for (const auto& [idx, bytes] : img.chunks) {
-      TPART_CHECK(idx == next++) << "migration chunk gap at " << idx;
-      encoded += bytes;
-    }
-    checksum = img.checksum;
-    expect_entries = img.expect_entries;
-    inbound_images_.erase(it);
+  std::uint64_t next = 0;
+  for (const auto& [idx, bytes] : img.chunks) {
+    TPART_CHECK(idx == next++) << "migration chunk gap at " << idx;
+    encoded += bytes;
   }
+  const std::uint32_t checksum = img.checksum;
+  const std::uint64_t expect_entries = img.expect_entries;
+  inbound_images_.erase(it);
   TPART_CHECK(WireChecksum(encoded) == checksum)
       << "migration image checksum mismatch on machine " << id_
       << " (stream " << stream << ")";
@@ -1400,27 +1352,22 @@ void Machine::InstallMigration(std::uint64_t stream) {
   // Mark every moved key dirty (not just the stateful ones) so the forced
   // post-migration checkpoint folds the installed records in.
   storage_.MarkDirty(all_keys);
-  {
-    std::lock_guard<std::mutex> lock(migrate_mu_);
-    migration_installed_.insert(stream);
-    migration_counters_.keys_moved_in += all_keys.size();
-    ++migration_counters_.images_installed;
-  }
+  migration_installed_.insert(stream);
+  migration_counters_.keys_moved_in += all_keys.size();
+  ++migration_counters_.images_installed;
 }
 
 bool Machine::MigrationSourceDone(std::uint64_t stream) const {
-  std::lock_guard<std::mutex> lock(migrate_mu_);
   return migration_source_done_.count(stream) != 0;
 }
 
 bool Machine::MigrationInstalled(std::uint64_t stream) const {
-  std::lock_guard<std::mutex> lock(migrate_mu_);
   return migration_installed_.count(stream) != 0;
 }
 
-Machine::MigrationCounters Machine::migration_counters() const {
-  std::lock_guard<std::mutex> lock(migrate_mu_);
-  return migration_counters_;
+void Machine::set_diagnostic_context(std::function<std::string()> context) {
+  std::lock_guard<std::mutex> lock(status_mu_);
+  diagnostic_context_ = std::move(context);
 }
 
 std::string Machine::StallDiagnostic() const {
@@ -1438,29 +1385,24 @@ std::string Machine::StallDiagnostic() const {
       break;
   }
   out << " inbound=" << inbound_.size();
-  std::size_t stashed = 0;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    out << " work=" << tpart_work_.size()
-        << " rounds_in_progress=" << epoch_outstanding_.size()
-        << " finished_enqueue=" << (finished_enqueue_ ? 1 : 0)
-        << " pending_rounds=" << pending_stream_plans_.size()
-        << " next_epoch=" << next_stream_epoch_
-        << " reads_issued_through=" << reads_issued_through_
-        << " dup_rounds_dropped=" << duplicate_rounds_dropped_
-        << " responses_pending=" << responses_.size();
-    stashed = down_stash_.size();
+    std::lock_guard<std::mutex> lock(status_mu_);
+    const Progress& p = status_.progress;
+    out << " work=" << p.work << " rounds_in_progress=" << p.rounds_in_progress
+        << " finished_enqueue=" << (p.finished_enqueue ? 1 : 0)
+        << " pending_rounds=" << p.pending_rounds
+        << " next_epoch=" << p.next_epoch
+        << " reads_issued_through=" << p.reads_issued_through
+        << " dup_rounds_dropped=" << p.dup_rounds_dropped
+        << " responses_pending=" << p.responses_pending
+        << " credits_in_flight=" << status_.credits_in_flight
+        << " stashed=" << p.stashed
+        << " executed=" << executed_plans_.load(std::memory_order_relaxed)
+        << " heartbeat_seen=" << heartbeat_seen()
+        << " fence_term=" << fence_term() << " fenced=" << fenced_messages();
+    // Called under the lock, so clearing the context waits out a caller.
+    if (diagnostic_context_) out << diagnostic_context_();
   }
-  {
-    std::lock_guard<std::mutex> lock(credit_mu_);
-    out << " credits_in_flight=" << epochs_in_flight_;
-  }
-  out << " stashed=" << stashed;
-  out << " executed=" << executed_plans_.load(std::memory_order_relaxed)
-      << " heartbeat_seen=" << heartbeat_seen()
-      << " fence_term=" << fence_term()
-      << " fenced=" << fenced_messages();
-  if (diagnostic_context_) out << diagnostic_context_();
   std::string text = out.str();
   TPART_TRACE(Instant("stall_diagnostic", "fault", {{"machine", id_}},
                       text));
@@ -1475,17 +1417,13 @@ std::string Machine::StallDiagnostic() const {
 }
 
 void Machine::AbortPendingWaits() {
+  draining_.store(true, std::memory_order_release);
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    draining_.store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(status_mu_);
+    status_.credit_shutdown = true;
   }
-  cv_.notify_all();
-  {
-    std::lock_guard<std::mutex> lock(credit_mu_);
-    credit_shutdown_ = true;
-  }
-  credit_cv_.notify_all();
-  Wake();  // a parked head plan drains
+  status_cv_.notify_all();
+  Wake();  // the loop drains its queue (a parked head too) and goes idle
 }
 
 // ---------------------------------------------------------------------
@@ -1497,13 +1435,10 @@ bool Machine::AdvanceCalvin() {
   auto& values = scratch_.exec.values;
   auto& remote_keys = scratch_.remote_keys;
   if (!head_active_) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (calvin_work_.empty()) return false;
-      spec = std::move(calvin_work_.front());
-      calvin_work_.pop_front();
-      head_active_ = true;
-    }
+    if (calvin_work_.empty()) return false;
+    spec = std::move(calvin_work_.front());
+    calvin_work_.pop_front();
+    head_active_ = true;
     // Calvin (§2.1): read local footprint, push to peers, wait for peers'
     // reads, execute the full procedure, write local keys.
     scratch_.exec.Clear();

@@ -45,9 +45,19 @@ namespace tpart {
 /// each round's remote reads (kCacheRemote pulls and remote kStorage
 /// reads) as the round arrives, so their round trips overlap earlier
 /// plans; a local storage read is a probe of the storage service when the
-/// plan reaches the head. The cache area, the storage service and the
-/// §5.4 logs are loop-owned: no other thread touches them while the loop
-/// runs, so none of them takes a lock.
+/// plan reaches the head.
+///
+/// The loop alone owns the machine's state, which takes no lock, except
+/// a small status block under the machine's one mutex. Other threads
+/// reach a running machine only through its inbound queue (Deliver(), a
+/// service fence) and that block: epoch credits, fence sequence numbers,
+/// the idle flag, crash time and resume epoch, the Recover() hand-off,
+/// and the counters StallDiagnostic() prints, which the loop refreshes
+/// before it blocks for a message. Everything else (work queue, results,
+/// response table, stream state, migration state, cache area, storage
+/// service, §5.4 logs) is read elsewhere only where the loop cannot be
+/// writing it: before Start*(), after Stop(), after JoinExecutor()
+/// (results), or behind a FenceService() on a quiesced stream.
 ///
 /// Recovery support (§5.4): the machine logs the requests assigned to it
 /// (after partitioning) and every inbound value-bearing message
@@ -84,7 +94,8 @@ class Machine {
   /// StartCalvin().
   void EnqueueCalvinTxn(TxnSpec spec);
   /// No more work will arrive; JoinExecutor() returns once the queue
-  /// drains. Any thread.
+  /// drains. Call before Start*(): a started machine's stream ends with
+  /// a kPlanStreamEnd message.
   void FinishEnqueue();
 
   // ---- Streaming intake (kSinkPlan/kPlanStreamEnd over the transport) --
@@ -129,11 +140,11 @@ class Machine {
   /// Start the machine's one loop thread.
   void StartTPart();
   void StartCalvin();
-  /// Blocks until every plan has run and no more will arrive (the stream
-  /// end, or FinishEnqueue(), was seen), or until a failed run
-  /// (AbortPendingWaits) left the machine idle or down. A crashed machine
-  /// is waited for through its recovery. The loop keeps serving messages
-  /// until Stop().
+  /// Blocks until the loop reports itself idle: every plan has run and no
+  /// more will arrive (the stream end, or FinishEnqueue(), was seen), or
+  /// a failed run (AbortPendingWaits) left the machine idle or down. A
+  /// crashed machine is waited for through its recovery. The loop keeps
+  /// serving messages until Stop().
   void JoinExecutor();
   /// Stops the loop thread (after it dispatched everything delivered
   /// before the call) and releases all waiters. The §5.4 logs, their byte
@@ -187,7 +198,8 @@ class Machine {
   SinkEpoch resume_epoch() const;
 
   /// Rebuilds this machine in-run after a crash-stop. Hands the work to
-  /// the machine's loop, which wipes all volatile state, restores the
+  /// the machine's loop (through the status block, with a bare fence to
+  /// wake it), which wipes all volatile state, restores the
   /// partition via `restore_partition` (checkpoint), re-enqueues the
   /// request log, re-delivers the network log plus any traffic that
   /// arrived while down, and re-executes the replayed plans with outbound
@@ -210,15 +222,15 @@ class Machine {
     return executed_plans_.load(std::memory_order_relaxed);
   }
   /// One-line snapshot of queue depths, stream progress and credit state
-  /// for stall reports.
+  /// for stall reports: the status block as the loop last published it.
+  /// Any thread.
   std::string StallDiagnostic() const;
   /// Installs a cluster-level context provider whose output is appended
   /// to every StallDiagnostic() (per-link retry backlog, resend-window
   /// depth, failure-detector suspicion levels). Must be thread-safe; the
-  /// cluster clears it (nullptr) before the run frame unwinds.
-  void set_diagnostic_context(std::function<std::string()> context) {
-    diagnostic_context_ = std::move(context);
-  }
+  /// cluster clears it (nullptr) before the run frame unwinds. It runs
+  /// under the status mutex, so once cleared no caller still holds it.
+  void set_diagnostic_context(std::function<std::string()> context);
 
   // ---- Coordinator-term fencing (DESIGN §4j) --------------------------
   /// Highest coordinator term this machine has witnessed on any inbound
@@ -255,6 +267,7 @@ class Machine {
 
   // ---- Results & state ------------------------------------------------
   MachineId id() const { return id_; }
+  /// Loop-owned: read after JoinExecutor() or Stop().
   std::vector<TxnResult> TakeResults();
   KvStore& store() { return *store_; }
   /// Loop-owned and unlocked: use them only where the loop cannot be
@@ -315,9 +328,11 @@ class Machine {
   };
 
   /// Migration-barrier quiesce: blocks until every disseminated round has
-  /// fully executed here (all epoch credits released — this also rides
-  /// out a crash + recovery + re-ship cycle, whose re-executed rounds
-  /// release the stuck credits). kUnavailable on timeout.
+  /// fully executed here and the machine is live (all epoch credits
+  /// released, no crash or replay in progress — this rides out a crash +
+  /// recovery + re-ship cycle, whose re-executed rounds release the stuck
+  /// credits). Returns at once on a failed run (AbortPendingWaits) or
+  /// after Stop(). kUnavailable on timeout.
   [[nodiscard]] Status WaitStreamDrained(std::chrono::microseconds timeout);
 
   /// Posts a local kServiceFence through the inbound queue (never via the
@@ -334,11 +349,14 @@ class Machine {
 
   /// True once this machine, as migration source for `stream`, captured
   /// and shipped its partition image and dropped the moved keys.
+  /// Loop-owned: read behind a FenceService() on a quiesced stream.
   bool MigrationSourceDone(std::uint64_t stream) const;
   /// True once this machine, as migration target for `stream`, verified
-  /// the image checksum and installed every entry.
+  /// the image checksum and installed every entry. Read like
+  /// MigrationSourceDone().
   bool MigrationInstalled(std::uint64_t stream) const;
-  MigrationCounters migration_counters() const;
+  /// Loop-owned: read after Stop().
+  MigrationCounters migration_counters() const { return migration_counters_; }
 
  private:
   /// Machine lifecycle for crash injection. kDown: the loop stashes (does
@@ -346,7 +364,8 @@ class Machine {
   /// replay runs; genuinely new traffic is logged again (a later crash
   /// must be able to replay it), while messages re-injected from the logs
   /// carry Message::redelivery and are not logged twice. Written only by
-  /// the loop, under mu_.
+  /// the loop, under status_mu_ (Recover() and WaitStreamDrained() wait
+  /// for kLive).
   enum class RunState { kLive, kDown, kRecovering };
 
   // T-Part work is flattened to per-plan units run in total order;
@@ -381,8 +400,9 @@ class Machine {
   };
 
   void ServiceLoop();
-  /// The next message: non-blocking callers poll first; this blocks, up
-  /// to the parked head plan's stall deadline.
+  /// The next message: non-blocking callers poll first; this publishes
+  /// the loop's progress and blocks, up to the parked head plan's stall
+  /// deadline.
   Message AwaitMessage();
   void Dispatch(Message msg);
   /// kDown: drops heartbeats, serves fences (and a pending Recover()),
@@ -402,7 +422,8 @@ class Machine {
   /// Records the head's result; returns true when its round fully
   /// drained (credit NOT yet released).
   bool CompletePlan(TxnResult result, SinkEpoch epoch);
-  /// Clears the head once the plan's crash trigger has been checked.
+  /// Clears the head once the plan's crash trigger has been checked, and
+  /// publishes the idle flag when the last plan ran.
   void ReleaseHead();
   /// One replayed plan ran; the last one turns the machine live.
   void ReplayedOne();
@@ -415,8 +436,12 @@ class Machine {
   void Wake();
   /// Recovery, on the loop: wipe, restore, and queue the replay.
   void RestoreAndReplay(const std::function<void()>& restore_partition);
-  /// mu_ held: JoinExecutor()'s predicate.
-  bool IdleLocked() const;
+  /// JoinExecutor()'s predicate, computed on the loop.
+  bool Idle() const;
+  /// Copies the idle flag and the diagnostic counters into the status
+  /// block when they changed since the last call; wakes the waiters when
+  /// the idle flag did.
+  void PublishProgress();
 
   /// Serves a remote cache pull, or parks it until the entry appears.
   void ServePull(Message req);
@@ -465,13 +490,67 @@ class Machine {
   /// take no lock on the fast path.
   RingChannel<Message> inbound_;
 
+  // ---- Status block ---------------------------------------------------
+  // The only state another thread reads or waits for while the loop
+  // runs, under the machine's one mutex/condvar pair. The loop writes it
+  // at each transition some thread waits for (a fence dispatched, a
+  // round drained, idle, recovery live) and at crash-stop, and refreshes
+  // the diagnostic counters before it blocks for a message and before a
+  // stall fails the run. Waiters share the condvar; the loop notifies
+  // only when a waited-on value changed.
+
+  /// What the loop publishes of its own progress: JoinExecutor()'s idle
+  /// flag and the counters StallDiagnostic() prints.
+  struct Progress {
+    bool idle = false;
+    std::size_t work = 0;
+    std::size_t rounds_in_progress = 0;
+    bool finished_enqueue = false;
+    std::size_t pending_rounds = 0;
+    SinkEpoch next_epoch = 1;
+    SinkEpoch reads_issued_through = 0;
+    std::uint64_t dup_rounds_dropped = 0;
+    std::size_t responses_pending = 0;
+    std::size_t stashed = 0;
+    bool operator==(const Progress&) const = default;
+  };
+  struct StatusBlock {
+    // Epoch flow-control credits: rounds disseminated but not fully
+    // executed here. Dissemination acquires, the loop releases.
+    std::size_t credits_in_flight = 0;
+    std::size_t credit_high_water = 0;
+    bool credit_shutdown = false;
+    // FenceService() posts fences in sequence; the loop records the
+    // latest one it dispatched.
+    std::uint64_t fence_posted = 0;
+    std::uint64_t fence_seen = 0;
+    // Set at crash-stop, for the watchdog.
+    std::chrono::steady_clock::time_point crash_time{};
+    SinkEpoch resume_epoch = 0;
+    // Recover() hand-off: the watchdog posts `restore`; the loop takes it
+    // and runs it with `restoring` set, so a Recover() that times out
+    // withdraws a request the loop has not taken and never returns
+    // mid-restore. `replayed` is the restore's replayed-plan count.
+    const std::function<void()>* restore = nullptr;
+    bool restoring = false;
+    std::size_t replayed = 0;
+    Progress progress;
+  };
+  mutable std::mutex status_mu_;
+  std::condition_variable status_cv_;
+  StatusBlock status_;
+  /// Set before Start*(); read under status_mu_ by credit acquirers.
+  std::size_t epoch_queue_capacity_ = 0;
+  /// Cluster-supplied extra diagnostics (link backlog, resend-window
+  /// depth, suspicion levels) appended to StallDiagnostic(); set and
+  /// called under status_mu_.
+  std::function<std::string()> diagnostic_context_;
+
   // ---- Loop-owned state ------------------------------------------------
-  // Only the loop thread writes these. Fields other threads read
-  // (StallDiagnostic, JoinExecutor, Recover, the watchdog's probes) are
-  // written under mu_; the loop reads them without it.
-  mutable std::mutex mu_;
-  /// JoinExecutor() and Recover() wait here for the loop.
-  std::condition_variable cv_;
+  // Only the loop touches these while it runs (see the class comment for
+  // where other threads may read them).
+  /// The progress last copied into the status block.
+  Progress published_;
   std::deque<WorkUnit> tpart_work_;
   std::deque<TxnSpec> calvin_work_;
   bool head_active_ = false;
@@ -502,21 +581,13 @@ class Machine {
   /// executed or buffered).
   std::uint64_t duplicate_rounds_dropped_ = 0;
 
-  std::atomic<RunState> run_state_{RunState::kLive};
   /// Queued crash points, fired front-to-back (CrashStop pops the front;
   /// more queued points are the chaos matrix's repeat crashes).
   std::deque<CrashPoint> crash_points_;
-  std::chrono::steady_clock::time_point crash_time_{};
-  SinkEpoch resume_epoch_ = 0;
   /// Traffic received while down; crash-stop semantics say these were
   /// never received — re-injecting them at recovery models the peers'
   /// reliable transport retransmitting.
   std::vector<Message> down_stash_;
-  /// Set by AbortPendingWaits(): the run was declared failed. Plans drain
-  /// without gathering or running procedures.
-  std::atomic<bool> draining_{false};
-
-  // Loop-only (never read elsewhere while the loop runs).
   Head head_;
   Scratch scratch_;
   /// After a mid-round crash, the resume round is re-shipped whole; the
@@ -530,29 +601,11 @@ class Machine {
   std::map<std::pair<ObjectKey, TxnId>, std::vector<Message>> parked_pulls_;
   /// Calvin peer-read buffer: values received per transaction.
   std::unordered_map<TxnId, std::unordered_map<ObjectKey, Record>> peer_reads_;
-  std::atomic<bool> crash_armed_{false};
-
-  // Recover() hand-off: the watchdog posts `restore_` and the loop runs
-  // it holding recover_mu_, so a Recover() that times out can withdraw a
-  // request the loop has not taken, and never returns mid-restore.
-  std::mutex recover_mu_;
-  const std::function<void()>* restore_ = nullptr;
-  std::size_t recovery_replayed_ = 0;
-
-  // Epoch flow-control credits: rounds disseminated but not fully
-  // executed here. The credit window is its own lock so the loop
-  // releasing never contends with dissemination.
-  std::size_t epoch_queue_capacity_ = 0;
-  mutable std::mutex credit_mu_;
-  std::condition_variable credit_cv_;
-  std::size_t epochs_in_flight_ = 0;
-  std::size_t epoch_high_water_ = 0;
-  bool credit_shutdown_ = false;
 
   std::function<void(TxnId)> commit_hook_;
 
-  // §5.4 logs (loop only: the loop appends, captures and replays; tests
-  // and the cluster read them after Stop()). Byte counters track the live
+  // §5.4 logs: the loop appends, captures and replays; tests and the
+  // cluster read them after Stop(). Byte counters track the live
   // footprint; peaks survive truncation.
   std::vector<RequestLogEntry> request_log_;
   std::vector<Message> network_log_;
@@ -571,7 +624,8 @@ class Machine {
   // Inbound image assembly, keyed by migration stream id. Chunks may
   // arrive out of order and the commit may overtake trailing chunks on a
   // faulty transport; installation fires from whichever message completes
-  // the set.
+  // the set. The done-sets and counters are read behind a fence or after
+  // Stop().
   struct InboundImage {
     std::map<std::uint64_t, std::string> chunks;  // by chunk index
     bool commit_seen = false;
@@ -579,24 +633,24 @@ class Machine {
     std::uint64_t expect_entries = 0;
     std::uint32_t checksum = 0;
   };
-  mutable std::mutex migrate_mu_;
   std::unordered_map<std::uint64_t, InboundImage> inbound_images_;
   std::unordered_set<std::uint64_t> migration_source_done_;
   std::unordered_set<std::uint64_t> migration_installed_;
   MigrationCounters migration_counters_;
 
-  // Service-fence handshake (FenceService <-> loop).
-  mutable std::mutex fence_mu_;
-  std::condition_variable fence_cv_;
-  std::uint64_t fence_posted_ = 0;
-  std::uint64_t fence_seen_ = 0;
-
-  // Straggler mode (loop only): sleep before a heartbeat, at most once
-  // per period, so responses skirt the detector deadline.
+  // Straggler mode: sleep before a heartbeat, at most once per period, so
+  // responses skirt the detector deadline.
   std::uint64_t straggle_delay_us_ = 0;
   std::uint64_t straggle_period_us_ = 0;
   std::chrono::steady_clock::time_point last_straggle_{};
 
+  // ---- Atomics other threads probe -------------------------------------
+  /// Written by the loop (under status_mu_ where a waiter's predicate
+  /// reads it); crashed() reads it without the lock.
+  std::atomic<RunState> run_state_{RunState::kLive};
+  /// Set by AbortPendingWaits(): the run was declared failed. Plans drain
+  /// without gathering or running procedures.
+  std::atomic<bool> draining_{false};
   std::atomic<std::uint64_t> heartbeat_seen_{0};
   std::atomic<std::uint64_t> executed_plans_{0};
   // Coordinator-term fence (DESIGN §4j): highest term witnessed on any
@@ -605,9 +659,6 @@ class Machine {
   // intact (a rebuilt machine must keep rejecting its deposed leader).
   std::atomic<std::uint64_t> fence_term_{0};
   std::atomic<std::uint64_t> fenced_messages_{0};
-  /// Cluster-supplied extra diagnostics (link backlog, resend-window
-  /// depth, suspicion levels) appended to StallDiagnostic().
-  std::function<std::string()> diagnostic_context_;
   /// Timeline sampling stride (set_txn_sample); read on the execute path.
   std::uint64_t txn_sample_ = 0;
 

@@ -29,18 +29,6 @@ std::vector<SinkPlan> TPartScheduler::OnTxn(const TxnSpec& spec) {
   return MaybeSink();
 }
 
-std::vector<SinkPlan> TPartScheduler::OnBatch(const TxnBatch& batch) {
-  std::vector<SinkPlan> plans;
-  for (const auto& spec : batch.txns) {
-    TrackFrequencies(spec);
-    graph_.AddTxn(spec);
-    max_tgraph_size_ = std::max(max_tgraph_size_, graph_.num_unsunk());
-    auto produced = MaybeSink();
-    for (auto& p : produced) plans.push_back(std::move(p));
-  }
-  return plans;
-}
-
 void TPartScheduler::TrackFrequencies(const TxnSpec& spec) {
   if (spec.is_dummy) return;
   bool exact = false;

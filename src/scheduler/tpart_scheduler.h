@@ -8,7 +8,6 @@
 #include "elastic/elastic_map.h"
 #include "partition/partitioner.h"
 #include "scheduler/push_plan.h"
-#include "sequencer/batch.h"
 #include "storage/data_partition.h"
 #include "tgraph/tgraph.h"
 
@@ -58,9 +57,6 @@ class TPartScheduler {
   /// Feeds one sequenced transaction; returns any plans produced by sink
   /// rounds it triggered.
   std::vector<SinkPlan> OnTxn(const TxnSpec& spec);
-
-  /// Feeds a whole ordered batch.
-  std::vector<SinkPlan> OnBatch(const TxnBatch& batch);
 
   /// Sinks everything still unsunk (end of stream), in sink_size rounds.
   std::vector<SinkPlan> Drain();

@@ -393,7 +393,10 @@ TEST(FailoverTest, StallDiagnosticReportsLiveExecutorState) {
   push.dst_txn = 1;
   push.value = Record{70};
   m.Deliver(std::move(push));
-  m.FinishEnqueue();
+  Message end;
+  end.type = Message::Type::kPlanStreamEnd;
+  end.epoch = 1;
+  m.Deliver(std::move(end));
   m.JoinExecutor();
   EXPECT_EQ(m.TakeResults().size(), 1u);
   m.Stop();

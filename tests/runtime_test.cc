@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -206,10 +208,10 @@ ReadStep MakeRead(ObjectKey key, ReadSourceKind kind, TxnId src_txn,
   return r;
 }
 
-TEST(RuntimeTest, RoundRemoteReadsGoOutBeforeEarlierPlansFinish) {
-  KvStore store;
+// Procedure 200 emits field 0 of every key named in the parameters, in
+// order.
+ProcedureRegistry EmitReadsRegistry() {
   ProcedureRegistry registry;
-  // Emits field 0 of every key named in the parameters, in order.
   registry.Register(200, "emit_reads", [](TxnContext& ctx) {
     for (const std::int64_t key : ctx.params()) {
       Result<Record> r = ctx.Get(static_cast<ObjectKey>(key));
@@ -218,6 +220,12 @@ TEST(RuntimeTest, RoundRemoteReadsGoOutBeforeEarlierPlansFinish) {
     }
     return Status::Ok();
   });
+  return registry;
+}
+
+TEST(RuntimeTest, RoundRemoteReadsGoOutBeforeEarlierPlansFinish) {
+  KvStore store;
+  const ProcedureRegistry registry = EmitReadsRegistry();
 
   std::mutex sent_mu;
   std::vector<std::pair<MachineId, Message>> sent;
@@ -361,7 +369,10 @@ TEST(RuntimeTest, StartTPartAddsExactlyOneThread) {
   const std::size_t before = ProcessThreads();
   m.StartTPart();
   const std::size_t after = ProcessThreads();
-  m.FinishEnqueue();
+  Message end;
+  end.type = Message::Type::kPlanStreamEnd;
+  end.epoch = 0;  // no rounds
+  m.Deliver(std::move(end));
   m.JoinExecutor();
   m.Stop();
   EXPECT_EQ(after, before + 1);
@@ -370,15 +381,7 @@ TEST(RuntimeTest, StartTPartAddsExactlyOneThread) {
 TEST(RuntimeTest, ParkedPlanLeavesTheMachineServing) {
   KvStore store;
   store.Upsert(40, Record{400});
-  ProcedureRegistry registry;
-  registry.Register(200, "emit_reads", [](TxnContext& ctx) {
-    for (const std::int64_t key : ctx.params()) {
-      Result<Record> r = ctx.Get(static_cast<ObjectKey>(key));
-      if (!r.ok()) return r.status();
-      ctx.EmitOutput(r->field(0));
-    }
-    return Status::Ok();
-  });
+  const ProcedureRegistry registry = EmitReadsRegistry();
   std::mutex sent_mu;
   std::vector<std::pair<MachineId, Message>> sent;
   Machine m(0, 3, &store, &registry, [&](MachineId to, Message msg) {
@@ -490,15 +493,7 @@ TEST(RuntimeTest, ParkedPlanLeavesTheMachineServing) {
 TEST(RuntimeTest, HeadParkedOnStorageProbeResumesOnAPeersWriteBack) {
   KvStore store;
   store.Upsert(60, Record{600});
-  ProcedureRegistry registry;
-  registry.Register(200, "emit_reads", [](TxnContext& ctx) {
-    for (const std::int64_t key : ctx.params()) {
-      Result<Record> r = ctx.Get(static_cast<ObjectKey>(key));
-      if (!r.ok()) return r.status();
-      ctx.EmitOutput(r->field(0));
-    }
-    return Status::Ok();
-  });
+  const ProcedureRegistry registry = EmitReadsRegistry();
   Machine m(0, 2, &store, &registry, [](MachineId, Message) {});
   m.set_send_batch([](std::vector<std::pair<MachineId, Message>>&) {});
   m.StartTPart();
@@ -562,6 +557,195 @@ TEST(RuntimeTest, HeadParkedOnStorageProbeResumesOnAPeersWriteBack) {
   // The misses while parked served nothing; the one hit is the only read.
   EXPECT_EQ(m.storage().reads_served(), 1u);
   EXPECT_EQ(m.storage().write_backs_applied(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// The loop owns the machine's state: other threads reach a running
+// machine only through its inbound queue and its status block.
+// ---------------------------------------------------------------------
+
+Message PushMsg(ObjectKey key, TxnId version, TxnId dst, std::int64_t value) {
+  Message push;
+  push.type = Message::Type::kPushVersion;
+  push.key = key;
+  push.version = version;
+  push.dst_txn = dst;
+  push.value = Record{value};
+  return push;
+}
+
+// Round 1 for machine 0: each listed transaction reads one key from the
+// push of version `src`, and emits it.
+struct PushRead {
+  TxnId txn;
+  ObjectKey key;
+  TxnId src;
+};
+Message PushReadRound(const std::vector<PushRead>& reads) {
+  SinkPlan plan;
+  plan.epoch = 1;
+  Message round;
+  round.type = Message::Type::kSinkPlan;
+  round.epoch = 1;
+  for (const PushRead& r : reads) {
+    TxnPlan p;
+    p.txn = r.txn;
+    p.machine = 0;
+    p.reads.push_back(MakeRead(r.key, ReadSourceKind::kPush, r.src, 1));
+    plan.txns.push_back(p);
+    TxnSpec spec;
+    spec.id = r.txn;
+    spec.proc = 200;
+    spec.params = {static_cast<std::int64_t>(r.key)};
+    spec.rw.reads = {r.key};
+    round.specs.push_back(spec);
+  }
+  round.plan_bytes = EncodeSinkPlan(plan);
+  return round;
+}
+
+// Waits until the loop has published a diagnostic containing `text`.
+bool AwaitDiagnostic(const Machine& m, const std::string& text) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::microseconds(test::ScaledUs(2'000'000));
+  while (m.StallDiagnostic().find(text) == std::string::npos) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(RuntimeTest, FenceReturnsAfterEveryEarlierMessageIsApplied) {
+  KvStore store;
+  const ProcedureRegistry registry = EmitReadsRegistry();
+  Machine m(0, 2, &store, &registry, [](MachineId, Message) {});
+  m.set_send_batch([](std::vector<std::pair<MachineId, Message>>&) {});
+  m.StartTPart();
+  const auto timeout = std::chrono::microseconds(test::ScaledUs(2'000'000));
+
+  // A push delivered before the fence is in the cache behind it.
+  m.Deliver(PushMsg(10, 9, 11, 100));
+  ASSERT_TRUE(m.FenceService(timeout).ok());
+  EXPECT_EQ(m.cache().num_version_entries(), 1u);
+
+  // Round 1: T11 reads that push and runs; T12 awaits push <20, v8>,
+  // which nobody sends yet, and parks. The loop publishes its progress
+  // when it blocks: an empty queue with the round still in progress means
+  // the head is parked. A fence still returns.
+  m.Deliver(PushReadRound({{11, 10, 9}, {12, 20, 8}}));
+  ASSERT_TRUE(AwaitDiagnostic(m, "work=0 rounds_in_progress=1"))
+      << m.StallDiagnostic();
+  ASSERT_TRUE(m.FenceService(timeout).ok()) << m.StallDiagnostic();
+  EXPECT_EQ(m.executed_plans(), 1u);
+
+  m.Deliver(PushMsg(20, 8, 12, 200));
+  Message end;
+  end.type = Message::Type::kPlanStreamEnd;
+  end.epoch = 1;
+  m.Deliver(std::move(end));
+  m.JoinExecutor();
+  m.Stop();
+  const std::vector<TxnResult> results = m.TakeResults();
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].output, (std::vector<std::int64_t>{100}));
+  EXPECT_EQ(results[1].output, (std::vector<std::int64_t>{200}));
+  EXPECT_EQ(m.cache().num_version_entries(), 0u);
+}
+
+TEST(RuntimeTest, AbortReleasesCreditAndJoinWaiters) {
+  KvStore store;
+  const ProcedureRegistry registry = EmitReadsRegistry();
+  Machine m(0, 2, &store, &registry, [](MachineId, Message) {});
+  m.set_send_batch([](std::vector<std::pair<MachineId, Message>>&) {});
+  m.set_epoch_queue_capacity(1);
+  m.StartTPart();
+
+  // One round in flight, holding the only credit; its head plan parks on
+  // a push nobody sends.
+  ASSERT_EQ(m.AcquireEpochCreditFor(std::chrono::microseconds(0)),
+            Machine::CreditGrant::kGranted);
+  m.Deliver(PushReadRound({{11, 10, 9}}));
+  ASSERT_TRUE(AwaitDiagnostic(m, "work=0 rounds_in_progress=1"))
+      << m.StallDiagnostic();
+
+  std::atomic<bool> credit_done{false};
+  std::atomic<bool> join_done{false};
+  Machine::CreditGrant grant = Machine::CreditGrant::kTimedOut;
+  std::thread credit([&] {
+    grant = m.AcquireEpochCreditFor(
+        std::chrono::microseconds(test::ScaledUs(60'000'000)));
+    credit_done = true;
+  });
+  std::thread join([&] {
+    m.JoinExecutor();
+    join_done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(credit_done.load()) << "no credit was free";
+  EXPECT_FALSE(join_done.load()) << "the head plan had not run";
+
+  m.AbortPendingWaits();
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::microseconds(test::ScaledUs(2'000'000));
+  while (!(credit_done && join_done) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(credit_done.load()) << m.StallDiagnostic();
+  EXPECT_TRUE(join_done.load()) << m.StallDiagnostic();
+  credit.join();
+  join.join();
+  EXPECT_EQ(grant, Machine::CreditGrant::kGrantedAfterWait);
+  m.Stop();
+}
+
+TEST(RuntimeTest, ForeignReadersDuringACrashRun) {
+  MicroOptions o;
+  o.num_machines = 3;
+  o.records_per_machine = 200;
+  o.hot_set_size = 25;
+  o.num_txns = 405;
+  const Workload w = MakeMicroWorkload(o);
+  const auto [serial_results, serial_state] = SerialReference(w);
+  LocalClusterOptions opts = SmallClusterOpts();
+  opts.crash.events.push_back({/*machine=*/1, /*at_epoch=*/3});
+  opts.detector.heartbeat_interval_us = test::ScaledUs(2000);
+  opts.detector.deadline_us = test::ScaledUs(100000);
+  LocalCluster cluster(&w, opts);
+  std::vector<Machine*> machines;
+  for (MachineId m = 0; m < 3; ++m) machines.push_back(&cluster.machine(m));
+
+  // Everything another thread may ask a running machine, in a loop until
+  // the run returns. Under TSan this catches any read of loop-owned
+  // state that bypasses the status block.
+  std::atomic<bool> done{false};
+  std::uint64_t probes = 0;
+  std::uint64_t malformed = 0;
+  std::thread reader([&] {
+    do {
+      for (const Machine* m : machines) {
+        if (m->StallDiagnostic().find(" credits_in_flight=") ==
+            std::string::npos) {
+          ++malformed;
+        }
+        (void)m->epochs_in_flight();
+        (void)m->crashed();
+        (void)m->executed_plans();
+      }
+      ++probes;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    } while (!done.load());
+  });
+  const ClusterRunOutcome out = cluster.RunTPart();
+  done = true;
+  reader.join();
+
+  EXPECT_TRUE(out.fault.ok()) << out.fault.ToString();
+  EXPECT_EQ(out.recovery.crashes_injected, 1u);
+  EXPECT_GT(probes, 0u);
+  EXPECT_EQ(malformed, 0u);
+  ExpectSameResults(serial_results, out.results);
+  EXPECT_EQ(cluster.store().Snapshot(), serial_state);
 }
 
 // ---------------------------------------------------------------------

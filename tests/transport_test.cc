@@ -251,6 +251,14 @@ TEST(TransportTest, FlushOverASeveredLinkTimesOutNamingTheLink) {
   EXPECT_EQ(flushed.code(), StatusCode::kUnavailable) << flushed.ToString();
   EXPECT_NE(flushed.message().find("link[0->1]"), std::string::npos)
       << flushed.message();
+  // The age counts from the first send, not the latest retry: the packet
+  // has been unacked for at least the 50 ms the flush waited.
+  const std::string field = "oldest_unacked_us=";
+  const std::size_t at = flushed.message().find(field);
+  ASSERT_NE(at, std::string::npos) << flushed.message();
+  EXPECT_GE(std::stoull(flushed.message().substr(at + field.size())),
+            50'000u)
+      << flushed.message();
   transport->Stop();
 }
 
