@@ -59,8 +59,7 @@ std::string PipelineStats::Summary() const {
       << " backpressure=" << backpressure_waits
       << " queue_hw(batch/plan/epoch/inbound)=" << batch_queue_high_water
       << "/" << plan_queue_high_water << "/" << epoch_queue_high_water << "/"
-      << machine_inbound_high_water
-      << " inbound_spills=" << machine_inbound_spills;
+      << machine_inbound_high_water;
   if (admit_to_commit_us.count() > 0) {
     out << " admit_to_commit_us(p50/p99)=" << admit_to_commit_us.Quantile(0.5)
         << "/" << admit_to_commit_us.Quantile(0.99);
@@ -195,10 +194,7 @@ void PipelineStats::PublishTo(obs::MetricsRegistry& registry) const {
                     "Most sinking rounds in flight at any machine");
   registry.SetGauge("tpart_pipeline_machine_inbound_peak_depth",
                     static_cast<double>(machine_inbound_high_water),
-                    "Deepest any machine's inbound service FIFO ever got");
-  c("machine_inbound_spills_total",
-    static_cast<double>(machine_inbound_spills),
-    "Inbound ring overflows onto the locked spill deque");
+                    "Most messages a machine's inbox ever held untaken");
   registry.SetGauge("tpart_pipeline_admission_seconds", admission_seconds,
                     "Wall-clock span of the admission stage");
   registry.SetGauge("tpart_pipeline_admission_rate_tps", AdmissionRate(),

@@ -80,14 +80,12 @@ struct PipelineStats {
   std::uint64_t batch_queue_high_water = 0;
   std::uint64_t plan_queue_high_water = 0;
   std::uint64_t epoch_queue_high_water = 0;
-  /// Deepest any machine's inbound service FIFO ever got (the per-machine
-  /// stage of the pipeline; unbounded, so growth here is the first sign
-  /// of a service thread falling behind).
+  /// Most messages any machine's inbox ever held delivered but not yet
+  /// taken by its loop (the per-machine stage of the pipeline; unbounded,
+  /// so growth here is the first sign of a loop falling behind).
   std::uint64_t machine_inbound_high_water = 0;
-  /// Times any machine's inbound ring overflowed its fixed slots and fell
-  /// back to the locked spill deque (runtime/ring_channel.h). Spills are
-  /// correct but slow — sustained growth means the ring is undersized for
-  /// the offered burst rate.
+  /// Always 0: the inbox has no fixed ring to overflow. Kept only because
+  /// perfbench reports it as `runtime.inbound_spills`.
   std::uint64_t machine_inbound_spills = 0;
   /// Wall-clock seconds the admission stage spent end to end.
   double admission_seconds = 0.0;

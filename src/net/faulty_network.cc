@@ -113,26 +113,10 @@ void FaultyPacketNetwork::TimerLoop() {
     }
     Delayed item = delayed_.top();
     delayed_.pop();
-    releasing_ = true;
     lock.unlock();
     inner_->Send(item.from, item.to, std::move(item.packet));
     lock.lock();
-    releasing_ = false;
-    cv_.notify_all();  // wake Drain when the heap empties
   }
-}
-
-bool FaultyPacketNetwork::Drain(
-    std::chrono::steady_clock::time_point deadline) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!cv_.wait_until(lock, deadline, [&] {
-          return (delayed_.empty() && !releasing_) || timer_stop_;
-        })) {
-      return false;
-    }
-  }
-  return inner_->Drain(deadline);
 }
 
 void FaultyPacketNetwork::Stop() {

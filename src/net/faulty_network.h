@@ -1,6 +1,7 @@
 #ifndef TPART_NET_FAULTY_NETWORK_H_
 #define TPART_NET_FAULTY_NETWORK_H_
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
@@ -50,8 +51,6 @@ class FaultyPacketNetwork : public PacketNetwork {
 
   void Start(std::size_t num_machines, HandlerFn handler) override;
   void Send(MachineId from, MachineId to, std::string packet) override;
-  [[nodiscard]] bool Drain(
-      std::chrono::steady_clock::time_point deadline) override;
   void Stop() override;
   TransportStats stats() const override;
 
@@ -91,7 +90,6 @@ class FaultyPacketNetwork : public PacketNetwork {
   std::priority_queue<Delayed, std::vector<Delayed>, std::greater<>>
       delayed_;
   std::uint64_t delay_order_ = 0;
-  bool releasing_ = false;  // timer is mid-release (guards Drain)
   bool timer_stop_ = false;
   std::thread timer_;
 

@@ -23,11 +23,6 @@ void InProcessPacketNetwork::Start(std::size_t num_machines,
         std::string packet = dest->queue.Receive();
         if (packet.empty()) return;
         handler_(static_cast<MachineId>(m), std::move(packet));
-        {
-          std::lock_guard<std::mutex> lock(drain_mu_);
-          ++handled_;
-        }
-        drain_cv_.notify_all();
       }
     });
   }
@@ -39,10 +34,6 @@ void InProcessPacketNetwork::Send(MachineId from, MachineId to,
       << "send to unknown machine " << to;
   TPART_CHECK(!packet.empty()) << "empty packet";
   (void)from;
-  {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    ++accepted_;
-  }
   const std::size_t bytes = packet.size();
   const bool waited = dests_[to]->queue.Send(std::move(packet));
   std::lock_guard<std::mutex> lock(stats_mu_);
@@ -51,13 +42,6 @@ void InProcessPacketNetwork::Send(MachineId from, MachineId to,
   stats_.bytes_out += bytes;
   stats_.bytes_in += bytes;
   if (waited) ++stats_.backpressure_waits;
-}
-
-bool InProcessPacketNetwork::Drain(
-    std::chrono::steady_clock::time_point deadline) {
-  std::unique_lock<std::mutex> lock(drain_mu_);
-  return drain_cv_.wait_until(lock, deadline,
-                              [&] { return handled_ == accepted_; });
 }
 
 void InProcessPacketNetwork::Stop() {

@@ -1,9 +1,6 @@
 #ifndef TPART_NET_PACKET_NETWORK_H_
 #define TPART_NET_PACKET_NETWORK_H_
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -37,13 +34,6 @@ class PacketNetwork {
   /// block when the outgoing queue is at capacity (backpressure).
   virtual void Send(MachineId from, MachineId to, std::string packet) = 0;
 
-  /// Best-effort quiesce: blocks until every packet this network decided
-  /// to deliver has been handed to the handler, or `deadline` passes
-  /// (false). Does NOT guarantee end-to-end delivery under faults — that
-  /// is the reliability layer's job (Transport::Flush).
-  [[nodiscard]] virtual bool Drain(
-      std::chrono::steady_clock::time_point deadline) = 0;
-
   /// Stops all network threads; idempotent. Undelivered packets are
   /// discarded.
   virtual void Stop() = 0;
@@ -67,8 +57,6 @@ class InProcessPacketNetwork : public PacketNetwork {
 
   void Start(std::size_t num_machines, HandlerFn handler) override;
   void Send(MachineId from, MachineId to, std::string packet) override;
-  [[nodiscard]] bool Drain(
-      std::chrono::steady_clock::time_point deadline) override;
   void Stop() override;
   TransportStats stats() const override;
 
@@ -84,14 +72,6 @@ class InProcessPacketNetwork : public PacketNetwork {
   std::vector<std::unique_ptr<Dest>> dests_;
   bool started_ = false;
   bool stopped_ = false;
-
-  // Drain bookkeeping: a packet is accepted before it is enqueued and
-  // handled after its handler call returns, so accepted_ == handled_
-  // implies nothing is buffered or mid-handler.
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
-  std::uint64_t accepted_ = 0;
-  std::uint64_t handled_ = 0;
 
   mutable std::mutex stats_mu_;
   TransportStats stats_;

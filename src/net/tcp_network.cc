@@ -151,10 +151,6 @@ void TcpPacketNetwork::Send(MachineId from, MachineId to,
                             std::string packet) {
   TPART_CHECK(started_ && from < n_ && to < n_ && from != to)
       << "bad tcp send " << from << "->" << to;
-  {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    ++accepted_;
-  }
   std::string frame;
   frame.reserve(packet.size() + kFrameHeaderBytes);
   AppendFrame(packet, &frame);
@@ -215,19 +211,8 @@ void TcpPacketNetwork::ReaderLoop(MachineId dst, int fd) {
         stats_.bytes_in += packet.size() + kFrameHeaderBytes;
       }
       handler_(dst, std::move(packet));
-      {
-        std::lock_guard<std::mutex> lock(drain_mu_);
-        ++handled_;
-      }
-      drain_cv_.notify_all();
     }
   }
-}
-
-bool TcpPacketNetwork::Drain(std::chrono::steady_clock::time_point deadline) {
-  std::unique_lock<std::mutex> lock(drain_mu_);
-  return drain_cv_.wait_until(lock, deadline,
-                              [&] { return handled_ == accepted_; });
 }
 
 void TcpPacketNetwork::Stop() {

@@ -28,8 +28,6 @@ class TcpPacketNetwork : public PacketNetwork {
 
   void Start(std::size_t num_machines, HandlerFn handler) override;
   void Send(MachineId from, MachineId to, std::string packet) override;
-  [[nodiscard]] bool Drain(
-      std::chrono::steady_clock::time_point deadline) override;
   void Stop() override;
   TransportStats stats() const override;
 
@@ -58,15 +56,6 @@ class TcpPacketNetwork : public PacketNetwork {
   std::mutex readers_mu_;
   std::vector<std::thread> readers_;
   std::vector<int> reader_fds_;
-
-  // Drain bookkeeping (see InProcessPacketNetwork): equality of accepted
-  // and handled counts means no packet is queued, in a socket buffer, or
-  // mid-handler. Handled counts are reported by readers, so this covers
-  // the full kernel path too.
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;
-  std::uint64_t accepted_ = 0;
-  std::uint64_t handled_ = 0;
 
   mutable std::mutex stats_mu_;
   TransportStats stats_;

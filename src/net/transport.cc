@@ -113,7 +113,6 @@ void SerializedTransport::Send(MachineId from, MachineId to, Message msg) {
     packet.append(payload);
     const auto now = std::chrono::steady_clock::now();
     link.unacked[seq] = Link::Unacked{packet, now, now};
-    ++unacked_total_;
   }
   network_->Send(from, to, std::move(packet));
 }
@@ -181,7 +180,6 @@ void SerializedTransport::SendBatch(
       packet.append(payload);
       const auto now = std::chrono::steady_clock::now();
       link.unacked[seq] = Link::Unacked{packet, now, now};
-      ++unacked_total_;
     }
     network_->Send(from, static_cast<MachineId>(to), std::move(packet));
   }
@@ -189,8 +187,9 @@ void SerializedTransport::SendBatch(
 
 void SerializedTransport::OnPacket(MachineId dst, std::string packet) {
   WireReader r(packet);
-  std::uint8_t kind;
-  std::uint64_t src64, seq;
+  std::uint8_t kind = 0;
+  std::uint64_t src64 = 0;
+  std::uint64_t seq = 0;
   TPART_CHECK(r.GetU8(&kind) && kind <= kMaxPacketKind &&
               r.GetVarint(&src64) && r.GetVarint(&seq) && src64 < n_)
       << "malformed packet envelope";
@@ -199,10 +198,13 @@ void SerializedTransport::OnPacket(MachineId dst, std::string packet) {
   if (kind == kAckPacket) {
     // `src` is the acker = the data receiver; `dst` is the data sender.
     std::lock_guard<std::mutex> lock(mu_);
-    Link& link = links_[dst * n_ + src];
-    if (link.unacked.erase(seq) > 0) {
-      if (--unacked_total_ == 0) flush_cv_.notify_all();
-    }
+    auto& unacked = links_[dst * n_ + src].unacked;
+    auto it = unacked.find(seq);
+    if (it == unacked.end()) return;
+    // Flush() waits on each link's oldest unacked packet.
+    const bool oldest = it == unacked.begin();
+    unacked.erase(it);
+    if (oldest) flush_cv_.notify_all();
     return;
   }
 
@@ -299,11 +301,25 @@ Status SerializedTransport::Flush(std::chrono::microseconds timeout) {
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   bool acked = false;
   {
+    // A packet is delivered before it is acked, so the flush is done once
+    // every packet already sent on each link is acked. Packets sent after
+    // the call, such as a live sender's heartbeats, are not waited for.
     std::unique_lock<std::mutex> lock(mu_);
-    acked = flush_cv_.wait_until(lock, deadline,
-                                 [&] { return unacked_total_ == 0; });
+    std::vector<std::uint64_t> sent_through(links_.size());
+    for (std::size_t i = 0; i < links_.size(); ++i) {
+      sent_through[i] = links_[i].next_seq - 1;
+    }
+    acked = flush_cv_.wait_until(lock, deadline, [&] {
+      for (std::size_t i = 0; i < links_.size(); ++i) {
+        const auto& unacked = links_[i].unacked;
+        if (!unacked.empty() && unacked.begin()->first <= sent_through[i]) {
+          return false;
+        }
+      }
+      return true;
+    });
   }
-  if (acked && network_->Drain(deadline)) return Status::Ok();
+  if (acked) return Status::Ok();
   return Status::Unavailable("transport flush timed out: " +
                              LinkDiagnostic());
 }
@@ -333,7 +349,9 @@ std::string SerializedTransport::LinkDiagnostic() const {
   std::ostringstream out;
   const auto now = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(mu_);
-  out << "unacked_total=" << unacked_total_;
+  std::size_t unacked_total = 0;
+  for (const Link& link : links_) unacked_total += link.unacked.size();
+  out << "unacked_total=" << unacked_total;
   for (std::size_t from = 0; from < n_; ++from) {
     for (std::size_t to = 0; to < n_; ++to) {
       const Link& link = links_[from * n_ + to];

@@ -79,11 +79,13 @@ class Transport {
     for (auto& [to, msg] : msgs) Send(from, to, std::move(msg));
   }
 
-  /// Blocks until every message accepted so far has been delivered to
-  /// its destination — under fault injection, until every data packet
-  /// has been acknowledged. Call after the machines drain, before reading
-  /// final store state. kUnavailable, carrying LinkDiagnostic(), when
-  /// that has not happened within `timeout` (a link that never heals).
+  /// Blocks until every message accepted before the call has been
+  /// delivered to its destination — on a serialized transport, until
+  /// every data packet sent before the call has been acknowledged; later
+  /// sends are not waited for. Call after the machines drain, before
+  /// reading final store state. kUnavailable, carrying LinkDiagnostic(),
+  /// when that has not happened within `timeout` (a link that never
+  /// heals).
   [[nodiscard]] virtual Status Flush(
       std::chrono::microseconds timeout = kStallTimeout) = 0;
 
@@ -169,10 +171,9 @@ class SerializedTransport : public Transport {
   bool started_ = false;
   bool stopped_ = false;
 
-  mutable std::mutex mu_;  // links_ and unacked_total_ (const diagnostics)
+  mutable std::mutex mu_;  // links_ (const diagnostics)
   std::condition_variable flush_cv_;
   std::vector<Link> links_;
-  std::uint64_t unacked_total_ = 0;
 
   // Acks are flushed by a dedicated thread so packet-delivery threads
   // never block on a full outgoing queue (which could deadlock two

@@ -1,5 +1,7 @@
 #include "runtime/channel.h"
 
+#include <algorithm>
+
 namespace tpart {
 
 bool operator==(const Message& a, const Message& b) {
@@ -26,6 +28,50 @@ std::size_t ApproxMessageBytes(const Message& m) {
     bytes += sizeof(TxnSpec) + spec.params.size() * sizeof(spec.params[0]);
   }
   return bytes;
+}
+
+void Channel::Send(Message msg) {
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    pending_.push_back(std::move(msg));
+    high_water_ = std::max(high_water_, pending_.size());
+    wake = waiting_;
+  }
+  if (wake) cv_.notify_one();
+}
+
+bool Channel::TakeAll(std::vector<Message>& out) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (pending_.empty()) return false;
+  out.swap(pending_);
+  return true;
+}
+
+bool Channel::WaitTakeAll(std::vector<Message>& out,
+                          Clock::time_point deadline) {
+  std::unique_lock<std::mutex> lock(mu_);
+  const auto ready = [&] { return !pending_.empty(); };
+  waiting_ = true;
+  if (deadline == Clock::time_point::max()) {
+    cv_.wait(lock, ready);
+  } else {
+    (void)cv_.wait_until(lock, deadline, ready);
+  }
+  waiting_ = false;
+  if (pending_.empty()) return false;
+  out.swap(pending_);
+  return true;
+}
+
+std::size_t Channel::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return pending_.size();
+}
+
+std::size_t Channel::high_water() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return high_water_;
 }
 
 }  // namespace tpart

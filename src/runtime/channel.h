@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -145,11 +144,11 @@ bool operator==(const Message& a, const Message& b);
 /// accounting (not the wire size).
 std::size_t ApproxMessageBytes(const Message& m);
 
-/// MPSC blocking queue — the "network" between machines for the direct
-/// in-memory transport, and the byte-packet conveyor inside the
-/// serialized in-process transport (net/packet_network.h). A capacity of
-/// 0 means unbounded; a bounded queue blocks senders when full, which is
-/// how the transports exert backpressure.
+/// MPSC blocking queue: the byte-packet conveyors of the serialized
+/// transports (net/packet_network.h, net/tcp_network.h), their ack queue,
+/// and the pipeline's stage queues. A capacity of 0 means unbounded; a
+/// bounded queue blocks senders when full, which is how the transports
+/// exert backpressure.
 template <typename T>
 class BlockingQueue {
  public:
@@ -202,22 +201,6 @@ class BlockingQueue {
     return msg;
   }
 
-  /// Non-blocking variant.
-  std::optional<T> TryReceive() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (queue_.empty()) return std::nullopt;
-    T msg = std::move(queue_.front());
-    queue_.pop_front();
-    lock.unlock();
-    space_cv_.notify_one();
-    return msg;
-  }
-
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return queue_.size();
-  }
-
   /// Largest queue depth ever observed.
   std::size_t high_water() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -233,8 +216,42 @@ class BlockingQueue {
   std::size_t high_water_ = 0;
 };
 
-/// The machine-facing message queue (unbounded, as before).
-using Channel = BlockingQueue<Message>;
+/// The inbox of a machine or a coordinator replica: many producers (peer
+/// loops under the direct transport, network receivers, the control
+/// plane, the owner's own self-sends) and one consumer loop that takes
+/// everything pending at once. Producers append under one mutex and
+/// notify only a consumer that waits; the consumer swaps the pending
+/// vector for its emptied batch, so it locks once per batch, and the two
+/// vectors trade buffers instead of allocating. (BlockingQueue's deque
+/// would put each Message in a heap node and lock once per message.)
+/// Unbounded: the direct transport delivers synchronously from peer
+/// loops, so an inbox that blocked its producers could deadlock a cycle
+/// of full machines. FIFO in delivery order.
+class Channel {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  /// Appends `msg`; never blocks.
+  void Send(Message msg);
+  /// Moves every pending message, oldest first, into the empty `out`;
+  /// false when nothing was pending.
+  bool TakeAll(std::vector<Message>& out);
+  /// TakeAll that first waits for a message until `deadline` (max():
+  /// no deadline); false when the deadline passed with nothing pending.
+  bool WaitTakeAll(std::vector<Message>& out,
+                   Clock::time_point deadline = Clock::time_point::max());
+  /// Messages delivered but not yet taken.
+  std::size_t size() const;
+  /// Most messages ever delivered but not yet taken.
+  std::size_t high_water() const;
+
+ private:
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<Message> pending_;
+  bool waiting_ = false;
+  std::size_t high_water_ = 0;
+};
 
 }  // namespace tpart
 

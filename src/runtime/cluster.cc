@@ -1570,7 +1570,6 @@ ClusterRunOutcome LocalCluster::RunTPart() {
     outcome.pipeline.machine_inbound_high_water =
         std::max<std::uint64_t>(outcome.pipeline.machine_inbound_high_water,
                                 m->inbound_queue_high_water());
-    outcome.pipeline.machine_inbound_spills += m->inbound_overflow_spills();
   }
   outcome.pipeline.admission_seconds = admission.seconds;
   outcome.pipeline.admit_to_commit_us = ctx.latency.us;

@@ -109,10 +109,10 @@ void CoordinatorReplicaSet::PumpLoop(std::size_t r) {
   const auto tick =
       std::chrono::microseconds(std::max<std::uint64_t>(
           options_.heartbeat_interval_us / 2, 100));
+  std::vector<Message> batch;
   for (;;) {
-    Result<Message> got = replicas_[r]->inbound.ReceiveFor(tick);
-    if (got.ok()) {
-      Message msg = std::move(*got);
+    replicas_[r]->inbound.WaitTakeAll(batch, Clock::now() + tick);
+    for (Message& msg : batch) {
       if (msg.type == Message::Type::kShutdown) return;
       bool down;
       {
@@ -144,6 +144,7 @@ void CoordinatorReplicaSet::PumpLoop(std::size_t r) {
           break;  // stray worker traffic; ignore
       }
     }
+    batch.clear();
     MaybeElect(r);
   }
 }

@@ -160,34 +160,39 @@ void Machine::ServiceLoop() {
   if (!calvin_ && !crash_points_.empty() && crash_points_.front().at_start) {
     CrashStop(/*resume=*/1);
   }
+  std::vector<Message> batch;
   while (true) {
     // Pending messages go first, so a run of ready plans (a recovery
     // replay, say) never holds heartbeats, fences or peers' reads behind
     // more than one plan.
-    std::optional<Message> msg = inbound_.TryReceive();
-    if (!msg.has_value()) {
+    if (!inbound_.TakeAll(batch)) {
       if (calvin_ ? AdvanceCalvin() : AdvanceTPart()) continue;
-      msg = AwaitMessage();
+      AwaitMessages(batch);
     }
-    if (msg->type == Message::Type::kShutdown) return;
-    if (run_state_.load(std::memory_order_relaxed) == RunState::kDown) {
-      DispatchWhileDown(std::move(*msg));
-    } else {
-      Dispatch(std::move(*msg));
+    for (Message& msg : batch) {
+      if (msg.type == Message::Type::kShutdown) {
+        PublishProgress();  // StallDiagnostic() after Stop() reads it
+        return;
+      }
+      if (run_state_.load(std::memory_order_relaxed) == RunState::kDown) {
+        DispatchWhileDown(std::move(msg));
+      } else {
+        Dispatch(std::move(msg));
+      }
     }
+    batch.clear();
   }
 }
 
-Message Machine::AwaitMessage() {
+void Machine::AwaitMessages(std::vector<Message>& batch) {
   // Other threads see the loop's progress as of its latest block.
   PublishProgress();
-  if (!head_.parked) return inbound_.Receive();
-  const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
-      head_.parked_since + kStallTimeout - std::chrono::steady_clock::now());
-  Result<Message> msg =
-      inbound_.ReceiveFor(std::max(left, std::chrono::microseconds(0)));
-  if (!msg.ok()) FailStall();
-  return std::move(msg).value();
+  if (!head_.parked) {
+    inbound_.WaitTakeAll(batch);
+  } else if (!inbound_.WaitTakeAll(batch,
+                                   head_.parked_since + kStallTimeout)) {
+    FailStall();
+  }
 }
 
 void Machine::DispatchWhileDown(Message msg) {
@@ -292,6 +297,7 @@ void Machine::Dispatch(Message msg) {
       break;
     case Message::Type::kCacheReadResp:
     case Message::Type::kStorageReadResp:
+      if (msg.req_id < gathered_below_) break;  // a recovery's duplicate
       if (log) LogNetworkMessage(msg);
       responses_[msg.req_id] = std::move(msg.value);
       break;
@@ -664,6 +670,7 @@ std::optional<Record> Machine::TakeResponse(std::uint64_t req_id) {
   if (it == responses_.end()) return std::nullopt;
   Record v = std::move(it->second);
   responses_.erase(it);
+  gathered_below_ = req_id + 1;
   return v;
 }
 
@@ -972,6 +979,7 @@ void Machine::RestoreAndReplay(
   stream_final_epoch_ = 0;
   next_stream_epoch_ = resume;
   responses_.clear();
+  gathered_below_ = 0;  // the replay gathers its logged responses again
   results_.clear();
   parked_pulls_.clear();
   peer_reads_.clear();

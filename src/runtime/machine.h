@@ -24,7 +24,6 @@
 #include "exec/serial_executor.h"
 #include "runtime/channel.h"
 #include "runtime/machine_checkpoint.h"
-#include "runtime/ring_channel.h"
 #include "runtime/storage_service.h"
 #include "scheduler/push_plan.h"
 #include "storage/kv_store.h"
@@ -117,12 +116,9 @@ class Machine {
   /// Rounds currently in flight (disseminated but not fully executed) —
   /// the live sampler's per-machine depth gauge.
   std::size_t epochs_in_flight() const;
-  /// Deepest the inbound service FIFO ever got (pipeline depth gauge).
+  /// Most messages ever delivered here but not yet taken by the loop
+  /// (pipeline depth gauge).
   std::size_t inbound_queue_high_water() const { return inbound_.high_water(); }
-  /// Sends that overflowed the inbound ring onto its spill deque.
-  std::uint64_t inbound_overflow_spills() const {
-    return inbound_.overflow_spills();
-  }
 
   /// Invoked (from the machine's loop thread) with each transaction's id
   /// as its result is recorded — admission-to-commit latency tracking.
@@ -400,10 +396,10 @@ class Machine {
   };
 
   void ServiceLoop();
-  /// The next message: non-blocking callers poll first; this publishes
-  /// the loop's progress and blocks, up to the parked head plan's stall
-  /// deadline.
-  Message AwaitMessage();
+  /// Takes the next batch of messages into the empty `batch` once none is
+  /// pending: publishes the loop's progress and blocks, up to the parked
+  /// head plan's stall deadline.
+  void AwaitMessages(std::vector<Message>& batch);
   void Dispatch(Message msg);
   /// kDown: drops heartbeats, serves fences (and a pending Recover()),
   /// stashes everything else.
@@ -484,11 +480,10 @@ class Machine {
 
   CacheArea cache_;
   StorageService storage_;
-  /// Inbound message queue: MPSC ring with cv-parked consumer fallback
-  /// (runtime/ring_channel.h). Producers — peer loops (direct transport),
-  /// the network receiver, the control plane, and our own self-sends —
-  /// take no lock on the fast path.
-  RingChannel<Message> inbound_;
+  /// Inbound messages from peer loops (direct transport), the network
+  /// receiver, the control plane and our own self-sends. The loop takes
+  /// everything pending at once and dispatches it in order.
+  Channel inbound_;
 
   // ---- Status block ---------------------------------------------------
   // The only state another thread reads or waits for while the loop
@@ -561,6 +556,11 @@ class Machine {
   /// Read responses received but not yet consumed — with intake-time
   /// requests, up to a few rounds' worth; a checkpoint captures them.
   FlatMap<std::uint64_t, Record> responses_;
+  /// Every read request id below this one was gathered: plans run in
+  /// increasing txn id and gather their reads in order, so a response
+  /// below it is a duplicate (a recovering peer re-serves its logged
+  /// requests) and is dropped unlogged.
+  std::uint64_t gathered_below_ = 0;
 
   // Streaming intake: reliable transports may deliver rounds out of
   // order, but plans run in FIFO epoch order (a plan may only await

@@ -93,14 +93,26 @@ TEST(CrashTest, RecoveryMatchesCrashFreeRun) {
   const Workload w = MakeMicroWorkload(SmallMicro());
   const RunSnapshot ref = RunOnce(w, StreamingOpts(TransportKind::kDirect));
 
-  const RunSnapshot got =
-      RunOnce(w, CrashOpts(TransportKind::kDirect, 1, 3));
-  ExpectSameResults(ref.out.results, got.out.results);
-  EXPECT_EQ(got.state, ref.state)
-      << "recovered final store diverged from the crash-free run";
-  EXPECT_EQ(got.out.committed, ref.out.committed);
-  EXPECT_EQ(got.out.aborted, ref.out.aborted);
-  ExpectRecovered(got.out, 1);
+  for (TransportKind kind :
+       {TransportKind::kDirect, TransportKind::kInProcess}) {
+    LocalCluster cluster(&w, CrashOpts(kind, 1, 3));
+    const ClusterRunOutcome out = cluster.RunTPart();
+    const std::string label =
+        "transport " + std::to_string(static_cast<int>(kind));
+    ExpectSameResults(ref.out.results, out.results);
+    EXPECT_EQ(cluster.store().Snapshot(), ref.state)
+        << label << ": recovered final store diverged from the crash-free run";
+    EXPECT_EQ(out.committed, ref.out.committed) << label;
+    EXPECT_EQ(out.aborted, ref.out.aborted) << label;
+    ExpectRecovered(out, 1);
+    // The recovery re-served the victim's logged read requests; the peers
+    // had gathered the originals, so no response may be left over.
+    for (MachineId m = 0; m < cluster.num_machines(); ++m) {
+      const std::string diag = cluster.machine(m).StallDiagnostic();
+      EXPECT_NE(diag.find(" responses_pending=0 "), std::string::npos)
+          << label << ": " << diag;
+    }
+  }
 }
 
 TEST(CrashTest, ChaosMatrixAcrossVictimsEpochsTransportsAndFaults) {

@@ -844,5 +844,106 @@ TEST(RuntimeDeathTest, SliceMustPairEachOwnPlanWithItsSpec) {
                "slice for machine 0 holds T7's plan for machine 1");
 }
 
+// ---------------------------------------------------------------------
+// The inbox of machines and coordinator replicas (runtime/channel.h).
+// ---------------------------------------------------------------------
+
+Message Numbered(std::uint64_t n) {
+  Message m;
+  m.type = Message::Type::kPushVersion;
+  m.req_id = n;
+  return m;
+}
+
+TEST(ChannelTest, TakeAllHandsOverEverythingPendingInOrder) {
+  Channel ch;
+  std::vector<Message> batch;
+  EXPECT_FALSE(ch.TakeAll(batch));
+  for (std::uint64_t i = 0; i < 5; ++i) ch.Send(Numbered(i));
+  EXPECT_EQ(ch.size(), 5u);
+  ASSERT_TRUE(ch.TakeAll(batch));
+  ASSERT_EQ(batch.size(), 5u);
+  for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(batch[i].req_id, i);
+  EXPECT_EQ(ch.size(), 0u);
+  EXPECT_EQ(ch.high_water(), 5u);
+  batch.clear();
+  EXPECT_FALSE(ch.TakeAll(batch));
+  ch.Send(Numbered(7));
+  ASSERT_TRUE(ch.TakeAll(batch));
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].req_id, 7u);
+  EXPECT_EQ(ch.high_water(), 5u);
+}
+
+// The production shape: several producers sending to one consumer that
+// alternates polls and blocking waits. Run under TSan this checks the
+// wake-up handshake and the buffer swap.
+TEST(ChannelTest, PerProducerFifoUnderConcurrentSenders) {
+  constexpr std::uint64_t kProducers = 4;
+  constexpr std::uint64_t kPerProducer = 25000;
+  Channel ch;
+  std::vector<std::thread> producers;
+  for (std::uint64_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&ch, p] {
+      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
+        ch.Send(Numbered((p << 32) | i));
+      }
+    });
+  }
+  std::vector<std::uint64_t> next(kProducers, 0);
+  std::vector<Message> batch;
+  std::uint64_t received = 0;
+  std::string reordered;  // the first message out of its producer's order
+  for (bool poll = true;
+       received < kProducers * kPerProducer && reordered.empty();
+       poll = !poll) {
+    if (poll ? !ch.TakeAll(batch) : !ch.WaitTakeAll(batch)) continue;
+    for (const Message& m : batch) {
+      const std::uint64_t p = m.req_id >> 32;
+      if (p >= kProducers || (m.req_id & 0xffffffffull) != next[p]) {
+        reordered = "message " + std::to_string(m.req_id) + " after " +
+                    std::to_string(received) + " received";
+        break;
+      }
+      ++next[p];
+      ++received;
+    }
+    batch.clear();
+  }
+  for (auto& t : producers) t.join();
+  EXPECT_TRUE(reordered.empty()) << reordered;
+  EXPECT_EQ(ch.size(), 0u);
+  EXPECT_FALSE(ch.TakeAll(batch));
+}
+
+TEST(ChannelTest, BlockedWaitIsWokenByALateSend) {
+  Channel ch;
+  std::thread sender([&ch] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ch.Send(Numbered(42));
+  });
+  std::vector<Message> batch;
+  const bool got = ch.WaitTakeAll(batch);
+  sender.join();
+  ASSERT_TRUE(got);
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].req_id, 42u);
+}
+
+TEST(ChannelTest, WaitTakeAllTimesOutThenDelivers) {
+  Channel ch;
+  std::vector<Message> batch;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(ch.WaitTakeAll(batch, start + std::chrono::milliseconds(20)));
+  EXPECT_GE(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(20));
+  EXPECT_TRUE(batch.empty());
+  ch.Send(Numbered(7));
+  ASSERT_TRUE(ch.WaitTakeAll(
+      batch, std::chrono::steady_clock::now() + std::chrono::seconds(5)));
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(batch[0].req_id, 7u);
+}
+
 }  // namespace
 }  // namespace tpart

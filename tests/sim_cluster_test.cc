@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "runtime/channel.h"
 #include "sim/sim_cluster.h"
 
 namespace tpart {
@@ -69,32 +68,6 @@ TEST(CostModelTest, SpeedScaling) {
   EXPECT_EQ(cost.Scaled(1000, 2), 1000);  // default 1.0 beyond the vector
   EXPECT_EQ(cost.rtt(), 2 * cost.network_latency);
   EXPECT_FALSE(cost.ToString().empty());
-}
-
-// ---- Channel ---------------------------------------------------------------
-
-TEST(ChannelTest, FifoOrder) {
-  Channel ch;
-  for (int i = 0; i < 5; ++i) {
-    Message m;
-    m.type = Message::Type::kPushVersion;
-    m.version = static_cast<TxnId>(i);
-    ch.Send(std::move(m));
-  }
-  for (int i = 0; i < 5; ++i) {
-    EXPECT_EQ(ch.Receive().version, static_cast<TxnId>(i));
-  }
-}
-
-TEST(ChannelTest, TryReceiveNonBlocking) {
-  Channel ch;
-  EXPECT_FALSE(ch.TryReceive().has_value());
-  Message m;
-  m.type = Message::Type::kShutdown;
-  ch.Send(std::move(m));
-  EXPECT_EQ(ch.size(), 1u);
-  EXPECT_TRUE(ch.TryReceive().has_value());
-  EXPECT_EQ(ch.size(), 0u);
 }
 
 }  // namespace

@@ -6,14 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/serial_executor.h"
 #include "net/transport.h"
 #include "net/wire.h"
 #include "runtime/cluster.h"
+#include "test_time.h"
 #include "workload/micro.h"
 #include "workload/tpcc.h"
 
@@ -259,6 +262,36 @@ TEST(TransportTest, FlushOverASeveredLinkTimesOutNamingTheLink) {
   EXPECT_GE(std::stoull(flushed.message().substr(at + field.size())),
             50'000u)
       << flushed.message();
+  transport->Stop();
+}
+
+TEST(TransportTest, FlushWaitsOnlyForEarlierSendsWhileAnotherLinkKeepsSending) {
+  // Half of all data and ack packets drop, so a link that keeps sending
+  // always has packets waiting for a retry. Flush() must still return
+  // once the packets sent before it are acked.
+  TransportOptions options;
+  options.kind = TransportKind::kInProcess;
+  options.retry_timeout_us = 1000;
+  options.faults.drop_prob = 0.5;
+  auto transport = MakeTransport(options);
+  std::vector<Transport::DeliverFn> sinks(3, [](Message) {});
+  transport->Start(std::move(sinks));
+  Message msg;
+  msg.type = Message::Type::kPushVersion;
+  msg.key = 1;
+  for (int i = 0; i < 20; ++i) transport->Send(0, 1, msg);
+  std::atomic<bool> stop{false};
+  std::thread live_sender([&] {
+    while (!stop.load()) {
+      transport->Send(2, 1, msg);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  const Status flushed =
+      transport->Flush(std::chrono::microseconds(test::ScaledUs(2'000'000)));
+  stop.store(true);
+  live_sender.join();
+  EXPECT_TRUE(flushed.ok()) << flushed.ToString();
   transport->Stop();
 }
 
