@@ -62,7 +62,6 @@ void BenchResizeOverhead(std::size_t machines, std::size_t txns) {
     LocalClusterOptions opts = StreamingOpts();
     opts.resize.events = c.events;
     opts.resize.policy = c.policy;
-    opts.record_epoch_timeline = true;
     LocalCluster cluster(&w, opts);
     const auto start = std::chrono::steady_clock::now();
     const ClusterRunOutcome out = cluster.RunTPart();

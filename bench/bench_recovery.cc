@@ -67,8 +67,8 @@ void BenchLoggingOverhead(std::size_t machines, std::size_t txns) {
 void BenchDowntimeVsCrashEpoch(std::size_t machines, std::size_t txns) {
   Header("Downtime vs replay length: crash machine 1 at epoch E");
   const Workload w = MakeMicroWorkload(DefaultMicro(machines, txns));
-  std::printf("%8s %14s %10s %14s %12s %12s\n", "epoch", "detect_us",
-              "replayed", "resent_rounds", "downtime_us", "committed");
+  std::printf("%8s %14s %10s %12s %12s\n", "epoch", "detect_us",
+              "replayed", "downtime_us", "committed");
   for (const SinkEpoch epoch : {2, 4, 8, 16, 32}) {
     LocalClusterOptions opts = StreamingOpts();
     opts.crash.events.push_back({1, epoch});
@@ -82,11 +82,10 @@ void BenchDowntimeVsCrashEpoch(std::size_t machines, std::size_t txns) {
       continue;
     }
     const RecoveryStats& r = out.recovery;
-    std::printf("%8llu %14llu %10llu %14llu %12llu %12llu\n",
+    std::printf("%8llu %14llu %10llu %12llu %12llu\n",
                 static_cast<unsigned long long>(epoch),
                 static_cast<unsigned long long>(r.detection_latency_us),
                 static_cast<unsigned long long>(r.replayed_txns),
-                static_cast<unsigned long long>(r.resent_rounds),
                 static_cast<unsigned long long>(r.downtime_us),
                 static_cast<unsigned long long>(out.committed));
     if (g_json) {
@@ -94,7 +93,6 @@ void BenchDowntimeVsCrashEpoch(std::size_t machines, std::size_t txns) {
           .Add("crash_epoch", epoch)
           .Add("detection_us", r.detection_latency_us)
           .Add("replayed", r.replayed_txns)
-          .Add("resent_rounds", r.resent_rounds)
           .Add("downtime_us", r.downtime_us)
           .Add("committed", out.committed)
           .Print();

@@ -63,8 +63,8 @@
 //                                   if the leader crash-stops
 //   --checkpoint-every=N            capture a per-machine incremental
 //                                   checkpoint every N sink epochs and
-//                                   truncate the recovery logs and resend
-//                                   window; prints the checkpoint statistics
+//                                   truncate the recovery logs; prints the
+//                                   checkpoint statistics
 //   --resize=+K@E[,±K@E...]         grow (+K) or shrink (-K) the machine set
 //                                   by K machines at sink epoch E: quiesce at
 //                                   the epoch barrier, migrate the re-homed

@@ -73,7 +73,7 @@ std::string RecoveryStats::Summary() const {
   if (crashes_injected > 0) {
     out << " machine=" << crashed_machine << " crash_epoch=" << crash_epoch
         << " detection_us=" << detection_latency_us
-        << " replayed=" << replayed_txns << " resent_rounds=" << resent_rounds
+        << " replayed=" << replayed_txns
         << " checkpoint_records=" << checkpoint_records
         << " downtime_us=" << downtime_us;
   }
@@ -90,11 +90,9 @@ std::string CheckpointStats::Summary() const {
       << " records=" << records_captured
       << " state_keys=" << state_keys_captured
       << " truncated(req/net)=" << truncated_request_entries << "/"
-      << truncated_network_messages
-      << " pruned_rounds=" << pruned_resend_rounds
-      << " capture_us=" << capture_us
-      << " bytes_peak(req/net/window)=" << request_log_bytes_peak << "/"
-      << network_log_bytes_peak << "/" << resend_window_bytes_peak;
+      << truncated_network_messages << " capture_us=" << capture_us
+      << " bytes_peak(req/net)=" << request_log_bytes_peak << "/"
+      << network_log_bytes_peak;
   return out.str();
 }
 
@@ -118,9 +116,6 @@ void CheckpointStats::PublishTo(obs::MetricsRegistry& registry) const {
   registry.SetCounter("tpart_checkpoint_truncated_network_messages_total",
                       static_cast<double>(truncated_network_messages),
                       "Network-log messages freed by truncation");
-  registry.SetCounter("tpart_checkpoint_pruned_resend_rounds_total",
-                      static_cast<double>(pruned_resend_rounds),
-                      "Resend-window rounds freed by pruning");
   registry.SetGauge("tpart_checkpoint_capture_us",
                     static_cast<double>(capture_us),
                     "Wall-clock microseconds spent inside captures");
@@ -130,9 +125,6 @@ void CheckpointStats::PublishTo(obs::MetricsRegistry& registry) const {
   registry.SetGauge("tpart_checkpoint_network_log_peak_bytes",
                     static_cast<double>(network_log_bytes_peak),
                     "High-water byte footprint of any network log");
-  registry.SetGauge("tpart_checkpoint_resend_window_peak_bytes",
-                    static_cast<double>(resend_window_bytes_peak),
-                    "High-water byte footprint of the resend window");
 }
 
 void TransportStats::PublishTo(obs::MetricsRegistry& registry) const {
@@ -220,9 +212,6 @@ void RecoveryStats::PublishTo(obs::MetricsRegistry& registry) const {
   registry.SetCounter("tpart_recovery_replayed_txns_total",
                       static_cast<double>(replayed_txns),
                       "Request-log entries re-executed (section 5.4)");
-  registry.SetCounter("tpart_recovery_resent_rounds_total",
-                      static_cast<double>(resent_rounds),
-                      "Sinking rounds re-shipped after recovery");
   registry.SetCounter("tpart_recovery_checkpoint_records_total",
                       static_cast<double>(checkpoint_records),
                       "Records restored from the checkpoint image");
@@ -394,14 +383,6 @@ void RunStats::PublishTo(obs::MetricsRegistry& registry) const {
   registry.SetCounter("tpart_sticky_hits_total",
                       static_cast<double>(sticky_hits),
                       "Storage reads served from sticky cache entries");
-  if (transport.messages_sent > 0) transport.PublishTo(registry);
-  if (pipeline.admitted > 0) pipeline.PublishTo(registry);
-  if (recovery.crashes_injected > 0) recovery.PublishTo(registry);
-  if (failover.committed_batches > 0 || failover.coordinator_crashes > 0) {
-    failover.PublishTo(registry);
-  }
-  if (checkpoint.checkpoints_taken > 0) checkpoint.PublishTo(registry);
-  if (migration.membership_steps > 0) migration.PublishTo(registry);
 }
 
 std::string RunStats::Summary() const {
@@ -414,24 +395,6 @@ std::string RunStats::Summary() const {
       << " stalled=" << NetworkStalledFraction() * 100.0 << "%"
       << " avg_stall_us=" << stall_wait.mean() / 1000.0
       << " distributed=" << distributed_txns;
-  if (transport.messages_sent > 0) {
-    out << " | transport: " << transport.Summary();
-  }
-  if (pipeline.admitted > 0) {
-    out << " | pipeline: " << pipeline.Summary();
-  }
-  if (recovery.crashes_injected > 0) {
-    out << " | recovery: " << recovery.Summary();
-  }
-  if (failover.committed_batches > 0 || failover.coordinator_crashes > 0) {
-    out << " | failover: " << failover.Summary();
-  }
-  if (checkpoint.checkpoints_taken > 0) {
-    out << " | checkpoint: " << checkpoint.Summary();
-  }
-  if (migration.membership_steps > 0) {
-    out << " | migration: " << migration.Summary();
-  }
   return out.str();
 }
 

@@ -129,9 +129,6 @@ struct RecoveryStats {
   double peak_healthy_phi = 0.0;
   /// Request-log entries re-executed by the §5.4 local replay.
   std::uint64_t replayed_txns = 0;
-  /// Sinking rounds the dissemination stage re-shipped after recovery
-  /// (lost in flight or queued-but-unexecuted at the crash).
-  std::uint64_t resent_rounds = 0;
   /// Records restored from the checkpoint image of the crashed
   /// partition.
   std::uint64_t checkpoint_records = 0;
@@ -221,15 +218,15 @@ struct CheckpointStats {
   /// Log entries freed by truncation.
   std::uint64_t truncated_request_entries = 0;
   std::uint64_t truncated_network_messages = 0;
-  /// Resend-window rounds freed by pruning.
-  std::uint64_t pruned_resend_rounds = 0;
   /// Total wall-clock microseconds spent inside captures.
   std::uint64_t capture_us = 0;
   /// Log-growth visibility: the high-water byte footprint of the §5.4
-  /// logs and the resend window. With checkpointing on, these plateau
-  /// instead of growing with run length.
+  /// logs. With checkpointing on, these plateau instead of growing with
+  /// run length.
   std::uint64_t request_log_bytes_peak = 0;
   std::uint64_t network_log_bytes_peak = 0;
+  /// Always 0: there is no resend window any more. Kept only because
+  /// perfbench adds it into `checkpoint.log_bytes_peak_mb`.
   std::uint64_t resend_window_bytes_peak = 0;
 
   std::string Summary() const;
@@ -272,9 +269,10 @@ struct MigrationStats {
   void PublishTo(obs::MetricsRegistry& registry) const;
 };
 
-/// Aggregate outcome of one simulated (or real) engine run. Produced by
-/// CalvinSim / TPartSim and by the threaded runtime; consumed by every
-/// benchmark.
+/// Aggregate outcome of one simulated engine run. Produced by CalvinSim /
+/// TPartSim; consumed by every benchmark. The threaded runtime reports
+/// through ClusterRunOutcome, whose nested stats structs publish
+/// themselves.
 struct RunStats {
   std::uint64_t txns = 0;
   std::uint64_t committed = 0;
@@ -317,28 +315,10 @@ struct RunStats {
   std::size_t max_tgraph_size = 0;
   std::uint64_t sticky_hits = 0;
 
-  /// Wire transport counters (threaded runtime over a real transport).
-  TransportStats transport;
-
-  /// Pipeline counters (threaded runtime, T-Part runs only).
-  PipelineStats pipeline;
-
-  /// Crash-fault-tolerance counters (crash-injection runs only).
-  RecoveryStats recovery;
-
-  /// Coordinator replication + failover counters (standby runs only).
-  FailoverStats failover;
-
-  /// Periodic checkpointing counters (checkpoint_every runs only).
-  CheckpointStats checkpoint;
-
-  /// Elastic-membership counters (resize runs only).
-  MigrationStats migration;
-
   std::string Summary() const;
 
-  /// Publishes the whole run — core counters, latency histograms, and
-  /// every nested stats struct — as tpart_* metrics.
+  /// Publishes the run's counters and latency histogram as tpart_*
+  /// metrics.
   void PublishTo(obs::MetricsRegistry& registry) const;
 };
 

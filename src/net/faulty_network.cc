@@ -86,8 +86,8 @@ void FaultyPacketNetwork::Send(MachineId from, MachineId to,
 }
 
 void FaultyPacketNetwork::SetEpoch(std::uint64_t epoch) {
-  // Monotonic max: recovery re-ships and racing stages may advance out
-  // of order, and healing must never be rolled back.
+  // Monotonic max: a failover's catch-up and racing stages may advance
+  // out of order, and healing must never be rolled back.
   std::uint64_t cur = fault_epoch_.load(std::memory_order_relaxed);
   while (epoch > cur && !fault_epoch_.compare_exchange_weak(
                             cur, epoch, std::memory_order_release,

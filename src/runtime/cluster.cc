@@ -16,7 +16,6 @@
 #include "common/logging.h"
 #include "common/random.h"
 #include "elastic/migration.h"
-#include "net/resend_window.h"
 #include "net/wire.h"
 #include "obs/flight_recorder.h"
 #include "obs/live_sampler.h"
@@ -202,8 +201,8 @@ struct PlanEnvelope {
 
 /// What the stages of one RunTPart() share: the cluster parts they drive
 /// (borrowed), the run's fault status, the coordinator-term fence, the
-/// fault-clock mirror, the resend window and end marker, the admit→commit
-/// latency map, and the counters the live sampler reads.
+/// fault-clock mirror, the admit→commit latency map, and the counters the
+/// live sampler reads.
 struct RunContext {
   RunContext(const LocalClusterOptions& options, const Workload& workload,
              PartitionedStore& store, Transport& transport,
@@ -249,25 +248,6 @@ struct RunContext {
   std::atomic<std::uint64_t> current_term{
       coordinator != nullptr ? coordinator->term() : 1};
   std::atomic<std::uint64_t> fault_epoch_live{0};
-
-  // Dissemination keeps every disseminated round's slices, each with its
-  // destination (crash and checkpoint runs), so recovery can re-ship what
-  // a crashed machine lost. The window cannot be pruned by the
-  // epoch-credit bound: a round whose slice for the victim is empty
-  // releases its credit immediately, so dissemination may run arbitrarily
-  // far ahead of the victim's resume round. Without periodic
-  // checkpointing the window holds every round of the run — the same
-  // order of memory as the §5.4 request logs it already requires; with
-  // checkpoint_every set, rounds at or below the minimum checkpointed
-  // epoch across machines are pruned (no recovery can need them: a
-  // machine resumes strictly after its own checkpoint epoch). The end
-  // marker is re-sent to a machine recovered after it went out.
-  const bool keep_resend_window =
-      options.crash.enabled() || options.checkpoint_every > 0;
-  ResendWindow resend_window;
-  std::mutex end_mu;
-  bool end_sent = false;
-  SinkEpoch end_epoch = 0;
 
   // Admission-to-result latency: the admission stage stamps each real
   // transaction at batch formation; the machine's commit hook closes the
@@ -581,8 +561,8 @@ class Scheduling {
 /// Failure detection and in-run recovery (the watchdog thread, on when
 /// the detector is enabled or a crash schedule is armed): heartbeats
 /// every machine, scans heartbeat progress through the phi-accrual
-/// detector, and rebuilds a crashed machine in place — checkpoint restore
-/// plus §5.4 local replay, then a re-ship of the rounds it lost.
+/// detector, and rebuilds a crashed machine in place from its own logs —
+/// checkpoint restore plus §5.4 local replay.
 class Watchdog {
  public:
   Watchdog(RunContext& ctx, std::vector<bool> crash_scheduled)
@@ -765,8 +745,10 @@ class Watchdog {
     return false;
   }
 
-  // In-run recovery: checkpoint restore + §5.4 local replay, then re-ship
-  // the rounds the crash lost. Count fields accumulate across a
+  // In-run recovery: checkpoint restore + §5.4 local replay. Nothing is
+  // re-sent: the victim's request log still queues every round it
+  // received, rounds that reached it while down wait in its stash, and
+  // later rounds ship as usual. Count fields accumulate across a
   // multi-crash schedule; machine / epoch / detection reflect this (the
   // most recent) crash. A replay that does not drain is the run's fault.
   Status RecoverInPlace(std::size_t m, Clock::time_point now) {
@@ -785,33 +767,6 @@ class Watchdog {
     });
     if (!replayed.ok()) return replayed.status();
     stats_.replayed_txns += *replayed;
-    // Intake is idempotent, so over-shipping is harmless; the
-    // front-of-window check guarantees we never under-ship (pruning stops
-    // strictly below every machine's resume round).
-    {
-      TPART_CHECK(ctx_.resend_window.empty() ||
-                  ctx_.resend_window.front_epoch() <= resume)
-          << "resend window pruned past resume round " << resume;
-      // Re-ships carry the *current* term, not the term the round
-      // originally shipped under: a round retained across a failover
-      // would otherwise arrive pre-fenced.
-      const std::uint64_t resend_term =
-          ctx_.current_term.load(std::memory_order_acquire);
-      stats_.resent_rounds += ctx_.resend_window.ForEachFrom(
-          resume, id, [&](const Message& slice) {
-            Message copy = slice;
-            copy.term = resend_term;
-            ctx_.transport.Send(0, id, std::move(copy));
-          });
-      std::lock_guard<std::mutex> lock(ctx_.end_mu);
-      if (ctx_.end_sent) {
-        Message end;
-        end.type = Message::Type::kPlanStreamEnd;
-        end.epoch = ctx_.end_epoch;
-        end.term = resend_term;
-        ctx_.transport.Send(0, id, std::move(end));
-      }
-    }
     stats_.downtime_us += UsSince(machine.crash_time());
     // The blocking recovery stalled this loop: every other machine's
     // liveness stamp is stale by the full recovery span. Restart the
@@ -1047,14 +1002,6 @@ class Disseminator {
       SetFaultEpoch(std::numeric_limits<std::uint64_t>::max());
     }
     const SinkEpoch last = ctx_.last_epoch;
-    if (ctx_.options.crash.enabled()) {
-      // Flag before sending: a recovery racing this must resend the end
-      // marker whenever the original may already have been consumed (and
-      // its flags wiped) by the pre-crash machine.
-      std::lock_guard<std::mutex> lock(ctx_.end_mu);
-      ctx_.end_sent = true;
-      ctx_.end_epoch = last;
-    }
     for (std::size_t m = 0; m < ctx_.machines.size(); ++m) {
       Message end;
       end.type = Message::Type::kPlanStreamEnd;
@@ -1116,9 +1063,7 @@ class Disseminator {
   }
 
   // Membership cuts fire between rounds: before the first round past a
-  // cut ships — or even enters the resend window, since a recovery
-  // re-ship must never hand a machine a post-cut round ahead of its
-  // migration — quiesce the stream, move the keys, and force the cut
+  // cut ships, quiesce the stream, move the keys, and force the cut
   // checkpoint everywhere. Catch-up rounds can never re-trigger a step:
   // any cut below the catch-up horizon stepped in the term that first
   // shipped those rounds (steps_done_ is run-scoped).
@@ -1164,9 +1109,10 @@ class Disseminator {
     //    nothing past the cut is in flight. A crash armed at the cut epoch
     //    flips its machine down BEFORE the round's credit is released (the
     //    loop defers the release past CrashStop), and the machine stays
-    //    kRecovering until its replayed suffix finishes, so the drain wait
-    //    spans the watchdog's detect + recover + replay and the re-shipped
-    //    rounds, which still hold their original ship credits.
+    //    kRecovering until its replayed prefix finishes, so the drain wait
+    //    spans the watchdog's detect + recover + replay and the rounds
+    //    still queued in the victim's request log, which hold their
+    //    original ship credits.
     for (auto& m : ctx_.machines) {
       if (Status s = m->WaitStreamDrained(kStallTimeout); !s.ok()) return s;
     }
@@ -1257,21 +1203,6 @@ class Disseminator {
   void Ship(SinkEpoch epoch, std::vector<Message> slices) {
     ++ctx_.plans;
     ctx_.last_epoch = epoch;
-    if (ctx_.keep_resend_window) {
-      for (std::size_t m = 0; m < slices.size(); ++m) {
-        ctx_.resend_window.Append(static_cast<MachineId>(m), slices[m]);
-      }
-      if (ctx_.options.checkpoint_every > 0 && !ctx_.checkpoints.empty()) {
-        // No recovery can ever need a round at or below the minimum
-        // checkpointed epoch across machines: each machine resumes
-        // strictly after its own checkpoint epoch.
-        SinkEpoch prune_through = ctx_.checkpoints.front()->epoch();
-        for (const auto& cp : ctx_.checkpoints) {
-          prune_through = std::min(prune_through, cp->epoch());
-        }
-        if (prune_through > 0) ctx_.resend_window.PruneThrough(prune_through);
-      }
-    }
     if (pending_replan_stamp_) {
       // First fresh round past the catch-up horizon: the plan stream has
       // fully resumed.
@@ -1304,7 +1235,7 @@ class Disseminator {
       }
       ctx_.transport.Send(0, static_cast<MachineId>(m), std::move(slices[m]));
     }
-    if (ctx_.options.record_epoch_timeline || ctx_.options.resize.enabled()) {
+    if (ctx_.options.resize.enabled()) {
       timeline.push_back(
           ClusterRunOutcome::EpochTick{epoch, UsSince(stream_t0_)});
     }
@@ -1477,8 +1408,8 @@ ClusterRunOutcome LocalCluster::RunTPart() {
                  coordinator_.get(), elastic_, checkpoints_);
   Watchdog watchdog(ctx, std::move(crash_scheduled));
   // Every hook is in place before any machine starts. Stall diagnostics
-  // (DESIGN §4j) append the transport's per-link retry backlog, the
-  // resend window depth, and the watchdog's latest suspicion snapshot.
+  // (DESIGN §4j) append the transport's per-link retry backlog and the
+  // watchdog's latest suspicion snapshot.
   for (auto& m : machines_) {
     m->set_epoch_queue_capacity(pipeline.epoch_queue_capacity);
     m->set_commit_hook([&ctx](TxnId id) {
@@ -1495,7 +1426,6 @@ ClusterRunOutcome LocalCluster::RunTPart() {
       std::ostringstream out;
       const std::string links = ctx.transport.LinkDiagnostic();
       if (!links.empty()) out << " links{" << links << "}";
-      out << " resend_window=" << ctx.resend_window.size();
       const std::string suspicion = watchdog.Suspicion();
       if (!suspicion.empty()) out << " fd{" << suspicion << "}";
       return out.str();
@@ -1601,9 +1531,6 @@ ClusterRunOutcome LocalCluster::RunTPart() {
         std::max(outcome.checkpoint.network_log_bytes_peak,
                  static_cast<std::uint64_t>(m->network_log_bytes_peak()));
   }
-  outcome.checkpoint.resend_window_bytes_peak =
-      ctx.resend_window.bytes_peak();
-  outcome.checkpoint.pruned_resend_rounds = ctx.resend_window.pruned_rounds();
   // Migration accounting: barrier-side counters from the dissemination
   // stage plus the per-machine wire counters (source capture / target
   // install sides).

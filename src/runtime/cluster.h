@@ -121,12 +121,11 @@ struct LocalClusterOptions {
 
   /// Periodic incremental checkpointing: every machine captures a
   /// MachineCheckpoint at the first drained epoch boundary at or past
-  /// each multiple of this, then truncates its §5.4 logs; the cluster
-  /// prunes the resend window up to the minimum checkpointed epoch
-  /// across machines. Recovery then replays only the
-  /// suffix since the victim's last checkpoint, and log memory plateaus
-  /// instead of growing with run length. 0 = load-time checkpoint only
-  /// (the seed behaviour).
+  /// each multiple of this, then truncates its §5.4 logs (the request
+  /// log keeps the rounds received past the capture, which have yet to
+  /// run). Recovery then replays only the suffix since the victim's last
+  /// checkpoint, and log memory plateaus instead of growing with run
+  /// length. 0 = load-time checkpoint only (the seed behaviour).
   SinkEpoch checkpoint_every = 0;
 
   /// One elastic-membership change: after sinking round `at_epoch` fully
@@ -185,12 +184,6 @@ struct LocalClusterOptions {
   /// crash recovery; disable to keep long runs' memory strictly bounded).
   bool record_recovery_logs = true;
 
-  /// Record the per-round dissemination timeline in the outcome (one
-  /// entry per sinking round — implied by an armed resize schedule; the
-  /// elasticity bench derives throughput-dip depth and reconvergence
-  /// from the inter-round gaps).
-  bool record_epoch_timeline = false;
-
   /// Live observability plane (DESIGN §4f). When `live_sampler` is set,
   /// the run installs a source over the pipeline's hot-path
   /// counters — admitted/planned/committed, T-graph size, distributed-txn
@@ -244,10 +237,11 @@ struct ClusterRunOutcome {
   /// Elastic-membership counters (membership_steps stays 0 unless a
   /// resize schedule was armed).
   MigrationStats migration;
-  /// Dissemination timeline (resize runs or record_epoch_timeline):
-  /// microseconds since the stream started at which each sinking round
-  /// finished shipping. A migration barrier shows up as a widened gap
-  /// around its cut epoch.
+  /// Dissemination timeline (resize runs only): microseconds since the
+  /// stream started at which each sinking round finished shipping. A
+  /// migration barrier shows up as a widened gap around its cut epoch;
+  /// the elasticity bench derives throughput-dip depth and reconvergence
+  /// from the inter-round gaps.
   struct EpochTick {
     SinkEpoch epoch = 0;
     std::uint64_t us_since_start = 0;

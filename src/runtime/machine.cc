@@ -27,6 +27,12 @@ std::uint64_t ReadRequestId(TxnId txn, std::size_t read_idx) {
   return (static_cast<std::uint64_t>(txn) << 10) | read_idx;
 }
 
+// The footprint a request-log entry adds to the log's byte counters.
+std::size_t RequestLogBytes(const Machine::RequestLogEntry& entry) {
+  return sizeof(entry) +
+         entry.item.spec.params.size() * sizeof(entry.item.spec.params[0]);
+}
+
 }  // namespace
 
 Machine::Machine(MachineId id, std::size_t num_machines, KvStore* store,
@@ -59,9 +65,7 @@ void Machine::SendOutBatch(std::vector<std::pair<MachineId, Message>>& msgs) {
 
 void Machine::EnqueueTPartEpoch(SinkEpoch epoch,
                                 std::vector<PlanItem> items) {
-  for (auto& item : items) {
-    tpart_work_.push_back(WorkUnit{epoch, std::move(item), false});
-  }
+  QueuePlans(epoch, items);
 }
 
 void Machine::EnqueueCalvinTxn(TxnSpec spec) {
@@ -92,14 +96,16 @@ bool Machine::Idle() const {
   if (run_state_.load(std::memory_order_relaxed) == RunState::kDown) {
     return draining;
   }
-  return !head_active_ && tpart_work_.empty() && calvin_work_.empty() &&
-         (finished_enqueue_ || draining);
+  return !head_active_ && next_plan_ == request_log_.size() &&
+         calvin_work_.empty() && (finished_enqueue_ || draining);
 }
 
 void Machine::PublishProgress() {
   Progress now;
   now.idle = Idle();
-  now.work = tpart_work_.size();
+  // Plans queued behind the head; a running head sits at the cursor.
+  const std::size_t unrun = request_log_.size() - next_plan_;
+  now.work = head_active_ && unrun > 0 ? unrun - 1 : unrun;
   now.rounds_in_progress = epoch_outstanding_.size();
   now.finished_enqueue = finished_enqueue_;
   now.pending_rounds = pending_stream_plans_.size();
@@ -344,8 +350,9 @@ void Machine::Dispatch(Message msg) {
       }
       status_cv_.notify_all();
       break;
-    // Streaming dissemination. Not network-logged: §5.4 replay re-runs
-    // from the request log, which the plan's start populates either way.
+    // Streaming dissemination. Not network-logged: a round's plans enter
+    // the request log, which survives a crash-stop, and §5.4 replay
+    // re-runs from it.
     case Message::Type::kSinkPlan:
       HandleSinkPlan(std::move(msg));
       break;
@@ -446,23 +453,13 @@ void Machine::HandleSinkPlan(Message msg) {
 
   if (plan->epoch < next_stream_epoch_ ||
       pending_stream_plans_.count(plan->epoch) != 0) {
-    // Duplicate round: recovery re-ships a window of recent rounds and
-    // cannot know how far this machine got, so intake is idempotent.
+    // Duplicate round: a failover's catch-up re-ships every round past
+    // the probed watermark, including rounds still in flight to this
+    // machine, so intake is idempotent.
     ++duplicate_rounds_dropped_;
     TPART_TRACE(Instant("dup_round_dropped", "stream",
                         {{"epoch", plan->epoch}}));
     return;
-  }
-  if (plan->epoch == recovered_partial_epoch_ &&
-      !recovered_partial_txns_.empty()) {
-    // The machine crashed mid-round; the §5.4 replay already re-ran the
-    // round's logged prefix, so only the remainder executes live.
-    slice.erase(std::remove_if(slice.begin(), slice.end(),
-                               [&](const PlanItem& item) {
-                                 return recovered_partial_txns_.count(
-                                            item.plan.txn) != 0;
-                               }),
-                slice.end());
   }
   pending_stream_plans_.emplace(plan->epoch, std::move(slice));
   // Deliver in order; a reliable-but-unordered transport may have handed
@@ -480,21 +477,29 @@ void Machine::HandleSinkPlan(Message msg) {
 void Machine::EnqueueStreamEpoch(SinkEpoch epoch,
                                  std::vector<PlanItem> items) {
   // Request the round's remote reads before its plans can reach the head,
-  // so their round trips overlap earlier plans. A round re-shipped after
-  // Recover() at or below the watermark already has its requests out.
-  if (epoch > reads_issued_through_) {
-    reads_issued_through_ = epoch;
-    RequestRemoteReads(items);
-  }
+  // so their round trips overlap earlier plans.
+  reads_issued_through_ = epoch;
+  RequestRemoteReads(items);
   // A round with no local slice holds its credit for no reason.
   if (items.empty()) {
     ReleaseEpochCredit();
     return;
   }
   epoch_outstanding_[epoch] = items.size();
-  for (auto& item : items) {
-    tpart_work_.push_back(WorkUnit{epoch, std::move(item), false});
+  QueuePlans(epoch, items);
+}
+
+void Machine::QueuePlans(SinkEpoch epoch, std::vector<PlanItem>& items) {
+  // Request log: "the transaction requests are logged only after they are
+  // partitioned, and each machine logs only those requests that are
+  // assigned to itself" (§5.4). Plans enter it in execution order.
+  const bool keep = log_recording_ && !replay_;
+  for (PlanItem& item : items) {
+    request_log_.push_back(RequestLogEntry{epoch, std::move(item)});
+    if (keep) request_log_bytes_ += RequestLogBytes(request_log_.back());
   }
+  request_log_bytes_peak_ =
+      std::max(request_log_bytes_peak_, request_log_bytes_);
 }
 
 void Machine::RequestRemoteReads(const std::vector<PlanItem>& items) {
@@ -573,40 +578,26 @@ std::size_t Machine::epochs_in_flight() const {
 bool Machine::AdvanceTPart() {
   if (!head_active_) {
     if (run_state_.load(std::memory_order_relaxed) == RunState::kDown ||
-        tpart_work_.empty()) {
+        next_plan_ == request_log_.size()) {
       return false;
     }
-    head_.unit = std::move(tpart_work_.front());
-    tpart_work_.pop_front();
     head_active_ = true;
-    const WorkUnit& unit = head_.unit;
-    TPART_CHECK(unit.item.plan.machine == id_);
+    const RequestLogEntry& head = request_log_[next_plan_];
+    TPART_CHECK(head.item.plan.machine == id_);
     head_.next_read = 0;
     scratch_.exec.Clear();
-    // Request log: "the transaction requests are logged only after they
-    // are partitioned, and each machine logs only those requests that are
-    // assigned to itself" (§5.4). Entries land in execution order.
-    // Replayed plans are already in the log.
-    if (log_recording_ && !replay_ && !unit.replay) {
-      request_log_.push_back(RequestLogEntry{unit.epoch, unit.item});
-      request_log_bytes_ +=
-          sizeof(RequestLogEntry) +
-          unit.item.spec.params.size() * sizeof(unit.item.spec.params[0]);
-      if (request_log_bytes_ > request_log_bytes_peak_) {
-        request_log_bytes_peak_ = request_log_bytes_;
-      }
-    }
-    TPART_FLIGHT(obs::FlightEvent::kExecute, 1 + id_, unit.item.plan.txn,
-                 unit.epoch);
-    if (obs::SampledTxn(unit.item.plan.txn, txn_sample_)) {
-      TPART_TRACE(AsyncInstant(unit.replay ? "replayed" : "executed",
-                               "timeline", unit.item.plan.txn,
-                               {{"machine", id_}, {"epoch", unit.epoch}}));
+    TPART_FLIGHT(obs::FlightEvent::kExecute, 1 + id_, head.item.plan.txn,
+                 head.epoch);
+    if (obs::SampledTxn(head.item.plan.txn, txn_sample_)) {
+      TPART_TRACE(AsyncInstant(replaying() ? "replayed" : "executed",
+                               "timeline", head.item.plan.txn,
+                               {{"machine", id_}, {"epoch", head.epoch}}));
     }
   }
   // A failed run (AbortPendingWaits) drains without gathering.
   if (!draining_.load(std::memory_order_acquire)) {
-    TPART_TRACE(Begin("gather", "exec", {{"txn", head_.unit.item.plan.txn}}));
+    TPART_TRACE(Begin("gather", "exec",
+                      {{"txn", request_log_[next_plan_].item.plan.txn}}));
     const bool gathered = GatherHead();
     TPART_TRACE(End());  // gather
     if (!gathered) return false;
@@ -619,7 +610,7 @@ bool Machine::GatherHead() {
   // The version-based deterministic CC: each read names its exact version
   // (§5.2), and the plan parks at the first one not yet here. Remote
   // reads were requested when the round arrived (RequestRemoteReads).
-  const TxnPlan& p = head_.unit.item.plan;
+  const TxnPlan& p = request_log_[next_plan_].item.plan;
   auto& values = scratch_.exec.values;
   for (; head_.next_read < p.reads.size(); ++head_.next_read) {
     const std::size_t i = head_.next_read;
@@ -632,7 +623,7 @@ bool Machine::GatherHead() {
         // The consumer end of the forward-push arrow: the producing
         // transaction's span holds the matching FlowStart.
         if (v.has_value() && r.kind == ReadSourceKind::kPush &&
-            !head_.unit.replay) {
+            !replaying()) {
           TPART_TRACE(FlowEnd("push", obs::PushFlowId(r.key, r.src_txn,
                                                       p.txn)));
         }
@@ -689,10 +680,10 @@ void Machine::FailStall() {
   PublishProgress();  // the diagnostic reads the status block
   if (calvin_) {
     TPART_CHECK(false) << "stalled awaiting peer reads for T"
-                       << head_.unit.item.spec.id << ": "
+                       << calvin_work_.front().id << ": "
                        << StallDiagnostic();
   }
-  const TxnPlan& p = head_.unit.item.plan;
+  const TxnPlan& p = request_log_[next_plan_].item.plan;
   const ReadStep& r = p.reads[head_.parked_read];
   const char* what = "response";
   if (r.kind == ReadSourceKind::kPush) {
@@ -728,9 +719,8 @@ void Machine::ReleaseHead() {
 
 void Machine::ReplayedOne() {
   if (--replay_remaining_ != 0) return;
-  // Replay complete: the machine rejoins the stream. Recover() is blocked
-  // on this flip; the cluster re-ships lost rounds only after it returns,
-  // so live rounds never race the replay.
+  // Replay complete: the machine is live again, and Recover(), blocked on
+  // this flip, returns. The rest of the request log runs live.
   {
     std::lock_guard<std::mutex> lock(status_mu_);
     run_state_.store(RunState::kLive, std::memory_order_release);
@@ -738,17 +728,28 @@ void Machine::ReplayedOne() {
   status_cv_.notify_all();
 }
 
+void Machine::AdvanceCursor() {
+  if (log_recording_ && !replay_) {
+    ++next_plan_;
+  } else {
+    request_log_.pop_front();
+  }
+}
+
 void Machine::FinishTPartPlan() {
-  const SinkEpoch epoch = head_.unit.epoch;
-  const bool is_replay = head_.unit.replay;
-  const TxnPlan& p = head_.unit.item.plan;
-  const TxnSpec& spec = head_.unit.item.spec;
+  const RequestLogEntry& head = request_log_[next_plan_];
+  const SinkEpoch epoch = head.epoch;
+  const bool is_replay = replaying();
+  const TxnPlan& p = head.item.plan;
+  const TxnSpec& spec = head.item.spec;
+  const TxnId txn = p.txn;
 
   // A failed run drains without executing: procedures are entitled to
   // assume real records.
   if (draining_.load(std::memory_order_acquire)) {
     TxnResult res;
-    res.id = p.txn;
+    res.id = txn;
+    AdvanceCursor();
     const bool drained = CompletePlan(std::move(res), epoch);
     executed_plans_.fetch_add(1, std::memory_order_relaxed);
     if (is_replay) ReplayedOne();
@@ -833,7 +834,10 @@ void Machine::FinishTPartPlan() {
 
   // Replayed plans already fired their commit hook pre-crash; firing
   // again would double-count latency samples.
-  if (commit_hook_ && !is_replay) commit_hook_(p.txn);
+  if (commit_hook_ && !is_replay) commit_hook_(txn);
+  // Past the cursor the head entry is not read again: the capture below
+  // erases the plans that ran.
+  AdvanceCursor();
   // The credit release for a drained round is deferred past the crash
   // trigger below: anyone woken by the release — in particular a
   // membership barrier's WaitStreamDrained — must already observe
@@ -869,8 +873,8 @@ void Machine::FinishTPartPlan() {
         point.after_txns != 0 && executed == point.after_txns;
     if (epoch_hit || txn_hit) {
       // FIFO execution means rounds complete in order: if the current
-      // round drained, everything lost starts at the next round;
-      // otherwise this round itself is partially lost.
+      // round drained, the next round is the first unfinished one;
+      // otherwise this round itself is.
       CrashStop(drained ? epoch + 1 : epoch);
     }
   }
@@ -969,22 +973,16 @@ void Machine::RestoreAndReplay(
   // Only the loop writes the status block's resume epoch.
   const SinkEpoch resume = status_.resume_epoch;
 
-  // 1. The crash lost all volatile state. The loop crash-stopped between
-  //    plans and has only stashed since, so nothing is half-applied.
-  tpart_work_.clear();
-  epoch_outstanding_.clear();
-  finished_enqueue_ = false;
-  pending_stream_plans_.clear();
-  stream_end_seen_ = false;
-  stream_final_epoch_ = 0;
-  next_stream_epoch_ = resume;
+  // 1. The crash lost the execution state. The intake state — the
+  //    request log and its cursor, the reorder buffer, the stream
+  //    position and end marker — is the machine's own log and survives.
+  //    The loop crash-stopped between plans and has only stashed since,
+  //    so nothing is half-applied.
   responses_.clear();
   gathered_below_ = 0;  // the replay gathers its logged responses again
   results_.clear();
   parked_pulls_.clear();
   peer_reads_.clear();
-  recovered_partial_epoch_ = resume;
-  recovered_partial_txns_.clear();
   cache_.Reset();
   storage_.Reset();
 
@@ -999,8 +997,8 @@ void Machine::RestoreAndReplay(
     cp_epoch = checkpoint_->epoch();
     if (cp_epoch > 0) {
       // A capture happens at a drained boundary E, so any later crash
-      // resumes strictly past it; an inverted pair would mean the resend
-      // window was pruned past rounds we still need.
+      // resumes strictly past it; an inverted pair would mean the capture
+      // erased plans the replay still needs.
       TPART_CHECK(cp_epoch < resume)
           << "machine " << id_ << " checkpoint at epoch " << cp_epoch
           << " does not precede resume epoch " << resume;
@@ -1008,21 +1006,22 @@ void Machine::RestoreAndReplay(
     }
   }
 
-  // 3. §5.4 local replay: re-enqueue the request log in log order,
-  //    tagged as replay (outbound suppressed, not re-logged). The loop
-  //    logged plans as it ran them: round by round, and within a round in
-  //    txn-id order (TGraph::Sink emits a round's slots by id). Plans
-  //    logged for the resume round itself are the partially-executed
-  //    prefix of a mid-round crash; the re-shipped round skips them
-  //    (recovered_partial_txns_).
-  std::vector<RequestLogEntry> entries = request_log_;
-  const std::size_t replayed = entries.size();
-  for (const RequestLogEntry& entry : entries) {
-    if (entry.epoch == resume) {
-      recovered_partial_txns_.insert(entry.item.plan.txn);
+  // 3. §5.4 local replay: rewind the cursor, so the plans that ran re-run
+  //    first with outbound traffic suppressed (the request log holds them
+  //    in execution order: round by round, and within a round in txn-id
+  //    order), and the rest of the log runs live behind them. Each round
+  //    that still has a plan to run holds its epoch credit; counting all
+  //    of its plans, replayed ones included, releases it exactly once.
+  const std::size_t replayed = next_plan_;
+  next_plan_ = 0;
+  replay_remaining_ = replayed;
+  epoch_outstanding_.clear();
+  if (replayed < request_log_.size()) {
+    const SinkEpoch first_open = request_log_[replayed].epoch;
+    for (const RequestLogEntry& entry : request_log_) {
+      if (entry.epoch >= first_open) ++epoch_outstanding_[entry.epoch];
     }
   }
-  replay_remaining_ = replayed;
 
   // 4. Reopen and re-deliver the inbound past: the parked remote pulls
   //    the checkpoint saved, then the network log (the §5.4 PUSH-log
@@ -1032,9 +1031,6 @@ void Machine::RestoreAndReplay(
   //    re-injections carry the redelivery mark (already logged once); the
   //    stash does not — those messages were never processed, and a second
   //    crash must be able to replay them.
-  for (RequestLogEntry& entry : entries) {
-    tpart_work_.push_back(WorkUnit{entry.epoch, std::move(entry.item), true});
-  }
   std::vector<Message> stash;
   stash.swap(down_stash_);
   if (cp_epoch > 0) {
@@ -1081,12 +1077,13 @@ void Machine::CaptureCheckpoint(SinkEpoch epoch) {
   MachineCheckpoint& cp = *checkpoint_;
 
   // The loop is between dispatches, so every logged message is fully
-  // applied, and every request-log entry has run (the capture comes at a
-  // drained boundary, or at the membership barrier's fence on a quiesced
-  // stream) — so the images below cover exactly the effects of rounds
-  // <= epoch, and both §5.4 logs truncate to empty: later traffic forms
-  // the replay suffix. The storage and record images fold only the keys
-  // changed since the previous capture.
+  // applied, and every plan before the cursor has run (the capture comes
+  // at a drained boundary, or at the membership barrier's fence on a
+  // quiesced stream) — so the images below cover exactly the effects of
+  // rounds <= epoch. The network log truncates to empty and the request
+  // log drops the plans that ran; later traffic and the rounds received
+  // past the capture form the replay suffix. The storage and record
+  // images fold only the keys changed since the previous capture.
   std::vector<ObjectKey> written;
   cp.state_keys_captured += storage_.FoldChanges(cp.storage, written);
   cp.records_captured += cp.FoldRecords(*store_, written);
@@ -1115,19 +1112,22 @@ void Machine::CaptureCheckpoint(SinkEpoch epoch) {
   for (const auto& entry : responses_) cp.responses.push_back(entry);
   std::sort(cp.responses.begin(), cp.responses.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  cp.truncated_request_entries += request_log_.size();
+  cp.truncated_request_entries += next_plan_;
   cp.truncated_network_messages += network_log_.size();
-  request_log_.clear();
+  const auto ran =
+      request_log_.begin() + static_cast<std::ptrdiff_t>(next_plan_);
+  for (auto it = request_log_.begin(); it != ran; ++it) {
+    request_log_bytes_ -= RequestLogBytes(*it);
+  }
+  request_log_.erase(request_log_.begin(), ran);
+  next_plan_ = 0;
   network_log_.clear();
-  request_log_bytes_ = 0;
   network_log_bytes_ = 0;
   ++cp.captures_taken;
   cp.capture_us += static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-  // Publish the epoch last: once visible, the cluster may prune resend
-  // rounds <= epoch, which is only safe after the images are complete.
   cp.set_epoch(epoch);
   TPART_FLIGHT(obs::FlightEvent::kCheckpoint, 1 + id_, id_, epoch);
 }
@@ -1164,7 +1164,7 @@ void Machine::LogNetworkMessage(const Message& msg) {
 Status Machine::WaitStreamDrained(std::chrono::microseconds timeout) {
   std::unique_lock<std::mutex> lock(status_mu_);
   // A crash at a drained boundary leaves no credit held while the machine
-  // is down; its recovery's replay and re-shipped rounds must finish too.
+  // is down; its recovery's replay and queued rounds must finish too.
   const auto drained = [&] {
     return (status_.credits_in_flight == 0 &&
             run_state_.load(std::memory_order_relaxed) == RunState::kLive) ||
@@ -1439,13 +1439,11 @@ void Machine::AbortPendingWaits() {
 // ---------------------------------------------------------------------
 
 bool Machine::AdvanceCalvin() {
-  TxnSpec& spec = head_.unit.item.spec;
+  if (calvin_work_.empty()) return false;
+  TxnSpec& spec = calvin_work_.front();
   auto& values = scratch_.exec.values;
   auto& remote_keys = scratch_.remote_keys;
   if (!head_active_) {
-    if (calvin_work_.empty()) return false;
-    spec = std::move(calvin_work_.front());
-    calvin_work_.pop_front();
     head_active_ = true;
     // Calvin (§2.1): read local footprint, push to peers, wait for peers'
     // reads, execute the full procedure, write local keys.
@@ -1512,6 +1510,7 @@ bool Machine::AdvanceCalvin() {
     }
   }
   CompletePlan(std::move(*result), /*epoch=*/0);
+  calvin_work_.pop_front();
   ReleaseHead();
   return true;
 }

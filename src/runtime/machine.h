@@ -60,7 +60,10 @@ namespace tpart {
 ///
 /// Recovery support (§5.4): the machine logs the requests assigned to it
 /// (after partitioning) and every inbound value-bearing message
-/// (generalising the PUSH-log); see Replay in runtime/recovery.h.
+/// (generalising the PUSH-log); see Replay in runtime/recovery.h. The
+/// request log is also the work queue: the loop runs plans from a cursor
+/// into it, so a crash keeps every round the machine received, and
+/// recovery re-runs the prefix that had run before finishing the rest.
 class Machine {
  public:
   using SendFn = std::function<void(MachineId, Message)>;
@@ -85,9 +88,9 @@ class Machine {
     TxnPlan plan;
     TxnSpec spec;
   };
-  /// T-Part mode: the machine's slice of sinking round `epoch`, for
-  /// offline replay. Live runs receive rounds as kSinkPlan messages.
-  /// Call before StartTPart().
+  /// T-Part mode: appends the machine's slice of sinking round `epoch` to
+  /// the request log, for offline replay. Live runs receive rounds as
+  /// kSinkPlan messages. Call before StartTPart().
   void EnqueueTPartEpoch(SinkEpoch epoch, std::vector<PlanItem> items);
   /// Calvin mode: next relevant transaction in total order. Call before
   /// StartCalvin().
@@ -189,20 +192,22 @@ class Machine {
   /// True from the crash-stop until recovery completes.
   bool crashed() const;
   std::chrono::steady_clock::time_point crash_time() const;
-  /// First sinking round whose execution was lost; the cluster re-ships
-  /// rounds from here after Recover().
+  /// First sinking round the crash left unfinished (the round before it
+  /// is the last one that fully executed here).
   SinkEpoch resume_epoch() const;
 
-  /// Rebuilds this machine in-run after a crash-stop. Hands the work to
-  /// the machine's loop (through the status block, with a bare fence to
-  /// wake it), which wipes all volatile state, restores the
-  /// partition via `restore_partition` (checkpoint), re-enqueues the
-  /// request log, re-delivers the network log plus any traffic that
-  /// arrived while down, and re-executes the replayed plans with outbound
-  /// traffic suppressed. Blocks until the replayed suffix has re-executed
-  /// (the caller then re-ships lost rounds — never before, or live rounds
-  /// would race the replay's credit accounting). Returns the number of
-  /// replayed plans, or kUnavailable with a stall diagnostic when the
+  /// Rebuilds this machine in-run after a crash-stop, from its own logs.
+  /// Hands the work to the machine's loop (through the status block, with
+  /// a bare fence to wake it), which wipes the execution state (cache,
+  /// storage service, read responses, results), restores the partition
+  /// via `restore_partition` (checkpoint), re-delivers the network log
+  /// plus any traffic that arrived while down, and re-runs the request
+  /// log's prefix that had run with outbound traffic suppressed. The
+  /// intake state survives the crash: the request log and its cursor,
+  /// the reorder buffer, the stream position and end marker, so the rest
+  /// of the log runs live behind the replay and nothing needs re-sending.
+  /// Blocks until the replayed prefix has re-executed. Returns the number
+  /// of replayed plans, or kUnavailable with a stall diagnostic when the
   /// replay has not drained within kStallTimeout; `restore_partition` is
   /// never called after Recover() returns. Watchdog thread only.
   [[nodiscard]] Result<std::size_t> Recover(
@@ -222,10 +227,10 @@ class Machine {
   /// Any thread.
   std::string StallDiagnostic() const;
   /// Installs a cluster-level context provider whose output is appended
-  /// to every StallDiagnostic() (per-link retry backlog, resend-window
-  /// depth, failure-detector suspicion levels). Must be thread-safe; the
-  /// cluster clears it (nullptr) before the run frame unwinds. It runs
-  /// under the status mutex, so once cleared no caller still holds it.
+  /// to every StallDiagnostic() (per-link retry backlog, failure-detector
+  /// suspicion levels). Must be thread-safe; the cluster clears it
+  /// (nullptr) before the run frame unwinds. It runs under the status
+  /// mutex, so once cleared no caller still holds it.
   void set_diagnostic_context(std::function<std::string()> context);
 
   // ---- Coordinator-term fencing (DESIGN §4j) --------------------------
@@ -277,7 +282,9 @@ class Machine {
     SinkEpoch epoch;
     PlanItem item;
   };
-  const std::vector<RequestLogEntry>& request_log() const {
+  /// Every plan received since the last checkpoint capture, in execution
+  /// order (empty without log recording once the run drained).
+  const std::deque<RequestLogEntry>& request_log() const {
     return request_log_;
   }
   const std::vector<Message>& network_log() const { return network_log_; }
@@ -286,11 +293,11 @@ class Machine {
   /// Attaches the machine's durable checkpoint image and the capture
   /// cadence: every `every` sink epochs the loop captures `image` at the
   /// first drained epoch boundary — between dispatches, so every logged
-  /// message is fully applied and every logged plan has run; both §5.4
-  /// logs truncate to empty and subsequent traffic forms the replay
-  /// suffix. `every` = 0 disables periodic captures (the image still
-  /// serves as the load-time checkpoint). T-Part only. Call before
-  /// StartTPart().
+  /// message is fully applied; the network log truncates to empty, the
+  /// request log drops the plans that ran (rounds received past the
+  /// capture stay queued), and later traffic forms the replay suffix.
+  /// `every` = 0 disables periodic captures (the image still serves as
+  /// the load-time checkpoint). T-Part only. Call before StartTPart().
   void ConfigureCheckpoint(MachineCheckpoint* image, SinkEpoch every);
 
   /// Restores the volatile images (cache area, storage version
@@ -325,8 +332,8 @@ class Machine {
 
   /// Migration-barrier quiesce: blocks until every disseminated round has
   /// fully executed here and the machine is live (all epoch credits
-  /// released, no crash or replay in progress — this rides out a crash +
-  /// recovery + re-ship cycle, whose re-executed rounds release the stuck
+  /// released, no crash or replay in progress — this rides out a crash
+  /// and its recovery, whose replay and queued rounds release the stuck
   /// credits). Returns at once on a failed run (AbortPendingWaits) or
   /// after Stop(). kUnavailable on timeout.
   [[nodiscard]] Status WaitStreamDrained(std::chrono::microseconds timeout);
@@ -335,7 +342,7 @@ class Machine {
   /// transport — it is not a wire message) and blocks until the loop
   /// dispatches it; every message delivered before the call has then been
   /// fully applied. A non-zero `capture_at` makes the fence capture the
-  /// attached checkpoint image at that epoch on dispatch, truncating both
+  /// attached checkpoint image at that epoch on dispatch, truncating the
   /// §5.4 logs: the migration cut's forced capture (which keeps a later
   /// crash from replaying pre-cut traffic that resurrects moved-away
   /// keys). Capture only on a live machine whose stream is quiescent at
@@ -364,19 +371,9 @@ class Machine {
   /// for kLive).
   enum class RunState { kLive, kDown, kRecovering };
 
-  // T-Part work is flattened to per-plan units run in total order;
-  // `replay` marks §5.4 recovery re-execution (outbound suppressed, not
-  // re-logged).
-  struct WorkUnit {
-    SinkEpoch epoch = 0;
-    PlanItem item;
-    bool replay = false;
-  };
-
-  /// The plan at the head of the queue, popped and mid-gather (loop only).
-  /// Calvin mode uses `unit.item.spec`.
+  /// Gather progress of the head plan: `request_log_[next_plan_]` in
+  /// T-Part mode, `calvin_work_.front()` in Calvin mode (loop only).
   struct Head {
-    WorkUnit unit;
     /// Reads gathered so far (T-Part), in plan order.
     std::size_t next_read = 0;
     /// Parked at read `parked_read` (Calvin: on its peer reads) since
@@ -415,6 +412,12 @@ class Machine {
   [[noreturn]] void FailStall();
   /// Runs the gathered head plan: procedure, publish, bookkeeping.
   void FinishTPartPlan();
+  /// Moves the cursor past the head plan, or drops the plan when the log
+  /// is not kept. The head entry must not be read afterwards: a capture
+  /// may erase it.
+  void AdvanceCursor();
+  /// True while the plans at the cursor re-run what ran before a crash.
+  bool replaying() const { return replay_remaining_ > 0; }
   /// Records the head's result; returns true when its round fully
   /// drained (credit NOT yet released).
   bool CompletePlan(TxnResult result, SinkEpoch epoch);
@@ -463,6 +466,8 @@ class Machine {
   // Streaming intake internals.
   void HandleSinkPlan(Message msg);
   void EnqueueStreamEpoch(SinkEpoch epoch, std::vector<PlanItem> items);
+  /// Appends a round's plans to the request log.
+  void QueuePlans(SinkEpoch epoch, std::vector<PlanItem>& items);
   /// Sends every kCacheReadReq and remote kStorageReadReq of `items` in
   /// one batch; the plans' gathers find the responses in responses_.
   void RequestRemoteReads(const std::vector<PlanItem>& items);
@@ -536,9 +541,8 @@ class Machine {
   StatusBlock status_;
   /// Set before Start*(); read under status_mu_ by credit acquirers.
   std::size_t epoch_queue_capacity_ = 0;
-  /// Cluster-supplied extra diagnostics (link backlog, resend-window
-  /// depth, suspicion levels) appended to StallDiagnostic(); set and
-  /// called under status_mu_.
+  /// Cluster-supplied extra diagnostics (link backlog, suspicion levels)
+  /// appended to StallDiagnostic(); set and called under status_mu_.
   std::function<std::string()> diagnostic_context_;
 
   // ---- Loop-owned state ------------------------------------------------
@@ -546,11 +550,12 @@ class Machine {
   // where other threads may read them).
   /// The progress last copied into the status block.
   Progress published_;
-  std::deque<WorkUnit> tpart_work_;
   std::deque<TxnSpec> calvin_work_;
   bool head_active_ = false;
   bool finished_enqueue_ = false;
-  /// Each in-flight round's unfinished plans.
+  /// Each in-flight round's unfinished plans (after a recovery, its
+  /// replayed plans too): the last one to finish releases the round's
+  /// epoch credit.
   std::unordered_map<SinkEpoch, std::size_t> epoch_outstanding_;
   std::vector<TxnResult> results_;
   /// Read responses received but not yet consumed — with intake-time
@@ -565,20 +570,19 @@ class Machine {
   // Streaming intake: reliable transports may deliver rounds out of
   // order, but plans run in FIFO epoch order (a plan may only await
   // versions produced by earlier plans or remote machines), so rounds are
-  // reordered and enqueued strictly from 1.
+  // reordered and enqueued strictly from 1. Intake state survives a
+  // crash-stop (each round is received once), so a round's remote reads
+  // are requested exactly once: a second request would be served twice,
+  // and the extra read would free a cache entry or open a write-back's
+  // `awaits` gate early.
   std::map<SinkEpoch, std::vector<PlanItem>> pending_stream_plans_;
   SinkEpoch next_stream_epoch_ = 1;
-  /// Highest round whose remote read requests went out. Like the §5.4
-  /// logs it survives crash-stop: a round re-shipped after Recover() at
-  /// or below it is not requested again (its responses arrive through
-  /// the network log, the stash, the checkpoint or the wire). A second
-  /// request would be served twice, and the extra read would free a cache
-  /// entry or open a write-back's `awaits` gate early.
+  /// Highest round whose remote read requests went out.
   SinkEpoch reads_issued_through_ = 0;
   SinkEpoch stream_final_epoch_ = 0;
   bool stream_end_seen_ = false;
-  /// Rounds dropped as duplicates (re-shipments the machine had already
-  /// executed or buffered).
+  /// Rounds dropped as duplicates (a failover's catch-up re-shipments the
+  /// machine had already enqueued or buffered).
   std::uint64_t duplicate_rounds_dropped_ = 0;
 
   /// Queued crash points, fired front-to-back (CrashStop pops the front;
@@ -590,12 +594,8 @@ class Machine {
   std::vector<Message> down_stash_;
   Head head_;
   Scratch scratch_;
-  /// After a mid-round crash, the resume round is re-shipped whole; the
-  /// plans in it that were already logged (hence replayed) are skipped.
-  SinkEpoch recovered_partial_epoch_ = 0;
-  std::unordered_set<TxnId> recovered_partial_txns_;
-  /// Replayed plans not yet re-executed; recovery completes (state back
-  /// to kLive) when it hits zero.
+  /// Replayed plans not yet re-executed: the next ones at the cursor.
+  /// Recovery completes (state back to kLive) when it hits zero.
   std::size_t replay_remaining_ = 0;
   /// Parked remote cache pulls: (key, version) -> pending requests.
   std::map<std::pair<ObjectKey, TxnId>, std::vector<Message>> parked_pulls_;
@@ -607,7 +607,12 @@ class Machine {
   // §5.4 logs: the loop appends, captures and replays; tests and the
   // cluster read them after Stop(). Byte counters track the live
   // footprint; peaks survive truncation.
-  std::vector<RequestLogEntry> request_log_;
+  /// The request log is the T-Part work queue: the head plan is
+  /// `request_log_[next_plan_]`. With log recording on, plans that ran
+  /// stay until a checkpoint capture erases them; otherwise (and in
+  /// offline replay) a plan is dropped once it ran.
+  std::deque<RequestLogEntry> request_log_;
+  std::size_t next_plan_ = 0;
   std::vector<Message> network_log_;
   bool log_recording_ = true;
   std::size_t request_log_bytes_ = 0;

@@ -1,7 +1,6 @@
 #ifndef TPART_RUNTIME_MACHINE_CHECKPOINT_H_
 #define TPART_RUNTIME_MACHINE_CHECKPOINT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -49,9 +48,7 @@ namespace tpart {
 /// Thread-safety: capture and restore both run on the machine's loop
 /// thread (a cadence capture at a drained boundary, the migration cut's
 /// on a capturing service fence, a restore inside Recover()), so the
-/// images need no lock. The only field read concurrently is `epoch_`
-/// (the dissemination stage reads it to compute the resend-window prune
-/// bound), hence the atomic.
+/// checkpoint needs no lock; other threads read it after the run.
 struct MachineCheckpoint {
   FlatMap<ObjectKey, Record> records;
   CacheArea::Image cache;
@@ -87,11 +84,11 @@ struct MachineCheckpoint {
   /// Epoch this checkpoint covers: every effect of sink rounds <= epoch()
   /// is inside the images; replay needs only the log suffix past it.
   /// 0 = the initial load-time checkpoint (full replay).
-  SinkEpoch epoch() const { return epoch_.load(std::memory_order_acquire); }
-  void set_epoch(SinkEpoch e) { epoch_.store(e, std::memory_order_release); }
+  SinkEpoch epoch() const { return epoch_; }
+  void set_epoch(SinkEpoch e) { epoch_ = e; }
 
  private:
-  std::atomic<SinkEpoch> epoch_{0};
+  SinkEpoch epoch_ = 0;
 };
 
 }  // namespace tpart

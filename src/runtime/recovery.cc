@@ -11,7 +11,7 @@ namespace {
 /// log is a valid execution order), run the loop to completion, and
 /// collect results.
 void RunReplay(Machine& machine,
-               const std::vector<Machine::RequestLogEntry>& request_log,
+               const std::deque<Machine::RequestLogEntry>& request_log,
                ReplayResult& out) {
   for (const auto& entry : request_log) {
     machine.EnqueueTPartEpoch(entry.epoch, {entry.item});
@@ -27,7 +27,7 @@ void RunReplay(Machine& machine,
 
 ReplayResult ReplayMachine(
     const Workload& workload, MachineId id,
-    const std::vector<Machine::RequestLogEntry>& request_log,
+    const std::deque<Machine::RequestLogEntry>& request_log,
     const std::vector<Message>& network_log) {
   ReplayResult out;
   // Checkpoint: reload the initial database (a real deployment would read
@@ -55,7 +55,7 @@ ReplayResult ReplayMachine(
 ReplayResult ReplayMachine(
     const Workload& workload, MachineId id,
     const MachineCheckpoint& checkpoint,
-    const std::vector<Machine::RequestLogEntry>& request_log_suffix,
+    const std::deque<Machine::RequestLogEntry>& request_log_suffix,
     const std::vector<Message>& network_log_suffix) {
   ReplayResult out;
   out.store = std::make_unique<PartitionedStore>(

@@ -1,6 +1,7 @@
 #ifndef TPART_RUNTIME_RECOVERY_H_
 #define TPART_RUNTIME_RECOVERY_H_
 
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -35,10 +36,12 @@ struct ReplayResult {
 /// complete — is Machine::Recover() driven by LocalCluster's watchdog
 /// (LocalClusterOptions::crash / ::detector). Both replay the same two
 /// logs; Recover() additionally restores the partition from its
-/// checkpoint image and rejoins the live epoch stream.
+/// checkpoint image and then runs the rounds its request log still
+/// queues, so the machine rejoins the live epoch stream without any
+/// round being re-sent.
 ReplayResult ReplayMachine(
     const Workload& workload, MachineId id,
-    const std::vector<Machine::RequestLogEntry>& request_log,
+    const std::deque<Machine::RequestLogEntry>& request_log,
     const std::vector<Message>& network_log);
 
 /// Checkpoint-accelerated offline replay: reconstructs machine `id` from
@@ -53,7 +56,7 @@ ReplayResult ReplayMachine(
 ReplayResult ReplayMachine(
     const Workload& workload, MachineId id,
     const MachineCheckpoint& checkpoint,
-    const std::vector<Machine::RequestLogEntry>& request_log_suffix,
+    const std::deque<Machine::RequestLogEntry>& request_log_suffix,
     const std::vector<Message>& network_log_suffix);
 
 /// Rebuilds one partition from its checkpoint: wipes `store` and streams

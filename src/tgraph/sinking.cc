@@ -16,9 +16,6 @@ SinkPlan TGraph::Sink(std::size_t count, SinkEpoch epoch) {
       << last_epoch_ << ")";
   last_epoch_ = epoch;
   count = std::min(count, nodes_.size());
-  // Per-epoch scratch below (the stranded-edge grouping) lives in the
-  // sink arena; rewinding it here frees last round's scratch wholesale.
-  sink_arena_.Reset();
 
   SinkPlan plan;
   plan.epoch = epoch;
@@ -128,13 +125,12 @@ SinkPlan TGraph::Sink(std::size_t count, SinkEpoch epoch) {
     const TxnNode& n = nodes_[i];
     if (n.is_dummy) continue;
     const TxnId w = n.id;
-    // (key, edge) pairs grouped by key in the sink arena; the stable sort
-    // reproduces the old std::map iteration (ascending key, edges in
-    // discovery order within a key), so plan bytes are unchanged.
+    // (key, edge) pairs grouped by key; the stable sort reproduces the
+    // old std::map iteration (ascending key, edges in discovery order
+    // within a key), so plan bytes are unchanged.
     using StrandedEdge = std::pair<ObjectKey, std::size_t>;
-    std::vector<StrandedEdge, ArenaAllocator<StrandedEdge>> stranded{
-        ArenaAllocator<StrandedEdge>(&sink_arena_)};
-    stranded.reserve(n.edges.size());
+    std::vector<StrandedEdge>& stranded = stranded_;
+    stranded.clear();
     for (const std::size_t eid : n.edges) {
       const TEdge* e = FindEdge(eid);
       if (e == nullptr || e->stale || e->kind != EdgeKind::kForwardPush) {

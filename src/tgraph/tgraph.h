@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/flat_map.h"
 #include "common/types.h"
 #include "scheduler/push_plan.h"
@@ -274,10 +273,10 @@ class TGraph {
 
   SinkEpoch last_epoch_ = 0;
 
-  // Epoch-scoped slab memory (common/arena.h) for Sink's transient
-  // grouping state: reset at the top of every Sink call, so per-epoch
-  // scratch costs zero steady-state allocations once the slabs warm up.
-  Arena sink_arena_;
+  // Sink's stranded-edge grouping: (key, edge) pairs of one transaction,
+  // cleared per transaction but keeping its capacity, so the grouping
+  // costs no steady-state allocation.
+  std::vector<std::pair<ObjectKey, std::size_t>> stranded_;
 };
 
 }  // namespace tpart

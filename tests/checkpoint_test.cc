@@ -1,8 +1,8 @@
 // Periodic incremental checkpointing + log truncation tests: a streaming
 // run with checkpoint_every set must capture per-machine checkpoints at
-// quiescent epoch boundaries, truncate the §5.4 request/network logs and
-// the cluster's resend window, and still finish byte-identical to the
-// unchekpointed run on every transport. Log memory must plateau instead
+// quiescent epoch boundaries, truncate the §5.4 request/network logs,
+// and still finish byte-identical to the unchekpointed run on every
+// transport. Log memory must plateau instead
 // of growing with run length, and crash recovery on top of a mid-run
 // checkpoint must replay only the suffix since the capture.
 
@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "net/resend_window.h"
 #include "runtime/channel.h"
 #include "runtime/cluster.h"
 #include "runtime/machine_checkpoint.h"
@@ -62,54 +61,6 @@ RunSnapshot RunOnce(const Workload& w, const LocalClusterOptions& opts) {
   snap.out = cluster.RunTPart();
   snap.state = cluster.store().Snapshot();
   return snap;
-}
-
-// ---------------------------------------------------------------------
-// Unit: the prunable resend window.
-// ---------------------------------------------------------------------
-
-TEST(CheckpointTest, ResendWindowPrunesAndReplaysInOrder) {
-  ResendWindow window;
-  EXPECT_TRUE(window.empty());
-  EXPECT_EQ(window.front_epoch(), 0u);
-  // Ten rounds, each kept as one slice per machine (the key tags which).
-  for (SinkEpoch e = 1; e <= 10; ++e) {
-    for (MachineId m = 0; m < 3; ++m) {
-      Message slice;
-      slice.type = Message::Type::kSinkPlan;
-      slice.epoch = e;
-      slice.key = m;
-      window.Append(m, std::move(slice));
-    }
-  }
-  EXPECT_EQ(window.size(), 10u);
-  EXPECT_EQ(window.front_epoch(), 1u);
-  EXPECT_GT(window.bytes(), 0u);
-  const std::size_t bytes_full = window.bytes();
-  EXPECT_EQ(window.bytes_peak(), bytes_full);
-
-  EXPECT_EQ(window.PruneThrough(4), 4u);
-  EXPECT_EQ(window.size(), 6u);
-  EXPECT_EQ(window.front_epoch(), 5u);
-  EXPECT_EQ(window.pruned_rounds(), 4u);
-  EXPECT_LT(window.bytes(), bytes_full);
-  EXPECT_EQ(window.bytes_peak(), bytes_full);  // peak survives pruning
-
-  // A re-ship replays only the destination's own slices, one per round.
-  std::vector<SinkEpoch> replayed;
-  const std::size_t n = window.ForEachFrom(7, 1, [&](const Message& m) {
-    EXPECT_EQ(m.key, 1u);
-    replayed.push_back(m.epoch);
-  });
-  EXPECT_EQ(n, 4u);
-  EXPECT_EQ(replayed, (std::vector<SinkEpoch>{7, 8, 9, 10}));
-
-  // Pruning everything empties the window; front_epoch reports 0.
-  EXPECT_EQ(window.PruneThrough(100), 6u);
-  EXPECT_TRUE(window.empty());
-  EXPECT_EQ(window.size(), 0u);
-  EXPECT_EQ(window.front_epoch(), 0u);
-  EXPECT_EQ(window.bytes(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -262,16 +213,6 @@ TEST(CheckpointTest, CaptureWorkPlateausWithRunLength) {
       << "1x: " << per_capture_1x << " keys/capture, 4x: " << per_capture_4x;
 }
 
-TEST(CheckpointTest, ResendWindowPrunedDuringCheckpointedRun) {
-  const Workload w = MakeMicroWorkload(SmallMicro());
-  LocalClusterOptions opts = StreamingOpts(TransportKind::kDirect);
-  opts.checkpoint_every = 4;
-  const RunSnapshot got = RunOnce(w, opts);
-  EXPECT_TRUE(got.out.fault.ok()) << got.out.fault.ToString();
-  EXPECT_GT(got.out.checkpoint.pruned_resend_rounds, 0u);
-  EXPECT_GT(got.out.checkpoint.resend_window_bytes_peak, 0u);
-}
-
 // ---------------------------------------------------------------------
 // Integration: crash recovery on top of a mid-run checkpoint replays
 // only the suffix since the capture.
@@ -329,14 +270,12 @@ TEST(CheckpointTest, CheckpointStatsSummaryNamesTheCounters) {
   stats.state_keys_captured = 77;
   stats.truncated_request_entries = 300;
   stats.truncated_network_messages = 450;
-  stats.pruned_resend_rounds = 15;
   stats.request_log_bytes_peak = 1111;
   const std::string s = stats.Summary();
   EXPECT_NE(s.find("checkpoints=6"), std::string::npos) << s;
   EXPECT_NE(s.find("last_epoch=20"), std::string::npos) << s;
   EXPECT_NE(s.find("state_keys=77"), std::string::npos) << s;
   EXPECT_NE(s.find("truncated(req/net)=300/450"), std::string::npos) << s;
-  EXPECT_NE(s.find("pruned_rounds=15"), std::string::npos) << s;
 }
 
 }  // namespace

@@ -362,7 +362,7 @@ TEST(FailoverTest, StallDiagnosticReportsLiveExecutorState) {
   EXPECT_NE(diag.find("fence_term=0"), std::string::npos) << diag;
   EXPECT_NE(diag.find("fenced=0"), std::string::npos) << diag;
   // ... and the cluster-installed context hook (per-link retry backlog,
-  // resend-window depth, suspicion levels) is appended verbatim.
+  // suspicion levels) is appended verbatim.
   m.set_diagnostic_context([] { return std::string(" fd{m1 phi=0.1}"); });
   EXPECT_NE(m.StallDiagnostic().find("fd{m1 phi=0.1}"), std::string::npos);
   m.set_diagnostic_context(nullptr);

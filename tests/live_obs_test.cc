@@ -104,7 +104,7 @@ TEST(MetricNameTest, EveryPublishedMetricNameConforms) {
   stats.max_tgraph_size = 64;
   stats.sticky_hits = 3;
 
-  TransportStats& t = stats.transport;
+  TransportStats t;
   t.messages_sent = t.messages_delivered = 10;
   t.batches_sent = 2;
   t.batched_messages = 8;
@@ -117,7 +117,7 @@ TEST(MetricNameTest, EveryPublishedMetricNameConforms) {
   t.backpressure_waits = 1;
   t.queue_high_water = 6;
 
-  PipelineStats& p = stats.pipeline;
+  PipelineStats p;
   p.admitted = 100;
   p.dummies = 4;
   p.batches = 10;
@@ -127,21 +127,19 @@ TEST(MetricNameTest, EveryPublishedMetricNameConforms) {
   p.plan_queue_high_water = 3;
   p.epoch_queue_high_water = 3;
   p.machine_inbound_high_water = 5;
-  p.machine_inbound_spills = 1;
   p.admission_seconds = 0.5;
   p.admit_to_commit_us.Add(120);
 
-  RecoveryStats& r = stats.recovery;
+  RecoveryStats r;
   r.crashes_injected = 1;
   r.crashed_machine = 1;
   r.crash_epoch = 3;
   r.detection_latency_us = 900;
   r.replayed_txns = 40;
-  r.resent_rounds = 2;
   r.checkpoint_records = 200;
   r.downtime_us = 2500;
 
-  FailoverStats& f = stats.failover;
+  FailoverStats f;
   f.coordinator_crashes = 1;
   f.elections_won = 1;
   f.log_appends = 20;
@@ -161,20 +159,18 @@ TEST(MetricNameTest, EveryPublishedMetricNameConforms) {
   f.phase_replan_us.Add(1500);
   f.phase_plan_stream_gap_us.Add(2600);
 
-  CheckpointStats& c = stats.checkpoint;
+  CheckpointStats c;
   c.checkpoints_taken = 3;
   c.last_epoch = 9;
   c.records_captured = 600;
   c.state_keys_captured = 450;
   c.truncated_request_entries = 100;
   c.truncated_network_messages = 50;
-  c.pruned_resend_rounds = 6;
   c.capture_us = 1200;
   c.request_log_bytes_peak = 8192;
   c.network_log_bytes_peak = 4096;
-  c.resend_window_bytes_peak = 2048;
 
-  MigrationStats& m = stats.migration;
+  MigrationStats m;
   m.membership_steps = 2;
   m.routes = 4;
   m.keys_moved = 300;
@@ -190,6 +186,12 @@ TEST(MetricNameTest, EveryPublishedMetricNameConforms) {
 
   obs::MetricsRegistry registry;
   stats.PublishTo(registry);
+  t.PublishTo(registry);
+  p.PublishTo(registry);
+  r.PublishTo(registry);
+  f.PublishTo(registry);
+  c.PublishTo(registry);
+  m.PublishTo(registry);
   ASSERT_GT(registry.size(), 0u);
 
   std::size_t audited = 0;

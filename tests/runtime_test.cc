@@ -809,6 +809,65 @@ TEST(RuntimeTest, EmptySliceStillCarriesItsRound) {
   EXPECT_EQ(results[0].id, 2u);
 }
 
+// A crash keeps every round the machine received: Recover() re-runs the
+// plans that had run and then finishes the rest of its request log, with
+// nothing re-sent.
+TEST(RuntimeTest, RecoverFinishesReceivedRoundsFromTheMachinesOwnLog) {
+  KvStore store;
+  const ProcedureRegistry registry = NoopRegistry();
+  Machine m(0, 1, &store, &registry, [](MachineId, Message) {});
+  // Rounds 1-3 hold T1-T2, T3-T4 and T5-T6; all of them and the stream
+  // end are in the inbox before the loop starts.
+  for (SinkEpoch e = 1; e <= 3; ++e) {
+    const TxnId a = 2 * e - 1;
+    const TxnId b = 2 * e;
+    SinkPlan round;
+    round.epoch = e;
+    round.txns = {NoopPlan(a, 0), NoopPlan(b, 0)};
+    m.Deliver(std::move(SliceSinkPlan(round, {NoopSpec(a), NoopSpec(b)},
+                                      /*num_machines=*/1)[0]));
+  }
+  Message end;
+  end.type = Message::Type::kPlanStreamEnd;
+  end.epoch = 3;
+  m.Deliver(std::move(end));
+  Machine::CrashPoint point;
+  point.after_txns = 3;  // mid-round 2
+  m.ArmCrash(point);
+  m.StartTPart();
+
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::microseconds(test::ScaledUs(2'000'000));
+  while (!m.crashed() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(m.crashed()) << m.StallDiagnostic();
+  const Result<std::size_t> replayed = m.Recover([] {});
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(*replayed, 3u);
+
+  std::atomic<bool> joined{false};
+  std::thread join([&] {
+    m.JoinExecutor();
+    joined = true;
+  });
+  const auto join_deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::microseconds(test::ScaledUs(2'000'000));
+  while (!joined.load() && std::chrono::steady_clock::now() < join_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool finished = joined.load();
+  const std::string diag = m.StallDiagnostic();
+  if (!finished) m.AbortPendingWaits();  // releases the join
+  join.join();
+  m.Stop();
+  EXPECT_TRUE(finished) << "the received rounds never finished: " << diag;
+  std::vector<TxnId> ids;
+  for (const TxnResult& r : m.TakeResults()) ids.push_back(r.id);
+  EXPECT_EQ(ids, (std::vector<TxnId>{1, 2, 3, 4, 5, 6}));
+}
+
 // Delivers one round-1 slice holding T7's plan (for `plan_machine`) with
 // `specs` to machine 0, then ends the stream.
 void DeliverSlice(MachineId plan_machine, std::vector<TxnSpec> specs) {

@@ -126,26 +126,26 @@ TEST(HistogramTest, MergeMatchesSingleStream) {
 }
 
 // ---------------------------------------------------------------------
-// Summary gating: nested sections appear only when populated.
+// Summaries: the run's core counters, and each stats struct on its own.
 // ---------------------------------------------------------------------
 
 TEST(RunStatsTest, SummaryGatesNestedSections) {
   RunStats stats;
   stats.txns = 100;
   stats.committed = 100;
-  std::string s = stats.Summary();
-  EXPECT_TRUE(Contains(s, "txns=100"));
-  EXPECT_FALSE(Contains(s, "transport:"));
-  EXPECT_FALSE(Contains(s, "pipeline:"));
-  EXPECT_FALSE(Contains(s, "recovery:"));
+  EXPECT_TRUE(Contains(stats.Summary(), "txns=100"));
 
-  stats.transport.messages_sent = 1;
-  stats.pipeline.admitted = 1;
-  stats.recovery.crashes_injected = 1;
-  s = stats.Summary();
-  EXPECT_TRUE(Contains(s, "transport:"));
-  EXPECT_TRUE(Contains(s, "pipeline:"));
-  EXPECT_TRUE(Contains(s, "recovery:"));
+  TransportStats transport;
+  transport.messages_sent = 1;
+  EXPECT_TRUE(Contains(transport.Summary(), "msgs=1/0"));
+  PipelineStats pipeline;
+  pipeline.admitted = 1;
+  EXPECT_TRUE(Contains(pipeline.Summary(), "admitted=1"));
+  // The recovery section's crash details appear only once a crash did.
+  RecoveryStats recovery;
+  EXPECT_FALSE(Contains(recovery.Summary(), "replayed="));
+  recovery.crashes_injected = 1;
+  EXPECT_TRUE(Contains(recovery.Summary(), "replayed=0"));
 }
 
 TEST(RecoveryStatsTest, SummaryIsShortWithoutCrashes) {
@@ -254,16 +254,20 @@ TEST(PublishToTest, RunStatsPublishesCoreAndGatesNested) {
 }
 
 TEST(PublishToTest, NestedStatsPublishWhenPopulated) {
-  RunStats stats;
-  stats.transport.messages_sent = 7;
-  stats.transport.queue_high_water = 4;
-  stats.pipeline.admitted = 9;
-  stats.pipeline.admission_seconds = 3.0;
-  stats.recovery.crashes_injected = 1;
-  stats.recovery.replayed_txns = 11;
+  TransportStats transport;
+  transport.messages_sent = 7;
+  transport.queue_high_water = 4;
+  PipelineStats pipeline;
+  pipeline.admitted = 9;
+  pipeline.admission_seconds = 3.0;
+  RecoveryStats recovery;
+  recovery.crashes_injected = 1;
+  recovery.replayed_txns = 11;
 
   obs::MetricsRegistry reg;
-  stats.PublishTo(reg);
+  transport.PublishTo(reg);
+  pipeline.PublishTo(reg);
+  recovery.PublishTo(reg);
   EXPECT_DOUBLE_EQ(reg.Value("tpart_transport_messages_sent_total"), 7.0);
   EXPECT_DOUBLE_EQ(reg.Value("tpart_transport_queue_peak_depth"), 4.0);
   EXPECT_DOUBLE_EQ(reg.Value("tpart_pipeline_admitted_total"), 9.0);
