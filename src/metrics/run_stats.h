@@ -23,9 +23,9 @@ struct TransportStats {
   /// Message-level sends/deliveries (one Message each).
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_delivered = 0;
-  /// Batched round frames: multi-message wire packets carrying one link
-  /// sequence number each (the coalesced publish-phase fan-out), and the
-  /// total messages that travelled inside them.
+  /// Batch frames: multi-message wire packets carrying one link sequence
+  /// number each (what one machine-loop turn sent to one destination),
+  /// and the total messages that travelled inside them.
   std::uint64_t batches_sent = 0;
   std::uint64_t batched_messages = 0;
   /// Serialized bytes entering / leaving the network (frame overhead

@@ -1,5 +1,7 @@
 #include "net/packet_network.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace tpart {
@@ -36,12 +38,9 @@ void InProcessPacketNetwork::Send(MachineId from, MachineId to,
   (void)from;
   const std::size_t bytes = packet.size();
   const bool waited = dests_[to]->queue.Send(std::move(packet));
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  ++stats_.packets_out;
-  ++stats_.packets_in;  // lossless: every accepted packet is delivered
-  stats_.bytes_out += bytes;
-  stats_.bytes_in += bytes;
-  if (waited) ++stats_.backpressure_waits;
+  packets_.fetch_add(1, std::memory_order_relaxed);
+  bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  if (waited) backpressure_waits_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void InProcessPacketNetwork::Stop() {
@@ -53,22 +52,20 @@ void InProcessPacketNetwork::Stop() {
   for (auto& dest : dests_) {
     if (dest->pump.joinable()) dest->pump.join();
   }
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  for (const auto& dest : dests_) {
-    stats_.queue_high_water =
-        std::max<std::uint64_t>(stats_.queue_high_water,
-                                dest->queue.high_water());
-  }
 }
 
 TransportStats InProcessPacketNetwork::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  TransportStats out = stats_;
-  if (!stopped_) {
-    for (const auto& dest : dests_) {
-      out.queue_high_water = std::max<std::uint64_t>(out.queue_high_water,
-                                                     dest->queue.high_water());
-    }
+  TransportStats out;
+  // Lossless: every accepted packet is delivered.
+  out.packets_out = packets_.load(std::memory_order_relaxed);
+  out.packets_in = out.packets_out;
+  out.bytes_out = bytes_.load(std::memory_order_relaxed);
+  out.bytes_in = out.bytes_out;
+  out.backpressure_waits = backpressure_waits_.load(std::memory_order_relaxed);
+  // The queues outlive Stop(), so their high-water marks stay readable.
+  for (const auto& dest : dests_) {
+    out.queue_high_water = std::max<std::uint64_t>(out.queue_high_water,
+                                                   dest->queue.high_water());
   }
   return out;
 }

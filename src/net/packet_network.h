@@ -1,9 +1,9 @@
 #ifndef TPART_NET_PACKET_NETWORK_H_
 #define TPART_NET_PACKET_NETWORK_H_
 
+#include <atomic>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -73,8 +73,11 @@ class InProcessPacketNetwork : public PacketNetwork {
   bool started_ = false;
   bool stopped_ = false;
 
-  mutable std::mutex stats_mu_;
-  TransportStats stats_;
+  // Counted with relaxed atomics: stats() is a report, and nothing else
+  // is published through them.
+  std::atomic<std::uint64_t> packets_{0};
+  std::atomic<std::uint64_t> bytes_{0};
+  std::atomic<std::uint64_t> backpressure_waits_{0};
 };
 
 }  // namespace tpart

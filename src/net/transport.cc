@@ -82,22 +82,15 @@ void SerializedTransport::Send(MachineId from, MachineId to, Message msg) {
   std::string payload = EncodeMessage(msg);
   TPART_TRACE_SPAN("net_send", "net",
                    {{"from", from}, {"to", to}, {"bytes", payload.size()}});
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.messages_sent;
-  }
+  counters_.messages_sent.fetch_add(1, std::memory_order_relaxed);
   if (from == to) {
     // Self-sends skip the network (and the reliability protocol) but
     // still round-trip the encoder, keeping the wire path uniform.
     Result<Message> decoded = DecodeMessage(payload);
     TPART_CHECK(decoded.ok())
         << "self-send decode failed: " << decoded.status().ToString();
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.messages_delivered;
-      stats_.bytes_out += payload.size();
-      stats_.bytes_in += payload.size();
-    }
+    counters_.messages_delivered.fetch_add(1, std::memory_order_relaxed);
+    counters_.self_bytes.fetch_add(payload.size(), std::memory_order_relaxed);
     deliver_[to](std::move(*decoded));
     return;
   }
@@ -144,24 +137,21 @@ void SerializedTransport::SendBatch(
                       {"to", to},
                       {"msgs", group.size()},
                       {"bytes", payload.size()}});
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      stats_.messages_sent += group.size();
-      ++stats_.batches_sent;
-      stats_.batched_messages += group.size();
-    }
+    counters_.messages_sent.fetch_add(group.size(),
+                                      std::memory_order_relaxed);
+    counters_.batches_sent.fetch_add(1, std::memory_order_relaxed);
+    counters_.batched_messages.fetch_add(group.size(),
+                                         std::memory_order_relaxed);
     if (from == to) {
       // Self-sends skip the network but round-trip the batch codec, so
       // the batched wire path is exercised uniformly too.
       Result<std::vector<Message>> decoded = DecodeMessageBatch(payload);
       TPART_CHECK(decoded.ok())
           << "self-send batch decode failed: " << decoded.status().ToString();
-      {
-        std::lock_guard<std::mutex> lock(stats_mu_);
-        stats_.messages_delivered += decoded->size();
-        stats_.bytes_out += payload.size();
-        stats_.bytes_in += payload.size();
-      }
+      counters_.messages_delivered.fetch_add(decoded->size(),
+                                             std::memory_order_relaxed);
+      counters_.self_bytes.fetch_add(payload.size(),
+                                     std::memory_order_relaxed);
       for (Message& m : *decoded) deliver_[to](std::move(m));
       continue;
     }
@@ -227,8 +217,7 @@ void SerializedTransport::OnPacket(MachineId dst, std::string packet) {
   if (duplicate) {
     TPART_TRACE(Instant("dup_dropped", "net",
                         {{"src", src}, {"dst", dst}, {"seq", seq}}));
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.duplicates_dropped;
+    counters_.duplicates_dropped.fetch_add(1, std::memory_order_relaxed);
   } else if (kind == kBatchPacket) {
     TPART_TRACE_SPAN("net_recv_batch", "net",
                      {{"src", src}, {"dst", dst}, {"bytes", payload.size()}});
@@ -238,8 +227,7 @@ void SerializedTransport::OnPacket(MachineId dst, std::string packet) {
                            << msgs.status().ToString();
     const std::size_t count = msgs->size();
     for (Message& m : *msgs) deliver_[dst](std::move(m));
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.messages_delivered += count;
+    counters_.messages_delivered.fetch_add(count, std::memory_order_relaxed);
   } else {
     TPART_TRACE_SPAN("net_recv", "net",
                      {{"src", src}, {"dst", dst}, {"bytes", payload.size()}});
@@ -248,8 +236,7 @@ void SerializedTransport::OnPacket(MachineId dst, std::string packet) {
                           << dst << " seq " << seq << ": "
                           << msg.status().ToString();
     deliver_[dst](std::move(*msg));
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.messages_delivered;
+    counters_.messages_delivered.fetch_add(1, std::memory_order_relaxed);
   }
   // Ack even duplicates: the first ack may itself have been dropped.
   ack_queue_.Send({dst, src, MakeAckPacket(dst, seq)});
@@ -260,8 +247,7 @@ void SerializedTransport::AckLoop() {
     auto [from, to, packet] = ack_queue_.Receive();
     if (packet.empty()) return;  // shutdown sentinel
     network_->Send(from, to, std::move(packet));
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.acks_sent;
+    counters_.acks_sent.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -290,8 +276,7 @@ void SerializedTransport::RetryLoop() {
       if (shutdown_.load()) return;
       TPART_TRACE(Instant("retry", "net", {{"from", from}, {"to", to}}));
       network_->Send(from, to, std::move(packet));
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.retries;
+      counters_.retries.fetch_add(1, std::memory_order_relaxed);
     }
   }
 }
@@ -335,9 +320,21 @@ void SerializedTransport::Stop() {
 }
 
 TransportStats SerializedTransport::stats() const {
+  TransportStats own;
+  const auto get = [](const std::atomic<std::uint64_t>& c) {
+    return c.load(std::memory_order_relaxed);
+  };
+  own.messages_sent = get(counters_.messages_sent);
+  own.messages_delivered = get(counters_.messages_delivered);
+  own.batches_sent = get(counters_.batches_sent);
+  own.batched_messages = get(counters_.batched_messages);
+  own.bytes_out = get(counters_.self_bytes);
+  own.bytes_in = own.bytes_out;
+  own.acks_sent = get(counters_.acks_sent);
+  own.retries = get(counters_.retries);
+  own.duplicates_dropped = get(counters_.duplicates_dropped);
   TransportStats out = network_->stats();
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  out.MergeFrom(stats_);
+  out.MergeFrom(own);
   return out;
 }
 

@@ -68,12 +68,15 @@ class Transport {
   virtual void Send(MachineId from, MachineId to, Message msg) = 0;
 
   /// Sends a burst of messages from one machine, preserving per-
-  /// destination order. The base implementation forwards to Send one by
-  /// one; serialized transports override it to coalesce each
-  /// destination's share into a single batch frame (net/wire.h
-  /// EncodeMessageBatch) carrying one link sequence number. The vector is
-  /// borrowed scratch: the transport moves the messages out but leaves
-  /// the (cleared-by-caller) vector's capacity with the caller.
+  /// destination order: a machine's loop sends everything of one turn
+  /// (dispatched messages' replies, a plan's pushes and write-backs, a
+  /// round's read requests) in one call. The base implementation
+  /// forwards to Send one by one; serialized transports override it to
+  /// coalesce each destination's share into a single batch frame
+  /// (net/wire.h EncodeMessageBatch) carrying one link sequence number,
+  /// so it costs one packet and one ack. The vector is borrowed scratch:
+  /// the transport moves the messages out but leaves the
+  /// (cleared-by-caller) vector's capacity with the caller.
   virtual void SendBatch(MachineId from,
                          std::vector<std::pair<MachineId, Message>>& msgs) {
     for (auto& [to, msg] : msgs) Send(from, to, std::move(msg));
@@ -184,8 +187,21 @@ class SerializedTransport : public Transport {
   std::thread retry_thread_;
   std::atomic<bool> shutdown_{false};
 
-  mutable std::mutex stats_mu_;
-  TransportStats stats_;
+  // Counted with relaxed atomics: stats() is a report, and nothing else
+  // is published through them. The network counts packets and their
+  // bytes; self-sends never reach it, so their bytes count here, once
+  // out and once in.
+  struct Counters {
+    std::atomic<std::uint64_t> messages_sent{0};
+    std::atomic<std::uint64_t> messages_delivered{0};
+    std::atomic<std::uint64_t> batches_sent{0};
+    std::atomic<std::uint64_t> batched_messages{0};
+    std::atomic<std::uint64_t> self_bytes{0};
+    std::atomic<std::uint64_t> acks_sent{0};
+    std::atomic<std::uint64_t> retries{0};
+    std::atomic<std::uint64_t> duplicates_dropped{0};
+  };
+  Counters counters_;
 };
 
 /// Builds the transport selected by `options`.

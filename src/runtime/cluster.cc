@@ -108,13 +108,9 @@ void LocalCluster::Reset() {
         static_cast<MachineId>(m), total_slots,
         &store_->store(static_cast<MachineId>(m)),
         workload_->procedures.get(),
-        [this, m](MachineId to, Message msg) {
-          transport_->Send(static_cast<MachineId>(m), to, std::move(msg));
-        }));
-    machines_.back()->set_send_batch(
         [this, m](std::vector<std::pair<MachineId, Message>>& msgs) {
           transport_->SendBatch(static_cast<MachineId>(m), msgs);
-        });
+        }));
     const DataPartitionMap* map = machine_map.get();
     machines_.back()->set_locator(
         [map](ObjectKey key) { return map->Locate(key); });

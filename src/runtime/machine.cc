@@ -36,12 +36,12 @@ std::size_t RequestLogBytes(const Machine::RequestLogEntry& entry) {
 }  // namespace
 
 Machine::Machine(MachineId id, std::size_t num_machines, KvStore* store,
-                 const ProcedureRegistry* registry, SendFn send)
+                 const ProcedureRegistry* registry, SendBatchFn send_batch)
     : id_(id),
       num_machines_(num_machines),
       store_(store),
       registry_(registry),
-      send_(std::move(send)),
+      send_batch_(std::move(send_batch)),
       storage_(store, [this](const StorageService::RemoteReadTag& tag,
                              Record value) {
         Message resp;
@@ -55,12 +55,13 @@ Machine::~Machine() { Stop(); }
 
 void Machine::SendOut(MachineId to, Message msg) {
   if (replay_) return;  // §5.4 replay is local
-  send_(to, std::move(msg));
+  outbox_.emplace_back(to, std::move(msg));
 }
 
-void Machine::SendOutBatch(std::vector<std::pair<MachineId, Message>>& msgs) {
-  if (replay_ || msgs.empty()) return;  // §5.4 replay is local
-  send_batch_(msgs);
+void Machine::FlushOutbox() {
+  if (outbox_.empty()) return;
+  send_batch_(outbox_);
+  outbox_.clear();
 }
 
 void Machine::EnqueueTPartEpoch(SinkEpoch epoch,
@@ -101,6 +102,9 @@ bool Machine::Idle() const {
 }
 
 void Machine::PublishProgress() {
+  // A thread woken by the status block (JoinExecutor(), a stall report)
+  // must find everything the loop sent already handed to the transport.
+  FlushOutbox();
   Progress now;
   now.idle = Idle();
   // Plans queued behind the head; a running head sits at the cursor.
@@ -110,7 +114,6 @@ void Machine::PublishProgress() {
   now.finished_enqueue = finished_enqueue_;
   now.pending_rounds = pending_stream_plans_.size();
   now.next_epoch = next_stream_epoch_;
-  now.reads_issued_through = reads_issued_through_;
   now.dup_rounds_dropped = duplicate_rounds_dropped_;
   now.responses_pending = responses_.size();
   now.stashed = down_stash_.size();
@@ -170,9 +173,14 @@ void Machine::ServiceLoop() {
   while (true) {
     // Pending messages go first, so a run of ready plans (a recovery
     // replay, say) never holds heartbeats, fences or peers' reads behind
-    // more than one plan.
+    // more than one plan. Each turn (one batch dispatched, or one plan
+    // advanced) ends with one flush, so what it sent to a destination
+    // leaves as one batch.
     if (!inbound_.TakeAll(batch)) {
-      if (calvin_ ? AdvanceCalvin() : AdvanceTPart()) continue;
+      if (calvin_ ? AdvanceCalvin() : AdvanceTPart()) {
+        FlushOutbox();
+        continue;
+      }
       AwaitMessages(batch);
     }
     for (Message& msg : batch) {
@@ -187,11 +195,13 @@ void Machine::ServiceLoop() {
       }
     }
     batch.clear();
+    FlushOutbox();
   }
 }
 
 void Machine::AwaitMessages(std::vector<Message>& batch) {
-  // Other threads see the loop's progress as of its latest block.
+  // Other threads see the loop's progress as of its latest block, and
+  // nothing the loop sent waits out the block.
   PublishProgress();
   if (!head_.parked) {
     inbound_.WaitTakeAll(batch);
@@ -344,6 +354,8 @@ void Machine::Dispatch(Message msg) {
       // before releasing the poster.
       if (msg.epoch != 0) CaptureCheckpoint(msg.epoch);
       if (msg.req_id == 0) break;  // a bare wake-up (Wake)
+      // What the earlier messages made this machine send has left too.
+      FlushOutbox();
       {
         std::lock_guard<std::mutex> lock(status_mu_);
         status_.fence_seen = std::max(status_.fence_seen, msg.req_id);
@@ -478,7 +490,6 @@ void Machine::EnqueueStreamEpoch(SinkEpoch epoch,
                                  std::vector<PlanItem> items) {
   // Request the round's remote reads before its plans can reach the head,
   // so their round trips overlap earlier plans.
-  reads_issued_through_ = epoch;
   RequestRemoteReads(items);
   // A round with no local slice holds its credit for no reason.
   if (items.empty()) {
@@ -503,8 +514,6 @@ void Machine::QueuePlans(SinkEpoch epoch, std::vector<PlanItem>& items) {
 }
 
 void Machine::RequestRemoteReads(const std::vector<PlanItem>& items) {
-  auto& requests = scratch_.requests;
-  requests.clear();
   for (const PlanItem& item : items) {
     const TxnPlan& p = item.plan;
     for (std::size_t i = 0; i < p.reads.size(); ++i) {
@@ -525,10 +534,9 @@ void Machine::RequestRemoteReads(const std::vector<PlanItem>& items) {
       }
       req.reply_to = id_;
       req.req_id = ReadRequestId(p.txn, i);
-      requests.emplace_back(r.src_machine, std::move(req));
+      SendOut(r.src_machine, std::move(req));
     }
   }
-  SendOutBatch(requests);
 }
 
 Machine::CreditGrant Machine::AcquireEpochCreditFor(
@@ -552,6 +560,9 @@ Machine::CreditGrant Machine::AcquireEpochCreditFor(
 }
 
 void Machine::ReleaseEpochCredit() {
+  // Whoever the release wakes (the next round's dissemination, a
+  // membership barrier) finds the round's sends already handed over.
+  FlushOutbox();
   {
     std::lock_guard<std::mutex> lock(status_mu_);
     if (status_.credits_in_flight > 0) --status_.credits_in_flight;
@@ -771,20 +782,16 @@ void Machine::FinishTPartPlan() {
 
   // ---- Outbound plan steps. An aborted transaction forwards the values
   // it read (§5.3), which OutgoingValue() encapsulates. Pushes and remote
-  // write-backs are staged in an outbox and flushed as ONE batch at the
-  // end of the phase (nothing here awaits a reply, so deferring them is
-  // safe).
+  // write-backs join the outbox, which the loop flushes once the plan is
+  // done (nothing here awaits a reply, so deferring them is safe).
   TPART_TRACE(Begin("publish", "exec", {{"pushes", p.pushes.size()}}));
-  auto& outbox = scratch_.outbox;
-  outbox.clear();
-  outbox.reserve(p.pushes.size() + p.write_backs.size());
   // In-run recovery re-executes logged plans with outbound traffic
   // suppressed, exactly like offline replay (§5.4): peers already
   // received these pushes and write-backs before the crash, and
   // version/epoch entries are consume-once, so re-sending would corrupt
   // their refcounts.
   const auto stage_out = [&](MachineId to, Message m) {
-    if (!is_replay) outbox.emplace_back(to, std::move(m));
+    if (!is_replay) SendOut(to, std::move(m));
   };
   for (const PushStep& s : p.pushes) {
     // The producer end of the forward-push arrow; the consumer's gather
@@ -829,7 +836,6 @@ void Machine::FinishTPartPlan() {
       stage_out(s.home, std::move(m));
     }
   }
-  SendOutBatch(outbox);
   TPART_TRACE(End());  // publish
 
   // Replayed plans already fired their commit hook pre-crash; firing
@@ -905,6 +911,9 @@ void Machine::ArmStraggler(std::uint64_t delay_us, std::uint64_t period_us) {
 
 void Machine::CrashStop(SinkEpoch resume) {
   if (run_state_.load(std::memory_order_relaxed) != RunState::kLive) return;
+  // What ran before the crash was sent before it: the replay suppresses
+  // those sends.
+  FlushOutbox();
   // Pop the fired point; more queued points (the chaos matrix's repeat
   // crashes) keep the trigger armed for the recovered machine.
   if (!crash_points_.empty()) crash_points_.pop_front();
@@ -1267,6 +1276,9 @@ void Machine::HandleMigrateBegin(Message msg) {
     chunk.plan_bytes = chunks[i];
     chunk.term = msg.term;  // fence chain: begin's term covers the stream
     SendOut(target, std::move(chunk));
+    // One chunk per frame: a chunk is well under the wire's frame bound,
+    // a whole image need not be.
+    FlushOutbox();
   }
   Message commit;
   commit.type = Message::Type::kMigrateCommit;
@@ -1400,7 +1412,6 @@ std::string Machine::StallDiagnostic() const {
         << " finished_enqueue=" << (p.finished_enqueue ? 1 : 0)
         << " pending_rounds=" << p.pending_rounds
         << " next_epoch=" << p.next_epoch
-        << " reads_issued_through=" << p.reads_issued_through
         << " dup_rounds_dropped=" << p.dup_rounds_dropped
         << " responses_pending=" << p.responses_pending
         << " credits_in_flight=" << status_.credits_in_flight

@@ -58,6 +58,15 @@ namespace tpart {
 /// writing it: before Start*(), after Stop(), after JoinExecutor()
 /// (results), or behind a FenceService() on a quiesced stream.
 ///
+/// Everything the machine sends (read requests and responses, pushes,
+/// write-backs, peer reads, migration chunks, watermark acks) is appended
+/// to one loop-owned outbox, which the loop hands to the send-batch
+/// function once per turn: after each inbound batch it dispatched and
+/// after each plan it advanced. The outbox is empty whenever another
+/// thread can act on the loop's state: the loop also flushes it before
+/// it publishes its progress (the idle flag), releases an epoch credit,
+/// marks a fence seen, crash-stops, blocks for a message, and shuts down.
+///
 /// Recovery support (§5.4): the machine logs the requests assigned to it
 /// (after partitioning) and every inbound value-bearing message
 /// (generalising the PUSH-log); see Replay in runtime/recovery.h. The
@@ -66,18 +75,18 @@ namespace tpart {
 /// recovery re-runs the prefix that had run before finishing the rest.
 class Machine {
  public:
-  using SendFn = std::function<void(MachineId, Message)>;
-  /// Batched fan-out: one call carries every (destination, message) pair
-  /// of a plan's publish phase, or of a round's read requests; the
-  /// cluster routes it to Transport::SendBatch so serialized transports
-  /// coalesce each destination's share into one wire frame.
-  /// The vector is borrowed loop scratch: implementations move the
-  /// messages out but must leave the vector (and its capacity) behind.
+  /// The machine's one outbound path: one call per loop turn carries
+  /// every (destination, message) pair the loop sent during the turn, in
+  /// send order. The cluster routes it to Transport::SendBatch, so
+  /// serialized transports coalesce each destination's share into one
+  /// wire frame. Called on the loop thread only. The vector is borrowed
+  /// loop scratch: implementations move the messages out but must leave
+  /// the vector (and its capacity) behind.
   using SendBatchFn =
       std::function<void(std::vector<std::pair<MachineId, Message>>&)>;
 
   Machine(MachineId id, std::size_t num_machines, KvStore* store,
-          const ProcedureRegistry* registry, SendFn send);
+          const ProcedureRegistry* registry, SendBatchFn send_batch);
   ~Machine();
 
   Machine(const Machine&) = delete;
@@ -258,14 +267,6 @@ class Machine {
     locate_ = std::move(locate);
   }
 
-  /// Batched fan-out: each executed plan's outbound pushes and remote
-  /// write-backs, and each arriving round's read requests, are handed
-  /// over in ONE call. Required before Start*() on any machine whose
-  /// plans push, write back or read remotely.
-  void set_send_batch(SendBatchFn send_batch) {
-    send_batch_ = std::move(send_batch);
-  }
-
   // ---- Results & state ------------------------------------------------
   MachineId id() const { return id_; }
   /// Loop-owned: read after JoinExecutor() or Stop().
@@ -383,12 +384,10 @@ class Machine {
     std::chrono::steady_clock::time_point parked_since{};
   };
 
-  /// Loop-thread scratch (DESIGN §4h): the gathered values, publish
-  /// outbox and round read requests keep their capacity across plans.
+  /// Loop-thread scratch (DESIGN §4h): the gathered values keep their
+  /// capacity across plans.
   struct Scratch {
     ExecScratch exec;
-    std::vector<std::pair<MachineId, Message>> outbox;
-    std::vector<std::pair<MachineId, Message>> requests;
     std::vector<ObjectKey> remote_keys;  // Calvin: keys peers push to us
   };
 
@@ -426,9 +425,11 @@ class Machine {
   void ReleaseHead();
   /// One replayed plan ran; the last one turns the machine live.
   void ReplayedOne();
+  /// Appends `msg` to the outbox (dropped in offline replay, which is
+  /// local).
   void SendOut(MachineId to, Message msg);
-  /// Flushes one publish phase's staged messages through send_batch_.
-  void SendOutBatch(std::vector<std::pair<MachineId, Message>>& msgs);
+  /// Hands the outbox to send_batch_ in one call, if it holds anything.
+  void FlushOutbox();
   void CrashStop(SinkEpoch resume);
   /// Wakes the loop (a zero-sequence fence) so it re-examines state a
   /// foreign thread changed: a failed run's drain, a Recover() request.
@@ -437,9 +438,9 @@ class Machine {
   void RestoreAndReplay(const std::function<void()>& restore_partition);
   /// JoinExecutor()'s predicate, computed on the loop.
   bool Idle() const;
-  /// Copies the idle flag and the diagnostic counters into the status
-  /// block when they changed since the last call; wakes the waiters when
-  /// the idle flag did.
+  /// Flushes the outbox, then copies the idle flag and the diagnostic
+  /// counters into the status block when they changed since the last
+  /// call; wakes the waiters when the idle flag did.
   void PublishProgress();
 
   /// Serves a remote cache pull, or parks it until the entry appears.
@@ -468,16 +469,16 @@ class Machine {
   void EnqueueStreamEpoch(SinkEpoch epoch, std::vector<PlanItem> items);
   /// Appends a round's plans to the request log.
   void QueuePlans(SinkEpoch epoch, std::vector<PlanItem>& items);
-  /// Sends every kCacheReadReq and remote kStorageReadReq of `items` in
-  /// one batch; the plans' gathers find the responses in responses_.
+  /// Sends every kCacheReadReq and remote kStorageReadReq of `items`; the
+  /// plans' gathers find the responses in responses_.
   void RequestRemoteReads(const std::vector<PlanItem>& items);
+  /// Flushes the outbox, then returns one epoch credit.
   void ReleaseEpochCredit();
 
   MachineId id_;
   std::size_t num_machines_;
   KvStore* store_;
   const ProcedureRegistry* registry_;
-  SendFn send_;
   SendBatchFn send_batch_;
   bool replay_ = false;
   bool calvin_ = false;
@@ -508,7 +509,6 @@ class Machine {
     bool finished_enqueue = false;
     std::size_t pending_rounds = 0;
     SinkEpoch next_epoch = 1;
-    SinkEpoch reads_issued_through = 0;
     std::uint64_t dup_rounds_dropped = 0;
     std::size_t responses_pending = 0;
     std::size_t stashed = 0;
@@ -577,8 +577,6 @@ class Machine {
   // `awaits` gate early.
   std::map<SinkEpoch, std::vector<PlanItem>> pending_stream_plans_;
   SinkEpoch next_stream_epoch_ = 1;
-  /// Highest round whose remote read requests went out.
-  SinkEpoch reads_issued_through_ = 0;
   SinkEpoch stream_final_epoch_ = 0;
   bool stream_end_seen_ = false;
   /// Rounds dropped as duplicates (a failover's catch-up re-shipments the
@@ -594,6 +592,9 @@ class Machine {
   std::vector<Message> down_stash_;
   Head head_;
   Scratch scratch_;
+  /// What the loop sent since its last flush, in send order; it keeps its
+  /// capacity across turns.
+  std::vector<std::pair<MachineId, Message>> outbox_;
   /// Replayed plans not yet re-executed: the next ones at the cursor.
   /// Recovery completes (state back to kLive) when it hits zero.
   std::size_t replay_remaining_ = 0;

@@ -40,7 +40,9 @@ ReplayResult ReplayMachine(
 
   Machine machine(id, workload.num_machines, &out.store->store(id),
                   workload.procedures.get(),
-                  [](MachineId, Message) { /* outbound suppressed */ });
+                  [](std::vector<std::pair<MachineId, Message>>&) {
+                    /* outbound suppressed */
+                  });
   machine.set_replay(true);
 
   // Pre-deliver the logged inbound traffic; parking in the cache and the
@@ -71,7 +73,9 @@ ReplayResult ReplayMachine(
 
   Machine machine(id, workload.num_machines, &store,
                   workload.procedures.get(),
-                  [](MachineId, Message) { /* outbound suppressed */ });
+                  [](std::vector<std::pair<MachineId, Message>>&) {
+                    /* outbound suppressed */
+                  });
   machine.set_replay(true);
   // Volatile state as of the capture: cache entries, storage-service
   // parking, and in-flight pulls re-enter through the normal paths.

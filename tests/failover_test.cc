@@ -309,8 +309,15 @@ TEST(FailoverTest, StallDiagnosticReportsLiveExecutorState) {
     (void)ctx.Get(6);
     return Status::Ok();
   });
-  Machine m(0, 2, &store, &registry, [](MachineId, Message) {});
-  m.set_send_batch([](std::vector<std::pair<MachineId, Message>>&) {});
+  std::mutex sent_mu;
+  std::vector<std::pair<MachineId, Message>> sent;
+  Machine m(0, 2, &store, &registry,
+            [&](std::vector<std::pair<MachineId, Message>>& msgs) {
+              std::lock_guard<std::mutex> lock(sent_mu);
+              for (auto& [to, msg] : msgs) {
+                sent.emplace_back(to, std::move(msg));
+              }
+            });
   m.StartTPart();
 
   // One round whose plan awaits forward-push <5, v7> from machine 1 — a
@@ -344,20 +351,36 @@ TEST(FailoverTest, StallDiagnosticReportsLiveExecutorState) {
   round.plan_bytes = EncodeSinkPlan(sink);
   round.specs.push_back(spec);
   m.Deliver(std::move(round));
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // The loop publishes its progress when it blocks, after the round was
+  // taken in: the next round it expects is round 2.
+  const auto taken_in = std::chrono::steady_clock::now() +
+                        std::chrono::microseconds(test::ScaledUs(2'000'000));
+  std::string diag = m.StallDiagnostic();
+  while (diag.find("next_epoch=2") == std::string::npos &&
+         std::chrono::steady_clock::now() < taken_in) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    diag = m.StallDiagnostic();
+  }
 
   // The work queue is drained (the executor holds the item) but nothing
   // has executed: the diagnostic pinpoints a live machine wedged
   // mid-round rather than a dead or backlogged one.
-  const std::string diag = m.StallDiagnostic();
   EXPECT_NE(diag.find("machine 0"), std::string::npos) << diag;
   EXPECT_NE(diag.find("state=live"), std::string::npos) << diag;
   EXPECT_NE(diag.find("work=0"), std::string::npos) << diag;
   EXPECT_NE(diag.find("executed=0"), std::string::npos) << diag;
-  // The round's read request went out, and no reply is waiting: a
-  // request that never left reads reads_issued_through=0 instead.
-  EXPECT_NE(diag.find("reads_issued_through=1"), std::string::npos) << diag;
+  EXPECT_NE(diag.find("next_epoch=2"), std::string::npos) << diag;
+  // The round's read request went out to machine 1 before the loop
+  // blocked, and no reply is waiting.
   EXPECT_NE(diag.find("responses_pending=0"), std::string::npos) << diag;
+  {
+    std::lock_guard<std::mutex> lock(sent_mu);
+    ASSERT_EQ(sent.size(), 1u);
+    EXPECT_EQ(sent[0].first, 1u);
+    EXPECT_EQ(sent[0].second.type, Message::Type::kStorageReadReq);
+    EXPECT_EQ(sent[0].second.key, 6u);
+    EXPECT_EQ(sent[0].second.req_id, (std::uint64_t{1} << 10) | 1);
+  }
   // Fence state rides along (no term witnessed, nothing dropped) ...
   EXPECT_NE(diag.find("fence_term=0"), std::string::npos) << diag;
   EXPECT_NE(diag.find("fenced=0"), std::string::npos) << diag;

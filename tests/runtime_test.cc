@@ -208,6 +208,42 @@ ReadStep MakeRead(ObjectKey key, ReadSourceKind kind, TxnId src_txn,
   return r;
 }
 
+// Records what a machine sends: every message in send order, and the
+// size of each send-batch call. A non-zero `linger` delays each call
+// before it records, so a send the loop made after some event it
+// published shows up missing at that event.
+class SendLog {
+ public:
+  explicit SendLog(std::chrono::milliseconds linger = {}) : linger_(linger) {}
+
+  Machine::SendBatchFn Fn() {
+    return [this](std::vector<std::pair<MachineId, Message>>& msgs) {
+      if (linger_.count() > 0) std::this_thread::sleep_for(linger_);
+      std::lock_guard<std::mutex> lock(mu_);
+      batches_.push_back(msgs.size());
+      for (auto& [to, msg] : msgs) sent_.emplace_back(to, std::move(msg));
+    };
+  }
+  std::vector<std::pair<MachineId, Message>> sent() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return sent_;
+  }
+  std::vector<std::size_t> batches() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return batches_;
+  }
+
+ private:
+  const std::chrono::milliseconds linger_;
+  mutable std::mutex mu_;
+  std::vector<std::pair<MachineId, Message>> sent_;
+  std::vector<std::size_t> batches_;
+};
+
+Machine::SendBatchFn DropSends() {
+  return [](std::vector<std::pair<MachineId, Message>>&) {};
+}
+
 // Procedure 200 emits field 0 of every key named in the parameters, in
 // order.
 ProcedureRegistry EmitReadsRegistry() {
@@ -227,16 +263,8 @@ TEST(RuntimeTest, RoundRemoteReadsGoOutBeforeEarlierPlansFinish) {
   KvStore store;
   const ProcedureRegistry registry = EmitReadsRegistry();
 
-  std::mutex sent_mu;
-  std::vector<std::pair<MachineId, Message>> sent;
-  Machine m(0, 3, &store, &registry, [&](MachineId to, Message msg) {
-    std::lock_guard<std::mutex> lock(sent_mu);
-    sent.emplace_back(to, std::move(msg));
-  });
-  m.set_send_batch([&](std::vector<std::pair<MachineId, Message>>& msgs) {
-    std::lock_guard<std::mutex> lock(sent_mu);
-    for (auto& [to, msg] : msgs) sent.emplace_back(to, std::move(msg));
-  });
+  SendLog log;
+  Machine m(0, 3, &store, &registry, log.Fn());
   m.StartTPart();
 
   // Round 1: T11 awaits forward-push <10, v9> from machine 1, which
@@ -279,10 +307,7 @@ TEST(RuntimeTest, RoundRemoteReadsGoOutBeforeEarlierPlansFinish) {
   // the executor.
   const std::uint64_t storage_req = (std::uint64_t{12} << 10) | 0;
   const std::uint64_t pull_req = (std::uint64_t{12} << 10) | 1;
-  const auto requests_out = [&] {
-    std::lock_guard<std::mutex> lock(sent_mu);
-    return sent.size() >= 2;
-  };
+  const auto requests_out = [&] { return log.sent().size() >= 2; };
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::microseconds(test::ScaledUs(2'000'000));
   while (!requests_out() && std::chrono::steady_clock::now() < deadline) {
@@ -324,6 +349,7 @@ TEST(RuntimeTest, RoundRemoteReadsGoOutBeforeEarlierPlansFinish) {
   EXPECT_EQ(results[1].id, 12u);
   EXPECT_EQ(results[1].output, (std::vector<std::int64_t>{200, 300}));
   // The requests name the read's source, version and reply slot.
+  const std::vector<std::pair<MachineId, Message>> sent = log.sent();
   ASSERT_EQ(sent.size(), 2u);
   for (const auto& [to, req] : sent) {
     EXPECT_EQ(req.reply_to, 0u);
@@ -365,7 +391,7 @@ TEST(RuntimeTest, StartTPartAddsExactlyOneThread) {
   std::thread([] {}).join();
   KvStore store;
   ProcedureRegistry registry;
-  Machine m(0, 1, &store, &registry, [](MachineId, Message) {});
+  Machine m(0, 1, &store, &registry, DropSends());
   const std::size_t before = ProcessThreads();
   m.StartTPart();
   const std::size_t after = ProcessThreads();
@@ -382,16 +408,8 @@ TEST(RuntimeTest, ParkedPlanLeavesTheMachineServing) {
   KvStore store;
   store.Upsert(40, Record{400});
   const ProcedureRegistry registry = EmitReadsRegistry();
-  std::mutex sent_mu;
-  std::vector<std::pair<MachineId, Message>> sent;
-  Machine m(0, 3, &store, &registry, [&](MachineId to, Message msg) {
-    std::lock_guard<std::mutex> lock(sent_mu);
-    sent.emplace_back(to, std::move(msg));
-  });
-  m.set_send_batch([&](std::vector<std::pair<MachineId, Message>>& msgs) {
-    std::lock_guard<std::mutex> lock(sent_mu);
-    for (auto& [to, msg] : msgs) sent.emplace_back(to, std::move(msg));
-  });
+  SendLog log;
+  Machine m(0, 3, &store, &registry, log.Fn());
   // An epoch entry a peer will pull: <50, v3>, read once.
   m.cache().PublishEpochEntry(50, 3, 1, Record{500});
   m.StartTPart();
@@ -441,8 +459,7 @@ TEST(RuntimeTest, ParkedPlanLeavesTheMachineServing) {
   m.Deliver(std::move(hb));
 
   const auto answered = [&] {
-    std::lock_guard<std::mutex> lock(sent_mu);
-    return sent.size() >= 2 && m.heartbeat_seen() == 5;
+    return log.sent().size() >= 2 && m.heartbeat_seen() == 5;
   };
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::microseconds(test::ScaledUs(2'000'000));
@@ -452,7 +469,7 @@ TEST(RuntimeTest, ParkedPlanLeavesTheMachineServing) {
   ASSERT_TRUE(answered()) << m.StallDiagnostic();
   EXPECT_EQ(m.executed_plans(), 0u);
   {
-    std::lock_guard<std::mutex> lock(sent_mu);
+    const std::vector<std::pair<MachineId, Message>> sent = log.sent();
     ASSERT_EQ(sent.size(), 2u);
     for (const auto& [to, resp] : sent) {
       if (resp.type == Message::Type::kStorageReadResp) {
@@ -494,8 +511,7 @@ TEST(RuntimeTest, HeadParkedOnStorageProbeResumesOnAPeersWriteBack) {
   KvStore store;
   store.Upsert(60, Record{600});
   const ProcedureRegistry registry = EmitReadsRegistry();
-  Machine m(0, 2, &store, &registry, [](MachineId, Message) {});
-  m.set_send_batch([](std::vector<std::pair<MachineId, Message>>&) {});
+  Machine m(0, 2, &store, &registry, DropSends());
   m.StartTPart();
 
   // Round 1: T21 reads version 8 of key 60 from local storage; machine 1
@@ -618,8 +634,7 @@ bool AwaitDiagnostic(const Machine& m, const std::string& text) {
 TEST(RuntimeTest, FenceReturnsAfterEveryEarlierMessageIsApplied) {
   KvStore store;
   const ProcedureRegistry registry = EmitReadsRegistry();
-  Machine m(0, 2, &store, &registry, [](MachineId, Message) {});
-  m.set_send_batch([](std::vector<std::pair<MachineId, Message>>&) {});
+  Machine m(0, 2, &store, &registry, DropSends());
   m.StartTPart();
   const auto timeout = std::chrono::microseconds(test::ScaledUs(2'000'000));
 
@@ -655,8 +670,7 @@ TEST(RuntimeTest, FenceReturnsAfterEveryEarlierMessageIsApplied) {
 TEST(RuntimeTest, AbortReleasesCreditAndJoinWaiters) {
   KvStore store;
   const ProcedureRegistry registry = EmitReadsRegistry();
-  Machine m(0, 2, &store, &registry, [](MachineId, Message) {});
-  m.set_send_batch([](std::vector<std::pair<MachineId, Message>>&) {});
+  Machine m(0, 2, &store, &registry, DropSends());
   m.set_epoch_queue_capacity(1);
   m.StartTPart();
 
@@ -749,6 +763,207 @@ TEST(RuntimeTest, ForeignReadersDuringACrashRun) {
 }
 
 // ---------------------------------------------------------------------
+// One outbox per loop turn: everything a machine sends during a turn
+// leaves in one send-batch call, and nothing it sent is still held when
+// another thread can act on what the loop published.
+// ---------------------------------------------------------------------
+
+TEST(RuntimeTest, ReadResponsesOfOneTurnLeaveInOneBatch) {
+  constexpr std::uint64_t kRequests = 12;
+  constexpr std::uint64_t kFirstReq = 500;
+  KvStore store;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    store.Upsert(100 + i, Record{static_cast<std::int64_t>(1000 + i)});
+  }
+  const ProcedureRegistry registry = EmitReadsRegistry();
+  SendLog log;
+  Machine m(0, 3, &store, &registry, log.Fn());
+  // Machines 1 and 2 take turns asking for the loaded (current) version
+  // of a key. Everything is in the inbox before the loop starts, so its
+  // first turn takes every request.
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    Message req;
+    req.type = Message::Type::kStorageReadReq;
+    req.key = 100 + i;
+    req.version = kInvalidTxnId;
+    req.reply_to = static_cast<MachineId>(1 + i % 2);
+    req.req_id = kFirstReq + i;
+    m.Deliver(std::move(req));
+  }
+  Message end;
+  end.type = Message::Type::kPlanStreamEnd;
+  end.epoch = 0;  // no rounds
+  m.Deliver(std::move(end));
+  m.StartTPart();
+  m.JoinExecutor();
+  m.Stop();
+
+  EXPECT_EQ(log.batches(), (std::vector<std::size_t>{kRequests}));
+  std::vector<std::uint64_t> to_one;
+  std::vector<std::uint64_t> to_two;
+  for (const auto& [to, resp] : log.sent()) {
+    ASSERT_EQ(resp.type, Message::Type::kStorageReadResp);
+    const std::uint64_t i = resp.req_id - kFirstReq;
+    EXPECT_EQ(to, 1 + i % 2) << "response " << resp.req_id;
+    EXPECT_EQ(resp.value.field(0), static_cast<std::int64_t>(1000 + i));
+    (to == 1 ? to_one : to_two).push_back(resp.req_id);
+  }
+  // Each requester's responses are in its request order.
+  std::vector<std::uint64_t> want_one;
+  std::vector<std::uint64_t> want_two;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    (i % 2 == 0 ? want_one : want_two).push_back(kFirstReq + i);
+  }
+  EXPECT_EQ(to_one, want_one);
+  EXPECT_EQ(to_two, want_two);
+}
+
+// Round 1 for machine 0 holds T1 only; T1 reads nothing and publishes
+// twice: a push of <70, v1> to T2 on machine 1 and a write-back of key
+// 71 to its home, machine 2.
+Message PublishingRound() {
+  TxnPlan p;
+  p.txn = 1;
+  p.machine = 0;
+  PushStep push;
+  push.key = 70;
+  push.dst_txn = 2;
+  push.dst_machine = 1;
+  push.version_txn = 1;
+  p.pushes.push_back(push);
+  WriteBackStep wb;
+  wb.key = 71;
+  wb.home = 2;
+  wb.version_txn = 1;
+  p.write_backs.push_back(wb);
+  SinkPlan plan;
+  plan.epoch = 1;
+  plan.txns = {p};
+  TxnSpec spec;
+  spec.id = 1;
+  spec.proc = 200;
+  spec.rw.writes = {70, 71};
+  Message round;
+  round.type = Message::Type::kSinkPlan;
+  round.epoch = 1;
+  round.plan_bytes = EncodeSinkPlan(plan);
+  round.specs = {spec};
+  return round;
+}
+
+// T1's push and write-back, as sent.
+void ExpectPublished(const std::vector<std::pair<MachineId, Message>>& sent) {
+  ASSERT_EQ(sent.size(), 2u);
+  EXPECT_EQ(sent[0].first, 1u);
+  EXPECT_EQ(sent[0].second.type, Message::Type::kPushVersion);
+  EXPECT_EQ(sent[0].second.key, 70u);
+  EXPECT_EQ(sent[0].second.dst_txn, 2u);
+  EXPECT_EQ(sent[1].first, 2u);
+  EXPECT_EQ(sent[1].second.type, Message::Type::kWriteBackApply);
+  EXPECT_EQ(sent[1].second.key, 71u);
+  EXPECT_EQ(sent[1].second.version, 1u);
+}
+
+TEST(RuntimeTest, LastPlansSendsLeaveBeforeJoinReturns) {
+  KvStore store;
+  const ProcedureRegistry registry = EmitReadsRegistry();
+  // The send function lingers before it records: a flush that came after
+  // the idle flag would still be missing when JoinExecutor() returns.
+  SendLog log(std::chrono::milliseconds(20));
+  Machine m(0, 3, &store, &registry, log.Fn());
+  m.Deliver(PublishingRound());
+  Message end;
+  end.type = Message::Type::kPlanStreamEnd;
+  end.epoch = 1;
+  m.Deliver(std::move(end));
+  m.StartTPart();
+  m.JoinExecutor();
+  ExpectPublished(log.sent());
+  m.Stop();
+  EXPECT_EQ(log.batches(), (std::vector<std::size_t>{2}));
+}
+
+TEST(RuntimeTest, CrashedPlansSendsLeaveBeforeTheMachineReadsDown) {
+  KvStore store;
+  const ProcedureRegistry registry = EmitReadsRegistry();
+  SendLog log(std::chrono::milliseconds(20));
+  Machine m(0, 3, &store, &registry, log.Fn());
+  m.Deliver(PublishingRound());
+  Machine::CrashPoint point;
+  point.after_txns = 1;  // crash once T1 ran
+  m.ArmCrash(point);
+  m.StartTPart();
+  ASSERT_TRUE(AwaitDiagnostic(m, "state=down")) << m.StallDiagnostic();
+  ExpectPublished(log.sent());
+  m.Stop();
+}
+
+TEST(RuntimeTest, RoundsSendsLeaveBeforeItsCreditIsReleased) {
+  KvStore store;
+  const ProcedureRegistry registry = EmitReadsRegistry();
+  SendLog log(std::chrono::milliseconds(20));
+  Machine m(0, 3, &store, &registry, log.Fn());
+  m.set_epoch_queue_capacity(1);
+  ASSERT_EQ(m.AcquireEpochCreditFor(std::chrono::microseconds(0)),
+            Machine::CreditGrant::kGranted);
+  // No stream end yet: the machine does not go idle when round 1
+  // drains, so releasing round 1's credit is what wakes the acquirer.
+  m.Deliver(PublishingRound());
+  m.StartTPart();
+  ASSERT_EQ(m.AcquireEpochCreditFor(
+                std::chrono::microseconds(test::ScaledUs(2'000'000))),
+            Machine::CreditGrant::kGrantedAfterWait)
+      << m.StallDiagnostic();
+  ExpectPublished(log.sent());
+  Message end;
+  end.type = Message::Type::kPlanStreamEnd;
+  end.epoch = 1;
+  m.Deliver(std::move(end));
+  m.JoinExecutor();
+  m.Stop();
+}
+
+TEST(RuntimeTest, RepliesLeaveBeforeTheFenceBehindTheirRequestReturns) {
+  KvStore store;
+  store.Upsert(40, Record{400});
+  const ProcedureRegistry registry = EmitReadsRegistry();
+  SendLog log(std::chrono::milliseconds(20));
+  Machine m(0, 3, &store, &registry, log.Fn());
+  Message req;
+  req.type = Message::Type::kStorageReadReq;
+  req.key = 40;
+  req.version = kInvalidTxnId;
+  req.reply_to = 1;
+  req.req_id = 77;
+  m.Deliver(std::move(req));
+  // The fence is posted behind the request before the loop starts, so
+  // the loop takes both in one turn.
+  Status fenced = Status::Ok();
+  std::size_t sent_at_fence = 0;
+  std::thread fencer([&] {
+    fenced = m.FenceService(
+        std::chrono::microseconds(test::ScaledUs(2'000'000)));
+    sent_at_fence = log.sent().size();
+  });
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::microseconds(test::ScaledUs(2'000'000));
+  while (m.inbound_queue_high_water() < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  m.StartTPart();
+  fencer.join();
+  EXPECT_TRUE(fenced.ok()) << fenced.ToString();
+  EXPECT_EQ(sent_at_fence, 1u);
+  Message end;
+  end.type = Message::Type::kPlanStreamEnd;
+  end.epoch = 0;
+  m.Deliver(std::move(end));
+  m.JoinExecutor();
+  m.Stop();
+}
+
+// ---------------------------------------------------------------------
 // Per-machine round slices: a machine receives a slice of every round,
 // empty or not, holding only its own plans, each paired with its spec.
 // ---------------------------------------------------------------------
@@ -792,7 +1007,7 @@ TEST(RuntimeTest, EmptySliceStillCarriesItsRound) {
 
   KvStore store;
   const ProcedureRegistry registry = NoopRegistry();
-  Machine m(0, 3, &store, &registry, [](MachineId, Message) {});
+  Machine m(0, 3, &store, &registry, DropSends());
   m.StartTPart();
   m.Deliver(std::move(slices2[0]));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -815,7 +1030,7 @@ TEST(RuntimeTest, EmptySliceStillCarriesItsRound) {
 TEST(RuntimeTest, RecoverFinishesReceivedRoundsFromTheMachinesOwnLog) {
   KvStore store;
   const ProcedureRegistry registry = NoopRegistry();
-  Machine m(0, 1, &store, &registry, [](MachineId, Message) {});
+  Machine m(0, 1, &store, &registry, DropSends());
   // Rounds 1-3 hold T1-T2, T3-T4 and T5-T6; all of them and the stream
   // end are in the inbox before the loop starts.
   for (SinkEpoch e = 1; e <= 3; ++e) {
@@ -873,7 +1088,7 @@ TEST(RuntimeTest, RecoverFinishesReceivedRoundsFromTheMachinesOwnLog) {
 void DeliverSlice(MachineId plan_machine, std::vector<TxnSpec> specs) {
   KvStore store;
   const ProcedureRegistry registry = NoopRegistry();
-  Machine m(0, 2, &store, &registry, [](MachineId, Message) {});
+  Machine m(0, 2, &store, &registry, DropSends());
   m.StartTPart();
   SinkPlan plan;
   plan.epoch = 1;
