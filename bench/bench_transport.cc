@@ -1,9 +1,10 @@
 // Transport microbenchmark: the same Microbenchmark workload run on the
 // real threaded cluster over each wire substrate — direct in-memory
-// structs, serialized in-process queues (full encode/frame/decode path),
-// loopback TCP, and TCP under fault injection — plus a raw wire-format
-// encode/decode throughput row. Quantifies what serialization and real
-// sockets cost relative to the seed's zero-copy path.
+// structs, serialized in-process delivery (the full encode/frame/decode
+// path, each packet handed to the receiver and acked on the sending
+// thread), loopback TCP, and TCP under fault injection — plus a raw
+// wire-format encode/decode throughput row. Quantifies what serialization
+// and real sockets cost relative to the seed's zero-copy path.
 
 #include <chrono>
 #include <cstdio>

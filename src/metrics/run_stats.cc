@@ -24,7 +24,6 @@ void TransportStats::MergeFrom(const TransportStats& other) {
   faults_delayed += other.faults_delayed;
   faults_severed += other.faults_severed;
   faults_slowed += other.faults_slowed;
-  backpressure_waits += other.backpressure_waits;
   queue_high_water = std::max(queue_high_water, other.queue_high_water);
 }
 
@@ -46,8 +45,7 @@ std::string TransportStats::Summary() const {
     out << " links(severed/slowed)=" << faults_severed << "/"
         << faults_slowed;
   }
-  out << " backpressure=" << backpressure_waits
-      << " queue_hw=" << queue_high_water;
+  out << " queue_hw=" << queue_high_water;
   return out.str();
 }
 
@@ -154,11 +152,9 @@ void TransportStats::PublishTo(obs::MetricsRegistry& registry) const {
     "Packets swallowed by severed (partitioned or flapping) links");
   c("faults_slowed_total", faults_slowed,
     "Packets slowed by gray-failure slow links");
-  c("backpressure_waits_total", backpressure_waits,
-    "Sends that blocked on a full queue");
   registry.SetGauge("tpart_transport_queue_peak_depth",
                     static_cast<double>(queue_high_water),
-                    "Deepest any transport queue ever got");
+                    "Deepest any TCP writer queue ever got");
 }
 
 void PipelineStats::PublishTo(obs::MetricsRegistry& registry) const {

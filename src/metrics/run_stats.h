@@ -48,9 +48,8 @@ struct TransportStats {
   /// flapping-down) link, and packets slowed by a gray-failure slow link.
   std::uint64_t faults_severed = 0;
   std::uint64_t faults_slowed = 0;
-  /// Sender-side flow control: sends that blocked on a full queue, and
-  /// the deepest any outgoing/delivery queue ever got.
-  std::uint64_t backpressure_waits = 0;
+  /// Deepest any TCP connection's writer queue ever got (the in-process
+  /// network queues nothing).
   std::uint64_t queue_high_water = 0;
 
   /// Accumulates `other` (sums counters, maxes high-water marks).

@@ -135,7 +135,7 @@ void TcpPacketNetwork::Start(std::size_t num_machines, HandlerFn handler) {
       SetNoDelay(fd);
       // Writers use nonblocking sends + poll; see WriterLoop.
       ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
-      auto conn = std::make_unique<Conn>(queue_capacity_);
+      auto conn = std::make_unique<Conn>();
       conn->fd = fd;
       conn->writer = std::thread([this, c = conn.get()] { WriterLoop(c); });
       conns_[from * n_ + to] = std::move(conn);
@@ -154,12 +154,7 @@ void TcpPacketNetwork::Send(MachineId from, MachineId to,
   std::string frame;
   frame.reserve(packet.size() + kFrameHeaderBytes);
   AppendFrame(packet, &frame);
-  Conn* conn = conns_[from * n_ + to].get();
-  const bool waited = conn->queue.Send(std::move(frame));
-  if (waited) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.backpressure_waits;
-  }
+  conns_[from * n_ + to]->queue.Send(std::move(frame));
 }
 
 void TcpPacketNetwork::WriterLoop(Conn* conn) {

@@ -16,14 +16,14 @@ namespace tpart {
 /// listener, and every ordered machine pair (i, j) gets a dedicated
 /// connection created by i (identified by a 4-byte hello). Packets are
 /// length-prefixed frames (net/wire.h) on the stream; writes go through
-/// a per-connection bounded queue drained by a writer thread doing
-/// nonblocking sends (backpressure is counted, never dropped); a reader
-/// thread per inbound connection reassembles frames and hands packets to
-/// the handler.
+/// a per-connection unbounded queue drained by a writer thread doing
+/// nonblocking sends, so Send never blocks, not even for an ack the
+/// handler sends from a reader thread; a reader thread per inbound
+/// connection reassembles frames and hands packets to the handler. The
+/// epoch credits bound what the cluster keeps in flight, and with it
+/// each queue's depth.
 class TcpPacketNetwork : public PacketNetwork {
  public:
-  explicit TcpPacketNetwork(std::size_t queue_capacity = 4096)
-      : queue_capacity_(queue_capacity) {}
   ~TcpPacketNetwork() override { Stop(); }
 
   void Start(std::size_t num_machines, HandlerFn handler) override;
@@ -33,7 +33,6 @@ class TcpPacketNetwork : public PacketNetwork {
 
  private:
   struct Conn {
-    explicit Conn(std::size_t capacity) : queue(capacity) {}
     int fd = -1;
     BlockingQueue<std::string> queue;  // framed packets awaiting write
     std::thread writer;
@@ -42,7 +41,6 @@ class TcpPacketNetwork : public PacketNetwork {
   void WriterLoop(Conn* conn);
   void ReaderLoop(MachineId dst, int fd);
 
-  std::size_t queue_capacity_;
   std::size_t n_ = 0;
   HandlerFn handler_;
   bool started_ = false;

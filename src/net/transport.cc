@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "common/logging.h"
@@ -72,7 +73,6 @@ void SerializedTransport::Start(std::vector<DeliverFn> deliver) {
   network_->Start(n_, [this](MachineId dst, std::string packet) {
     OnPacket(dst, std::move(packet));
   });
-  ack_thread_ = std::thread([this] { AckLoop(); });
   retry_thread_ = std::thread([this] { RetryLoop(); });
 }
 
@@ -94,20 +94,7 @@ void SerializedTransport::Send(MachineId from, MachineId to, Message msg) {
     deliver_[to](std::move(*decoded));
     return;
   }
-  std::string packet;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    Link& link = links_[from * n_ + to];
-    const std::uint64_t seq = link.next_seq++;
-    WireWriter w(&packet);
-    w.PutU8(kDataPacket);
-    w.PutVarint(from);
-    w.PutVarint(seq);
-    packet.append(payload);
-    const auto now = std::chrono::steady_clock::now();
-    link.unacked[seq] = Link::Unacked{packet, now, now};
-  }
-  network_->Send(from, to, std::move(packet));
+  SendPacket(from, to, kDataPacket, payload);
 }
 
 void SerializedTransport::SendBatch(
@@ -158,21 +145,27 @@ void SerializedTransport::SendBatch(
     // One link sequence number covers the whole batch: the reliability
     // layer acks, dedupes, and retransmits it as a single unit, so the
     // resend-window granularity becomes the round-batch.
-    std::string packet;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      Link& link = links_[from * n_ + to];
-      const std::uint64_t seq = link.next_seq++;
-      WireWriter w(&packet);
-      w.PutU8(kBatchPacket);
-      w.PutVarint(from);
-      w.PutVarint(seq);
-      packet.append(payload);
-      const auto now = std::chrono::steady_clock::now();
-      link.unacked[seq] = Link::Unacked{packet, now, now};
-    }
-    network_->Send(from, static_cast<MachineId>(to), std::move(packet));
+    SendPacket(from, static_cast<MachineId>(to), kBatchPacket, payload);
   }
+}
+
+void SerializedTransport::SendPacket(MachineId from, MachineId to,
+                                     std::uint8_t kind,
+                                     std::string_view payload) {
+  std::string packet;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    Link& link = links_[from * n_ + to];
+    const std::uint64_t seq = link.next_seq++;
+    WireWriter w(&packet);
+    w.PutU8(kind);
+    w.PutVarint(from);
+    w.PutVarint(seq);
+    packet.append(payload);
+    const auto now = std::chrono::steady_clock::now();
+    link.unacked[seq] = Link::Unacked{packet, now, now};
+  }
+  network_->Send(from, to, std::move(packet));
 }
 
 void SerializedTransport::OnPacket(MachineId dst, std::string packet) {
@@ -238,17 +231,11 @@ void SerializedTransport::OnPacket(MachineId dst, std::string packet) {
     deliver_[dst](std::move(*msg));
     counters_.messages_delivered.fetch_add(1, std::memory_order_relaxed);
   }
-  // Ack even duplicates: the first ack may itself have been dropped.
-  ack_queue_.Send({dst, src, MakeAckPacket(dst, seq)});
-}
-
-void SerializedTransport::AckLoop() {
-  while (true) {
-    auto [from, to, packet] = ack_queue_.Receive();
-    if (packet.empty()) return;  // shutdown sentinel
-    network_->Send(from, to, std::move(packet));
-    counters_.acks_sent.fetch_add(1, std::memory_order_relaxed);
-  }
+  // Ack even duplicates: the first ack may itself have been dropped. No
+  // network send blocks, so acking from here cannot deadlock two
+  // machines acking each other.
+  network_->Send(dst, src, MakeAckPacket(dst, seq));
+  counters_.acks_sent.fetch_add(1, std::memory_order_relaxed);
 }
 
 void SerializedTransport::RetryLoop() {
@@ -314,8 +301,6 @@ void SerializedTransport::Stop() {
   stopped_ = true;
   shutdown_.store(true);
   if (retry_thread_.joinable()) retry_thread_.join();
-  ack_queue_.Send({0, 0, std::string()});
-  if (ack_thread_.joinable()) ack_thread_.join();
   network_->Stop();
 }
 
@@ -381,9 +366,9 @@ std::unique_ptr<Transport> MakeTransport(const TransportOptions& options) {
   }
   std::unique_ptr<PacketNetwork> network;
   if (kind == TransportKind::kTcp) {
-    network = std::make_unique<TcpPacketNetwork>(options.queue_capacity);
+    network = std::make_unique<TcpPacketNetwork>();
   } else {
-    network = std::make_unique<InProcessPacketNetwork>(options.queue_capacity);
+    network = std::make_unique<InProcessPacketNetwork>();
   }
   if (options.faults.Any()) {
     network = std::make_unique<FaultyPacketNetwork>(std::move(network),

@@ -10,8 +10,8 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -29,9 +29,10 @@ enum class TransportKind {
   /// Pass Message structs by value, no serialization (the seed behaviour;
   /// fastest, but exercises no wire code).
   kDirect,
-  /// Serialize every message through the binary wire format and carry the
-  /// bytes over in-process queues: the full encode/frame/decode path
-  /// without sockets.
+  /// Serialize every message through the binary wire format and hand the
+  /// bytes to the receiver on the sending thread: the full
+  /// encode/frame/decode path without sockets. A send returns with its
+  /// packet delivered and acked unless a fault intervenes.
   kInProcess,
   /// Real loopback TCP sockets: listener + connection mesh per machine.
   kTcp,
@@ -43,9 +44,6 @@ struct TransportOptions {
   /// substrate; when set with kDirect the transport upgrades to
   /// kInProcess, since faults act on wire packets.
   FaultOptions faults;
-  /// Bound of each per-destination (in-process) or per-connection (TCP)
-  /// packet queue; senders block — and are counted — beyond it.
-  std::size_t queue_capacity = 4096;
   /// Reliability layer: unacked data packets are retransmitted after
   /// this long. Only meaningful under fault injection (nothing is lost
   /// otherwise, and sporadic spurious retries are harmless: receivers
@@ -57,14 +55,23 @@ struct TransportOptions {
 /// every machine's loop thread and the control plane send concurrently.
 class Transport {
  public:
+  /// Receives one message for its machine, on the thread that hands the
+  /// packet over: the sending thread for the direct and in-process
+  /// transports (the retry thread for an in-process retransmission, the
+  /// fault injector's timer thread for a delayed packet), the receiving
+  /// connection's reader thread for TCP. It must be thread-safe, must not
+  /// block, and must not send: it may run inside the sender's SendBatch,
+  /// whose per-thread scratch a nested send would overwrite.
   using DeliverFn = std::function<void(Message)>;
 
   virtual ~Transport() = default;
 
-  /// `deliver[m]` receives every message addressed to machine m; it may
-  /// be invoked from transport threads and must be thread-safe.
+  /// `deliver[m]` receives every message addressed to machine m.
   virtual void Start(std::vector<DeliverFn> deliver) = 0;
 
+  /// Never blocks on the network: a send returns once its message is
+  /// delivered (direct, lossless in-process) or queued for a socket or a
+  /// fault-injected delay.
   virtual void Send(MachineId from, MachineId to, Message msg) = 0;
 
   /// Sends a burst of messages from one machine, preserving per-
@@ -163,9 +170,15 @@ class SerializedTransport : public Transport {
     std::set<std::uint64_t> delivered_above;
   };
 
+  /// Frames `payload` as a `kind` packet on link from->to: assigns the
+  /// link's next sequence number, keeps the packet for retransmission
+  /// until it is acked, and sends it.
+  void SendPacket(MachineId from, MachineId to, std::uint8_t kind,
+                  std::string_view payload);
+  /// Receives one packet at `dst`; a data packet is delivered (unless a
+  /// duplicate) and acked on the spot, from the thread that called it.
   void OnPacket(MachineId dst, std::string packet);
   void RetryLoop();
-  void AckLoop();
 
   std::unique_ptr<PacketNetwork> network_;
   const int retry_timeout_us_;
@@ -177,12 +190,6 @@ class SerializedTransport : public Transport {
   mutable std::mutex mu_;  // links_ (const diagnostics)
   std::condition_variable flush_cv_;
   std::vector<Link> links_;
-
-  // Acks are flushed by a dedicated thread so packet-delivery threads
-  // never block on a full outgoing queue (which could deadlock two
-  // machines acking each other across full queues).
-  BlockingQueue<std::tuple<MachineId, MachineId, std::string>> ack_queue_;
-  std::thread ack_thread_;
 
   std::thread retry_thread_;
   std::atomic<bool> shutdown_{false};

@@ -144,11 +144,12 @@ bool operator==(const Message& a, const Message& b);
 /// accounting (not the wire size).
 std::size_t ApproxMessageBytes(const Message& m);
 
-/// MPSC blocking queue: the byte-packet conveyors of the serialized
-/// transports (net/packet_network.h, net/tcp_network.h), their ack queue,
-/// and the pipeline's stage queues. A capacity of 0 means unbounded; a
-/// bounded queue blocks senders when full, which is how the transports
-/// exert backpressure.
+/// MPSC blocking queue: the pipeline's bounded stage queues, which block
+/// their senders when full (how a full stage backpressures its
+/// upstream), and the TCP network's unbounded per-connection writer
+/// queues (net/tcp_network.h). A capacity of 0 means unbounded. No packet
+/// or ack of the in-process network passes through one: it delivers on
+/// the sending thread.
 template <typename T>
 class BlockingQueue {
  public:

@@ -114,7 +114,6 @@ TEST(MetricNameTest, EveryPublishedMetricNameConforms) {
   t.retries = 1;
   t.duplicates_dropped = 1;
   t.faults_dropped = t.faults_duplicated = t.faults_delayed = 1;
-  t.backpressure_waits = 1;
   t.queue_high_water = 6;
 
   PipelineStats p;

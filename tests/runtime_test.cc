@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -21,6 +20,7 @@
 #include "runtime/machine.h"
 #include "scheduler/push_plan.h"
 #include "storage/kv_store.h"
+#include "test_threads.h"
 #include "test_time.h"
 #include "txn/procedure.h"
 #include "workload/micro.h"
@@ -375,16 +375,6 @@ TEST(RuntimeTest, RoundRemoteReadsGoOutBeforeEarlierPlansFinish) {
 // the plans, parking a plan on a missing read instead of blocking.
 // ---------------------------------------------------------------------
 
-std::size_t ProcessThreads() {
-  std::size_t n = 0;
-  for (const auto& task :
-       std::filesystem::directory_iterator("/proc/self/task")) {
-    (void)task;
-    ++n;
-  }
-  return n;
-}
-
 TEST(RuntimeTest, StartTPartAddsExactlyOneThread) {
   // Any runtime helper thread (a sanitizer's, say) that the first thread
   // start spawns lazily is up before the count.
@@ -392,9 +382,9 @@ TEST(RuntimeTest, StartTPartAddsExactlyOneThread) {
   KvStore store;
   ProcedureRegistry registry;
   Machine m(0, 1, &store, &registry, DropSends());
-  const std::size_t before = ProcessThreads();
+  const std::size_t before = test::SettledProcessThreads();
   m.StartTPart();
-  const std::size_t after = ProcessThreads();
+  const std::size_t after = test::SettledProcessThreads();
   Message end;
   end.type = Message::Type::kPlanStreamEnd;
   end.epoch = 0;  // no rounds

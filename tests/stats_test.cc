@@ -32,7 +32,6 @@ TEST(TransportStatsTest, MergeFromSumsCounters) {
   a.faults_dropped = 3;
   a.faults_duplicated = 4;
   a.faults_delayed = 5;
-  a.backpressure_waits = 6;
 
   TransportStats b = a;
   a.MergeFrom(b);
@@ -48,7 +47,6 @@ TEST(TransportStatsTest, MergeFromSumsCounters) {
   EXPECT_EQ(a.faults_dropped, 6u);
   EXPECT_EQ(a.faults_duplicated, 8u);
   EXPECT_EQ(a.faults_delayed, 10u);
-  EXPECT_EQ(a.backpressure_waits, 12u);
 }
 
 TEST(TransportStatsTest, MergeFromTakesMaxOfHighWaterNotSum) {

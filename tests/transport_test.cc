@@ -1,5 +1,5 @@
 // Transport-layer tests: every wire substrate (serialized in-process
-// queues, loopback TCP, and both under seeded fault injection) must
+// delivery, loopback TCP, and both under seeded fault injection) must
 // produce exactly the results and final state of the serial reference
 // and of the direct in-memory path — the version CC makes outcomes
 // interleaving-independent, so any divergence is a transport bug.
@@ -8,14 +8,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/serial_executor.h"
 #include "net/transport.h"
 #include "net/wire.h"
 #include "runtime/cluster.h"
+#include "test_threads.h"
 #include "test_time.h"
 #include "workload/micro.h"
 #include "workload/tpcc.h"
@@ -80,6 +84,42 @@ TransportStats CheckTransportMatchesSerial(const Workload& w,
   EXPECT_EQ(cluster.store().Snapshot(), serial_state)
       << "Calvin final state diverged from serial";
   return tpart.transport;
+}
+
+// Records the req_id of every message each sink receives. A sink may run
+// on several threads at once (a sender and the retry thread, or TCP
+// reader threads), so it appends under a lock that reads take too.
+class SinkLog {
+ public:
+  explicit SinkLog(std::size_t machines) : ids_(machines) {}
+
+  std::vector<Transport::DeliverFn> Sinks() {
+    std::vector<Transport::DeliverFn> sinks;
+    for (std::size_t m = 0; m < ids_.size(); ++m) {
+      sinks.push_back([this, m](Message msg) {
+        std::lock_guard<std::mutex> lock(mu_);
+        ids_[m].push_back(msg.req_id);
+      });
+    }
+    return sinks;
+  }
+
+  std::vector<std::uint64_t> Ids(std::size_t m) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return ids_[m];
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<std::vector<std::uint64_t>> ids_;
+};
+
+Message Push(std::uint64_t id) {
+  Message msg;
+  msg.type = Message::Type::kPushVersion;
+  msg.key = id;
+  msg.req_id = id;
+  return msg;
 }
 
 TEST(TransportTest, SerializedInProcessMatchesSerial) {
@@ -195,41 +235,104 @@ TEST(TransportTest, FaultsUpgradeDirectToSerialized) {
   options.kind = TransportKind::kDirect;
   options.faults.drop_prob = 0.1;
   auto transport = MakeTransport(options);
-  std::vector<int> seen(2, 0);
-  std::vector<Transport::DeliverFn> sinks;
-  for (int m = 0; m < 2; ++m) {
-    sinks.push_back([&seen, m](Message) { ++seen[m]; });
-  }
-  transport->Start(std::move(sinks));
-  Message msg;
-  msg.type = Message::Type::kPushVersion;
-  msg.key = 1;
-  for (int i = 0; i < 50; ++i) transport->Send(0, 1, msg);
+  SinkLog log(2);
+  transport->Start(log.Sinks());
+  for (int i = 0; i < 50; ++i) transport->Send(0, 1, Push(1));
   ASSERT_TRUE(transport->Flush().ok());
-  EXPECT_EQ(seen[1], 50);
+  EXPECT_EQ(log.Ids(1).size(), 50u);
   const TransportStats stats = transport->stats();
   EXPECT_GT(stats.packets_out, 0u);  // serialized, not direct
   EXPECT_GT(stats.faults_dropped, 0u);
   transport->Stop();
 }
 
-TEST(TransportTest, BackpressureCountersSurface) {
-  // A tiny queue forces senders to wait; the event must be counted.
+TEST(TransportTest, LosslessInProcessSendReturnsDeliveredAndAcked) {
+  // The in-process network delivers on the sending thread and the
+  // receiver acks on the spot, so a send returns with its messages in the
+  // sink and its packet acked: nothing is left for a flush or a retry.
+  // The long retry timeout keeps the retry thread out of the picture.
   TransportOptions options;
   options.kind = TransportKind::kInProcess;
-  options.queue_capacity = 1;
+  options.retry_timeout_us = 200'000;
   auto transport = MakeTransport(options);
-  std::vector<Transport::DeliverFn> sinks(2, [](Message) {});
-  transport->Start(std::move(sinks));
-  Message msg;
-  msg.type = Message::Type::kPushVersion;
-  msg.value = Record({1, 2, 3});
-  for (int i = 0; i < 200; ++i) transport->Send(0, 1, msg);
-  ASSERT_TRUE(transport->Flush().ok());
-  const TransportStats stats = transport->stats();
-  EXPECT_GE(stats.queue_high_water, 1u);
-  EXPECT_EQ(stats.messages_delivered, 200u);
+  SinkLog log(3);
+  transport->Start(log.Sinks());
+
+  transport->Send(0, 1, Push(1));
+  EXPECT_EQ(log.Ids(1), (std::vector<std::uint64_t>{1}));
+  TransportStats stats = transport->stats();
+  EXPECT_EQ(stats.acks_sent, 1u);
+  EXPECT_EQ(stats.packets_out, 2u);  // one data packet, one ack
+  EXPECT_EQ(transport->LinkDiagnostic(), "unacked_total=0");
+
+  // Two messages per destination: one batch frame each.
+  std::vector<std::pair<MachineId, Message>> batch;
+  batch.emplace_back(1, Push(2));
+  batch.emplace_back(2, Push(3));
+  batch.emplace_back(1, Push(4));
+  batch.emplace_back(2, Push(5));
+  transport->SendBatch(0, batch);
+  EXPECT_EQ(log.Ids(1), (std::vector<std::uint64_t>{1, 2, 4}));
+  EXPECT_EQ(log.Ids(2), (std::vector<std::uint64_t>{3, 5}));
+  stats = transport->stats();
+  EXPECT_EQ(stats.batches_sent, 2u);
+  EXPECT_EQ(stats.acks_sent, 3u);
+  EXPECT_EQ(stats.packets_out, 6u);
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(transport->LinkDiagnostic(), "unacked_total=0");
   transport->Stop();
+}
+
+TEST(TransportTest, TcpOpposingFloodsAckFromReaderThreadsIntoBusyWriters) {
+  // Each reader thread acks through the writer queue of the connection
+  // back, which the other flood keeps busy. Every message still arrives
+  // exactly once, in order, and the flush completes.
+  constexpr std::uint64_t kPerSide = 2000;
+  TransportOptions options;
+  options.kind = TransportKind::kTcp;
+  auto transport = MakeTransport(options);
+  SinkLog log(2);
+  transport->Start(log.Sinks());
+  const auto flood = [&](MachineId from, MachineId to) {
+    for (std::uint64_t i = 0; i < kPerSide; ++i) {
+      transport->Send(from, to, Push(i));
+    }
+  };
+  std::thread forward(flood, 0, 1);
+  std::thread backward(flood, 1, 0);
+  forward.join();
+  backward.join();
+  const Status flushed = transport->Flush();
+  EXPECT_TRUE(flushed.ok()) << flushed.ToString();
+  std::vector<std::uint64_t> expected(kPerSide);
+  for (std::uint64_t i = 0; i < kPerSide; ++i) expected[i] = i;
+  EXPECT_EQ(log.Ids(0), expected);
+  EXPECT_EQ(log.Ids(1), expected);
+  EXPECT_EQ(transport->stats().messages_delivered, 2 * kPerSide);
+  transport->Stop();
+}
+
+TEST(TransportTest, ThreadsStartedAreTheRetryThreadAndTheSocketEnds) {
+  // Any runtime helper thread (a sanitizer's, say) that the first thread
+  // start spawns lazily is up before the count.
+  std::thread([] {}).join();
+  constexpr std::size_t kMachines = 3;
+  for (TransportKind kind : {TransportKind::kInProcess, TransportKind::kTcp}) {
+    TransportOptions options;
+    options.kind = kind;
+    auto transport = MakeTransport(options);
+    std::vector<Transport::DeliverFn> sinks(kMachines, [](Message) {});
+    const std::size_t before = test::SettledProcessThreads();
+    transport->Start(std::move(sinks));
+    const std::size_t started = test::SettledProcessThreads() - before;
+    transport->Stop();
+    // In-process: the retry thread alone. TCP: a writer and a reader per
+    // ordered pair of machines, plus the retry thread.
+    const std::size_t want = kind == TransportKind::kTcp
+                                 ? 1 + 2 * kMachines * (kMachines - 1)
+                                 : 1;
+    EXPECT_EQ(started, want) << "transport kind " << static_cast<int>(kind);
+  }
 }
 
 TEST(TransportTest, FlushOverASeveredLinkTimesOutNamingTheLink) {
