@@ -43,8 +43,10 @@ Row RunOver(const Workload& w, std::size_t txns, TransportOptions transport) {
 bool g_json = false;
 
 void PrintRow(const char* name, const Row& row) {
-  std::printf("%12s %12.0f %10llu %12llu %10llu %8llu\n", name, row.tps,
+  std::printf("%12s %12.0f %10llu %10llu %12llu %10llu %8llu\n", name,
+              row.tps,
               static_cast<unsigned long long>(row.stats.messages_sent),
+              static_cast<unsigned long long>(row.stats.batches_sent),
               static_cast<unsigned long long>(row.stats.bytes_out),
               static_cast<unsigned long long>(row.stats.packets_out),
               static_cast<unsigned long long>(row.stats.retries));
@@ -53,6 +55,7 @@ void PrintRow(const char* name, const Row& row) {
         .Add("transport", std::string(name))
         .Add("tps", row.tps)
         .Add("messages_sent", row.stats.messages_sent)
+        .Add("batches_sent", row.stats.batches_sent)
         .Add("bytes_out", row.stats.bytes_out)
         .Add("packets_out", row.stats.packets_out)
         .Add("retries", row.stats.retries)
@@ -63,8 +66,8 @@ void PrintRow(const char* name, const Row& row) {
 void BenchClusterTransports(std::size_t machines, std::size_t txns) {
   Header("Transport comparison: Microbenchmark on the threaded cluster");
   const Workload w = MakeMicroWorkload(DefaultMicro(machines, txns));
-  std::printf("%12s %12s %10s %12s %10s %8s\n", "transport", "tps", "msgs",
-              "bytes out", "packets", "retries");
+  std::printf("%12s %12s %10s %10s %12s %10s %8s\n", "transport", "tps",
+              "msgs", "batches", "bytes out", "packets", "retries");
 
   TransportOptions direct;  // kDirect
   PrintRow("direct", RunOver(w, txns, direct));

@@ -134,9 +134,10 @@ void TransportStats::PublishTo(obs::MetricsRegistry& registry) const {
   c("messages_delivered_total", messages_delivered,
     "Messages delivered to their destination machine");
   c("batches_sent_total", batches_sent,
-    "Multi-message batch frames sent (one link seq each)");
+    "Multi-message deliveries (a batch frame with one link seq each on "
+    "a serialized transport)");
   c("batched_messages_total", batched_messages,
-    "Messages that travelled inside batch frames");
+    "Messages that travelled inside multi-message deliveries");
   c("bytes_out_total", bytes_out, "Serialized bytes entering the network");
   c("bytes_in_total", bytes_in, "Serialized bytes leaving the network");
   c("packets_out_total", packets_out, "Packets sent (data + acks + retries)");

@@ -23,9 +23,10 @@ struct TransportStats {
   /// Message-level sends/deliveries (one Message each).
   std::uint64_t messages_sent = 0;
   std::uint64_t messages_delivered = 0;
-  /// Batch frames: multi-message wire packets carrying one link sequence
-  /// number each (what one machine-loop turn sent to one destination),
-  /// and the total messages that travelled inside them.
+  /// Batches: deliveries of more than one message (what one machine-loop
+  /// turn sent to one destination, handed to the receiver in one call),
+  /// and the total messages that travelled inside them. On a serialized
+  /// transport each is a batch frame carrying one link sequence number.
   std::uint64_t batches_sent = 0;
   std::uint64_t batched_messages = 0;
   /// Serialized bytes entering / leaving the network (frame overhead

@@ -31,6 +31,40 @@ std::string MakeAckPacket(MachineId acker, std::uint64_t seq) {
   return out;
 }
 
+/// Hands `msg` to `deliver` as a one-message batch. The vector is per-
+/// thread scratch, so a single send allocates nothing once warm; a sink
+/// never sends, so no call nests inside another on the same thread.
+void DeliverOne(const Transport::DeliverFn& deliver, Message msg) {
+  thread_local std::vector<Message> one;
+  one.push_back(std::move(msg));
+  deliver(one);
+  one.clear();
+}
+
+/// Groups a SendBatch burst by destination, keeping each destination's
+/// messages in send order, and calls `ship(to, group)` once per
+/// destination that has any, in machine order. The groups are per-thread
+/// scratch that keep their capacity across bursts; `ship` may move the
+/// messages out or swap the group's buffer, and the group is cleared
+/// after it returns.
+template <typename Ship>
+void ForEachDestination(std::size_t n, MachineId from,
+                        std::vector<std::pair<MachineId, Message>>& msgs,
+                        Ship&& ship) {
+  thread_local std::vector<std::vector<Message>> by_dest;
+  if (by_dest.size() < n) by_dest.resize(n);
+  for (auto& [to, msg] : msgs) {
+    TPART_CHECK(to < n) << "bad batch send " << from << "->" << to;
+    by_dest[to].push_back(std::move(msg));
+  }
+  for (std::size_t to = 0; to < n; ++to) {
+    std::vector<Message>& group = by_dest[to];
+    if (group.empty()) continue;
+    ship(static_cast<MachineId>(to), group);
+    group.clear();
+  }
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -45,13 +79,30 @@ void DirectTransport::Send(MachineId from, MachineId to, Message msg) {
   (void)from;
   TPART_CHECK(to < deliver_.size()) << "send to unknown machine " << to;
   messages_.fetch_add(1, std::memory_order_relaxed);
-  deliver_[to](std::move(msg));
+  DeliverOne(deliver_[to], std::move(msg));
+}
+
+void DirectTransport::SendBatch(
+    MachineId from, std::vector<std::pair<MachineId, Message>>& msgs) {
+  ForEachDestination(
+      deliver_.size(), from, msgs,
+      [this](MachineId to, std::vector<Message>& group) {
+        messages_.fetch_add(group.size(), std::memory_order_relaxed);
+        if (group.size() > 1) {
+          batches_.fetch_add(1, std::memory_order_relaxed);
+          batched_messages_.fetch_add(group.size(),
+                                      std::memory_order_relaxed);
+        }
+        deliver_[to](group);
+      });
 }
 
 TransportStats DirectTransport::stats() const {
   TransportStats out;
   out.messages_sent = messages_.load(std::memory_order_relaxed);
   out.messages_delivered = out.messages_sent;
+  out.batches_sent = batches_.load(std::memory_order_relaxed);
+  out.batched_messages = batched_messages_.load(std::memory_order_relaxed);
   return out;
 }
 
@@ -91,7 +142,7 @@ void SerializedTransport::Send(MachineId from, MachineId to, Message msg) {
         << "self-send decode failed: " << decoded.status().ToString();
     counters_.messages_delivered.fetch_add(1, std::memory_order_relaxed);
     counters_.self_bytes.fetch_add(payload.size(), std::memory_order_relaxed);
-    deliver_[to](std::move(*decoded));
+    DeliverOne(deliver_[to], std::move(*decoded));
     return;
   }
   SendPacket(from, to, kDataPacket, payload);
@@ -100,23 +151,13 @@ void SerializedTransport::Send(MachineId from, MachineId to, Message msg) {
 void SerializedTransport::SendBatch(
     MachineId from, std::vector<std::pair<MachineId, Message>>& msgs) {
   TPART_CHECK(started_ && from < n_) << "bad batch send from " << from;
-  // Group per destination, preserving the caller's per-destination order.
-  // Per-thread scratch: group vectors keep their capacity across bursts.
-  thread_local std::vector<std::vector<Message>> by_dest;
-  if (by_dest.size() < n_) by_dest.resize(n_);
-  for (auto& g : by_dest) g.clear();
-  for (auto& [to, msg] : msgs) {
-    TPART_CHECK(to < n_) << "bad batch send " << from << "->" << to;
-    by_dest[to].push_back(std::move(msg));
-  }
-  for (std::size_t to = 0; to < n_; ++to) {
-    std::vector<Message>& group = by_dest[to];
-    if (group.empty()) continue;
+  ForEachDestination(n_, from, msgs, [&](MachineId to,
+                                         std::vector<Message>& group) {
     if (group.size() == 1) {
       // A singleton batch would only add envelope overhead; use the
       // plain path so the wire traffic matches message-level framing.
-      Send(from, static_cast<MachineId>(to), std::move(group.front()));
-      continue;
+      Send(from, to, std::move(group.front()));
+      return;
     }
     std::string payload = EncodeMessageBatch(group);
     TPART_TRACE_SPAN("net_send_batch", "net",
@@ -139,14 +180,14 @@ void SerializedTransport::SendBatch(
                                              std::memory_order_relaxed);
       counters_.self_bytes.fetch_add(payload.size(),
                                      std::memory_order_relaxed);
-      for (Message& m : *decoded) deliver_[to](std::move(m));
-      continue;
+      deliver_[to](*decoded);
+      return;
     }
     // One link sequence number covers the whole batch: the reliability
     // layer acks, dedupes, and retransmits it as a single unit, so the
     // resend-window granularity becomes the round-batch.
-    SendPacket(from, static_cast<MachineId>(to), kBatchPacket, payload);
-  }
+    SendPacket(from, to, kBatchPacket, payload);
+  });
 }
 
 void SerializedTransport::SendPacket(MachineId from, MachineId to,
@@ -219,7 +260,7 @@ void SerializedTransport::OnPacket(MachineId dst, std::string packet) {
                            << dst << " seq " << seq << ": "
                            << msgs.status().ToString();
     const std::size_t count = msgs->size();
-    for (Message& m : *msgs) deliver_[dst](std::move(m));
+    deliver_[dst](*msgs);
     counters_.messages_delivered.fetch_add(count, std::memory_order_relaxed);
   } else {
     TPART_TRACE_SPAN("net_recv", "net",
@@ -228,7 +269,7 @@ void SerializedTransport::OnPacket(MachineId dst, std::string packet) {
     TPART_CHECK(msg.ok()) << "wire decode failed for packet " << src << "->"
                           << dst << " seq " << seq << ": "
                           << msg.status().ToString();
-    deliver_[dst](std::move(*msg));
+    DeliverOne(deliver_[dst], std::move(*msg));
     counters_.messages_delivered.fetch_add(1, std::memory_order_relaxed);
   }
   // Ack even duplicates: the first ack may itself have been dropped. No

@@ -55,14 +55,18 @@ struct TransportOptions {
 /// every machine's loop thread and the control plane send concurrently.
 class Transport {
  public:
-  /// Receives one message for its machine, on the thread that hands the
-  /// packet over: the sending thread for the direct and in-process
-  /// transports (the retry thread for an in-process retransmission, the
-  /// fault injector's timer thread for a delayed packet), the receiving
-  /// connection's reader thread for TCP. It must be thread-safe, must not
-  /// block, and must not send: it may run inside the sender's SendBatch,
-  /// whose per-thread scratch a nested send would overwrite.
-  using DeliverFn = std::function<void(Message)>;
+  /// Receives one or more messages for its machine, in send order: one
+  /// destination's share of one SendBatch (a batch frame on a serialized
+  /// transport) or a single Send. It runs on the thread that hands them
+  /// over: the sending thread for the direct and in-process transports
+  /// (the retry thread for an in-process retransmission, the fault
+  /// injector's timer thread for a delayed packet), the receiving
+  /// connection's reader thread for TCP. The vector is borrowed: the sink
+  /// may move its messages out or swap its buffer for an empty one, and
+  /// the transport clears it afterwards. A sink must be thread-safe, must
+  /// not block, and must not send: it may run inside the sender's
+  /// SendBatch, whose per-thread scratch a nested send would overwrite.
+  using DeliverFn = std::function<void(std::vector<Message>& msgs)>;
 
   virtual ~Transport() = default;
 
@@ -77,17 +81,15 @@ class Transport {
   /// Sends a burst of messages from one machine, preserving per-
   /// destination order: a machine's loop sends everything of one turn
   /// (dispatched messages' replies, a plan's pushes and write-backs, a
-  /// round's read requests) in one call. The base implementation
-  /// forwards to Send one by one; serialized transports override it to
-  /// coalesce each destination's share into a single batch frame
-  /// (net/wire.h EncodeMessageBatch) carrying one link sequence number,
-  /// so it costs one packet and one ack. The vector is borrowed scratch:
-  /// the transport moves the messages out but leaves the
-  /// (cleared-by-caller) vector's capacity with the caller.
+  /// round's read requests) in one call. Each destination's share
+  /// reaches its sink in one call: the direct transport hands it over as
+  /// is, and a serialized transport carries it in one batch frame
+  /// (net/wire.h EncodeMessageBatch) with one link sequence number, so it
+  /// costs one packet and one ack. The vector is borrowed scratch: the
+  /// transport moves the messages out but leaves the (cleared-by-caller)
+  /// vector's capacity with the caller.
   virtual void SendBatch(MachineId from,
-                         std::vector<std::pair<MachineId, Message>>& msgs) {
-    for (auto& [to, msg] : msgs) Send(from, to, std::move(msg));
-  }
+                         std::vector<std::pair<MachineId, Message>>& msgs) = 0;
 
   /// Blocks until every message accepted before the call has been
   /// delivered to its destination — on a serialized transport, until
@@ -117,12 +119,16 @@ class Transport {
   virtual std::string LinkDiagnostic() const { return std::string(); }
 };
 
-/// The seed's zero-copy path: Send() delivers the struct synchronously,
-/// so every message sent is also delivered.
+/// The seed's zero-copy path: a send delivers the structs synchronously,
+/// so every message sent is also delivered. A SendBatch hands each
+/// destination's share to its sink in one call, counted in stats() as a
+/// batch when it holds more than one message.
 class DirectTransport : public Transport {
  public:
   void Start(std::vector<DeliverFn> deliver) override;
   void Send(MachineId from, MachineId to, Message msg) override;
+  void SendBatch(MachineId from,
+                 std::vector<std::pair<MachineId, Message>>& msgs) override;
   Status Flush(std::chrono::microseconds) override { return Status::Ok(); }
   void Stop() override {}
   TransportStats stats() const override;
@@ -130,6 +136,8 @@ class DirectTransport : public Transport {
  private:
   std::vector<DeliverFn> deliver_;
   std::atomic<std::uint64_t> messages_{0};
+  std::atomic<std::uint64_t> batches_{0};
+  std::atomic<std::uint64_t> batched_messages_{0};
 };
 
 /// Serializes messages through net/wire.h and ships the bytes over a

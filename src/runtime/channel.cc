@@ -1,6 +1,7 @@
 #include "runtime/channel.h"
 
 #include <algorithm>
+#include <iterator>
 
 namespace tpart {
 
@@ -39,6 +40,24 @@ void Channel::Send(Message msg) {
     wake = waiting_;
   }
   if (wake) cv_.notify_one();
+}
+
+void Channel::Append(std::vector<Message>& batch) {
+  if (batch.empty()) return;
+  bool wake = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (pending_.empty()) {
+      pending_.swap(batch);
+    } else {
+      pending_.insert(pending_.end(), std::make_move_iterator(batch.begin()),
+                      std::make_move_iterator(batch.end()));
+    }
+    high_water_ = std::max(high_water_, pending_.size());
+    wake = waiting_;
+  }
+  if (wake) cv_.notify_one();
+  batch.clear();
 }
 
 bool Channel::TakeAll(std::vector<Message>& out) {

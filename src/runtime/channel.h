@@ -220,20 +220,28 @@ class BlockingQueue {
 /// The inbox of a machine or a coordinator replica: many producers (peer
 /// loops under the direct transport, network receivers, the control
 /// plane, the owner's own self-sends) and one consumer loop that takes
-/// everything pending at once. Producers append under one mutex and
-/// notify only a consumer that waits; the consumer swaps the pending
-/// vector for its emptied batch, so it locks once per batch, and the two
+/// everything pending at once. A producer appends a whole batch (what
+/// one transport call delivers to this inbox) under one lock and
+/// notifies only a consumer that waits; into an empty inbox the batch's
+/// buffer is handed over whole. The consumer swaps the pending vector
+/// for its emptied batch, so it too locks once per batch, and the
 /// vectors trade buffers instead of allocating. (BlockingQueue's deque
 /// would put each Message in a heap node and lock once per message.)
 /// Unbounded: the direct transport delivers synchronously from peer
 /// loops, so an inbox that blocked its producers could deadlock a cycle
-/// of full machines. FIFO in delivery order.
+/// of full machines. FIFO in delivery order; a batch's messages stay
+/// contiguous.
 class Channel {
  public:
   using Clock = std::chrono::steady_clock;
 
   /// Appends `msg`; never blocks.
   void Send(Message msg);
+  /// Appends every message of `batch` in order, under one lock and with
+  /// at most one wake-up; never blocks. Leaves `batch` empty, possibly
+  /// holding the inbox's former (empty) buffer. An empty batch is a
+  /// no-op.
+  void Append(std::vector<Message>& batch);
   /// Moves every pending message, oldest first, into the empty `out`;
   /// false when nothing was pending.
   bool TakeAll(std::vector<Message>& out);

@@ -141,8 +141,8 @@ void LocalCluster::Reset() {
   std::vector<Transport::DeliverFn> sinks;
   sinks.reserve(machines_.size());
   for (std::size_t m = 0; m < machines_.size(); ++m) {
-    sinks.push_back([this, m](Message msg) {
-      machines_[m]->Deliver(std::move(msg));
+    sinks.push_back([this, m](std::vector<Message>& msgs) {
+      machines_[m]->Deliver(msgs);
     });
   }
   // Coordinator replication (DESIGN §4i): the replica ensemble occupies
@@ -157,8 +157,8 @@ void LocalCluster::Reset() {
           transport_->Send(from, to, std::move(msg));
         });
     for (std::size_t r = 0; r < coordinator_->num_replicas(); ++r) {
-      sinks.push_back([this, r](Message msg) {
-        coordinator_->Deliver(r, std::move(msg));
+      sinks.push_back([this, r](std::vector<Message>& msgs) {
+        coordinator_->Deliver(r, msgs);
       });
     }
   }

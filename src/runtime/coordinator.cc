@@ -71,6 +71,12 @@ void CoordinatorReplicaSet::Shutdown() {
   if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
 }
 
+void CoordinatorReplicaSet::Deliver(std::size_t r,
+                                    std::vector<Message>& msgs) {
+  TPART_CHECK(r < replicas_.size());
+  replicas_[r]->inbound.Append(msgs);
+}
+
 void CoordinatorReplicaSet::Deliver(std::size_t r, Message msg) {
   TPART_CHECK(r < replicas_.size());
   replicas_[r]->inbound.Send(std::move(msg));

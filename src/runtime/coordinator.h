@@ -85,7 +85,10 @@ class CoordinatorReplicaSet {
   void Shutdown();
 
   /// Delivery sink for replica `r` (wired into the transport's sink
-  /// vector by LocalCluster::Reset).
+  /// vector by LocalCluster::Reset): one transport delivery's messages,
+  /// in send order, appended under one lock. Leaves `msgs` empty.
+  void Deliver(std::size_t r, std::vector<Message>& msgs);
+  /// One message (tests).
   void Deliver(std::size_t r, Message msg);
 
   /// Leader-side append of one sequenced batch. Blocks until a majority

@@ -1053,7 +1053,7 @@ void Machine::RestoreAndReplay(
     copy.redelivery = true;
     inbound_.Send(std::move(copy));
   }
-  for (Message& m : stash) inbound_.Send(std::move(m));
+  inbound_.Append(stash);
 
   // 5. Hand back to Recover(): the restore is over, and the machine is
   //    live at once when nothing is replayed.

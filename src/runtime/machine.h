@@ -159,7 +159,11 @@ class Machine {
   /// peaks and the results are read after this.
   void Stop();
 
-  /// Network intake (called by the cluster router).
+  /// Network intake (the cluster's transport sink): one transport
+  /// delivery's messages, in send order, appended to the inbound queue
+  /// under one lock. Leaves `msgs` empty.
+  void Deliver(std::vector<Message>& msgs) { inbound_.Append(msgs); }
+  /// One message (tests, offline replay).
   void Deliver(Message msg) { inbound_.Send(std::move(msg)); }
 
   /// Replay mode (§5.4): outbound messages are suppressed and the logged

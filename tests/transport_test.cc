@@ -86,19 +86,21 @@ TransportStats CheckTransportMatchesSerial(const Workload& w,
   return tpart.transport;
 }
 
-// Records the req_id of every message each sink receives. A sink may run
-// on several threads at once (a sender and the retry thread, or TCP
-// reader threads), so it appends under a lock that reads take too.
+// Records the req_id of every message each sink receives, and how many
+// calls delivered them. A sink may run on several threads at once (a
+// sender and the retry thread, or TCP reader threads), so it appends
+// under a lock that reads take too.
 class SinkLog {
  public:
-  explicit SinkLog(std::size_t machines) : ids_(machines) {}
+  explicit SinkLog(std::size_t machines) : ids_(machines), calls_(machines) {}
 
   std::vector<Transport::DeliverFn> Sinks() {
     std::vector<Transport::DeliverFn> sinks;
     for (std::size_t m = 0; m < ids_.size(); ++m) {
-      sinks.push_back([this, m](Message msg) {
+      sinks.push_back([this, m](std::vector<Message>& msgs) {
         std::lock_guard<std::mutex> lock(mu_);
-        ids_[m].push_back(msg.req_id);
+        ++calls_[m];
+        for (const Message& msg : msgs) ids_[m].push_back(msg.req_id);
       });
     }
     return sinks;
@@ -109,10 +111,18 @@ class SinkLog {
     return ids_[m];
   }
 
+  std::size_t Calls(std::size_t m) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return calls_[m];
+  }
+
  private:
   mutable std::mutex mu_;
   std::vector<std::vector<std::uint64_t>> ids_;
+  std::vector<std::size_t> calls_;
 };
+
+void IgnoreAll(std::vector<Message>&) {}
 
 Message Push(std::uint64_t id) {
   Message msg;
@@ -283,6 +293,76 @@ TEST(TransportTest, LosslessInProcessSendReturnsDeliveredAndAcked) {
   transport->Stop();
 }
 
+TEST(TransportTest, DirectSendBatchCallsEachSinkOnceInSendOrder) {
+  // Each destination's share of a burst reaches its sink in one call, in
+  // the order it was sent, however the burst interleaves destinations;
+  // each share of more than one message counts as a batch.
+  auto transport = MakeTransport(TransportOptions{});
+  SinkLog log(3);
+  transport->Start(log.Sinks());
+  std::vector<std::pair<MachineId, Message>> batch;
+  batch.emplace_back(1, Push(1));
+  batch.emplace_back(2, Push(2));
+  batch.emplace_back(0, Push(3));
+  batch.emplace_back(1, Push(4));
+  batch.emplace_back(2, Push(5));
+  batch.emplace_back(1, Push(6));
+  batch.emplace_back(0, Push(7));
+  transport->SendBatch(0, batch);
+  EXPECT_EQ(log.Ids(0), (std::vector<std::uint64_t>{3, 7}));
+  EXPECT_EQ(log.Ids(1), (std::vector<std::uint64_t>{1, 4, 6}));
+  EXPECT_EQ(log.Ids(2), (std::vector<std::uint64_t>{2, 5}));
+  for (std::size_t m = 0; m < 3; ++m) EXPECT_EQ(log.Calls(m), 1u) << m;
+  TransportStats stats = transport->stats();
+  EXPECT_EQ(stats.messages_sent, 7u);
+  EXPECT_EQ(stats.messages_delivered, 7u);
+  EXPECT_EQ(stats.batches_sent, 3u);
+  EXPECT_EQ(stats.batched_messages, 7u);
+
+  // A single send, and a burst's one-message share, are no batch.
+  transport->Send(2, 1, Push(8));
+  batch.clear();
+  batch.emplace_back(2, Push(9));
+  batch.emplace_back(0, Push(10));
+  batch.emplace_back(0, Push(11));
+  transport->SendBatch(1, batch);
+  EXPECT_EQ(log.Ids(0), (std::vector<std::uint64_t>{3, 7, 10, 11}));
+  EXPECT_EQ(log.Ids(1), (std::vector<std::uint64_t>{1, 4, 6, 8}));
+  EXPECT_EQ(log.Ids(2), (std::vector<std::uint64_t>{2, 5, 9}));
+  for (std::size_t m = 0; m < 3; ++m) EXPECT_EQ(log.Calls(m), 2u) << m;
+  stats = transport->stats();
+  EXPECT_EQ(stats.messages_sent, 11u);
+  EXPECT_EQ(stats.batches_sent, 4u);
+  EXPECT_EQ(stats.batched_messages, 9u);
+  transport->Stop();
+}
+
+TEST(TransportTest, LosslessInProcessBatchReachesEachSinkInOneCall) {
+  // A batch frame's messages reach the receiver's sink in one call, as
+  // does a self-addressed share, which round-trips the batch codec.
+  TransportOptions options;
+  options.kind = TransportKind::kInProcess;
+  options.retry_timeout_us = 200'000;
+  auto transport = MakeTransport(options);
+  SinkLog log(2);
+  transport->Start(log.Sinks());
+  std::vector<std::pair<MachineId, Message>> batch;
+  batch.emplace_back(1, Push(1));
+  batch.emplace_back(0, Push(2));
+  batch.emplace_back(1, Push(3));
+  batch.emplace_back(0, Push(4));
+  batch.emplace_back(1, Push(5));
+  transport->SendBatch(0, batch);
+  EXPECT_EQ(log.Ids(1), (std::vector<std::uint64_t>{1, 3, 5}));
+  EXPECT_EQ(log.Calls(1), 1u);
+  EXPECT_EQ(log.Ids(0), (std::vector<std::uint64_t>{2, 4}));
+  EXPECT_EQ(log.Calls(0), 1u);
+  const TransportStats stats = transport->stats();
+  EXPECT_EQ(stats.batches_sent, 2u);
+  EXPECT_EQ(stats.batched_messages, 5u);
+  transport->Stop();
+}
+
 TEST(TransportTest, TcpOpposingFloodsAckFromReaderThreadsIntoBusyWriters) {
   // Each reader thread acks through the writer queue of the connection
   // back, which the other flood keeps busy. Every message still arrives
@@ -321,7 +401,7 @@ TEST(TransportTest, ThreadsStartedAreTheRetryThreadAndTheSocketEnds) {
     TransportOptions options;
     options.kind = kind;
     auto transport = MakeTransport(options);
-    std::vector<Transport::DeliverFn> sinks(kMachines, [](Message) {});
+    std::vector<Transport::DeliverFn> sinks(kMachines, IgnoreAll);
     const std::size_t before = test::SettledProcessThreads();
     transport->Start(std::move(sinks));
     const std::size_t started = test::SettledProcessThreads() - before;
@@ -347,7 +427,7 @@ TEST(TransportTest, FlushOverASeveredLinkTimesOutNamingTheLink) {
   cut.group_b = {1};
   options.faults.partition.partitions.push_back(cut);
   auto transport = MakeTransport(options);
-  std::vector<Transport::DeliverFn> sinks(2, [](Message) {});
+  std::vector<Transport::DeliverFn> sinks(2, IgnoreAll);
   transport->Start(std::move(sinks));
   Message msg;
   msg.type = Message::Type::kPushVersion;
@@ -377,7 +457,7 @@ TEST(TransportTest, FlushWaitsOnlyForEarlierSendsWhileAnotherLinkKeepsSending) {
   options.retry_timeout_us = 1000;
   options.faults.drop_prob = 0.5;
   auto transport = MakeTransport(options);
-  std::vector<Transport::DeliverFn> sinks(3, [](Message) {});
+  std::vector<Transport::DeliverFn> sinks(3, IgnoreAll);
   transport->Start(std::move(sinks));
   Message msg;
   msg.type = Message::Type::kPushVersion;
