@@ -222,12 +222,17 @@ void SerializedTransport::OnPacket(MachineId dst, std::string packet) {
   if (kind == kAckPacket) {
     // `src` is the acker = the data receiver; `dst` is the data sender.
     std::lock_guard<std::mutex> lock(mu_);
-    auto& unacked = links_[dst * n_ + src].unacked;
-    auto it = unacked.find(seq);
-    if (it == unacked.end()) return;
+    Link& link = links_[dst * n_ + src];
+    auto it = link.unacked.find(seq);
+    if (it == link.unacked.end()) return;
+    const Link::Unacked& packet = it->second;
+    if (packet.sent == packet.first_sent) {
+      link.SampleRtt(std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - packet.first_sent));
+    }
     // Flush() waits on each link's oldest unacked packet.
-    const bool oldest = it == unacked.begin();
-    unacked.erase(it);
+    const bool oldest = it == link.unacked.begin();
+    link.unacked.erase(it);
     if (oldest) flush_cv_.notify_all();
     return;
   }
@@ -279,17 +284,30 @@ void SerializedTransport::OnPacket(MachineId dst, std::string packet) {
   counters_.acks_sent.fetch_add(1, std::memory_order_relaxed);
 }
 
+void SerializedTransport::Link::SampleRtt(std::chrono::microseconds rtt) {
+  if (srtt.count() == 0) {
+    srtt = rtt;
+    rttvar = rtt / 2;
+    return;
+  }
+  const std::chrono::microseconds err = srtt > rtt ? srtt - rtt : rtt - srtt;
+  rttvar = (3 * rttvar + err) / 4;
+  srtt = (7 * srtt + rtt) / 8;
+}
+
 void SerializedTransport::RetryLoop() {
-  const auto timeout = std::chrono::microseconds(retry_timeout_us_);
+  const auto floor = std::chrono::microseconds(retry_timeout_us_);
   while (!shutdown_.load()) {
-    std::this_thread::sleep_for(timeout / 2);
+    std::this_thread::sleep_for(floor / 2);
     std::vector<std::tuple<MachineId, MachineId, std::string>> resend;
     {
       std::lock_guard<std::mutex> lock(mu_);
       const auto now = std::chrono::steady_clock::now();
       for (std::size_t from = 0; from < n_; ++from) {
         for (std::size_t to = 0; to < n_; ++to) {
-          for (auto& [seq, unacked] : links_[from * n_ + to].unacked) {
+          Link& link = links_[from * n_ + to];
+          const auto timeout = link.RetryTimeout(floor);
+          for (auto& [seq, unacked] : link.unacked) {
             if (now - unacked.sent >= timeout) {
               unacked.sent = now;
               resend.emplace_back(static_cast<MachineId>(from),

@@ -1,6 +1,7 @@
 #ifndef TPART_NET_TRANSPORT_H_
 #define TPART_NET_TRANSPORT_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -44,10 +45,11 @@ struct TransportOptions {
   /// substrate; when set with kDirect the transport upgrades to
   /// kInProcess, since faults act on wire packets.
   FaultOptions faults;
-  /// Reliability layer: unacked data packets are retransmitted after
-  /// this long. Only meaningful under fault injection (nothing is lost
-  /// otherwise, and sporadic spurious retries are harmless: receivers
-  /// dedupe).
+  /// Reliability layer: an unacked data packet is retransmitted after
+  /// this long, or after its link's measured ack round trip (smoothed,
+  /// plus four mean deviations) when that is longer. Only meaningful
+  /// under fault injection (nothing is lost otherwise, and sporadic
+  /// spurious retries are harmless: receivers dedupe).
   int retry_timeout_us = 2000;
 };
 
@@ -165,7 +167,7 @@ class SerializedTransport : public Transport {
 
  private:
   /// State of one directed link: sender-side retransmission buffer and
-  /// receiver-side dedupe window.
+  /// ack round-trip estimate, receiver-side dedupe window.
   struct Link {
     std::uint64_t next_seq = 1;
     struct Unacked {
@@ -176,6 +178,20 @@ class SerializedTransport : public Transport {
     std::map<std::uint64_t, Unacked> unacked;
     std::uint64_t dedupe_floor = 0;  // all seqs <= floor delivered
     std::set<std::uint64_t> delivered_above;
+    // Smoothed ack round trip and its mean deviation (RFC 6298), sampled
+    // only from packets never resent (Karn's rule: the ack of a resent
+    // packet may answer either copy). Zero until the first sample.
+    std::chrono::microseconds srtt{0};
+    std::chrono::microseconds rttvar{0};
+
+    /// Folds one ack round trip into the estimate.
+    void SampleRtt(std::chrono::microseconds rtt);
+    /// How long an unacked packet waits before it is resent: `floor`, or
+    /// the estimate's SRTT + 4 * RTTVAR when that is longer.
+    std::chrono::microseconds RetryTimeout(
+        std::chrono::microseconds floor) const {
+      return std::max(floor, srtt + 4 * rttvar);
+    }
   };
 
   /// Frames `payload` as a `kind` packet on link from->to: assigns the

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <limits>
 #include <mutex>
 #include <optional>
@@ -15,6 +14,7 @@
 #include "common/flat_map.h"
 #include "common/logging.h"
 #include "common/random.h"
+#include "common/ring_queue.h"
 #include "elastic/migration.h"
 #include "net/wire.h"
 #include "obs/flight_recorder.h"
@@ -481,7 +481,7 @@ class Scheduling {
                         ? std::static_pointer_cast<const DataPartitionMap>(
                               ctx_.elastic)
                         : ctx_.workload.partition_map);
-    std::deque<TxnSpec> parked;
+    RingQueue<TxnSpec> parked;
     int hot_refresh_countdown = 16;
     const auto emit = [&](SinkPlan plan) {
       TPART_FLIGHT(obs::FlightEvent::kScheduleRound, 0, plan.epoch,

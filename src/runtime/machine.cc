@@ -1123,12 +1123,10 @@ void Machine::CaptureCheckpoint(SinkEpoch epoch) {
             [](const auto& a, const auto& b) { return a.first < b.first; });
   cp.truncated_request_entries += next_plan_;
   cp.truncated_network_messages += network_log_.size();
-  const auto ran =
-      request_log_.begin() + static_cast<std::ptrdiff_t>(next_plan_);
-  for (auto it = request_log_.begin(); it != ran; ++it) {
-    request_log_bytes_ -= RequestLogBytes(*it);
+  for (std::size_t i = 0; i < next_plan_; ++i) {
+    request_log_bytes_ -= RequestLogBytes(request_log_[i]);
   }
-  request_log_.erase(request_log_.begin(), ran);
+  request_log_.erase_front(next_plan_);
   next_plan_ = 0;
   network_log_.clear();
   network_log_bytes_ = 0;

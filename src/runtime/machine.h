@@ -19,6 +19,7 @@
 
 #include "cache/cache_area.h"
 #include "common/flat_map.h"
+#include "common/ring_queue.h"
 #include "common/status.h"
 #include "common/stall_timeout.h"
 #include "exec/serial_executor.h"
@@ -289,7 +290,7 @@ class Machine {
   };
   /// Every plan received since the last checkpoint capture, in execution
   /// order (empty without log recording once the run drained).
-  const std::deque<RequestLogEntry>& request_log() const {
+  const RingQueue<RequestLogEntry>& request_log() const {
     return request_log_;
   }
   const std::vector<Message>& network_log() const { return network_log_; }
@@ -616,7 +617,7 @@ class Machine {
   /// `request_log_[next_plan_]`. With log recording on, plans that ran
   /// stay until a checkpoint capture erases them; otherwise (and in
   /// offline replay) a plan is dropped once it ran.
-  std::deque<RequestLogEntry> request_log_;
+  RingQueue<RequestLogEntry> request_log_;
   std::size_t next_plan_ = 0;
   std::vector<Message> network_log_;
   bool log_recording_ = true;

@@ -1,10 +1,10 @@
 #ifndef TPART_RUNTIME_RECOVERY_H_
 #define TPART_RUNTIME_RECOVERY_H_
 
-#include <deque>
 #include <memory>
 #include <vector>
 
+#include "common/ring_queue.h"
 #include "runtime/machine.h"
 #include "storage/partitioned_store.h"
 #include "workload/workload.h"
@@ -41,7 +41,7 @@ struct ReplayResult {
 /// round being re-sent.
 ReplayResult ReplayMachine(
     const Workload& workload, MachineId id,
-    const std::deque<Machine::RequestLogEntry>& request_log,
+    const RingQueue<Machine::RequestLogEntry>& request_log,
     const std::vector<Message>& network_log);
 
 /// Checkpoint-accelerated offline replay: reconstructs machine `id` from
@@ -56,7 +56,7 @@ ReplayResult ReplayMachine(
 ReplayResult ReplayMachine(
     const Workload& workload, MachineId id,
     const MachineCheckpoint& checkpoint,
-    const std::deque<Machine::RequestLogEntry>& request_log_suffix,
+    const RingQueue<Machine::RequestLogEntry>& request_log_suffix,
     const std::vector<Message>& network_log_suffix);
 
 /// Rebuilds one partition from its checkpoint: wipes `store` and streams

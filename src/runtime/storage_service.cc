@@ -35,27 +35,30 @@ void StorageService::DrainKey(ObjectKey key, KeyState& st) {
     auto it = std::find_if(
         st.parked_wbs.begin(), st.parked_wbs.end(),
         [&](const ParkedWriteBack& w) { return w.replaces == st.current; });
-    if (it != st.parked_wbs.end()) {
-      ParkedWriteBack& wb = *it;
-      if (st.reads_served_since_wb >= wb.awaits) {
-        if (wb.value.is_absent()) {
-          // Blind delete: an absent write-back may target a key already
-          // gone; kNotFound is the expected no-op, not an error.
-          (void)store_->Delete(key);
-        } else {
-          store_->Upsert(key, wb.value);
-        }
-        ++write_backs_applied_;
-        Mark(key, st, kRecordWritten);
-        st.current = wb.version;
-        st.reads_served_since_wb = 0;
-        st.has_sticky = wb.sticky;
-        st.sticky_expire = wb.epoch + kStickyTtl;
-        st.parked_wbs.erase(it);
-        progressed = true;
-      }
+    if (it != st.parked_wbs.end() && st.reads_served_since_wb >= it->awaits) {
+      Install(key, st, it->version, std::move(it->value), it->sticky,
+              it->epoch);
+      st.parked_wbs.erase(it);
+      progressed = true;
     }
   }
+}
+
+void StorageService::Install(ObjectKey key, KeyState& st, TxnId version,
+                             Record&& value, bool sticky, SinkEpoch epoch) {
+  if (value.is_absent()) {
+    // Blind delete: an absent write-back may target a key already gone;
+    // kNotFound is the expected no-op, not an error.
+    (void)store_->Delete(key);
+  } else {
+    store_->Upsert(key, std::move(value));
+  }
+  ++write_backs_applied_;
+  Mark(key, st, kRecordWritten);
+  st.current = version;
+  st.reads_served_since_wb = 0;
+  st.has_sticky = sticky;
+  st.sticky_expire = epoch + kStickyTtl;
 }
 
 std::optional<Record> StorageService::TryRead(ObjectKey key, TxnId expected) {
@@ -90,12 +93,17 @@ void StorageService::ApplyWriteBack(ObjectKey key, TxnId version,
                                     SinkEpoch epoch) {
   KeyState& st = keys_[key];
   Mark(key, st, kStateChanged);
-  // Mirror std::map::emplace semantics: a duplicate (same replaced
-  // version) is dropped, not double-applied.
-  const bool dup = std::any_of(
-      st.parked_wbs.begin(), st.parked_wbs.end(),
-      [&](const ParkedWriteBack& w) { return w.replaces == replaces; });
-  if (!dup) {
+  if (st.parked_wbs.empty() && replaces == st.current &&
+      st.reads_served_since_wb >= awaits) {
+    // Both gates open and nothing parked ahead of it: apply it now, as
+    // DrainKey would the moment it parked, without parking a copy.
+    Install(key, st, version, std::move(value), sticky, epoch);
+  } else if (std::none_of(st.parked_wbs.begin(), st.parked_wbs.end(),
+                          [&](const ParkedWriteBack& w) {
+                            return w.replaces == replaces;
+                          })) {
+    // Mirror std::map::emplace semantics: a duplicate (same replaced
+    // version) is dropped, not double-applied.
     st.parked_wbs.push_back(ParkedWriteBack{version, replaces,
                                             std::move(value), awaits, sticky,
                                             epoch});

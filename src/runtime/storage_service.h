@@ -197,6 +197,10 @@ class StorageService {
   /// Serves the parked reads of the current version and applies every
   /// write-back whose gates open, until neither makes progress.
   void DrainKey(ObjectKey key, KeyState& st);
+  /// Applies a write-back whose gates are open: `value` (absent = delete)
+  /// becomes the current version `version` of `key`.
+  void Install(ObjectKey key, KeyState& st, TxnId version, Record&& value,
+               bool sticky, SinkEpoch epoch);
 
   KvStore* store_;
   ReplyFn reply_;

@@ -2,9 +2,9 @@
 #define TPART_SEQUENCER_SEQUENCER_H_
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 
+#include "common/ring_queue.h"
 #include "sequencer/batch.h"
 #include "txn/txn.h"
 
@@ -68,7 +68,7 @@ class Sequencer {
   TxnBatch FormBatch(std::size_t take, std::size_t pad);
 
   Options options_;
-  std::deque<TxnSpec> pending_;
+  RingQueue<TxnSpec> pending_;
   TxnId next_id_ = 1;
   std::uint64_t next_batch_id_ = 0;
   std::uint64_t num_dummies_ = 0;

@@ -10,6 +10,18 @@
 
 namespace tpart {
 
+namespace {
+
+// Appends a write-back step, sizing the plan's list for one write-back
+// per declared write at its first one (the latest accessor can also own
+// the duty for keys it only read, so the list may still grow).
+void AddWriteBack(TxnPlan& plan, const TxnNode& n, const WriteBackStep& wb) {
+  if (plan.write_backs.empty()) plan.write_backs.reserve(n.num_writes);
+  plan.write_backs.push_back(wb);
+}
+
+}  // namespace
+
 SinkPlan TGraph::Sink(std::size_t count, SinkEpoch epoch) {
   TPART_CHECK(epoch == last_epoch_ + 1)
       << "sink epochs must be consecutive (got " << epoch << " after "
@@ -40,12 +52,15 @@ SinkPlan TGraph::Sink(std::size_t count, SinkEpoch epoch) {
 
   // ---- Pass 1: reads. Each batch transaction's in-edges become ReadSteps;
   // forward-push edges simultaneously append the matching Push /
-  // LocalVersion step to their source transaction's plan.
+  // LocalVersion step to their source transaction's plan. A transaction
+  // has one ReadStep per declared read (more only under read_own_writes),
+  // so its step list is sized once.
   for (std::size_t i = 0; i < count; ++i) {
     const TxnNode& n = nodes_[i];
     if (n.is_dummy) continue;
     const TxnId v = n.id;
     TxnPlan& p = slots[i];
+    p.reads.reserve(n.num_reads);
     for (const std::size_t eid : n.edges) {
       const TEdge* found = FindEdge(eid);
       if (found == nullptr) continue;
@@ -184,7 +199,7 @@ SinkPlan TGraph::Sink(std::size_t count, SinkEpoch epoch) {
         wb.make_sticky = options_.sticky_cache;
         wb.readers_to_await = st.storage_readers_since_wb;
         wb.replaces_version = st.storage_version;
-        slots[i].write_backs.push_back(wb);
+        AddWriteBack(slots[i], n, wb);
         st.storage_readers_since_wb = 0;
         st.storage_version = wb.version_txn;
         for (std::size_t si = lo; si < hi; ++si) {
@@ -233,7 +248,7 @@ SinkPlan TGraph::Sink(std::size_t count, SinkEpoch epoch) {
       wb.make_sticky = options_.sticky_cache;
       wb.readers_to_await = st.storage_readers_since_wb;
       wb.replaces_version = st.storage_version;
-      slots[i].write_backs.push_back(wb);
+      AddWriteBack(slots[i], n, wb);
       st.storage_readers_since_wb = 0;
       st.storage_version = wb.version_txn;
       if (st.loc == Loc::kCache) {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/flat_map.h"
+#include "common/ring_queue.h"
 #include "common/types.h"
 #include "scheduler/push_plan.h"
 #include "storage/data_partition.h"
@@ -259,7 +260,7 @@ class TGraph {
   // edge AddTxn(T) creates names T as its reader or write-back owner, so
   // it is dead once T sinks. Sink erases edges by clearing `live` and then
   // pops the dead prefix; the ring spans only the unsunk window's edges.
-  std::deque<TEdge> edges_;
+  RingQueue<TEdge> edges_;
   std::size_t edge_base_ = 0;
 
   // Open-addressing tables (common/flat_map.h): AddTxn/Sink run once per

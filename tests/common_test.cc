@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <deque>
 #include <map>
+#include <memory>
+#include <vector>
 
 #include "common/random.h"
+#include "common/ring_queue.h"
 #include "common/stats.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -231,6 +236,124 @@ TEST(TypesTest, ObjectKeyPacksTableAndPk) {
 
 TEST(TypesTest, DistinctTablesYieldDistinctKeys) {
   EXPECT_NE(MakeObjectKey(1, 5), MakeObjectKey(2, 5));
+}
+
+// ---- RingQueue ----------------------------------------------------------
+
+std::vector<int> Contents(const RingQueue<int>& q) {
+  return std::vector<int>(q.begin(), q.end());
+}
+
+TEST(RingQueueTest, KeepsOrderAcrossWraparoundWithoutGrowing) {
+  RingQueue<int> q;
+  for (int i = 0; i < 6; ++i) q.push_back(i);
+  const std::size_t capacity = q.capacity();
+  ASSERT_GE(capacity, 6u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(q.front(), i);
+    q.pop_front();
+  }
+  // The tail wraps past the end of the buffer into the freed slots.
+  for (int i = 6; i < 6 + static_cast<int>(capacity) - 1; ++i) q.push_back(i);
+  EXPECT_EQ(q.size(), capacity);
+  EXPECT_EQ(q.capacity(), capacity);
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    EXPECT_EQ(q[i], static_cast<int>(5 + i));
+  }
+  EXPECT_EQ(q.back(), static_cast<int>(4 + capacity));
+}
+
+TEST(RingQueueTest, GrowsInOrderWhileTheHeadIsNotAtSlotZero) {
+  RingQueue<int> q;
+  for (int i = 0; i < 8; ++i) q.push_back(i);
+  const std::size_t capacity = q.capacity();
+  for (int i = 0; i < 3; ++i) q.pop_front();
+  // Fill the ring (its live range now wraps), then push past it.
+  int next = 8;
+  while (q.size() < capacity) q.push_back(next++);
+  EXPECT_EQ(q.capacity(), capacity);
+  for (int i = 0; i < 5; ++i) q.push_back(next++);
+  EXPECT_EQ(q.capacity(), 2 * capacity);
+  std::vector<int> expected;
+  for (int i = 3; i < next; ++i) expected.push_back(i);
+  EXPECT_EQ(Contents(q), expected);
+}
+
+TEST(RingQueueTest, PopAndPrefixTruncationReleaseWhatElementsOwn) {
+  const auto resource = std::make_shared<int>(7);
+  RingQueue<std::shared_ptr<int>> q;
+  for (int i = 0; i < 6; ++i) q.push_back(resource);
+  const std::size_t capacity = q.capacity();
+  EXPECT_EQ(resource.use_count(), 7);
+  q.pop_front();
+  EXPECT_EQ(resource.use_count(), 6);
+  q.erase_front(3);
+  EXPECT_EQ(resource.use_count(), 3);
+  EXPECT_EQ(q.size(), 2u);
+  q.erase_front(0);
+  EXPECT_EQ(q.size(), 2u);
+  q.clear();
+  EXPECT_EQ(resource.use_count(), 1);
+  EXPECT_TRUE(q.empty());
+  // The buffer stays for the next elements.
+  EXPECT_EQ(q.capacity(), capacity);
+  q.push_back(resource);
+  {
+    RingQueue<std::shared_ptr<int>> moved(std::move(q));
+    EXPECT_EQ(moved.size(), 1u);
+    EXPECT_EQ(resource.use_count(), 2);
+  }
+  EXPECT_EQ(resource.use_count(), 1);  // the moved-to queue released it
+}
+
+TEST(RingQueueTest, IteratesFrontToBackAndWritesThroughIterators) {
+  RingQueue<int> q;
+  for (int i = 0; i < 8; ++i) q.push_back(i);
+  q.erase_front(5);
+  for (int i = 8; i < 12; ++i) q.push_back(i);  // wraps
+  EXPECT_EQ(Contents(q), (std::vector<int>{5, 6, 7, 8, 9, 10, 11}));
+  for (int& v : q) v *= 10;
+  const RingQueue<int>& cq = q;
+  int expected = 50;
+  for (const int v : cq) {
+    EXPECT_EQ(v, expected);
+    expected += 10;
+  }
+  EXPECT_EQ(expected, 120);
+}
+
+TEST(RingQueueTest, MatchesStdDequeOverRandomPushesAndPops) {
+  Rng rng(0x5EED);
+  RingQueue<int> q;
+  std::deque<int> ref;
+  for (int op = 0; op < 100'000; ++op) {
+    const std::uint64_t roll = rng.NextBelow(100);
+    if (roll < 55) {
+      const int v = static_cast<int>(rng.NextBelow(1'000'000));
+      q.push_back(v);
+      ref.push_back(v);
+    } else if (roll < 90) {
+      if (!ref.empty()) {
+        ASSERT_EQ(q.front(), ref.front()) << "op " << op;
+        q.pop_front();
+        ref.pop_front();
+      }
+    } else {
+      const std::size_t n = rng.NextBelow(ref.size() + 1);
+      q.erase_front(n);
+      ref.erase(ref.begin(), ref.begin() + static_cast<std::ptrdiff_t>(n));
+    }
+    ASSERT_EQ(q.size(), ref.size()) << "op " << op;
+    if (!ref.empty()) {
+      ASSERT_EQ(q.back(), ref.back()) << "op " << op;
+      const std::size_t i = rng.NextBelow(ref.size());
+      ASSERT_EQ(q[i], ref[i]) << "op " << op;
+    }
+    if (op % 1000 == 0) {
+      ASSERT_TRUE(std::equal(q.begin(), q.end(), ref.begin(), ref.end()))
+          << "op " << op;
+    }
+  }
 }
 
 }  // namespace

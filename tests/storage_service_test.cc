@@ -178,6 +178,84 @@ void Load(KvStore& store, ObjectKey n) {
   }
 }
 
+// A write-back whose gates are open when it arrives applies in place; one
+// that arrives first and parks applies when its last awaited read is
+// served. Both must leave the same store, counters, replies and image —
+// and a write-back whose gate stays closed must park and be imaged.
+TEST(StorageServiceTest, OpenGateWriteBackAppliesInPlaceLikeAParkedOne) {
+  KvStore store_open;
+  KvStore store_parked;
+  Load(store_open, 4);
+  Load(store_parked, 4);
+  Replies replies_open;
+  Replies replies_parked;
+  StorageService open(&store_open, RecordTo(&replies_open));
+  StorageService parked(&store_parked, RecordTo(&replies_parked));
+  for (StorageService* svc : {&open, &parked}) {
+    // A remote reader of the version about to be written waits on it.
+    svc->RemoteRead(1, /*expected=*/7, RemoteReadTag{2, 11});
+  }
+  // Open gates: the awaited read of v0 came first.
+  Read(open, 1, kInvalidTxnId);
+  open.ApplyWriteBack(1, 7, kInvalidTxnId, Record{70}, /*awaits=*/1,
+                      /*sticky=*/true, /*epoch=*/3);
+  // Parks first: the write-back waits for that same read.
+  parked.ApplyWriteBack(1, 7, kInvalidTxnId, Record{70}, /*awaits=*/1,
+                        /*sticky=*/true, /*epoch=*/3);
+  EXPECT_EQ(store_parked.Read(1)->field(0), 1);  // still parked
+  Read(parked, 1, kInvalidTxnId);
+  // A blind delete with no reader to await, on both.
+  for (StorageService* svc : {&open, &parked}) {
+    svc->ApplyWriteBack(2, 8, kInvalidTxnId, Record::Absent(), 0, false, 3);
+  }
+
+  for (KvStore* store : {&store_open, &store_parked}) {
+    EXPECT_EQ(store->Read(1)->field(0), 70);
+    EXPECT_FALSE(store->Contains(2));
+  }
+  EXPECT_EQ(open.write_backs_applied(), 2u);
+  EXPECT_EQ(parked.write_backs_applied(), 2u);
+  EXPECT_EQ(open.reads_served(), parked.reads_served());
+  ASSERT_EQ(replies_open.size(), 1u);
+  ASSERT_EQ(replies_parked.size(), 1u);
+  EXPECT_EQ(replies_open[0].first, replies_parked[0].first);
+  EXPECT_EQ(replies_open[0].second.field(0), 70);
+  EXPECT_EQ(replies_parked[0].second.field(0), 70);
+
+  Image image_open;
+  Image image_parked;
+  std::vector<ObjectKey> written_open;
+  std::vector<ObjectKey> written_parked;
+  open.FoldChanges(image_open, written_open);
+  parked.FoldChanges(image_parked, written_parked);
+  EXPECT_EQ(Sorted(image_open), Sorted(image_parked));
+  std::sort(written_open.begin(), written_open.end());
+  std::sort(written_parked.begin(), written_parked.end());
+  EXPECT_EQ(written_open, (std::vector<ObjectKey>{1, 2}));
+  EXPECT_EQ(written_parked, written_open);
+  EXPECT_EQ(Entry(image_open, 1).current, 7u);
+  EXPECT_TRUE(Entry(image_open, 1).has_sticky);
+  EXPECT_EQ(Entry(image_open, 1).sticky_expire, 3 + kStickyTtl);
+  EXPECT_TRUE(Entry(image_open, 1).parked_wbs.empty());
+
+  // Closed gate: v9 awaits three reads of v7 and has had two (the remote
+  // one and this one).
+  Read(open, 1, 7);
+  open.ApplyWriteBack(1, 9, /*replaces=*/7, Record{90}, /*awaits=*/3, false,
+                      4);
+  EXPECT_EQ(store_open.Read(1)->field(0), 70);
+  EXPECT_EQ(open.write_backs_applied(), 2u);
+  written_open.clear();
+  open.FoldChanges(image_open, written_open);
+  EXPECT_TRUE(written_open.empty());  // no record changed
+  const Image::KeyImage key1 = Entry(image_open, 1);
+  EXPECT_EQ(key1.current, 7u);
+  EXPECT_EQ(key1.reads_served_since_wb, 2u);
+  ASSERT_EQ(key1.parked_wbs.size(), 1u);
+  EXPECT_EQ(key1.parked_wbs[0],
+            (StorageService::ParkedWriteBack{9, 7, Record{90}, 3, false, 4}));
+}
+
 TEST(StorageServiceTest, FoldTakesOnlyKeysChangedSinceTheLastFold) {
   KvStore store;
   Load(store, 100);

@@ -9,6 +9,7 @@
 #include "storage/data_partition.h"
 #include "tgraph/edge_weight.h"
 #include "tgraph/tgraph.h"
+#include "workload/micro.h"
 
 namespace tpart {
 namespace {
@@ -281,6 +282,51 @@ TEST(TGraphTest, EdgeRingSpansOnlyTheUnsunkWindow) {
   // At most 2 * sink_size unsunk transactions, each adding at most one
   // edge per read plus one write-back duty per read and write.
   EXPECT_LE(peak_ring, 2 * kSinkSize * (2 * 4 + 2));
+}
+
+// ---- Plan sizing -----------------------------------------------------------
+
+// Every declared read of a Microbenchmark transaction becomes exactly one
+// ReadStep, so Sink sizes each plan's read list once, up front: no list
+// grows (and reallocates) while the plan is built.
+TEST(TGraphTest, SinkSizesEachPlanStepListOnce) {
+  constexpr std::size_t kSinkSize = 50;
+  MicroOptions mo;
+  mo.num_machines = 3;
+  mo.records_per_machine = 20'000;
+  mo.hot_set_size = 200;
+  mo.num_txns = 3000;
+  mo.seed = 23;
+  const Workload w = MakeMicroWorkload(mo);
+  TGraph::Options o;
+  o.num_machines = mo.num_machines;
+  TGraph g(o, w.partition_map);
+  StreamingGreedyPartitioner partitioner;
+  SinkEpoch epoch = 0;
+  std::size_t plans = 0;
+  std::size_t reads = 0;
+  std::size_t write_backs = 0;
+  const auto sink = [&](std::size_t count) {
+    partitioner.Partition(g);
+    const SinkPlan plan = g.Sink(count, ++epoch);
+    for (const TxnPlan& p : plan.txns) {
+      ++plans;
+      reads += p.reads.size();
+      write_backs += p.write_backs.size();
+      EXPECT_EQ(p.reads.size(), p.num_reads) << "T" << p.txn;
+      EXPECT_EQ(p.reads.capacity(), p.reads.size()) << "T" << p.txn;
+    }
+  };
+  TxnId id = 0;
+  for (TxnSpec spec : w.requests) {
+    spec.id = ++id;
+    g.AddTxn(spec);
+    if (g.num_unsunk() >= 2 * kSinkSize) sink(kSinkSize);
+  }
+  while (g.num_unsunk() > 0) sink(kSinkSize);
+  EXPECT_EQ(plans, mo.num_txns);
+  EXPECT_GE(reads, 9 * plans);  // micro reads 10 records per transaction
+  EXPECT_GT(write_backs, 0u);
 }
 
 }  // namespace
